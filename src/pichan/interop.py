@@ -112,10 +112,6 @@ class HostRegistry:
             for (c, e, s) in self.effect_log)
 
 
-def register_host_class(registry: HostRegistry, c: HostClass) -> HostRegistry:
-    return registry.register(c)
-
-
 # ---------------------------------------------------------------------------
 # Endpoints
 
@@ -140,12 +136,6 @@ class Endpoint:
             if m.name == name:
                 return m
         raise KeyError(name)
-
-    def method_for_call_channel(self, name_id: int) -> Optional[MethodDecl]:
-        for m in self.decl.methods:
-            if m.call_channel.id == name_id:
-                return m
-        return None
 
     def call_accepted(self, method: MethodDecl) -> bool:
         tm = method.protocol.transition_map()

@@ -602,10 +602,6 @@ def _cont_text(cont: Process, names: dict) -> str:
     return "." + _format_term(cont, names)
 
 
-# backwards-friendly alias matching the verb used elsewhere
-format = format_program
-
-
 # ---------------------------------------------------------------------------
 # Alpha-equivalence of whole programs (used by round-trip tests)
 

@@ -9,6 +9,7 @@ cycle; anything else parses but is rejected here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import (BoolLit, Fusion, In, IntLit, NameRef, New, Out, Par,
@@ -72,6 +73,12 @@ class ProtocolAutomaton:
     transitions: tuple  # tuple of (state, channel: str, payload: tuple, next_state)
 
     def transition_map(self) -> dict:
+        """(state, channel) -> (payload, next state); built once, since the
+        automaton is frozen.  Callers must not mutate it."""
+        return self._transition_map
+
+    @cached_property
+    def _transition_map(self) -> dict:
         return {(s, c): (pl, t) for (s, c, pl, t) in self.transitions}
 
     def channels(self) -> set:
@@ -280,28 +287,6 @@ def extern_channel_table(externs) -> dict:
     return table
 
 
-def _aliases_used(p, table) -> set:
-    used = set()
-
-    def walk(p):
-        if isinstance(p, Par):
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, (New, Repeat)):
-            walk(p.body)
-        elif isinstance(p, (Out, In)):
-            if p.subject.id in table:
-                used.add(table[p.subject.id][0])
-            walk(p.cont)
-        elif isinstance(p, Fusion):
-            for v in (p.left, p.right):
-                if isinstance(v, NameRef) and v.name.id in table:
-                    used.add(table[v.name.id][0])
-
-    walk(p)
-    return used
-
-
 def check_extern_usage(program) -> list:
     """Conservative per-thread walk: after a call the same thread's next
     action on that extern block must be the paired return input.  Parallel
@@ -313,6 +298,26 @@ def check_extern_usage(program) -> list:
         for m in d.methods:
             ret_chan[(d.alias, m.name)] = m.return_channel.display
     diags = []
+    memo = {}  # id(subterm) -> frozenset of the aliases it uses
+
+    def used(p) -> frozenset:
+        got = memo.get(id(p))
+        if got is None:
+            if isinstance(p, Par):
+                got = used(p.left) | used(p.right)
+            elif isinstance(p, (New, Repeat)):
+                got = used(p.body)
+            elif isinstance(p, (Out, In)):
+                got = used(p.cont)
+                if p.subject.id in table:
+                    got = got | {table[p.subject.id][0]}
+            elif isinstance(p, Fusion):
+                got = frozenset(table[v.name.id][0] for v in (p.left, p.right)
+                                if isinstance(v, NameRef) and v.name.id in table)
+            else:
+                got = frozenset()
+            memo[id(p)] = got
+        return got
 
     def violation(span, alias, method, action):
         diags.append(Diagnostic(
@@ -322,9 +327,7 @@ def check_extern_usage(program) -> list:
 
     def walk(p, pending: dict) -> None:
         if isinstance(p, Par):
-            left_used = _aliases_used(p.left, table)
-            right_used = _aliases_used(p.right, table)
-            for alias in sorted(left_used & right_used):
+            for alias in sorted(used(p.left) & used(p.right)):
                 diags.append(Diagnostic(
                     "warning", "W-PAR",
                     f"extern block {alias} used from parallel branches; "

@@ -159,90 +159,64 @@ class Machine:
 
     # -- redex enumeration
 
-    def _endpoint_for_call(self, subject) -> Optional[tuple]:
-        for alias in self.endpoints:
-            ep = self.endpoints[alias]
-            for m in ep.decl.methods:
-                if self.env.fused_equal(NameRef(subject), NameRef(m.call_channel)):
-                    return alias, m
-        return None
-
-    def _pending_return_match(self, thread: In) -> Optional[str]:
-        for alias in self.endpoints:
-            ep = self.endpoints[alias]
-            if ep.pending is None:
-                continue
-            m = ep.method(ep.pending[0])
-            if (self.env.fused_equal(NameRef(thread.subject), NameRef(m.return_channel))
-                    and len(thread.objects) == len(m.return_payload)):
-                return alias
-        return None
-
     def enumerate_redexes(self, strict: bool = True) -> list:
-        """All enabled redexes in a deterministic order.  strict=True gates
-        host calls on the protocol monitor and per-endpoint pending return
-        (the normal scheduler); strict=False offers every call attempt so an
-        adversarial scheduler can expose protocol violations."""
-        redexes = []
+        """All enabled redexes in a deterministic order: by thread position,
+        then kind (comm < fusion < unfold < host-call < host-return), then
+        partner position.  strict=True gates host calls on the protocol
+        monitor and per-endpoint pending return (the normal scheduler);
+        strict=False offers every call attempt so an adversarial scheduler
+        can expose protocol violations.
+
+        Each call indexes the soup once by (fusion root, arity), so the cost
+        is O(threads + redexes) and no pair of threads is compared."""
+        root = self.env.representative
         threads = self.threads
+        outs, ins = {}, {}  # (subject root, arity) -> thread positions
+        keys = []
+        for i, t in enumerate(threads):
+            key = None
+            if isinstance(t, Out):
+                key = (root(t.subject), len(t.objects))
+                outs.setdefault(key, []).append(i)
+            elif isinstance(t, In):
+                key = (root(t.subject), len(t.objects))
+                ins.setdefault(key, []).append(i)
+            keys.append(key)
+        calls = {}  # call channel root -> (alias, method); first match wins
+        returns = {}  # (return channel root, arity) -> alias awaiting it
+        for alias, ep in self.endpoints.items():
+            for m in ep.decl.methods:
+                calls.setdefault(root(m.call_channel), (alias, m))
+            if ep.pending is not None:
+                m = ep.method(ep.pending[0])
+                returns.setdefault((root(m.return_channel),
+                                    len(m.return_payload)), alias)
+        redexes = []
         repeats = []
         for i, t in enumerate(threads):
-            if isinstance(t, Fusion):
-                redexes.append(("fusion", i))
-            elif isinstance(t, Repeat):
-                repeats.append(i)
-            elif isinstance(t, Out):
-                hit = self._endpoint_for_call(t.subject)
+            if isinstance(t, Out):
+                for j in ins.get(keys[i], ()):
+                    redexes.append(("comm", i, j))
+                hit = calls.get(keys[i][0])
                 if hit is not None:
                     alias, m = hit
                     ep = self.endpoints[alias]
                     if not strict or (ep.pending is None and ep.call_accepted(m)):
                         redexes.append(("host-call", i, alias, m.name))
             elif isinstance(t, In):
-                alias = self._pending_return_match(t)
+                alias = returns.get(keys[i])
                 if alias is not None:
                     redexes.append(("host-return", i, alias))
-        for i, a in enumerate(threads):
-            for j, b in enumerate(threads):
-                if i == j:
-                    continue
-                if isinstance(a, Out) and isinstance(b, In):
-                    if (len(a.objects) == len(b.objects)
-                            and self.env.fused_equal(NameRef(a.subject),
-                                                     NameRef(b.subject))):
-                        redexes.append(("comm", i, j))
-        for i in repeats:
-            if self._unfold_wanted(threads[i].body):
-                redexes.append(("unfold", i))
+            elif isinstance(t, Fusion):
+                redexes.append(("fusion", i))
+            elif isinstance(t, Repeat):
+                repeats.append(i)
+                if _unfold_wanted(t.body, root, outs, ins, calls, returns):
+                    redexes.append(("unfold", i))
         if not redexes:
             # a repeat may always unfold when nothing else can move
             redexes = [("unfold", i) for i in repeats]
-        redexes.sort(key=_redex_key)
         return redexes
-
-    def _unfold_wanted(self, body: Process) -> bool:
-        """Offer an unfold only when the body's top-level actions could take
-        part in a comm or host redex afterwards."""
-        actions = _top_actions(body)
-        if not actions:
-            return False
-        soup_actions = [t for t in self.threads if isinstance(t, (Out, In))]
-        pool = soup_actions + actions
-        for a in actions:
-            if isinstance(a, Out):
-                if self._endpoint_for_call(a.subject) is not None:
-                    return True
-            else:
-                if self._pending_return_match(a) is not None:
-                    return True
-            for b in pool:
-                if a is b or isinstance(a, type(b)):
-                    continue
-                if (len(a.objects) == len(b.objects)
-                        and self.env.fused_equal(NameRef(a.subject),
-                                                 NameRef(b.subject))):
-                    return True
-        return False
 
     # -- execution
 
@@ -320,11 +294,15 @@ class Machine:
         raise ValueError(redex)
 
 
-def _redex_key(r) -> tuple:
-    order = {"comm": 0, "fusion": 1, "unfold": 2, "host-call": 3,
-             "host-return": 4}
-    second = r[2] if len(r) > 2 and isinstance(r[2], int) else -1
-    return (r[1], order[r[0]], second)
+def _unfold_wanted(body: Process, root, outs, ins, calls, returns) -> bool:
+    """Offer an unfold only when the body's top-level actions could take
+    part in a comm or host redex afterwards, with the soup or each other."""
+    keyed = {(isinstance(a, Out), (root(a.subject), len(a.objects)))
+             for a in _top_actions(body)}
+    return any((not is_out, key) in keyed
+               or (key[0] in calls or key in ins if is_out
+                   else key in returns or key in outs)
+               for is_out, key in keyed)
 
 
 def _top_actions(p: Process) -> list:

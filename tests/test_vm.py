@@ -1,6 +1,7 @@
 """Tests for redex enumeration, stepping, traces and determinism."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,18 @@ from hypothesis import strategies as st
 
 from pichan.core import (Fusion, FusionClash, In, IntLit, NameRef, NameSupply,
                          New, Nil, Out, Par, Repeat, congruent)
-from pichan.interop import build_std_registry
+from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
+                            build_std_registry)
 from pichan.parser import Program, desugar, parse_program
 from pichan.vm import (DEFAULT_MAX_STEPS, Machine, NotStuck, Xorshift64Star,
                        detect_stuck, explore_runs, run, step)
 
+import golden_traces
+import reference_scheduler
 from randgen import gen_program
 from test_parser import ACCOUNT_EXTERN
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def _machine(src):
@@ -105,6 +111,92 @@ def test_enumeration_order_is_stable():
     assert m.enumerate_redexes() == m.enumerate_redexes()
     assert m.enumerate_redexes() == [
         ("comm", 0, 2), ("comm", 0, 3), ("comm", 1, 2), ("comm", 1, 3)]
+
+
+# ---------------------------------------------------------------------------
+# enumerate_redexes against the pair-scan reference
+
+
+def _check_against_reference(m, seed, steps, strict):
+    """Step m with the seeded scheduler, comparing the enumeration with the
+    reference before every step."""
+    rng = Xorshift64Star(seed)
+    for _ in range(steps):
+        redexes = m.enumerate_redexes(strict=strict)
+        assert redexes == reference_scheduler.enumerate_redexes(m, strict)
+        if not redexes:
+            return
+        try:
+            m.execute(redexes[rng.below(len(redexes))])
+        except (FusionClash, ProtocolViolation, UngroundArgument, HostFault):
+            return
+        m.step_index += 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_enumerate_matches_reference_randgen(strict, seed):
+    program = gen_program(random.Random(seed), with_externs=False,
+                          max_nodes=60)
+    m = Machine.initialize(program, build_std_registry())
+    _check_against_reference(m, seed, 60, strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("sample", ["account.pi", "counter.pi"])
+def test_enumerate_matches_reference_samples(sample, strict):
+    text = (SAMPLES / sample).read_text()
+    decls, main = text.rstrip().rsplit("\n", 1)
+    # the sample as is, then two copies of its process racing for the host
+    for src in (text, f"{decls}\n{main} | {main}"):
+        for seed in range(8):
+            _check_against_reference(_machine(src), seed, 40, strict)
+
+
+COUNTER_PAIR = """
+extern K1 -> class Counter {
+  int inc() {
+    call inc1: void;
+    return R1: int;
+  }
+}
+extern K2 -> class Counter {
+  int inc() {
+    call inc2: void;
+    return R2: int;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_enumerate_fused_call_channels_first_endpoint_wins(strict):
+    m = _machine(COUNTER_PAIR + "inc1 = inc2 | inc2!().R1?(a).inc1!().R1?(b)")
+    m.execute(("fusion", 0))
+    assert m.enumerate_redexes(strict) == [("host-call", 0, "K1", "inc")]
+    for seed in range(4):
+        m = _machine(COUNTER_PAIR
+                     + "inc1 = inc2 | inc2!().R1?(a) | inc1!().R1?(b)")
+        _check_against_reference(m, seed, 20, strict)
+
+
+# ---------------------------------------------------------------------------
+# golden traces (recorded with the pair-scan scheduler)
+
+
+GOLDEN = golden_traces.load()
+CORPUS = list(golden_traces.corpus())
+
+
+def test_golden_corpus_complete():
+    assert sorted(name for name, *_ in CORPUS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name,program,seed,max_steps", CORPUS,
+                         ids=[entry[0] for entry in CORPUS])
+def test_golden_trace(name, program, seed, max_steps):
+    assert golden_traces.digest(program, seed, max_steps) == GOLDEN[name]
 
 
 # ---------------------------------------------------------------------------
