@@ -317,6 +317,9 @@ class FusionEnv:
         self._rank: dict[int, int] = {}
         self._attach: dict[int, Value] = {}  # root id -> literal
         self._names: dict[int, Name] = {}
+        # (absorbed root, surviving root) per union, in order; a reader that
+        # indexes by root (the VM's soup index) drains it
+        self.union_log: list[tuple[int, int]] = []
 
     def copy(self) -> "FusionEnv":
         env = FusionEnv()
@@ -324,6 +327,7 @@ class FusionEnv:
         env._rank = dict(self._rank)
         env._attach = dict(self._attach)
         env._names = dict(self._names)
+        env.union_log = list(self.union_log)
         return env
 
     def _find(self, nid: int) -> int:
@@ -392,6 +396,7 @@ class FusionEnv:
         if self._rank.get(rx, 0) < self._rank.get(ry, 0):
             rx, ry = ry, rx
         self._parent[ry] = rx
+        self.union_log.append((ry, rx))
         if self._rank.get(rx, 0) == self._rank.get(ry, 0):
             self._rank[rx] = self._rank.get(rx, 0) + 1
         lit = ax if ax is not None else ay

@@ -92,9 +92,9 @@ def tokenize(text: str, filename: str = "<input>") -> list:
             col += j + 1 - i
             i = j + 1
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j],
                                 SourceSpan(filename, line, col, j - i)))

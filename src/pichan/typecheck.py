@@ -291,7 +291,7 @@ def check_extern_usage(program) -> list:
     """Conservative per-thread walk: after a call the same thread's next
     action on that extern block must be the paired return input.  Parallel
     use of one block is downgraded to a warning; the runtime monitor is
-    authoritative there."""
+    authoritative there, and each flat | chain warns once per alias."""
     table = extern_channel_table(program.externs)
     ret_chan = {}  # (alias, method) -> return channel display
     for d in program.externs:
@@ -325,15 +325,18 @@ def check_extern_usage(program) -> list:
             f"call to {method} on {alias} must be followed by input on "
             f"{ret_chan[(alias, method)]}, found {action}", span))
 
-    def walk(p, pending: dict) -> None:
+    def walk(p, pending: dict, warned: frozenset = frozenset()) -> None:
+        # warned: aliases already reported higher up the same flat | chain
         if isinstance(p, Par):
-            for alias in sorted(used(p.left) & used(p.right)):
+            shared = used(p.left) & used(p.right)
+            for alias in sorted(shared - warned):
                 diags.append(Diagnostic(
                     "warning", "W-PAR",
                     f"extern block {alias} used from parallel branches; "
                     f"protocol order enforced at run time", p.span))
-            walk(p.left, dict(pending))
-            walk(p.right, dict(pending))
+            warned = warned | shared
+            walk(p.left, dict(pending), warned)
+            walk(p.right, dict(pending), warned)
         elif isinstance(p, (New, Repeat)):
             walk(p.body, dict(pending))
         elif isinstance(p, Out):

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import copy
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import Optional
 
-from .core import (BoolLit, Fusion, FusionClash, In, IntLit, NameRef,
-                   NameSupply, New, Nil, Out, Par, Process, Repeat, StrLit,
-                   UnitLit, Value, free_names, is_core, substitute,
+from .core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
+                   NameRef, NameSupply, New, Nil, Out, Par, Process, Repeat,
+                   StrLit, UnitLit, Value, free_names, is_core, substitute,
                    _all_binders)
 from .interop import (Endpoint, HostFault, HostRegistry, ProtocolViolation,
                       UngroundArgument, complete_return, dispatch_call,
@@ -94,11 +97,25 @@ class StuckReport:
 
 class Machine:
     """One VM instance: flattened thread soup, fusion environment, extern
-    endpoints and a fresh-name supply.  Single-threaded by design."""
+    endpoints and a fresh-name supply.  Single-threaded by design.
+
+    The soup index is kept across steps and changes only where the soup
+    does.  Every thread has a sequence number; threads are only appended,
+    so _seqs (parallel to threads) is ascending and a thread's position is
+    the bisection of its sequence number.  Outputs and inputs sit in
+    buckets _outs/_ins[fusion root][arity] -> set of sequence numbers;
+    _live holds the (root, arity) keys that have both.  Unions reach the
+    buckets through FusionEnv.union_log, drained before each enumeration
+    and each removal."""
 
     def __init__(self, registry: HostRegistry):
         self.threads: list[Process] = []
-        from .core import FusionEnv
+        self._seqs: list[int] = []
+        self._outs: dict[int, dict[int, set]] = {}
+        self._ins: dict[int, dict[int, set]] = {}
+        self._live: set[tuple[int, int]] = set()
+        self._fusions: set[int] = set()
+        self._repeats: dict[int, tuple] = {}  # seq -> body's top-level actions
         self.env = FusionEnv()
         self.endpoints: dict[str, Endpoint] = {}
         self.supply = NameSupply()
@@ -122,6 +139,11 @@ class Machine:
     def copy(self) -> "Machine":
         m = Machine(self._copy_registry())
         m.threads = list(self.threads)
+        m._seqs = list(self._seqs)
+        m._outs, m._ins = _copy_buckets(self._outs), _copy_buckets(self._ins)
+        m._live = set(self._live)
+        m._fusions = set(self._fusions)
+        m._repeats = dict(self._repeats)
         m.env = self.env.copy()
         m.endpoints = {}
         for alias, ep in self.endpoints.items():
@@ -155,7 +177,63 @@ class Machine:
             fresh = self.supply.fresh(p.name.display, "fresh")
             self.add_thread(substitute(p.body, p.name, fresh, self.supply))
             return
+        # above every live thread's number; a removed one's may be reused
+        seq = self._seqs[-1] + 1 if self._seqs else 0
         self.threads.append(p)
+        self._seqs.append(seq)
+        if isinstance(p, (Out, In)):
+            root, arity = self.env.representative(p.subject), len(p.objects)
+            mine, other = ((self._outs, self._ins) if isinstance(p, Out)
+                           else (self._ins, self._outs))
+            mine.setdefault(root, {}).setdefault(arity, set()).add(seq)
+            if arity in other.get(root, ()):
+                self._live.add((root, arity))
+        elif isinstance(p, Fusion):
+            self._fusions.add(seq)
+        elif isinstance(p, Repeat):
+            self._repeats[seq] = tuple(
+                (isinstance(a, Out), a.subject, len(a.objects))
+                for a in _top_actions(p.body))
+
+    def _unindex(self, seq: int, t: Process) -> None:
+        """Drop a removed thread: an output, an input or a fusion (execute
+        never removes a repeat)."""
+        if isinstance(t, Fusion):
+            self._fusions.discard(seq)
+            return
+        table = self._outs if isinstance(t, Out) else self._ins
+        root, arity = self.env.representative(t.subject), len(t.objects)
+        bucket = table[root][arity]
+        bucket.discard(seq)
+        if not bucket:
+            del table[root][arity]
+            if not table[root]:
+                del table[root]
+            self._live.discard((root, arity))
+
+    def _drain_unions(self) -> None:
+        """Move the buckets of every root absorbed since the last drain under
+        its surviving root, merging the smaller set into the larger."""
+        for absorbed, root in self.env.union_log:
+            arities = set()
+            for table in (self._outs, self._ins):
+                moved = table.pop(absorbed, None)
+                if moved is None:
+                    continue
+                into = table.setdefault(root, {})
+                for arity, bucket in moved.items():
+                    arities.add(arity)
+                    small = into.get(arity, ())
+                    if len(small) > len(bucket):
+                        small, bucket = bucket, small
+                    bucket.update(small)
+                    into[arity] = bucket
+            for arity in arities:
+                self._live.discard((absorbed, arity))
+                if (arity in self._outs.get(root, ())
+                        and arity in self._ins.get(root, ())):
+                    self._live.add((root, arity))
+        self.env.union_log.clear()
 
     # -- redex enumeration
 
@@ -167,21 +245,12 @@ class Machine:
         strict=False offers every call attempt so an adversarial scheduler
         can expose protocol violations.
 
-        Each call indexes the soup once by (fusion root, arity), so the cost
-        is O(threads + redexes) and no pair of threads is compared."""
+        Reads the persistent soup index, so the cost is O(redexes * log
+        threads) plus the repeats and extern methods; idle threads cost
+        nothing."""
+        self._drain_unions()
         root = self.env.representative
-        threads = self.threads
-        outs, ins = {}, {}  # (subject root, arity) -> thread positions
-        keys = []
-        for i, t in enumerate(threads):
-            key = None
-            if isinstance(t, Out):
-                key = (root(t.subject), len(t.objects))
-                outs.setdefault(key, []).append(i)
-            elif isinstance(t, In):
-                key = (root(t.subject), len(t.objects))
-                ins.setdefault(key, []).append(i)
-            keys.append(key)
+        outs, ins = self._outs, self._ins
         calls = {}  # call channel root -> (alias, method); first match wins
         returns = {}  # (return channel root, arity) -> alias awaiting it
         for alias, ep in self.endpoints.items():
@@ -191,39 +260,52 @@ class Machine:
                 m = ep.method(ep.pending[0])
                 returns.setdefault((root(m.return_channel),
                                     len(m.return_payload)), alias)
-        redexes = []
-        repeats = []
-        for i, t in enumerate(threads):
-            if isinstance(t, Out):
-                for j in ins.get(keys[i], ()):
-                    redexes.append(("comm", i, j))
-                hit = calls.get(keys[i][0])
-                if hit is not None:
-                    alias, m = hit
-                    ep = self.endpoints[alias]
-                    if not strict or (ep.pending is None and ep.call_accepted(m)):
-                        redexes.append(("host-call", i, alias, m.name))
-            elif isinstance(t, In):
-                alias = returns.get(keys[i])
-                if alias is not None:
-                    redexes.append(("host-return", i, alias))
-            elif isinstance(t, Fusion):
-                redexes.append(("fusion", i))
-            elif isinstance(t, Repeat):
-                repeats.append(i)
-                if _unfold_wanted(t.body, root, outs, ins, calls, returns):
-                    redexes.append(("unfold", i))
-        if not redexes:
+        # Kinds are collected in order, and comms in partner order; the
+        # stable sort by thread position then gives the documented order.
+        at = partial(bisect_left, self._seqs)  # sequence number -> position
+        found = []
+        for r, arity in self._live:
+            senders = list(map(at, outs[r][arity]))
+            for j in sorted(map(at, ins[r][arity])):
+                found += [("comm", i, j) for i in senders]
+        found += [("fusion", i) for i in map(at, self._fusions)]
+        found += [("unfold", at(seq)) for seq, actions in self._repeats.items()
+                  if self._unfold_wanted(actions, calls, returns)]
+        for r, (alias, m) in calls.items():
+            ep = self.endpoints[alias]
+            if r in outs and (not strict or (ep.pending is None
+                                             and ep.call_accepted(m))):
+                for bucket in outs[r].values():
+                    found += [("host-call", i, alias, m.name)
+                              for i in map(at, bucket)]
+        for (r, arity), alias in returns.items():
+            found += [("host-return", i, alias)
+                      for i in map(at, ins.get(r, {}).get(arity, ()))]
+        if not found:
             # a repeat may always unfold when nothing else can move
-            redexes = [("unfold", i) for i in repeats]
-        return redexes
+            found = [("unfold", i) for i in map(at, self._repeats)]
+        found.sort(key=itemgetter(1))
+        return found
+
+    def _unfold_wanted(self, actions, calls, returns) -> bool:
+        """Offer an unfold only when the body's top-level actions could take
+        part in a comm or host redex afterwards, with the soup or each other."""
+        root = self.env.representative
+        keyed = {(is_out, root(subject), arity)
+                 for is_out, subject, arity in actions}
+        return any((not is_out, r, arity) in keyed
+                   or (r in calls or arity in self._ins.get(r, ()) if is_out
+                       else (r, arity) in returns
+                       or arity in self._outs.get(r, ()))
+                   for is_out, r, arity in keyed)
 
     # -- execution
 
     def _remove(self, *indices) -> list:
+        self._drain_unions()
         removed = [self.threads[i] for i in indices]
         for i in sorted(indices, reverse=True):
-            del self.threads[i]
+            self._unindex(self._seqs.pop(i), self.threads.pop(i))
         return removed
 
     def _ground_args(self, out: Out) -> list:
@@ -294,17 +376,6 @@ class Machine:
         raise ValueError(redex)
 
 
-def _unfold_wanted(body: Process, root, outs, ins, calls, returns) -> bool:
-    """Offer an unfold only when the body's top-level actions could take
-    part in a comm or host redex afterwards, with the soup or each other."""
-    keyed = {(isinstance(a, Out), (root(a.subject), len(a.objects)))
-             for a in _top_actions(body)}
-    return any((not is_out, key) in keyed
-               or (key[0] in calls or key in ins if is_out
-                   else key in returns or key in outs)
-               for is_out, key in keyed)
-
-
 def _top_actions(p: Process) -> list:
     """Out/In prefixes at the top level of a term (through Par and New)."""
     if isinstance(p, Par):
@@ -314,6 +385,11 @@ def _top_actions(p: Process) -> list:
     if isinstance(p, (Out, In)):
         return [p]
     return []
+
+
+def _copy_buckets(table: dict) -> dict:
+    return {r: {arity: set(bucket) for arity, bucket in by_arity.items()}
+            for r, by_arity in table.items()}
 
 
 def _host_value(v: Value):

@@ -1,6 +1,8 @@
 """Golden-trace corpus: the sha256 of (trace lines, status) for every sample
-at seeds 0-4 and for 50 randgen programs.  test_vm replays it, so any change
-to the scheduler that alters a trace fails there.
+at seeds 0-4, for 50 randgen programs, and for small echo-server and
+host-worker programs (the shapes of the vm-echo and vm-host benchmark
+workloads) at seeds 0-4.  test_vm replays it, so any change to the
+scheduler that alters a trace fails there.
 
 Re-record only for a deliberate change of semantics:
 
@@ -26,6 +28,49 @@ SAMPLE_SEEDS = range(5)
 RANDGEN_PROGRAMS = 50
 RANDGEN_MAX_STEPS = 100
 RANDGEN_MAX_NODES = 60  # the default 25 gives few programs that move
+ECHO_CLIENTS = (3, 6, 10)
+HOST_WORKERS = (4, 8)
+HOST_COUNTERS = 3
+HOST_CONSOLES = 2
+
+
+def echo_source(clients: int) -> str:
+    """One hot channel: a replicated echo server and clients that each check
+    their echo with a fusion.  The clients wait idle on their own reply
+    channels while the server serves the others."""
+    lines = ["repeat s?(x, r).r!(x)"]
+    lines += [f"new r in s!({7 * i + 1}, r).r?(y).y = {7 * i + 1}"
+              for i in range(clients)]
+    return "\n| ".join(lines) + "\n"
+
+
+def host_source(workers: int) -> str:
+    """Many channels: workers that take a value from one of several Counter
+    aliases and print it on the Console alias that counter feeds."""
+    blocks = [f"extern K{k} -> class Counter {{\n"
+              f"  int inc() {{\n    call inc{k}: void;\n"
+              f"    return R{k}: int;\n"
+              f"  }} acceded as {{rec S {{inc{k}().R{k}(int).S}}}}\n}}\n"
+              for k in range(HOST_COUNTERS)]
+    blocks += [f"extern P{c} -> class Console {{\n"
+               f"  void print(int) {{\n    call print{c}: int;\n"
+               f"    return D{c}: void;\n"
+               f"  }} acceded as {{rec S {{print{c}(int).D{c}().S}}}}\n}}\n"
+               for c in range(HOST_CONSOLES)]
+    lines = []
+    for w in range(workers):
+        k = w % HOST_COUNTERS
+        c = k % HOST_CONSOLES
+        lines.append(f"inc{k}!().R{k}?(a).print{c}!(a).D{c}?()")
+    return "".join(blocks) + "\n| ".join(lines) + "\n"
+
+
+def bench_families():
+    """Yield (name, program, max_steps) for the echo and host programs."""
+    for n in ECHO_CLIENTS:
+        yield f"echo{n}", parse_program(echo_source(n)), 4 * n + 1 + n // 2
+    for w in HOST_WORKERS:
+        yield f"host{w}", parse_program(host_source(w)), 10 * w
 
 
 def corpus():
@@ -38,6 +83,9 @@ def corpus():
         program = gen_program(random.Random(k), with_externs=False,
                               max_nodes=RANDGEN_MAX_NODES)
         yield f"randgen{k}@{k}", program, k, RANDGEN_MAX_STEPS
+    for name, program, max_steps in bench_families():
+        for seed in SAMPLE_SEEDS:
+            yield f"{name}@{seed}", program, seed, max_steps
 
 
 def digest(program, seed: int, max_steps: int) -> str:

@@ -39,6 +39,14 @@ def test_compile_account(account_src, tmp_path, capsys):
     assert "error" not in stdout
 
 
+def test_check_superscript_digit_is_syntax_error(tmp_path, capsys):
+    # '²' is a digit to str.isdigit() but not to int()
+    src = tmp_path / "sup.pi"
+    src.write_text("x!(\u00b2)\n", encoding="utf-8")
+    assert main(["check", str(src)]) == EXIT_SYNTAX
+    assert "E-SYNTAX unexpected character '\u00b2'" in capsys.readouterr().out
+
+
 def test_compile_empty_file(tmp_path, capsys):
     src = tmp_path / "empty.pi"
     src.write_text("")

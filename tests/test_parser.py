@@ -110,6 +110,11 @@ def test_parse_negative_int():
     assert parse_program("x!(-7)").main.objects == (IntLit(-7),)
 
 
+def test_parse_decimal_digits_of_any_script():
+    # int() accepts exactly the str.isdecimal() characters
+    assert parse_program("x!(\u0661\u0662)").main.objects == (IntLit(12),)
+
+
 def test_parse_repeated_name_is_same_free_name():
     program = parse_program("x!() | x?<y>")
     assert program.main.left.subject == program.main.right.subject

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from pichan.typecheck import (BOOL, INT, STR, ProtocolAutomaton,
                               check_sorts)
 
 from test_parser import ACCOUNT_EXTERN
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def _check(src):
@@ -194,6 +197,33 @@ def test_parallel_use_is_warning():
                    + "(read!().Ret2?(v).nil) | (read!().Ret2?(w).nil)")
     assert [d.code for d in diags] == ["W-PAR"]
     assert all(d.severity == "warning" for d in diags)
+
+
+COUNTER_EXTERN = """
+extern K -> class Counter {
+  int inc() {
+    call inc: void;
+    return IncRet: int;
+  }
+}
+"""
+
+
+def test_flat_par_chain_warns_once_per_alias():
+    worker = "read!().Ret2?(v).nil"
+    diags = _usage(ACCOUNT_EXTERN + " | ".join([worker] * 40))
+    assert [d.code for d in diags] == ["W-PAR"]
+    both = worker + " | inc!().IncRet?(a).nil"
+    diags = _usage(ACCOUNT_EXTERN + COUNTER_EXTERN + " | ".join([both] * 20))
+    assert sorted(d.message.split()[2] for d in diags) == ["FClass", "K"]
+
+
+def test_account_sample_warns_once_at_its_par():
+    program = parse_program((SAMPLES / "account.pi").read_text(),
+                            "account.pi")
+    diags = check_extern_usage(desugar(program))
+    assert [(d.code, d.span.line, d.span.column) for d in diags] == [
+        ("W-PAR", 18, 9)]
 
 
 def test_fusing_two_extern_channels_rejected():

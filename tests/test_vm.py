@@ -181,6 +181,77 @@ def test_enumerate_fused_call_channels_first_endpoint_wins(strict):
         _check_against_reference(m, seed, 20, strict)
 
 
+BENCH_FAMILIES = list(golden_traces.bench_families())
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name,program,max_steps", BENCH_FAMILIES,
+                         ids=[entry[0] for entry in BENCH_FAMILIES])
+def test_enumerate_matches_reference_bench_families(name, program, max_steps,
+                                                    strict):
+    for seed in range(4):
+        m = Machine.initialize(program, build_std_registry())
+        _check_against_reference(m, seed, max_steps, strict)
+
+
+# ---------------------------------------------------------------------------
+# lifecycle of the persistent soup index
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name,program,max_steps", BENCH_FAMILIES,
+                         ids=[entry[0] for entry in BENCH_FAMILIES])
+def test_copy_mid_run_then_diverge(name, program, max_steps, strict):
+    m = Machine.initialize(program, build_std_registry())
+    _check_against_reference(m, 0, 6, strict)
+    twin = m.copy()
+    redexes = m.enumerate_redexes(strict)
+    assert len(redexes) > 1
+    m.execute(redexes[0])
+    twin.execute(redexes[-1])
+    _check_against_reference(m, 1, max_steps, strict)
+    _check_against_reference(twin, 1, max_steps, strict)
+
+
+def test_union_merges_buckets_of_both_roots():
+    # a and b both hold outputs and inputs of arities 0 and 1 when they fuse
+    m = _machine("a!(1) | b?(x) | a = b | a!() | a!() | a!() | b?()"
+                 " | b!() | a?()")
+    assert m.enumerate_redexes() == [("fusion", 2), ("comm", 3, 8),
+                                     ("comm", 4, 8), ("comm", 5, 8),
+                                     ("comm", 7, 6)]
+    m.execute(("fusion", 2))
+    assert m.enumerate_redexes() == [
+        ("comm", 0, 1), ("comm", 2, 5), ("comm", 2, 7), ("comm", 3, 5),
+        ("comm", 3, 7), ("comm", 4, 5), ("comm", 4, 7), ("comm", 6, 5),
+        ("comm", 6, 7)]
+    for seed in range(6):
+        m = _machine("a!(1) | b?(x) | a = b | a!() | a!() | a!() | b?()"
+                     " | b!() | a?()")
+        _check_against_reference(m, seed, 20, True)
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_copy_has_its_own_index(indexed):
+    # the union is made on the env directly; indexed=False copies before any
+    # enumeration has moved the buckets
+    m = _machine("x!(a) | y?<v>")
+    m.env.merge(NameRef(m.threads[0].subject), NameRef(m.threads[1].subject))
+    if indexed:
+        assert m.enumerate_redexes() == [("comm", 0, 1)]
+    twin = m.copy()
+    m.execute(("comm", 0, 1))
+    assert m.enumerate_redexes() == []
+    assert twin.enumerate_redexes() == [("comm", 0, 1)]
+
+
+def test_execute_after_fusion_without_enumerating():
+    m = _machine("a = b | a!() | b?()")
+    m.execute(("fusion", 0))
+    m.execute(("comm", 0, 1))
+    assert m.threads == [] and m.enumerate_redexes() == []
+
+
 # ---------------------------------------------------------------------------
 # golden traces (recorded with the pair-scan scheduler)
 
