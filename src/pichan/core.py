@@ -46,11 +46,6 @@ class NameSupply:
         self._next += 1
         return n
 
-    def reserve_above(self, names: Iterable[Name]) -> None:
-        for n in names:
-            if n.id >= self._next:
-                self._next = n.id + 1
-
 
 @dataclass(frozen=True)
 class NameRef:
@@ -155,17 +150,47 @@ Process = Nil | Par | New | Out | In | Repeat | Fusion
 NIL = Nil()
 
 
+def name_scan(p: Process, names: Optional[dict] = None) -> tuple[int, bool]:
+    """One iterative pass over p: the largest name id, binders included (at
+    least -1), and whether p is in core form (no binding input remains).
+    When given, names receives every name in p, keyed by id."""
+    names = {} if names is None else names
+    core = True
+    stack = [p]
+    pop, push = stack.pop, stack.append
+    while stack:
+        p = pop()
+        kind = type(p)
+        if kind is Par:
+            push(p.right)
+            push(p.left)
+        elif kind is Out:
+            names[p.subject.id] = p.subject
+            for v in p.objects:
+                if type(v) is NameRef:
+                    names[v.name.id] = v.name
+            push(p.cont)
+        elif kind is In:
+            names[p.subject.id] = p.subject
+            for n in p.objects:
+                names[n.id] = n
+            core = core and not p.binding
+            push(p.cont)
+        elif kind is New:
+            names[p.name.id] = p.name
+            push(p.body)
+        elif kind is Repeat:
+            push(p.body)
+        elif kind is Fusion:
+            for v in (p.left, p.right):
+                if type(v) is NameRef:
+                    names[v.name.id] = v.name
+    return max([-1, *names]), core
+
+
 def is_core(p: Process) -> bool:
     """True when no binding input remains anywhere in p."""
-    if isinstance(p, In):
-        return not p.binding and is_core(p.cont)
-    if isinstance(p, Par):
-        return is_core(p.left) and is_core(p.right)
-    if isinstance(p, (New, Repeat)):
-        return is_core(p.body)
-    if isinstance(p, Out):
-        return is_core(p.cont)
-    return True
+    return name_scan(p)[1]
 
 
 def process_size(p: Process) -> int:
@@ -236,9 +261,7 @@ def substitute(p: Process, src: Name, dst: Name,
     binders get alpha-renamed on the way down.
     """
     if supply is None:
-        supply = NameSupply()
-        supply.reserve_above(free_names(p) | {src, dst})
-        supply.reserve_above(_all_binders(p))
+        supply = NameSupply(name_scan(p)[0] + 1)
 
     def go(p: Process) -> Process:
         if isinstance(p, Nil):
@@ -285,23 +308,6 @@ def substitute(p: Process, src: Name, dst: Name,
         raise TypeError(p)
 
     return go(p)
-
-
-def _all_binders(p: Process) -> set:
-    if isinstance(p, (Nil, Fusion)):
-        return set()
-    if isinstance(p, Par):
-        return _all_binders(p.left) | _all_binders(p.right)
-    if isinstance(p, New):
-        return {p.name} | _all_binders(p.body)
-    if isinstance(p, Out):
-        return _all_binders(p.cont)
-    if isinstance(p, In):
-        bound = set(p.objects) if p.binding else set()
-        return bound | _all_binders(p.cont)
-    if isinstance(p, Repeat):
-        return _all_binders(p.body)
-    raise TypeError(p)
 
 
 # ---------------------------------------------------------------------------

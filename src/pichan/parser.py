@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, NameSupply,
                    New, Nil, Out, Par, Process, Repeat, StrLit, UnitLit,
-                   Value, free_names, substitute)
+                   Value, name_scan, substitute)
 from .diag import Diagnostic, ParseError, SourceSpan
 from .interop import ExternDecl, MethodDecl
 from .typecheck import ProtocolAutomaton, base_sort, canonical_protocol
@@ -421,8 +421,7 @@ def parse_program(text: str, filename: str = "<input>",
 
 
 def desugar(program: Program) -> Program:
-    supply = NameSupply()
-    supply.reserve_above(_every_name(program))
+    supply = NameSupply(program_scan(program)[0] + 1)
     return Program(program.externs, _desugar_proc(program.main, supply))
 
 
@@ -457,13 +456,12 @@ def _desugar_proc(p: Process, supply: NameSupply) -> Process:
     raise TypeError(p)
 
 
-def _every_name(program: Program) -> set:
-    names = set(free_names(program.main))
-    from .core import _all_binders
-    names |= _all_binders(program.main)
-    for d in program.externs:
-        names |= set(d.channels())
-    return names
+def program_scan(program: Program) -> tuple[int, bool]:
+    """The largest name id in program, extern channels included (at least
+    -1), and whether its main process is in core form: one name_scan."""
+    top, core = name_scan(program.main)
+    return max([top] + [n.id for d in program.externs
+                        for n in d.channels()]), core
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +497,10 @@ def _display_map(program: Program) -> dict:
     for d in program.externs:
         for chan in d.channels():
             assign(chan)
-    for n in sorted(_every_name(program), key=lambda n: n.id):
-        assign(n)
+    names = {}
+    name_scan(program.main, names)
+    for nid in sorted(names):
+        assign(names[nid])
     return mapping
 
 

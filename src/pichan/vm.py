@@ -19,8 +19,7 @@ from typing import Optional
 
 from .core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
                    NameRef, NameSupply, New, Nil, Out, Par, Process, Repeat,
-                   StrLit, UnitLit, Value, free_names, is_core, substitute,
-                   _all_binders)
+                   StrLit, UnitLit, Value, substitute)
 from .interop import (Endpoint, HostFault, HostRegistry, ProtocolViolation,
                       UngroundArgument, complete_return, dispatch_call,
                       resolve_externs)
@@ -124,15 +123,14 @@ class Machine:
 
     @classmethod
     def initialize(cls, program, registry: HostRegistry) -> "Machine":
-        from .parser import desugar
-        if not is_core(program.main):
+        from .parser import desugar, program_scan
+        top, core = program_scan(program)
+        if not core:
             program = desugar(program)
+            top, _ = program_scan(program)
         m = cls(registry)
         m.endpoints = resolve_externs(program.externs, registry)
-        m.supply.reserve_above(free_names(program.main))
-        m.supply.reserve_above(_all_binders(program.main))
-        for d in program.externs:
-            m.supply.reserve_above(d.channels())
+        m.supply = NameSupply(top + 1)
         m.add_thread(program.main)
         return m
 
@@ -166,17 +164,20 @@ class Machine:
 
     def add_thread(self, p: Process) -> None:
         """Insert p with Par flattened, Nil dropped and top-level New
-        eliminated by allocating a fresh name."""
-        if isinstance(p, Nil):
-            return
-        if isinstance(p, Par):
-            self.add_thread(p.left)
-            self.add_thread(p.right)
-            return
-        if isinstance(p, New):
-            fresh = self.supply.fresh(p.name.display, "fresh")
-            self.add_thread(substitute(p.body, p.name, fresh, self.supply))
-            return
+        eliminated by allocating a fresh name, left to right, with an
+        explicit stack."""
+        stack = [p]
+        while stack:
+            p = stack.pop()
+            if isinstance(p, Par):
+                stack += (p.right, p.left)
+            elif isinstance(p, New):
+                fresh = self.supply.fresh(p.name.display, "fresh")
+                stack.append(substitute(p.body, p.name, fresh, self.supply))
+            elif not isinstance(p, Nil):
+                self._insert(p)
+
+    def _insert(self, p: Process) -> None:
         # above every live thread's number; a removed one's may be reused
         seq = self._seqs[-1] + 1 if self._seqs else 0
         self.threads.append(p)

@@ -1,10 +1,18 @@
 """XML execution format: the interchange representation between the
 compiler and the virtual machine.
 
-The element set is isomorphic to the core AST.  Serialization is
-deterministic: fixed attribute order, 2-space indentation, names written as
-``display#id``.  Equal programs produce byte-identical documents and
-``from_xml(to_xml(p)) == p`` exactly, ids included.
+The element set follows the core AST, except that one ``<par>`` holds the
+right spine of a ``|`` chain, two or more children: ``Par(a, Par(b, c))``
+is ``<par>a b c</par>``, while a Par in left position nests.  A chain's
+width then adds no depth, and size grows linearly with it.  The reader
+folds children to the right and follows a last child that is a par, so the
+right-nested binary pars of earlier writers read to the same program; as
+every version-1 document still loads unchanged, the version stays "1".
+
+Serialization is deterministic: fixed attribute order, 2-space
+indentation, names written as ``display#id``.  Equal programs produce
+byte-identical documents and ``from_xml(to_xml(p)) == p`` exactly, ids
+included.
 """
 
 from __future__ import annotations
@@ -97,8 +105,10 @@ def _write_proc(w: _Writer, p: Process, depth: int) -> None:
         w.emit(depth, "nil", close=True)
     elif isinstance(p, Par):
         w.emit(depth, "par")
-        _write_proc(w, p.left, depth + 1)
-        _write_proc(w, p.right, depth + 1)
+        while isinstance(p, Par):  # the right spine is one element
+            _write_proc(w, p.left, depth + 1)
+            p = p.right
+        _write_proc(w, p, depth + 1)
         w.end(depth, "par")
     elif isinstance(p, New):
         w.emit(depth, "new", [("name", _name_text(p.name))])
@@ -161,16 +171,20 @@ def to_xml(program: Program) -> str:
 # Reading
 
 
-def _parse_name(text: str, what: str) -> Name:
-    display, sep, nid = text.rpartition("#")
-    if not sep or not nid.lstrip("-").isdigit():
-        raise SchemaError(f"bad name reference {text!r} in {what}")
-    return Name(int(nid), display, "source")
+def _parse_name(text: str, what: str, names: dict) -> Name:
+    """names is the document's table: one Name per distinct text."""
+    n = names.get(text)
+    if n is None:
+        display, sep, nid = text.rpartition("#")
+        if not sep or not nid.removeprefix("-").isdecimal():
+            raise SchemaError(f"bad name reference {text!r} in {what}")
+        n = names[text] = Name(int(nid), display, "source")
+    return n
 
 
-def _parse_value(kind: str, val: str, what: str) -> Value:
+def _parse_value(kind: str, val: str, what: str, names: dict) -> Value:
     if kind == "name":
-        return NameRef(_parse_name(val, what))
+        return NameRef(_parse_name(val, what, names))
     if kind == "int":
         try:
             return IntLit(int(val))
@@ -200,14 +214,17 @@ def _parse_sorts(text: str, what: str) -> tuple:
 
 
 def _attrs(elem, required: tuple, what: str) -> list:
-    if set(elem.attrib) != set(required):
-        raise SchemaError(
-            f"{what}: expected attributes {sorted(required)}, "
-            f"found {sorted(elem.attrib)}")
-    return [elem.attrib[a] for a in required]
+    attrib = elem.attrib
+    if len(attrib) == len(required):
+        try:
+            return [attrib[a] for a in required]
+        except KeyError:
+            pass
+    raise SchemaError(f"{what}: expected attributes {sorted(required)}, "
+                      f"found {sorted(attrib)}")
 
 
-def _read_proc(elem) -> Process:
+def _read_proc(elem, names: dict) -> Process:
     tag = elem.tag
     if tag == "nil":
         _attrs(elem, (), "nil")
@@ -215,15 +232,24 @@ def _read_proc(elem) -> Process:
             raise SchemaError("nil takes no children")
         return Nil()
     if tag == "par":
-        _attrs(elem, (), "par")
-        if len(elem) != 2:
-            raise SchemaError("par takes exactly 2 children")
-        return Par(_read_proc(elem[0]), _read_proc(elem[1]))
+        # children fold to the right; a last child that is a par continues
+        # the spine, so nested binary pars read in the same loop
+        left = []
+        while elem.tag == "par":
+            _attrs(elem, (), "par")
+            if len(elem) < 2:
+                raise SchemaError("par takes at least 2 children")
+            left += [_read_proc(child, names) for child in elem[:-1]]
+            elem = elem[-1]
+        p = _read_proc(elem, names)
+        for q in reversed(left):
+            p = Par(q, p)
+        return p
     if tag == "new":
         (name,) = _attrs(elem, ("name",), "new")
         if len(elem) != 1:
             raise SchemaError("new takes exactly 1 child")
-        return New(_parse_name(name, "new"), _read_proc(elem[0]))
+        return New(_parse_name(name, "new", names), _read_proc(elem[0], names))
     if tag in ("out", "in"):
         (subject,) = _attrs(elem, ("subject",), tag)
         if len(elem) == 0 or elem[-1].tag != "cont":
@@ -237,35 +263,35 @@ def _read_proc(elem) -> Process:
             if a.tag != "arg":
                 raise SchemaError(f"unexpected element {a.tag!r} in {tag}")
             kind, val = _attrs(a, ("kind", "value"), "arg")
-            args.append(_parse_value(kind, val, tag))
-        subj = _parse_name(subject, tag)
-        cont = _read_proc(cont_elem[0])
+            args.append(_parse_value(kind, val, tag, names))
+        subj = _parse_name(subject, tag, names)
+        cont = _read_proc(cont_elem[0], names)
         if tag == "out":
             return Out(subj, tuple(args), cont)
-        names = []
+        objects = []
         for v in args:
             if not isinstance(v, NameRef):
                 raise SchemaError("in arguments must be names")
-            names.append(v.name)
-        return In(subj, tuple(names), False, cont)
+            objects.append(v.name)
+        return In(subj, tuple(objects), False, cont)
     if tag == "repeat":
         _attrs(elem, (), "repeat")
         if len(elem) != 1:
             raise SchemaError("repeat takes exactly 1 child")
-        return Repeat(_read_proc(elem[0]))
+        return Repeat(_read_proc(elem[0], names))
     if tag == "fusion":
         left, right = _attrs(elem, ("left", "right"), "fusion")
         if len(elem) != 0:
             raise SchemaError("fusion takes no children")
-        return Fusion(_split_value(left), _split_value(right))
+        return Fusion(_split_value(left, names), _split_value(right, names))
     raise SchemaError(f"unknown element {tag!r}")
 
 
-def _split_value(text: str) -> Value:
+def _split_value(text: str, names: dict) -> Value:
     kind, sep, val = text.partition(":")
     if not sep and kind != "unit":
         raise SchemaError(f"bad fusion value {text!r}")
-    return _parse_value(kind, val, "fusion")
+    return _parse_value(kind, val, "fusion", names)
 
 
 def _check_protocol(proto: ProtocolAutomaton, method: str) -> None:
@@ -282,7 +308,7 @@ def _check_protocol(proto: ProtocolAutomaton, method: str) -> None:
             f"protocol of {method}: some state has no outgoing transition")
 
 
-def _read_extern(elem) -> ExternDecl:
+def _read_extern(elem, names: dict) -> ExternDecl:
     alias, cls = _attrs(elem, ("alias", "class"), "extern")
     methods = []
     for melem in elem:
@@ -295,22 +321,22 @@ def _read_extern(elem) -> ExternDecl:
         chan, params = _attrs(call_elem, ("channel", "params"), "call")
         rchan, result = _attrs(ret_elem, ("channel", "result"), "ret")
         (states,) = _attrs(proto_elem, ("states",), "protocol")
-        if not states.isdigit():
+        if not states.isdecimal():
             raise SchemaError("protocol states must be a number")
         transitions = []
         for t in proto_elem:
             if t.tag != "t":
                 raise SchemaError(f"unexpected element {t.tag!r} in protocol")
             frm, tchan, payload, to = _attrs(t, ("from", "chan", "payload", "to"), "t")
-            if not frm.isdigit() or not to.isdigit():
+            if not frm.isdecimal() or not to.isdecimal():
                 raise SchemaError("protocol transition states must be numbers")
             transitions.append((int(frm), tchan,
                                 _parse_sorts(payload, "protocol"), int(to)))
         proto = ProtocolAutomaton(int(states), tuple(transitions))
         _check_protocol(proto, mname)
         methods.append(MethodDecl(
-            mname, _parse_name(chan, "call"), _parse_sorts(params, "call"),
-            _parse_name(rchan, "ret"), _parse_sorts(result, "ret"), proto,
+            mname, _parse_name(chan, "call", names), _parse_sorts(params, "call"),
+            _parse_name(rchan, "ret", names), _parse_sorts(result, "ret"), proto,
             protocol_declared=True))
     return ExternDecl(alias, cls, tuple(methods))
 
@@ -334,10 +360,11 @@ def from_xml(document) -> Program:
         raise SchemaError("pic must contain externs then process")
     _attrs(root[0], (), "externs")
     _attrs(root[1], (), "process")
-    externs = tuple(_read_extern(e) for e in root[0])
+    names = {}
+    externs = tuple(_read_extern(e, names) for e in root[0])
     if len(root[1]) != 1:
         raise SchemaError("process takes exactly 1 child")
-    return Program(externs, _read_proc(root[1][0]))
+    return Program(externs, _read_proc(root[1][0], names))
 
 
 def validate(document) -> list:

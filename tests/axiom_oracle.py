@@ -16,8 +16,8 @@ design) keeps apart.
 from __future__ import annotations
 
 from pichan.core import (Fusion, In, Name, NameRef, NameSupply, New, Nil,
-                         Out, Par, Process, Repeat, free_names, process_size,
-                         substitute, value_token)
+                         Out, Par, Process, Repeat, free_names, name_scan,
+                         process_size, substitute, value_token)
 
 NIL = Nil()
 
@@ -145,10 +145,7 @@ class UnionFind:
 def closure_components(terms: list, size_cap: int) -> UnionFind:
     """BFS closure of the rewrite relation over all given terms, bounded by
     size_cap on intermediate terms; returns the union-find of alpha keys."""
-    supply = NameSupply()
-    for t in terms:
-        supply.reserve_above(free_names(t))
-        supply.reserve_above(_binders(t))
+    supply = NameSupply(max([-1] + [name_scan(t)[0] for t in terms]) + 1)
     uf = UnionFind()
     seen = {}
     frontier = []
@@ -168,8 +165,3 @@ def closure_components(terms: list, size_cap: int) -> UnionFind:
                 seen[qkey] = q
                 frontier.append(q)
     return uf
-
-
-def _binders(p: Process) -> set:
-    from pichan.core import _all_binders
-    return _all_binders(p)

@@ -17,8 +17,7 @@ from pichan.core import (Fusion, In, NameRef, NameSupply, New, Nil, Out,
 def enumerate_terms(free: list, max_size: int) -> list:
     """All core terms of process_size <= max_size over the given free
     names (plus any locally bound names)."""
-    supply = NameSupply()
-    supply.reserve_above(free)
+    supply = NameSupply(max([-1] + [n.id for n in free]) + 1)
     out = []
     for size in range(1, max_size + 1):
         out.extend(_terms(size, tuple(free), supply))

@@ -211,3 +211,59 @@ def test_gen_iface_empty_class(tmp_path):
     assert main(["gen-iface", str(manifest), "--alias", "A",
                  "-o", str(gen)]) == EXIT_OK
     assert main(["check", str(gen)]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# run: numbers in XIR and wide programs
+
+
+def _pair(k):
+    """An output and an input on channel c_k, each with a nil continuation."""
+    return [f'<{tag} subject="c{k}#{k}"><cont><nil/></cont></{tag}>'
+            for tag in ("out", "in")]
+
+
+def _document(process):
+    return f'<pic version="1"><externs/><process>{process}</process></pic>'
+
+
+@pytest.mark.parametrize("bad", [
+    _document('<out subject="x#--5"><cont><nil/></cont></out>'),
+    _document('<out subject="x#²"><cont><nil/></cont></out>'),
+], ids=["double-minus", "superscript-digit"])
+def test_run_bad_name_id_exit_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.xir.xml"
+    path.write_text(bad, encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_TYPE
+    assert "bad name reference" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [('states="2"', 'states="²"'),
+                                     ('from="0"', 'from="²"')])
+def test_run_bad_protocol_number_exit_2(account_src, tmp_path, capsys, old, new):
+    out = _compile(account_src, tmp_path)
+    text = out.read_text(encoding="utf-8")
+    out.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["run", str(out)]) == EXIT_TYPE
+    assert "protocol" in capsys.readouterr().err
+
+
+def test_run_5000_child_par_step_limit(tmp_path, capsys):
+    # 2500 distinct channels, each with one output and one input
+    path = tmp_path / "wide.xir.xml"
+    body = "".join(t for k in range(2500) for t in _pair(k))
+    path.write_text(_document(f"<par>{body}</par>"), encoding="utf-8")
+    assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STEP_LIMIT
+    assert len(capsys.readouterr().out.splitlines()) == 10
+
+
+def test_run_2000_deep_binary_par_step_limit(tmp_path, capsys):
+    # the binary form earlier writers produced: each par holds one
+    # thread and the rest of the chain
+    threads = [t for k in range(1000) for t in _pair(k)]
+    process = ("".join(f"<par>{t}" for t in threads[:-1]) + threads[-1]
+               + "</par>" * (len(threads) - 1))
+    path = tmp_path / "deep.xir.xml"
+    path.write_text(_document(process), encoding="utf-8")
+    assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STEP_LIMIT
+    assert len(capsys.readouterr().out.splitlines()) == 10

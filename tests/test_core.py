@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from pichan.core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
                          NameRef, NameSupply, New, Nil, Out, Par, Repeat,
                          StrLit, SurfaceFormError, canonical_key, congruent,
-                         free_names, fused_equal, is_core, merge, par_all,
-                         process_size, substitute)
+                         free_names, fused_equal, is_core, merge, name_scan,
+                         par_all, process_size, substitute)
 
 from randgen import gen_process
 
@@ -106,8 +106,7 @@ def test_substitute_capture_avoided():
 
 def test_substitute_binding_input_parameter_shadow():
     x, y = _names("x", "y")
-    supply = NameSupply()
-    supply.reserve_above([x, y])
+    supply = NameSupply(max(x.id, y.id) + 1)
     v = supply.fresh("v", "source")
     p = In(x, (v,), True, Out(v, (NameRef(x),), Nil()))
     q = substitute(p, x, y)
@@ -341,10 +340,7 @@ def test_congruent_rejects_surface_form():
 @settings(max_examples=100, deadline=None)
 def test_congruent_new_swap_generated(seed):
     p, scope = _gen(seed)
-    supply = NameSupply()
-    supply.reserve_above(free_names(p))
-    from pichan.core import _all_binders
-    supply.reserve_above(_all_binders(p))
+    supply = NameSupply(name_scan(p)[0] + 1)
     x = supply.fresh("x", "source")
     y = supply.fresh("y", "source")
     assert congruent(New(x, New(y, p)), New(y, New(x, p)))

@@ -14,6 +14,7 @@ from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
 from pichan.parser import Program, desugar, parse_program
 from pichan.vm import (DEFAULT_MAX_STEPS, Machine, NotStuck, Xorshift64Star,
                        detect_stuck, explore_runs, run, step)
+from pichan.xir import from_xml, to_xml
 
 import golden_traces
 import reference_scheduler
@@ -270,6 +271,13 @@ def test_golden_trace(name, program, seed, max_steps):
     assert golden_traces.digest(program, seed, max_steps) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name,program,seed,max_steps", CORPUS,
+                         ids=[entry[0] for entry in CORPUS])
+def test_golden_trace_through_xir(name, program, seed, max_steps):
+    loaded = from_xml(to_xml(desugar(program)))
+    assert golden_traces.digest(loaded, seed, max_steps) == GOLDEN[name]
+
+
 # ---------------------------------------------------------------------------
 # execute / step
 
@@ -312,6 +320,19 @@ def test_new_eliminated_on_insert():
     assert len(m.threads) == 1
     assert isinstance(m.threads[0], Out)
     assert m.threads[0].subject.origin == "fresh"
+
+
+def test_fresh_names_above_extern_channel_ids():
+    # every id in main lies below the extern channels' ids, so a fresh name
+    # counted from main alone would take the first call channel's id
+    text = to_xml(desugar(parse_program(ACCOUNT_EXTERN + "nil")))
+    text = text.replace("<nil/>", '<new name="z#-1"><out subject="z#-1">'
+                        "<cont><nil/></cont></out></new>")
+    program = from_xml(text)
+    channels = {n.id for d in program.externs for n in d.channels()}
+    m = Machine.initialize(program, build_std_registry())
+    assert m.threads[0].subject.id > max(channels)
+    assert run(program).status == "stuck-with-residuals"
 
 
 def test_step_none_when_stuck():

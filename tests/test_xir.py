@@ -2,6 +2,7 @@
 
 import random
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from pichan.parser import Program, desugar, parse_program
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, from_xml,
                         to_xml, validate)
 
+from golden_traces import echo_source
 from randgen import gen_program
 from test_parser import ACCOUNT_EXTERN
 
@@ -131,3 +133,106 @@ def test_round_trip_random_programs(seed):
     text = to_xml(program)
     assert from_xml(text) == program
     assert to_xml(from_xml(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# n-ary par: one element per right spine of a | chain
+
+
+def _par_children(text):
+    """Child counts of the par elements, in document order."""
+    root = ET.fromstring(text)
+    return [len(e) for e in root.iter("par")]
+
+
+@pytest.mark.parametrize("src,children", [
+    ("a!() | b!() | c!()", [3]),
+    ("(a!() | b!()) | c!()", [2, 2]),
+    ("a!() | (b!() | c!()) | d!()", [3, 2]),
+    ("new z in (a!() | z!() | c!())", [3]),
+    ("repeat (a!() | b!() | c!())", [3]),
+    ("x?<>.(a!() | b!() | c!()) | y!()", [2, 3]),
+    ("x?(v).(v!() | b!() | c!())", [3]),
+])
+def test_par_chain_round_trip_exact(src, children):
+    program = desugar(parse_program(src))
+    text = to_xml(program)
+    assert _par_children(text) == children
+    assert from_xml(text) == program
+    assert to_xml(from_xml(text)) == text
+
+
+def _out(subject):
+    return f'<out subject="{subject}"><cont><nil/></cont></out>'
+
+
+def test_binary_par_document_loads_to_the_same_program():
+    # the form earlier writers produced: every par has exactly two
+    # children and a chain nests to the right
+    binary = ('<pic version="1"><externs/><process><par>'
+              + _out("a#0") + "<par>" + _out("b#1") + "<par>" + _out("c#2")
+              + _out("d#3") + "</par></par></par></process></pic>")
+    program = desugar(parse_program("a!() | b!() | c!() | d!()"))
+    assert from_xml(binary) == program
+    assert _par_children(to_xml(from_xml(binary))) == [4]
+
+
+@pytest.mark.parametrize("children", ["", "<nil/>"])
+def test_par_needs_two_children(children):
+    doc = (f'<pic version="1"><externs/><process><par>{children}</par>'
+           '</process></pic>')
+    diags = validate(doc)
+    assert len(diags) == 1 and diags[0].code == "E-SCHEMA"
+    # a short par at the end of a spine is caught too
+    doc = (f'<pic version="1"><externs/><process><par>{_out("a#0")}'
+           f'<par>{children}</par></par></process></pic>')
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
+
+
+def test_names_shared_within_a_document():
+    program = from_xml('<pic version="1"><externs/><process><par>'
+                       + _out("a#0") + _out("a#0") + "</par></process></pic>")
+    assert program.main.left.subject is program.main.right.subject
+
+
+def test_bytes_grow_linearly_in_echo_clients():
+    sizes = [len(to_xml(desugar(parse_program(echo_source(n)))))
+             for n in (40, 80)]
+    assert sizes[1] / sizes[0] <= 2.2
+
+
+# ---------------------------------------------------------------------------
+# numbers the reader must reject as schema errors
+
+
+@pytest.mark.parametrize("name", ["x#--5", "x#²", "x#+5", "x# 5", "x#"])
+def test_bad_name_id_is_schema_error(name):
+    doc = (f'<pic version="1"><externs/><process>{_out(name)}'
+           '</process></pic>')
+    with pytest.raises(SchemaError):
+        from_xml(doc)
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
+
+
+def test_negative_and_decimal_name_ids_accepted():
+    doc = ('<pic version="1"><externs/><process><par>' + _out("x#-5")
+           + _out("y#١٢") + "</par></process></pic>")
+    main = from_xml(doc).main
+    assert (main.left.subject.id, main.right.subject.id) == (-5, 12)
+
+
+def _account_document():
+    return to_xml(desugar(parse_program(ACCOUNT_EXTERN + "read!()")))
+
+
+@pytest.mark.parametrize("old,new", [
+    ('states="2"', 'states="²"'),
+    ('from="0"', 'from="²"'),
+    ('to="1"', 'to="²"'),
+])
+def test_bad_protocol_number_is_schema_error(old, new):
+    doc = _account_document().replace(old, new, 1)
+    assert doc != _account_document()
+    with pytest.raises(SchemaError):
+        from_xml(doc)
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
