@@ -20,11 +20,13 @@ Comments run from '//' to end of line.  A missing continuation is nil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, NameSupply,
                    New, Nil, Out, Par, Process, Repeat, StrLit, UnitLit,
-                   Value, name_scan, substitute)
+                   Value, name_scan)
 from .diag import Diagnostic, ParseError, SourceSpan
 from .interop import ExternDecl, MethodDecl
 from .typecheck import ProtocolAutomaton, base_sort, canonical_protocol
@@ -35,8 +37,15 @@ KEYWORDS = {
     "string", "bool",
 }
 
-_PUNCT = ["->", "!", "?", "(", ")", "<", ">", "{", "}", "|", ".", ",", "=",
-          ":", ";"]
+# one alternative per lexical class, tried in this order at each position;
+# `bad` catches what no other rule takes, an unterminated '"' included
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r]+) | (?P<newline>\n) | (?P<comment>//[^\n]*)
+  | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*") | (?P<int>-?\d+)
+  | (?P<word>[^\W\d]\w*) | (?P<punct>->|[!?()<>{}|.,=:;]) | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_UNESCAPES = {"n": "\n", "t": "\t"}  # others stand for themselves
 
 
 @dataclass(frozen=True)
@@ -45,83 +54,49 @@ class Program:
     main: Process
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | keyword/punct literal | "eof"
     text: str
     span: SourceSpan
 
 
 def tokenize(text: str, filename: str = "<input>") -> list:
+    """One left-to-right scan of _TOKEN_RE.  Columns count characters from
+    the start of the line, so a tab is one column."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space" or kind == "comment":
+            continue
+        start = m.start()
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = start + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(filename, line, col)
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                               .get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError([Diagnostic("error", "E-SYNTAX",
-                                             "unterminated string", span)])
-            tokens.append(Token("string", "".join(buf),
-                                SourceSpan(filename, line, col, j + 1 - i)))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", text[i:j],
-                                SourceSpan(filename, line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        word = m.group()
+        span = SourceSpan(filename, line, start - line_start + 1, len(word))
+        if kind == "word" and (word[0].isalpha() or word[0] == "_"):
             kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word,
-                                SourceSpan(filename, line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, SourceSpan(filename, line, col, len(p))))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError([Diagnostic("error", "E-SYNTAX",
-                                         f"unexpected character {c!r}", span)])
-    tokens.append(Token("eof", "", SourceSpan(filename, line, col, 1)))
+        elif kind == "punct":
+            kind = word
+        elif kind == "string":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = start + word.rindex("\n") + 1
+            word = _ESCAPE_RE.sub(lambda e: _UNESCAPES.get(e[1], e[1]),
+                                  word[1:-1])
+        elif kind != "int":  # bad, or a word such as '²' that isalpha rejects
+            msg = ("unterminated string" if word == '"'
+                   else f"unexpected character {word[0]!r}")
+            raise ParseError([Diagnostic("error", "E-SYNTAX", msg,
+                                         span._replace(length=1))])
+        tokens.append(Token(kind, word, span))
+    # a comment that ends the text leaves the end of input where it starts
+    end = m.start() if m and m.lastgroup == "comment" else len(text)
+    tokens.append(Token("eof", "", SourceSpan(filename, line,
+                                              end - line_start + 1, 1)))
     return tokens
 
 
@@ -139,7 +114,7 @@ class _Parser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]  # never past the eof token
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -173,14 +148,16 @@ class _Parser:
         return ExternDecl(alias, cls, tuple(methods), span=start.span)
 
     def _sort_name(self):
-        t = self.peek()
+        t = self.next()
         if t.kind not in _SORT_TOKENS:
             self.fail(f"expected a sort, found {t.text!r}", t)
-        self.next()
         return t.text
 
-    def _sort_list(self) -> tuple:
-        """Comma-separated sorts; 'void' alone means an empty payload."""
+    def _sort_list(self, close: str = None) -> tuple:
+        """Comma-separated sorts; 'void' alone, or close next, means an
+        empty payload."""
+        if self.peek().kind == close:
+            return ()
         first = self._sort_name()
         if first == "void":
             return ()
@@ -198,9 +175,7 @@ class _Parser:
         ret_name = self._sort_name()
         mname = self.expect("ident").text
         self.expect("(")
-        header_params: tuple = ()
-        if self.peek().kind != ")":
-            header_params = self._sort_list()
+        header_params = self._sort_list(")")
         self.expect(")")
         self.expect("{")
         self.expect("call")
@@ -257,10 +232,8 @@ class _Parser:
             tok = self.expect("ident")
             if tok.text == var and self.peek().kind == "}":
                 break
-            payload: tuple = ()
             self.expect("(")
-            if self.peek().kind != ")":
-                payload = self._sort_list()
+            payload = self._sort_list(")")
             self.expect(")")
             transitions.append([state, tok.text, payload, state + 1])
             state += 1
@@ -282,6 +255,21 @@ class _Parser:
             self.free[tok.text] = self.supply.fresh(tok.text, "source")
         return self.free[tok.text]
 
+    def _bind(self, toks: list, scope: dict) -> tuple:
+        """Fresh source names for toks, and scope extended with them."""
+        names = [self.supply.fresh(tok.text, "source") for tok in toks]
+        return names, {**scope, **{t.text: n for t, n in zip(toks, names)}}
+
+    def _items(self, item, close: str = None) -> list:
+        """item (',' item)*, or no items when the next token is close."""
+        if self.peek().kind == close:
+            return []
+        items = [item()]
+        while self.peek().kind == ",":
+            self.next()
+            items.append(item())
+        return items
+
     def parse_proc(self, scope: dict) -> Process:
         left = self.parse_term(scope)
         if self.peek().kind == "|":
@@ -291,22 +279,17 @@ class _Parser:
         return left
 
     def _value(self, scope: dict) -> Value:
-        t = self.peek()
+        t = self.next()  # a failure raises, so taking t first is harmless
+        if t.kind == "ident":
+            return NameRef(self.lookup(t, scope))
         if t.kind == "int":
-            self.next()
             return IntLit(int(t.text))
         if t.kind == "string":
-            self.next()
             return StrLit(t.text)
         if t.kind in ("true", "false"):
-            self.next()
             return BoolLit(t.kind == "true")
         if t.kind == "unit":
-            self.next()
             return UnitLit()
-        if t.kind == "ident":
-            self.next()
-            return NameRef(self.lookup(t, scope))
         self.fail(f"expected a value, found {t.text or 'end of input'!r}", t)
 
     def _cont(self, scope: dict) -> Process:
@@ -327,17 +310,9 @@ class _Parser:
             return p
         if t.kind == "new":
             self.next()
-            binders = [self.expect("ident")]
-            while self.peek().kind == ",":
-                self.next()
-                binders.append(self.expect("ident"))
+            binders = self._items(lambda: self.expect("ident"))
             self.expect("in")
-            scope = dict(scope)
-            names = []
-            for tok in binders:
-                name = self.supply.fresh(tok.text, "source")
-                scope[tok.text] = name
-                names.append(name)
+            names, scope = self._bind(binders, scope)
             body = self.parse_term(scope)
             for name in reversed(names):
                 body = New(name, body, span=t.span)
@@ -345,49 +320,24 @@ class _Parser:
         if t.kind == "repeat":
             self.next()
             return Repeat(self.parse_term(scope), span=t.span)
-        if t.kind == "ident" and self.peek(1).kind == "!":
+        if t.kind == "ident" and self.peek(1).kind in ("!", "?"):
             self.next()
             subj = self.lookup(t, scope)
-            self.next()  # !
-            self.expect("(")
-            objs = []
-            if self.peek().kind != ")":
-                objs.append(self._value(scope))
-                while self.peek().kind == ",":
-                    self.next()
-                    objs.append(self._value(scope))
-            self.expect(")")
-            return Out(subj, tuple(objs), self._cont(scope), span=t.span)
-        if t.kind == "ident" and self.peek(1).kind == "?":
-            self.next()
-            subj = self.lookup(t, scope)
-            self.next()  # ?
-            open_tok = self.peek()
-            if open_tok.kind == "(":
-                self.next()
-                params = []
-                if self.peek().kind != ")":
-                    params.append(self.expect("ident"))
-                    while self.peek().kind == ",":
-                        self.next()
-                        params.append(self.expect("ident"))
+            if self.next().kind == "!":
+                self.expect("(")
+                objs = self._items(lambda: self._value(scope), ")")
                 self.expect(")")
-                scope = dict(scope)
-                names = []
-                for tok in params:
-                    name = self.supply.fresh(tok.text, "source")
-                    scope[tok.text] = name
-                    names.append(name)
+                return Out(subj, tuple(objs), self._cont(scope), span=t.span)
+            open_tok = self.next()
+            if open_tok.kind == "(":
+                params = self._items(lambda: self.expect("ident"), ")")
+                self.expect(")")
+                names, scope = self._bind(params, scope)
                 return In(subj, tuple(names), True, self._cont(scope),
                           span=t.span)
             if open_tok.kind == "<":
-                self.next()
-                names = []
-                if self.peek().kind != ">":
-                    names.append(self.lookup(self.expect("ident"), scope))
-                    while self.peek().kind == ",":
-                        self.next()
-                        names.append(self.lookup(self.expect("ident"), scope))
+                names = self._items(
+                    lambda: self.lookup(self.expect("ident"), scope), ">")
                 self.expect(">")
                 return In(subj, tuple(names), False, self._cont(scope),
                           span=t.span)
@@ -421,39 +371,93 @@ def parse_program(text: str, filename: str = "<input>",
 
 
 def desugar(program: Program) -> Program:
+    """Every binding input x?(v).P becomes new v' in x?<v'>.P{v'/v}, with v'
+    fresh.  Two explicit-stack passes, so chain depth cannot overflow the
+    Python stack: fresh names are allocated first, then the tree is rebuilt
+    once under a scoped renaming.  Spans are kept."""
     supply = NameSupply(program_scan(program)[0] + 1)
-    return Program(program.externs, _desugar_proc(program.main, supply))
+    fresh = _fresh_binders(program.main, supply)
+    return Program(program.externs, _rename(program.main, fresh))
 
 
-def _desugar_proc(p: Process, supply: NameSupply) -> Process:
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, Par):
-        return Par(_desugar_proc(p.left, supply),
-                   _desugar_proc(p.right, supply), span=p.span)
-    if isinstance(p, New):
-        return New(p.name, _desugar_proc(p.body, supply), span=p.span)
-    if isinstance(p, Out):
-        return Out(p.subject, p.objects, _desugar_proc(p.cont, supply),
-                   span=p.span)
-    if isinstance(p, Repeat):
-        return Repeat(_desugar_proc(p.body, supply), span=p.span)
-    if isinstance(p, Fusion):
-        return p
-    if isinstance(p, In):
-        cont = _desugar_proc(p.cont, supply)
-        if not p.binding:
-            return In(p.subject, p.objects, False, cont, span=p.span)
-        fresh = []
-        for o in p.objects:
-            f = supply.fresh(o.display, "fresh")
-            cont = substitute(cont, o, f, supply)
-            fresh.append(f)
-        body = In(p.subject, tuple(fresh), False, cont, span=p.span)
-        for f in reversed(fresh):
-            body = New(f, body, span=p.span)
-        return body
-    raise TypeError(p)
+def _fresh_binders(p: Process, supply: NameSupply) -> list:
+    """The fresh names of each binding input, listed in pre-order.  Ids are
+    allocated in post-order: a continuation before its own binders, the
+    left of a Par before its right."""
+    fresh = []
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        kind = type(p)
+        if kind is tuple:  # (slot, objects) once the continuation is done
+            fresh[p[0]] = tuple(supply.fresh(o.display, "fresh")
+                                for o in p[1])
+        elif kind is Par:
+            stack += (p.right, p.left)
+        elif kind is In:
+            if p.binding:
+                stack.append((len(fresh), p.objects))
+                fresh.append(None)
+            stack.append(p.cont)
+        elif kind is Out:
+            stack.append(p.cont)
+        elif kind is New or kind is Repeat:
+            stack.append(p.body)
+    return fresh
+
+
+def _rename(p: Process, fresh: list) -> Process:
+    """p with each binding input replaced by restrictions of its fresh
+    names (taken from fresh in pre-order) over a free input, and each bound
+    occurrence renamed.  A New of a renamed id shadows the renaming."""
+    binders = iter(fresh)
+    built = []
+    stack = [(p, {})]  # (node, renaming) to visit; (node, fields) to build
+    while stack:
+        p, env = stack.pop()
+        kind = type(p)
+        if type(env) is tuple:  # p's one or two children are built
+            n = 2 if kind is Par else 1
+            q = kind(*env, *built[-n:], span=p.span)
+            del built[-n:]
+            if kind is In and p.binding:
+                for f in reversed(env[1]):
+                    q = New(f, q, span=p.span)
+            built.append(q)
+        elif kind is Nil:
+            built.append(p)
+        elif kind is Fusion:
+            built.append(Fusion(_rename_value(p.left, env),
+                                _rename_value(p.right, env), span=p.span))
+        elif kind is Par:
+            stack += ((p, ()), (p.right, env), (p.left, env))
+        elif kind is New or kind is Repeat:
+            if kind is New and p.name.id in env:
+                env = {k: v for k, v in env.items() if k != p.name.id}
+            stack += ((p, (p.name,) if kind is New else ()), (p.body, env))
+        elif kind is Out:
+            objects = tuple(_rename_value(v, env) for v in p.objects)
+            stack += ((p, (env.get(p.subject.id, p.subject), objects)),
+                      (p.cont, env))
+        elif kind is In:
+            subject = env.get(p.subject.id, p.subject)
+            if p.binding:
+                objects = next(binders)
+                # the first of repeated parameters wins, as in substitution
+                env = {**env, **dict(zip([o.id for o in reversed(p.objects)],
+                                         reversed(objects)))}
+            else:
+                objects = tuple(env.get(o.id, o) for o in p.objects)
+            stack += ((p, (subject, objects, False)), (p.cont, env))
+        else:
+            raise TypeError(p)
+    return built[0]
+
+
+def _rename_value(v: Value, env: dict) -> Value:
+    if type(v) is NameRef and v.name.id in env:
+        return NameRef(env[v.name.id])
+    return v
 
 
 def program_scan(program: Program) -> tuple[int, bool]:
@@ -584,12 +588,9 @@ def _format_term(p: Process, names: dict) -> str:
         head = f"{names[p.subject.id]}!({objs})"
         return head + _cont_text(p.cont, names)
     if isinstance(p, In):
-        if p.binding:
-            objs = ", ".join(names[n.id] for n in p.objects)
-            head = f"{names[p.subject.id]}?({objs})"
-        else:
-            objs = ", ".join(names[n.id] for n in p.objects)
-            head = f"{names[p.subject.id]}?<{objs}>"
+        objs = ", ".join(names[n.id] for n in p.objects)
+        left, right = "()" if p.binding else "<>"
+        head = f"{names[p.subject.id]}?{left}{objs}{right}"
         return head + _cont_text(p.cont, names)
     if isinstance(p, Fusion):
         return f"{_value_text(p.left, names)}={_value_text(p.right, names)}"

@@ -186,10 +186,10 @@ def _parse_value(kind: str, val: str, what: str, names: dict) -> Value:
     if kind == "name":
         return NameRef(_parse_name(val, what, names))
     if kind == "int":
-        try:
-            return IntLit(int(val))
-        except ValueError:
+        # the source int rule: int() alone would also take "+1" or "1_0"
+        if not val.removeprefix("-").isdecimal():
             raise SchemaError(f"bad int literal {val!r} in {what}")
+        return IntLit(int(val))
     if kind == "str":
         return StrLit(val)
     if kind == "bool":

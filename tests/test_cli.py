@@ -91,6 +91,17 @@ def test_check_e_sort_exit_2(tmp_path, capsys):
     assert "E-SORT" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text,where", [
+    ('x?(v).y!(1).y!("s")\n', "1:13"),  # a diagnostic under a binding input
+    ('x!("a\nb") | y!(1).y!("s")\n', "2:13"),  # a raw newline in a string
+], ids=["under-binding-input", "after-multiline-string"])
+def test_check_e_sort_position(tmp_path, capsys, text, where):
+    src = tmp_path / "sort.pi"
+    src.write_text(text)
+    assert main(["check", str(src)]) == EXIT_TYPE
+    assert f"{src}:{where}: error E-SORT" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -267,3 +278,24 @@ def test_run_2000_deep_binary_par_step_limit(tmp_path, capsys):
     path.write_text(_document(process), encoding="utf-8")
     assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STEP_LIMIT
     assert len(capsys.readouterr().out.splitlines()) == 10
+
+
+def _int_document(value):
+    return _document(f'<out subject="x#0"><arg kind="int" value="{value}"/>'
+                     '<cont><nil/></cont></out>')
+
+
+@pytest.mark.parametrize("value", [" +1_000", "+1", "1_0", "-", "--5", "1 "])
+def test_run_bad_int_literal_exit_2(tmp_path, capsys, value):
+    path = tmp_path / "bad.xir.xml"
+    path.write_text(_int_document(value), encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_TYPE
+    assert "bad int literal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "\u0661\u0662"])
+def test_run_int_literal_as_the_tokenizer_reads_it(tmp_path, capsys, value):
+    path = tmp_path / "ok.xir.xml"
+    path.write_text(_int_document(value), encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_STUCK  # the output has no reader
+    assert "bad int literal" not in capsys.readouterr().err

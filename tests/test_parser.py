@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (Fusion, In, IntLit, NameRef, New, Nil, Out, Par,
-                         Repeat, StrLit, free_names, is_core)
+from pichan.core import (Fusion, In, IntLit, NameRef, NameSupply, New, Nil,
+                         Out, Par, Repeat, StrLit, free_names, is_core)
 from pichan.diag import ParseError
 from pichan.parser import (Program, desugar, format_program, parse_program,
                            program_alpha_eq, tokenize)
 from pichan.typecheck import INT
+from pichan.xir import to_xml
 
+import reference_frontend
+from golden_traces import corpus
 from randgen import gen_program
 
 ACCOUNT_EXTERN = """
@@ -213,6 +216,103 @@ def test_desugar_idempotent_and_preserves_free_names(seed):
     assert is_core(once.main)
     assert desugar(once) == once
     assert free_names(once.main) == free_names(program.main)
+
+
+def test_desugar_5000_deep_binding_chain():
+    supply = NameSupply()
+    x = supply.fresh("x", "source")
+    params = [supply.fresh("v", "source") for _ in range(5000)]
+    p = Out(x, (NameRef(params[-1]),), Nil())
+    for v in reversed(params):
+        p = In(x, (v,), True, p)
+    core = desugar(Program((), p)).main
+    depth = 0
+    while isinstance(core, New):
+        assert core.body.objects == (core.name,)
+        core, depth = core.body.cont, depth + 1
+    assert depth == 5000
+    assert core.subject == x and core.objects[0].name.display == "v"
+
+
+# ---------------------------------------------------------------------------
+# the reference front end (tests/reference_frontend.py)
+
+
+# pieces that lex cleanly on their own, and pieces that may not: a lone
+# quote opens a string that swallows what follows
+_LEX_PIECES = st.sampled_from([
+    "x", "_y1", "new", "in", "nil", "int", "\u00e9t\u00e9", "\u03a9",
+    "x\u00b2", "\u0661\u0662", "12", "-3", "->", "!", "?", "(", ")", "<",
+    ">", "{", "}", "|", ".", ",", "=", ":", ";", "// c\n", " ", "\t", "\r",
+    "\n", '"a\\"b"', '"t\\tq\\\\"', '"\n"', '"\\\n"',
+])
+_LEX_RISKS = st.sampled_from([
+    "", '"', "\\", "-", "--", "\u00b2", "/", "//", "#", "\u00a0", '\\"', "\\n",
+])
+_LEX_TEXT = st.tuples(st.lists(_LEX_PIECES, max_size=30), _LEX_RISKS,
+                      st.lists(_LEX_PIECES, max_size=8)).map(
+    lambda t: "".join(t[0]) + t[1] + "".join(t[2]))
+
+
+def _lex(tokenize_fn, text):
+    try:
+        return [tuple(t) for t in tokenize_fn(text, "f.pi")]
+    except ParseError as exc:
+        return [str(d) for d in exc.diagnostics]
+
+
+@given(_LEX_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_tokenize_matches_reference(text):
+    assert _lex(tokenize, text) == _lex(reference_frontend.tokenize, text)
+
+
+@pytest.mark.parametrize("text", [
+    "x //c", "//", "a\\", '"abc\\', "-", "x\t\ry", '"a\nb" x', '"\\\n" y',
+    "\u00b2x", "\u0661\u0662", "-\u0661", "x\u00b2 -> y", "", "\n\n  ",
+])
+def test_tokenize_matches_reference_on_edges(text):
+    assert _lex(tokenize, text) == _lex(reference_frontend.tokenize, text)
+
+
+def _same_core(program):
+    assert (to_xml(desugar(program))
+            == to_xml(reference_frontend.desugar(program)))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_desugar_matches_reference_on_randgen(seed):
+    _same_core(gen_program(random.Random(seed), max_nodes=60))
+
+
+def test_desugar_matches_reference_on_corpus():
+    seen = set()
+    for _, program, _, _ in corpus():  # the samples are among them
+        if id(program) not in seen:
+            seen.add(id(program))
+            _same_core(program)
+
+
+def test_desugar_matches_reference_on_hand_built_terms():
+    supply = NameSupply()
+    x, v, w = (supply.fresh(d, "source") for d in "xvw")
+    use = Out(v, (NameRef(v), NameRef(w)), Nil())
+    shared = In(x, (v,), True, use)
+    for p in [In(x, (v, v), True, use),  # a repeated parameter
+              In(x, (v,), True, New(v, use)),  # a New shadows v
+              In(x, (v,), True, In(v, (v,), True, use)),  # so does an input
+              Par(shared, Repeat(shared)),  # one node in two places
+              In(x, (v, w), True, In(w, (v,), False, Fusion(NameRef(v),
+                                                            NameRef(w))))]:
+        _same_core(Program((), p))
+
+
+def test_desugar_keeps_spans_under_binding_input():
+    program = desugar(parse_program('x?(v).y!(1).y!("s")'))
+    out = program.main.body.cont
+    assert (out.span.line, out.span.column) == (1, 7)
+    assert (out.cont.span.line, out.cont.span.column) == (1, 13)
 
 
 # ---------------------------------------------------------------------------
