@@ -251,65 +251,6 @@ def _subst_value(v: Value, src: Name, dst: Name) -> Value:
     return v
 
 
-def substitute(p: Process, src: Name, dst: Name,
-               supply: Optional[NameSupply] = None) -> Process:
-    """Capture-avoiding substitution of dst for free occurrences of src.
-
-    Binder ids are globally unique in programs built through the parser or
-    the supplies in this module, so capture can only happen with hand-built
-    terms that reuse a Name object as both binder and substituend; those
-    binders get alpha-renamed on the way down.
-    """
-    if supply is None:
-        supply = NameSupply(name_scan(p)[0] + 1)
-
-    def go(p: Process) -> Process:
-        if isinstance(p, Nil):
-            return p
-        if isinstance(p, Par):
-            return Par(go(p.left), go(p.right))
-        if isinstance(p, New):
-            if p.name == src:
-                return p  # src bound here, nothing free below
-            if p.name == dst:
-                fresh = supply.fresh(p.name.display, "fresh")
-                body = substitute(p.body, p.name, fresh, supply)
-                return New(fresh, go(body))
-            return New(p.name, go(p.body))
-        if isinstance(p, Out):
-            subj = dst if p.subject == src else p.subject
-            objs = tuple(_subst_value(v, src, dst) for v in p.objects)
-            return Out(subj, objs, go(p.cont))
-        if isinstance(p, In):
-            subj = dst if p.subject == src else p.subject
-            if p.binding:
-                if src in p.objects:
-                    return In(subj, p.objects, True, p.cont)
-                if dst in p.objects:
-                    # alpha-rename the colliding parameters
-                    cont = p.cont
-                    objs = []
-                    for o in p.objects:
-                        if o == dst:
-                            fresh = supply.fresh(o.display, "fresh")
-                            cont = substitute(cont, o, fresh, supply)
-                            objs.append(fresh)
-                        else:
-                            objs.append(o)
-                    return In(subj, tuple(objs), True, go(cont))
-                return In(subj, p.objects, True, go(p.cont))
-            objs = tuple(dst if o == src else o for o in p.objects)
-            return In(subj, objs, False, go(p.cont))
-        if isinstance(p, Repeat):
-            return Repeat(go(p.body))
-        if isinstance(p, Fusion):
-            return Fusion(_subst_value(p.left, src, dst),
-                          _subst_value(p.right, src, dst))
-        raise TypeError(p)
-
-    return go(p)
-
-
 # ---------------------------------------------------------------------------
 # Fusion environment: union-find over name ids with literal attachments
 

@@ -34,7 +34,7 @@ class UngroundArgument(Exception):
 
 
 class HostFault(Exception):
-    """The host function itself raised."""
+    """The host function raised, or returned a value of the wrong sort."""
 
 
 class ProtocolViolation(Exception):
@@ -174,10 +174,16 @@ def resolve_externs(decls, registry: HostRegistry) -> dict:
     return bindings
 
 
+# the Python type a host value of each declared return sort must have
+_RETURN_TYPES = {"void": type(None), "unit": type(None), "int": int,
+                 "string": str, "bool": bool}
+
+
 def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
                   registry: HostRegistry, step: int) -> None:
     """Run one host call: instantiate on first use, advance the monitor,
-    invoke the host function and stage its result for return delivery."""
+    invoke the host function, check its result against the declared return
+    sort and stage it for return delivery."""
     m = endpoint.method(method_name)
     tm = m.protocol.transition_map()
     key = (endpoint.monitor[method_name], m.call_channel.display)
@@ -199,6 +205,10 @@ def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
         value = fn(*args)
     except Exception as exc:  # host code is foreign; wrap everything
         raise HostFault(f"{endpoint.decl.alias}.{method_name}: {exc}") from exc
+    sort = m.return_payload[0].name if m.return_payload else "void"
+    if type(value) is not _RETURN_TYPES[sort]:
+        raise HostFault(f"{endpoint.decl.alias}.{method_name}: declared to "
+                        f"return {sort}, host returned {value!r}")
     endpoint.pending = (method_name, value)
 
 

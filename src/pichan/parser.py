@@ -41,7 +41,7 @@ KEYWORDS = {
 # `bad` catches what no other rule takes, an unterminated '"' included
 _TOKEN_RE = re.compile(r"""
     (?P<space>[ \t\r]+) | (?P<newline>\n) | (?P<comment>//[^\n]*)
-  | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*") | (?P<int>-?\d+)
+  | (?P<strlit>"[^"\\]*(?:\\.[^"\\]*)*") | (?P<intlit>-?\d+)
   | (?P<word>[^\W\d]\w*) | (?P<punct>->|[!?()<>{}|.,=:;]) | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
@@ -55,7 +55,7 @@ class Program:
 
 
 class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "string" | keyword/punct literal | "eof"
+    kind: str  # "ident" | "intlit" | "strlit" | keyword/punct text | "eof"
     text: str
     span: SourceSpan
 
@@ -81,13 +81,13 @@ def tokenize(text: str, filename: str = "<input>") -> list:
             kind = word if word in KEYWORDS else "ident"
         elif kind == "punct":
             kind = word
-        elif kind == "string":
+        elif kind == "strlit":
             if "\n" in word:
                 line += word.count("\n")
                 line_start = start + word.rindex("\n") + 1
             word = _ESCAPE_RE.sub(lambda e: _UNESCAPES.get(e[1], e[1]),
                                   word[1:-1])
-        elif kind != "int":  # bad, or a word such as '²' that isalpha rejects
+        elif kind != "intlit":  # bad, or a word such as '²' that isalpha rejects
             msg = ("unterminated string" if word == '"'
                    else f"unexpected character {word[0]!r}")
             raise ParseError([Diagnostic("error", "E-SYNTAX", msg,
@@ -282,9 +282,9 @@ class _Parser:
         t = self.next()  # a failure raises, so taking t first is harmless
         if t.kind == "ident":
             return NameRef(self.lookup(t, scope))
-        if t.kind == "int":
+        if t.kind == "intlit":
             return IntLit(int(t.text))
-        if t.kind == "string":
+        if t.kind == "strlit":
             return StrLit(t.text)
         if t.kind in ("true", "false"):
             return BoolLit(t.kind == "true")

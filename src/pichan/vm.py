@@ -19,7 +19,7 @@ from typing import Optional
 
 from .core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
                    NameRef, NameSupply, New, Nil, Out, Par, Process, Repeat,
-                   StrLit, UnitLit, Value, substitute)
+                   StrLit, UnitLit, Value)
 from .interop import (Endpoint, HostFault, HostRegistry, ProtocolViolation,
                       UngroundArgument, complete_return, dispatch_call,
                       resolve_externs)
@@ -98,6 +98,11 @@ class Machine:
     """One VM instance: flattened thread soup, fusion environment, extern
     endpoints and a fresh-name supply.  Single-threaded by design.
 
+    A thread is a code node of the program, never rewritten, and an
+    environment (envs, parallel to threads) from the ids of the binders
+    around it to their run-time names; a name not in it is free.  Subjects
+    and objects are resolved through it when a thread is indexed or run.
+
     The soup index is kept across steps and changes only where the soup
     does.  Every thread has a sequence number; threads are only appended,
     so _seqs (parallel to threads) is ascending and a thread's position is
@@ -109,12 +114,15 @@ class Machine:
 
     def __init__(self, registry: HostRegistry):
         self.threads: list[Process] = []
+        self.envs: list[dict] = []
         self._seqs: list[int] = []
         self._outs: dict[int, dict[int, set]] = {}
         self._ins: dict[int, dict[int, set]] = {}
         self._live: set[tuple[int, int]] = set()
         self._fusions: set[int] = set()
         self._repeats: dict[int, tuple] = {}  # seq -> body's top-level actions
+        # id(Repeat node) -> (node, its body's top-level actions, unresolved)
+        self._actions: dict[int, tuple] = {}
         self.env = FusionEnv()
         self.endpoints: dict[str, Endpoint] = {}
         self.supply = NameSupply()
@@ -131,17 +139,19 @@ class Machine:
         m = cls(registry)
         m.endpoints = resolve_externs(program.externs, registry)
         m.supply = NameSupply(top + 1)
-        m.add_thread(program.main)
+        m.add_thread(program.main, {})
         return m
 
     def copy(self) -> "Machine":
         m = Machine(self._copy_registry())
         m.threads = list(self.threads)
+        m.envs = list(self.envs)
         m._seqs = list(self._seqs)
         m._outs, m._ins = _copy_buckets(self._outs), _copy_buckets(self._ins)
         m._live = set(self._live)
         m._fusions = set(self._fusions)
         m._repeats = dict(self._repeats)
+        m._actions = self._actions
         m.env = self.env.copy()
         m.endpoints = {}
         for alias, ep in self.endpoints.items():
@@ -162,48 +172,61 @@ class Machine:
 
     # -- soup maintenance
 
-    def add_thread(self, p: Process) -> None:
-        """Insert p with Par flattened, Nil dropped and top-level New
-        eliminated by allocating a fresh name, left to right, with an
-        explicit stack."""
-        stack = [p]
+    def add_thread(self, p: Process, env: dict) -> None:
+        """Insert p under env with Par flattened, Nil dropped and each
+        top-level New bound in a copy of env to a fresh name, left to right,
+        with an explicit stack."""
+        stack = [(p, env)]
         while stack:
-            p = stack.pop()
-            if isinstance(p, Par):
-                stack += (p.right, p.left)
-            elif isinstance(p, New):
-                fresh = self.supply.fresh(p.name.display, "fresh")
-                stack.append(substitute(p.body, p.name, fresh, self.supply))
-            elif not isinstance(p, Nil):
-                self._insert(p)
+            p, env = stack.pop()
+            kind = type(p)
+            if kind is Par:
+                stack += ((p.right, env), (p.left, env))
+            elif kind is New:
+                env = dict(env)
+                while type(p) is New:
+                    env[p.name.id] = self.supply.fresh(p.name.display, "fresh")
+                    p = p.body
+                stack.append((p, env))
+            elif kind is not Nil:
+                self._insert(p, env)
 
-    def _insert(self, p: Process) -> None:
+    def _insert(self, p: Process, env: dict) -> None:
         # above every live thread's number; a removed one's may be reused
         seq = self._seqs[-1] + 1 if self._seqs else 0
         self.threads.append(p)
+        self.envs.append(env)
         self._seqs.append(seq)
-        if isinstance(p, (Out, In)):
-            root, arity = self.env.representative(p.subject), len(p.objects)
-            mine, other = ((self._outs, self._ins) if isinstance(p, Out)
+        kind = type(p)
+        if kind is Out or kind is In:
+            root = self.env.representative(env.get(p.subject.id, p.subject))
+            arity = len(p.objects)
+            mine, other = ((self._outs, self._ins) if kind is Out
                            else (self._ins, self._outs))
             mine.setdefault(root, {}).setdefault(arity, set()).add(seq)
             if arity in other.get(root, ()):
                 self._live.add((root, arity))
-        elif isinstance(p, Fusion):
+        elif kind is Fusion:
             self._fusions.add(seq)
-        elif isinstance(p, Repeat):
+        elif kind is Repeat:
+            entry = self._actions.get(id(p))
+            if entry is None:  # the node is kept so that its id stays its own
+                entry = self._actions[id(p)] = (p, tuple(
+                    (type(a) is Out, a.subject, inner, len(a.objects))
+                    for a, inner in _top_actions(p.body)))
             self._repeats[seq] = tuple(
-                (isinstance(a, Out), a.subject, len(a.objects))
-                for a in _top_actions(p.body))
+                (is_out, s if inner else env.get(s.id, s), arity)
+                for is_out, s, inner, arity in entry[1])
 
-    def _unindex(self, seq: int, t: Process) -> None:
+    def _unindex(self, seq: int, t: Process, env: dict) -> None:
         """Drop a removed thread: an output, an input or a fusion (execute
         never removes a repeat)."""
-        if isinstance(t, Fusion):
+        if type(t) is Fusion:
             self._fusions.discard(seq)
             return
-        table = self._outs if isinstance(t, Out) else self._ins
-        root, arity = self.env.representative(t.subject), len(t.objects)
+        table = self._outs if type(t) is Out else self._ins
+        subject = env.get(t.subject.id, t.subject)
+        root, arity = self.env.representative(subject), len(t.objects)
         bucket = table[root][arity]
         bucket.discard(seq)
         if not bucket:
@@ -303,17 +326,19 @@ class Machine:
     # -- execution
 
     def _remove(self, *indices) -> list:
+        """Take threads out of the soup; returns their (code, env) pairs."""
         self._drain_unions()
-        removed = [self.threads[i] for i in indices]
+        removed = [(self.threads[i], self.envs[i]) for i in indices]
         for i in sorted(indices, reverse=True):
-            self._unindex(self._seqs.pop(i), self.threads.pop(i))
+            self._unindex(self._seqs.pop(i), self.threads.pop(i),
+                          self.envs.pop(i))
         return removed
 
-    def _ground_args(self, out: Out) -> list:
+    def _ground_args(self, out: Out, env: dict) -> list:
         args = []
         for v in out.objects:
             if isinstance(v, NameRef):
-                lit = self.env.attached_literal(v.name)
+                lit = self.env.attached_literal(env.get(v.name.id, v.name))
                 if lit is None:
                     raise UngroundArgument(
                         f"argument {v.name.display} has no attached literal")
@@ -327,50 +352,52 @@ class Machine:
         step = self.step_index
         kind = redex[0]
         if kind == "fusion":
-            (thread,) = self._remove(redex[1])
-            self.env.merge(thread.left, thread.right)
-            details = f"{_value_text(thread.left)}={_value_text(thread.right)}"
+            ((thread, env),) = self._remove(redex[1])
+            left, right = _resolve(thread.left, env), _resolve(thread.right, env)
+            self.env.merge(left, right)
+            details = f"{_value_text(left)}={_value_text(right)}"
             return TraceEvent(step, "fusion-applied", details)
         if kind == "comm":
-            i, j = redex[1], redex[2]
-            out, inp = self.threads[i], self.threads[j]
-            self._remove(i, j)
+            (out, oenv), (inp, ienv) = self._remove(redex[1], redex[2])
+            subject = oenv.get(out.subject.id, out.subject)
+            objects = tuple(_resolve(v, oenv) for v in out.objects)
             fused = []
-            for v, n in zip(out.objects, inp.objects):
+            for v, n in zip(objects, inp.objects):
+                n = ienv.get(n.id, n)
                 self.env.merge(v, NameRef(n))
                 fused.append(f"{_value_text(v)}~{n.display}")
-            self.add_thread(out.cont)
-            self.add_thread(inp.cont)
-            details = f"{self.env.class_display(out.subject)}/{len(out.objects)}"
+            self.add_thread(out.cont, oenv)
+            self.add_thread(inp.cont, ienv)
+            details = f"{self.env.class_display(subject)}/{len(objects)}"
             if fused:
                 details += " " + ",".join(fused)
-            return TraceEvent(step, "comm", details,
-                              data=(out.subject, tuple(out.objects)))
+            return TraceEvent(step, "comm", details, data=(subject, objects))
         if kind == "unfold":
             i = redex[1]
-            body = self.threads[i].body
-            self.add_thread(body)
+            self.add_thread(self.threads[i].body, self.envs[i])
             return TraceEvent(step, "repeat-unfold", f"thread {i}")
         if kind == "host-call":
             i, alias, method = redex[1], redex[2], redex[3]
-            out = self.threads[i]
-            args = self._ground_args(out)
+            out, env = self.threads[i], self.envs[i]
+            args = self._ground_args(out, env)
             ep = self.endpoints[alias]
             dispatch_call(ep, method, args, self.registry, step)
             self._remove(i)
-            self.add_thread(out.cont)
+            self.add_thread(out.cont, env)
             details = f"{alias}.{method}({','.join(map(repr, args))})"
             return TraceEvent(step, "host-call", details,
                               data=(alias, method, tuple(args)))
         if kind == "host-return":
             i, alias = redex[1], redex[2]
-            inp = self.threads[i]
+            inp, env = self.threads[i], self.envs[i]
             ep = self.endpoints[alias]
             method, value = complete_return(ep)
             self._remove(i)
             if inp.objects:
-                self.env.merge(_value_of_host(value), NameRef(inp.objects[0]))
-            self.add_thread(inp.cont)
+                n = inp.objects[0]
+                self.env.merge(_value_of_host(value),
+                               NameRef(env.get(n.id, n)))
+            self.add_thread(inp.cont, env)
             details = f"{alias}.{method} -> {value!r}"
             return TraceEvent(step, "host-return", details,
                               data=(alias, method, value))
@@ -378,14 +405,26 @@ class Machine:
 
 
 def _top_actions(p: Process) -> list:
-    """Out/In prefixes at the top level of a term (through Par and New)."""
-    if isinstance(p, Par):
-        return _top_actions(p.left) + _top_actions(p.right)
-    if isinstance(p, New):
-        return _top_actions(p.body)
-    if isinstance(p, (Out, In)):
-        return [p]
-    return []
+    """Out/In prefixes at the top level of a term (through Par and New), left
+    to right, each paired with whether a New on the way binds its subject."""
+    found = []
+    stack = [(p, frozenset())]
+    while stack:
+        p, bound = stack.pop()
+        kind = type(p)
+        if kind is Par:
+            stack += ((p.right, bound), (p.left, bound))
+        elif kind is New:
+            stack.append((p.body, bound | {p.name.id}))
+        elif kind is Out or kind is In:
+            found.append((p, p.subject.id in bound))
+    return found
+
+
+def _resolve(v: Value, env: dict) -> Value:
+    if type(v) is NameRef and v.name.id in env:
+        return NameRef(env[v.name.id])
+    return v
 
 
 def _copy_buckets(table: dict) -> dict:
@@ -406,15 +445,14 @@ def _host_value(v: Value):
 
 
 def _value_of_host(value) -> Value:
+    """The literal for a host value; dispatch_call has checked its sort."""
     if value is None:
         return UnitLit()
     if isinstance(value, bool):
         return BoolLit(value)
     if isinstance(value, int):
         return IntLit(value)
-    if isinstance(value, str):
-        return StrLit(value)
-    raise HostFault(f"host returned unsupported value {value!r}")
+    return StrLit(value)
 
 
 def _value_text(v: Value) -> str:
@@ -479,11 +517,11 @@ def detect_stuck(machine: Machine) -> StuckReport:
     if machine.enumerate_redexes() or _has_pending(machine):
         raise NotStuck("machine still has redexes or a pending host return")
     residuals = []
-    for t in machine.threads:
-        if isinstance(t, Out):
-            residuals.append(("output", t.subject.display, len(t.objects)))
-        elif isinstance(t, In):
-            residuals.append(("input", t.subject.display, len(t.objects)))
+    for t, env in zip(machine.threads, machine.envs):
+        if isinstance(t, (Out, In)):
+            subject = env.get(t.subject.id, t.subject)
+            residuals.append(("output" if isinstance(t, Out) else "input",
+                              subject.display, len(t.objects)))
         elif isinstance(t, Repeat):
             residuals.append(("repeat", "-", 0))
         elif isinstance(t, Fusion):  # unreachable: fusions are always redexes

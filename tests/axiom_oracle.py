@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from pichan.core import (Fusion, In, Name, NameRef, NameSupply, New, Nil,
                          Out, Par, Process, Repeat, free_names, name_scan,
-                         process_size, substitute, value_token)
+                         process_size, value_token)
+
+from substitution import substitute
 
 NIL = Nil()
 

@@ -11,9 +11,11 @@ literal now advances the line count, as it does in pichan.parser.
 from __future__ import annotations
 
 from pichan.core import (Fusion, In, Nil, New, Out, Par, Process, Repeat,
-                         NameSupply, substitute)
+                         NameSupply)
 from pichan.diag import Diagnostic, ParseError, SourceSpan
 from pichan.parser import KEYWORDS, Program, Token, program_scan
+
+from substitution import substitute
 
 _PUNCT = ["->", "!", "?", "(", ")", "<", ">", "{", "}", "|", ".", ",", "=",
           ":", ";"]
@@ -54,7 +56,7 @@ def tokenize(text: str, filename: str = "<input>") -> list:
             if j >= n:
                 raise ParseError([Diagnostic("error", "E-SYNTAX",
                                              "unterminated string", span)])
-            tokens.append(Token("string", "".join(buf),
+            tokens.append(Token("strlit", "".join(buf),
                                 SourceSpan(filename, line, col, j + 1 - i)))
             # the one change from the original: raw newlines start new lines
             nl = text.rfind("\n", i, j)
@@ -66,7 +68,7 @@ def tokenize(text: str, filename: str = "<input>") -> list:
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(Token("int", text[i:j],
+            tokens.append(Token("intlit", text[i:j],
                                 SourceSpan(filename, line, col, j - i)))
             col += j - i
             i = j

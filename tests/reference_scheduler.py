@@ -1,7 +1,8 @@
 """Reference redex enumeration: the original scan of every ordered pair of
 threads with FusionEnv.fused_equal.  Slow but obviously faithful to the
 semantics; test_vm checks Machine.enumerate_redexes against it at every
-step of seeded runs."""
+step of seeded runs.  It reads the soup as terms, each thread's code node
+with its environment substituted in (substitution.soup)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from typing import Optional
 
 from pichan.core import Fusion, In, NameRef, Out, Repeat
 from pichan.vm import Machine, _top_actions
+
+from substitution import soup
 
 
 def _endpoint_for_call(m: Machine, subject) -> Optional[tuple]:
@@ -33,11 +36,11 @@ def _pending_return_match(m: Machine, thread: In) -> Optional[str]:
     return None
 
 
-def _unfold_wanted(m: Machine, body) -> bool:
-    actions = _top_actions(body)
+def _unfold_wanted(m: Machine, threads: list, body) -> bool:
+    actions = [a for a, _ in _top_actions(body)]
     if not actions:
         return False
-    soup_actions = [t for t in m.threads if isinstance(t, (Out, In))]
+    soup_actions = [t for t in threads if isinstance(t, (Out, In))]
     pool = soup_actions + actions
     for a in actions:
         if isinstance(a, Out):
@@ -65,7 +68,7 @@ def redex_key(r) -> tuple:
 
 def enumerate_redexes(m: Machine, strict: bool = True) -> list:
     redexes = []
-    threads = m.threads
+    threads = soup(m)
     repeats = []
     for i, t in enumerate(threads):
         if isinstance(t, Fusion):
@@ -94,7 +97,7 @@ def enumerate_redexes(m: Machine, strict: bool = True) -> list:
                                               NameRef(b.subject))):
                     redexes.append(("comm", i, j))
     for i in repeats:
-        if _unfold_wanted(m, threads[i].body):
+        if _unfold_wanted(m, threads, threads[i].body):
             redexes.append(("unfold", i))
     if not redexes:
         redexes = [("unfold", i) for i in repeats]

@@ -102,6 +102,24 @@ def test_check_e_sort_position(tmp_path, capsys, text, where):
     assert f"{src}:{where}: error E-SORT" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text,where,message", [
+    ("int = 1\n", "1:1", "expected a value, found 'int'"),
+    ("x!(string) | x!(1)\n", "1:4", "expected a value, found 'string'"),
+    ('extern K -> class Counter {\n  int inc() {\n    call inc: void;\n'
+     '    return R: "int";\n  }\n}\ninc!().R?(a)\n', "4:15",
+     "expected a sort, found 'int'"),
+], ids=["int-keyword", "string-keyword", "string-literal-sort"])
+def test_check_sort_keyword_and_literal_kinds_differ(tmp_path, capsys, text,
+                                                     where, message):
+    # the keywords int and string do not share the literals' token kinds
+    src = tmp_path / "kw.pi"
+    src.write_text(text)
+    assert main(["check", str(src)]) == EXIT_SYNTAX
+    out = capsys.readouterr()
+    assert f"{src}:{where}: error E-SYNTAX {message}" in out.out
+    assert "Traceback" not in out.err
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -275,6 +293,18 @@ def test_run_2000_deep_binary_par_step_limit(tmp_path, capsys):
     process = ("".join(f"<par>{t}" for t in threads[:-1]) + threads[-1]
                + "</par>" * (len(threads) - 1))
     path = tmp_path / "deep.xir.xml"
+    path.write_text(_document(process), encoding="utf-8")
+    assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STEP_LIMIT
+    assert len(capsys.readouterr().out.splitlines()) == 10
+
+
+def test_run_new_over_2000_thread_par_step_limit(tmp_path, capsys):
+    # a New's scope is an environment, not a substitution down the spine
+    threads = [t for k in range(1000) for t in _pair(k)]
+    threads[0] = '<out subject="z#5000"><cont><nil/></cont></out>'
+    threads[-1] = '<in subject="z#5000"><cont><nil/></cont></in>'
+    process = f'<new name="z#5000"><par>{"".join(threads)}</par></new>'
+    path = tmp_path / "widenew.xir.xml"
     path.write_text(_document(process), encoding="utf-8")
     assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STEP_LIMIT
     assert len(capsys.readouterr().out.splitlines()) == 10

@@ -10,9 +10,10 @@ from pichan.core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
                          NameRef, NameSupply, New, Nil, Out, Par, Repeat,
                          StrLit, SurfaceFormError, canonical_key, congruent,
                          free_names, fused_equal, is_core, merge, name_scan,
-                         par_all, process_size, substitute)
+                         par_all, process_size)
 
 from randgen import gen_process
+from substitution import substitute
 
 
 def _names(*displays):

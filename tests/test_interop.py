@@ -1,5 +1,7 @@
 """Tests for host class registry, endpoint binding and call dispatch."""
 
+import re
+
 import pytest
 
 from pichan.interop import (DuplicateClass, HostClass, HostFault,
@@ -8,7 +10,7 @@ from pichan.interop import (DuplicateClass, HostClass, HostFault,
                             build_registry, build_std_registry,
                             complete_return, dispatch_call, resolve_externs)
 from pichan.parser import parse_program
-from pichan.typecheck import INT, STR
+from pichan.typecheck import INT, STR, base_sort
 
 from test_parser import ACCOUNT_EXTERN
 
@@ -191,3 +193,81 @@ def test_endpoint_copy_shares_nothing_mutable():
     complete_return(ep)
     assert ep2.pending == ("read", 1976528)
     assert ep2.monitor["read"] == 1
+
+
+# ---------------------------------------------------------------------------
+# return values against the declared return sort
+
+
+class _Liar:
+    """Returns whatever the test put in RESULTS for the method called."""
+    RESULTS = {}
+
+    def __init__(self, log):
+        pass
+
+    def get(self):
+        return self.RESULTS["get"]
+
+    def put(self):
+        return self.RESULTS["put"]
+
+
+def _liar_registry(sort):
+    reg = HostRegistry()
+    reg.register(HostClass("Liar", {"get": ((), sort), "put": ((), None)},
+                           _Liar))
+    return reg
+
+
+def _liar_source(sort):
+    return ("extern L -> class Liar {\n"
+            f"  {sort} get() {{ call get: void; return G: {sort}; }}\n"
+            "  void put() { call put: void; return P: void; }\n"
+            "}\n")
+
+
+@pytest.mark.parametrize("sort,method,value", [
+    ("int", "get", True), ("int", "get", "x"), ("int", "get", None),
+    ("string", "get", 1), ("bool", "get", 0), ("int", "put", 1),
+    ("int", "put", False), ("int", "put", ""),
+])
+def test_return_of_wrong_sort_is_host_fault(monkeypatch, sort, method, value):
+    reg = _liar_registry(base_sort(sort))
+    decl = parse_program(_liar_source(sort) + "nil").externs[0]
+    ep = resolve_externs([decl], reg)["L"]
+    monkeypatch.setitem(_Liar.RESULTS, method, value)
+    declared = sort if method == "get" else "void"
+    with pytest.raises(HostFault, match=f"^L.{method}: declared to return "
+                       f"{declared}, host returned {re.escape(repr(value))}$"):
+        dispatch_call(ep, method, [], reg, step=0)
+    assert ep.pending is None
+
+
+@pytest.mark.parametrize("sort,value", [
+    ("int", 3), ("int", -1), ("string", "s"), ("bool", False)])
+def test_return_of_declared_sort_is_staged(monkeypatch, sort, value):
+    reg = _liar_registry(base_sort(sort))
+    decl = parse_program(_liar_source(sort) + "nil").externs[0]
+    ep = resolve_externs([decl], reg)["L"]
+    monkeypatch.setitem(_Liar.RESULTS, "get", value)
+    monkeypatch.setitem(_Liar.RESULTS, "put", None)
+    dispatch_call(ep, "get", [], reg, step=0)
+    assert complete_return(ep) == ("get", value)
+    dispatch_call(ep, "put", [], reg, step=1)
+    assert complete_return(ep) == ("put", None)
+
+
+def test_cli_run_exits_5_on_wrong_sort(monkeypatch, tmp_path, capsys):
+    from pichan import interop
+    from pichan.cli import EXIT_FAULT, EXIT_OK, main
+    monkeypatch.setitem(_Liar.RESULTS, "get", "x")
+    monkeypatch.setitem(interop.REGISTRY_BUILDERS, "liar",
+                        lambda: _liar_registry(INT))
+    src, xir = tmp_path / "liar.pi", tmp_path / "liar.xir.xml"
+    src.write_text(_liar_source("int") + "get!().G?(v)\n")
+    assert main(["compile", str(src), "-o", str(xir)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", str(xir), "--registry", "liar"]) == EXIT_FAULT
+    assert capsys.readouterr().out == ("0|violation|L.get: declared to return "
+                                       "int, host returned 'x'\n")

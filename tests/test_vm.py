@@ -19,6 +19,7 @@ from pichan.xir import from_xml, to_xml
 import golden_traces
 import reference_scheduler
 from randgen import gen_program
+from substitution import soup
 from test_parser import ACCOUNT_EXTERN
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -195,6 +196,31 @@ def test_enumerate_matches_reference_bench_families(name, program, max_steps,
         _check_against_reference(m, seed, max_steps, strict)
 
 
+ENV_FAMILIES = list(golden_traces.env_families())
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name,program,max_steps", ENV_FAMILIES,
+                         ids=[entry[0] for entry in ENV_FAMILIES])
+def test_enumerate_matches_reference_env_families(name, program, max_steps,
+                                                  strict):
+    for seed in range(4):
+        m = Machine.initialize(program, build_std_registry())
+        _check_against_reference(m, seed, max_steps, strict)
+
+
+def test_enumerate_matches_reference_rebound_binder_id():
+    # XIR may reuse a binder id; the inner New shadows the outer one, also
+    # for the repeat's unfold test and for the environments of its threads
+    doc = to_xml(desugar(parse_program("new a in (repeat new b in b!() "
+                                       "| a?() | a!())")))
+    assert '<new name="a#0">' in doc and '<new name="b#1">' in doc
+    program = from_xml(doc.replace("b#1", "a#0"))
+    for seed in range(4):
+        m = Machine.initialize(program, build_std_registry())
+        _check_against_reference(m, seed, 12, True)
+
+
 # ---------------------------------------------------------------------------
 # lifecycle of the persistent soup index
 
@@ -278,6 +304,23 @@ def test_golden_trace_through_xir(name, program, seed, max_steps):
     assert golden_traces.digest(loaded, seed, max_steps) == GOLDEN[name]
 
 
+# recorded with the VM that eliminated each top-level New by substitution
+ENV_GOLDEN = golden_traces.load(golden_traces.ENV_GOLDEN)
+ENV_CORPUS = list(golden_traces.env_corpus())
+
+
+def test_env_golden_corpus_complete():
+    assert sorted(name for name, *_ in ENV_CORPUS) == sorted(ENV_GOLDEN)
+
+
+@pytest.mark.parametrize("name,program,seed,max_steps", ENV_CORPUS,
+                         ids=[entry[0] for entry in ENV_CORPUS])
+def test_env_golden_trace(name, program, seed, max_steps):
+    assert golden_traces.digest(program, seed, max_steps) == ENV_GOLDEN[name]
+    loaded = from_xml(to_xml(desugar(program)))
+    assert golden_traces.digest(loaded, seed, max_steps) == ENV_GOLDEN[name]
+
+
 # ---------------------------------------------------------------------------
 # execute / step
 
@@ -299,6 +342,14 @@ def test_comm_literal_attaches():
     assert m.env.attached_literal(v) == IntLit(5)
 
 
+def test_fusion_on_bound_name_fuses_its_run_time_name():
+    # the fusion thread's a is the fresh name the New bound, not a's binder
+    trace = run(parse_program("new a in (a = b | a!()) | b?()"), seed=0)
+    assert [ev.line() for ev in trace.events] == ["0|fusion-applied|a=b",
+                                                  "1|comm|a/0"]
+    assert trace.status == "terminated"
+
+
 def test_fusion_clash_raises():
     m = _machine("x!(5) | x!(6) | x?<v> | x?<w> | v=w")
     m.execute(("fusion", 4))
@@ -309,17 +360,35 @@ def test_fusion_clash_raises():
 
 def test_unfold_adds_one_thread():
     m = _machine("repeat x!() | x?<v>")
-    before = len(m.threads)
+    before = len(soup(m))
     m.execute(("unfold", 0))
-    assert len(m.threads) == before + 1
-    assert isinstance(m.threads[0], Repeat)
+    assert len(soup(m)) == before + 1
+    assert isinstance(soup(m)[0], Repeat)
 
 
 def test_new_eliminated_on_insert():
     m = _machine("new a in a!(1)")
-    assert len(m.threads) == 1
-    assert isinstance(m.threads[0], Out)
-    assert m.threads[0].subject.origin == "fresh"
+    assert len(soup(m)) == 1
+    assert isinstance(soup(m)[0], Out)
+    assert soup(m)[0].subject.origin == "fresh"
+
+
+def test_thread_is_code_node_plus_environment():
+    # the soup holds the program's own nodes; a New binds in the environment
+    program = desugar(parse_program("new a in (a!(1) | repeat new b in a!(b))"))
+    m = Machine.initialize(program, build_std_registry())
+    code = program.main.body
+    assert m.threads[0] is code.left and m.threads[1] is code.right
+    a = m.envs[0][program.main.name.id]
+    assert a.origin == "fresh" and a.display == "a"
+    assert m.envs[0] is m.envs[1]
+    m.execute(("unfold", 1))
+    out = m.threads[2]
+    assert out is code.right.body.body
+    assert m.envs[2][out.subject.id] == a
+    b = m.envs[2][code.right.body.name.id]
+    assert b.origin == "fresh" and b.id == a.id + 1
+    assert soup(m)[2] == Out(a, (NameRef(b),), Nil())
 
 
 def test_fresh_names_above_extern_channel_ids():
@@ -331,7 +400,7 @@ def test_fresh_names_above_extern_channel_ids():
     program = from_xml(text)
     channels = {n.id for d in program.externs for n in d.channels()}
     m = Machine.initialize(program, build_std_registry())
-    assert m.threads[0].subject.id > max(channels)
+    assert soup(m)[0].subject.id > max(channels)
     assert run(program).status == "stuck-with-residuals"
 
 
@@ -448,25 +517,26 @@ def test_thread_count_law(seed):
         if not redexes:
             break
         redex = redexes[rng.below(len(redexes))]
-        before = len(m.threads)
+        threads = soup(m)
+        before = len(threads)
         if redex[0] == "comm":
-            conts = [m.threads[redex[1]].cont, m.threads[redex[2]].cont]
+            conts = [threads[redex[1]].cont, threads[redex[2]].cont]
             added = sum(_flat_count(c) for c in conts)
             try:
                 m.execute(redex)
             except FusionClash:
                 break
-            assert len(m.threads) == before - 2 + added
+            assert len(soup(m)) == before - 2 + added
         elif redex[0] == "unfold":
-            body = m.threads[redex[1]].body
+            body = threads[redex[1]].body
             m.execute(redex)
-            assert len(m.threads) == before + _flat_count(body)
+            assert len(soup(m)) == before + _flat_count(body)
         elif redex[0] == "fusion":
             try:
                 m.execute(redex)
             except FusionClash:
                 break
-            assert len(m.threads) == before - 1
+            assert len(soup(m)) == before - 1
         else:
             m.execute(redex)
         m.step_index += 1
@@ -486,11 +556,11 @@ def test_comm_never_creates_free_names():
     from pichan.core import free_names
     m = _machine("x!(a) | x?<b>.b!(c)")
     names_before = set()
-    for t in m.threads:
+    for t in soup(m):
         names_before |= free_names(t)
     m.execute(("comm", 0, 1))
     names_after = set()
-    for t in m.threads:
+    for t in soup(m):
         names_after |= free_names(t)
     assert names_after <= names_before
 
