@@ -1,7 +1,7 @@
 """Command-line pipeline: compile, check, run, gen-iface.
 
 Exit codes: 0 ok, 1 syntax/manifest error, 2 type/protocol/schema error,
-3 I/O error, 4 stuck, 5 clash or protocol violation, 6 step limit.
+3 I/O or UTF-8 error, 4 stuck, 5 clash or protocol violation, 6 step limit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _check_pipeline(path, out=None):
     out = out if out is not None else sys.stdout
     try:
         text = _read_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_IO
     try:
@@ -79,7 +79,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     try:
         text = _read_file(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:

@@ -150,37 +150,44 @@ Process = Nil | Par | New | Out | In | Repeat | Fusion
 NIL = Nil()
 
 
-def name_scan(p: Process, names: Optional[dict] = None) -> tuple[int, bool]:
-    """One iterative pass over p: the largest name id, binders included (at
-    least -1), and whether p is in core form (no binding input remains).
-    When given, names receives every name in p, keyed by id."""
-    names = {} if names is None else names
-    core = True
+def nodes(p: Process) -> list:
+    """Every node of p in pre-order, a Par's left before its right, by an
+    explicit stack; reversed, every node comes after all of its children."""
+    found = []
     stack = [p]
-    pop, push = stack.pop, stack.append
     while stack:
-        p = pop()
+        p = stack.pop()
+        found.append(p)
         kind = type(p)
         if kind is Par:
-            push(p.right)
-            push(p.left)
-        elif kind is Out:
+            stack += (p.right, p.left)
+        elif kind is Out or kind is In:
+            stack.append(p.cont)
+        elif kind is New or kind is Repeat:
+            stack.append(p.body)
+    return found
+
+
+def name_scan(p: Process, names: Optional[dict] = None) -> tuple[int, bool]:
+    """The largest name id in p, binders included (at least -1), and
+    whether p is in core form (no binding input remains).  When given,
+    names receives every name in p, keyed by id."""
+    names = {} if names is None else names
+    core = True
+    for p in nodes(p):
+        kind = type(p)
+        if kind is Out:
             names[p.subject.id] = p.subject
             for v in p.objects:
                 if type(v) is NameRef:
                     names[v.name.id] = v.name
-            push(p.cont)
         elif kind is In:
             names[p.subject.id] = p.subject
             for n in p.objects:
                 names[n.id] = n
             core = core and not p.binding
-            push(p.cont)
         elif kind is New:
             names[p.name.id] = p.name
-            push(p.body)
-        elif kind is Repeat:
-            push(p.body)
         elif kind is Fusion:
             for v in (p.left, p.right):
                 if type(v) is NameRef:
@@ -188,28 +195,12 @@ def name_scan(p: Process, names: Optional[dict] = None) -> tuple[int, bool]:
     return max([-1, *names]), core
 
 
-def is_core(p: Process) -> bool:
-    """True when no binding input remains anywhere in p."""
-    return name_scan(p)[1]
+_SIZES = {Nil: 1, Par: 1, New: 2, Repeat: 1, Fusion: 3}
 
 
 def process_size(p: Process) -> int:
     """Node count, with every name/value occurrence counted as one node."""
-    if isinstance(p, Nil):
-        return 1
-    if isinstance(p, Par):
-        return 1 + process_size(p.left) + process_size(p.right)
-    if isinstance(p, New):
-        return 2 + process_size(p.body)
-    if isinstance(p, Out):
-        return 2 + len(p.objects) + process_size(p.cont)
-    if isinstance(p, In):
-        return 2 + len(p.objects) + process_size(p.cont)
-    if isinstance(p, Repeat):
-        return 1 + process_size(p.body)
-    if isinstance(p, Fusion):
-        return 3
-    raise TypeError(p)
+    return sum(_SIZES.get(type(q)) or 2 + len(q.objects) for q in nodes(p))
 
 
 def free_names(p: Process) -> set:

@@ -48,14 +48,14 @@ class ManifestMethod:
 class ClassManifest:
     class_name: str
     methods: tuple  # tuple[ManifestMethod, ...]
-    constructor_effects: bool = False  # documentation only
 
 
 def load_manifest(path) -> ClassManifest:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep
         raise ManifestParseError(f"{path}: {exc}")
     return parse_manifest(raw, source=str(path))
 
@@ -65,6 +65,8 @@ def parse_manifest(raw, source: str = "<manifest>") -> ClassManifest:
         raise ManifestParseError(f"{source}: expected an object with a 'class' name")
     methods = []
     seen = set()
+    if not isinstance(raw.get("methods", []), list):
+        raise ManifestParseError(f"{source}: 'methods' must be a list")
     for entry in raw.get("methods", []):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ManifestParseError(f"{source}: method entries need a 'name'")
@@ -76,18 +78,20 @@ def parse_manifest(raw, source: str = "<manifest>") -> ClassManifest:
         if name in seen:
             raise DuplicateMethod(f"{source}: duplicate method {name}")
         seen.add(name)
-        params = entry.get("params", [])
+        params, returns = entry.get("params", []), entry.get("returns", "void")
+        if (not isinstance(params, list) or not isinstance(returns, str)
+                or not all(isinstance(s, str) for s in params)):
+            raise ManifestParseError(f"{source}: {name} needs 'params', a "
+                                     f"list of sort names, and a 'returns' sort")
         for s in params:
             if s not in SORT_NAMES:
                 raise UnknownSort(f"{source}: unknown sort {s!r} in {name}")
             if s == "void":
                 raise UnknownSort(f"{source}: void cannot be a parameter of {name}")
-        returns = entry.get("returns", "void")
         if returns not in SORT_NAMES:
             raise UnknownSort(f"{source}: unknown sort {returns!r} in {name}")
         methods.append(ManifestMethod(name, tuple(params), returns))
-    return ClassManifest(raw["class"], tuple(methods),
-                         bool(raw.get("constructor_effects", False)))
+    return ClassManifest(raw["class"], tuple(methods))
 
 
 def generate_interface(manifest: ClassManifest, alias: str) -> str:

@@ -1,5 +1,6 @@
-"""Textual language: tokenizer, recursive-descent parser, desugarer and
-pretty printer.
+"""Textual language: tokenizer, parser, desugarer and pretty printer.  The
+parser and the desugarer keep their own stacks, so nesting depth is bounded
+by memory alone.
 
 Surface grammar (lowest precedence first):
 
@@ -247,18 +248,21 @@ class _Parser:
     # -- processes
 
     def lookup(self, tok: Token, scope: dict) -> Name:
-        if tok.text in scope:
-            return scope[tok.text]
-        if tok.text in self.globals:
-            return self.globals[tok.text]
+        """scope (where None marks a closed binder), extern, else free."""
+        name = scope.get(tok.text) or self.globals.get(tok.text)
+        if name is not None:
+            return name
         if tok.text not in self.free:
             self.free[tok.text] = self.supply.fresh(tok.text, "source")
         return self.free[tok.text]
 
-    def _bind(self, toks: list, scope: dict) -> tuple:
-        """Fresh source names for toks, and scope extended with them."""
+    def _bind(self, toks: list, scope: dict, frames: list) -> list:
+        """Fresh names for toks, bound in scope in place; frames gets the
+        entries to restore."""
+        frames.append({t.text: scope.get(t.text) for t in toks})
         names = [self.supply.fresh(tok.text, "source") for tok in toks]
-        return names, {**scope, **{t.text: n for t, n in zip(toks, names)}}
+        scope.update((t.text, n) for t, n in zip(toks, names))
+        return names
 
     def _items(self, item, close: str = None) -> list:
         """item (',' item)*, or no items when the next token is close."""
@@ -271,19 +275,40 @@ class _Parser:
         return items
 
     def parse_proc(self, scope: dict) -> Process:
-        left = self.parse_term(scope)
-        if self.peek().kind == "|":
-            bar = self.next()
-            right = self.parse_proc(scope)
-            return Par(left, right, span=bar.span)
-        return left
+        """A proc, without recursion.  frames holds, innermost last, what
+        encloses the current term: a '|' chain (its terms and bars, folded
+        to the right at its end; all but the outermost opened by '('), a
+        prefix waiting for its body (constructor, fields, span), or the
+        scope entries to restore (a dict)."""
+        frames = [[]]
+        while True:
+            p = self._term_head(scope, frames)
+            while True:  # p is a whole term: close what it completes
+                frame = frames.pop()
+                if type(frame) is dict:
+                    scope.update(frame)
+                elif type(frame) is tuple:
+                    make, fields, span = frame
+                    p = make(*fields, p, span=span)
+                elif self.peek().kind == "|":
+                    frame += (p, self.next())
+                    frames.append(frame)
+                    break
+                else:
+                    for left, bar in reversed(list(zip(frame[::2], frame[1::2]))):
+                        p = Par(left, p, span=bar.span)
+                    if not frames:
+                        return p
+                    self.expect(")")
 
-    def _value(self, scope: dict) -> Value:
-        t = self.next()  # a failure raises, so taking t first is harmless
+    def _value(self, t: Token, scope: dict) -> Value:
         if t.kind == "ident":
             return NameRef(self.lookup(t, scope))
         if t.kind == "intlit":
-            return IntLit(int(t.text))
+            try:
+                return IntLit(int(t.text))
+            except ValueError:  # past the interpreter's int-conversion limit
+                self.fail("integer literal has too many digits", t)
         if t.kind == "strlit":
             return StrLit(t.text)
         if t.kind in ("true", "false"):
@@ -292,61 +317,49 @@ class _Parser:
             return UnitLit()
         self.fail(f"expected a value, found {t.text or 'end of input'!r}", t)
 
-    def _cont(self, scope: dict) -> Process:
-        if self.peek().kind == ".":
-            self.next()
-            return self.parse_term(scope)
-        return Nil()
-
-    def parse_term(self, scope: dict) -> Process:
-        t = self.peek()
-        if t.kind == "nil":
-            self.next()
-            return Nil(span=t.span)
-        if t.kind == "(":
-            self.next()
-            p = self.parse_proc(scope)
-            self.expect(")")
-            return p
-        if t.kind == "new":
-            self.next()
-            binders = self._items(lambda: self.expect("ident"))
-            self.expect("in")
-            names, scope = self._bind(binders, scope)
-            body = self.parse_term(scope)
-            for name in reversed(names):
-                body = New(name, body, span=t.span)
-            return body
-        if t.kind == "repeat":
-            self.next()
-            return Repeat(self.parse_term(scope), span=t.span)
-        if t.kind == "ident" and self.peek(1).kind in ("!", "?"):
-            self.next()
-            subj = self.lookup(t, scope)
-            if self.next().kind == "!":
-                self.expect("(")
-                objs = self._items(lambda: self._value(scope), ")")
-                self.expect(")")
-                return Out(subj, tuple(objs), self._cont(scope), span=t.span)
-            open_tok = self.next()
-            if open_tok.kind == "(":
-                params = self._items(lambda: self.expect("ident"), ")")
-                self.expect(")")
-                names, scope = self._bind(params, scope)
-                return In(subj, tuple(names), True, self._cont(scope),
-                          span=t.span)
-            if open_tok.kind == "<":
-                names = self._items(
-                    lambda: self.lookup(self.expect("ident"), scope), ">")
-                self.expect(">")
-                return In(subj, tuple(names), False, self._cont(scope),
-                          span=t.span)
-            self.fail("expected '(' or '<' after '?'", open_tok)
-        # fusion: value '=' value
-        left = self._value(scope)
-        eq = self.expect("=")
-        right = self._value(scope)
-        return Fusion(left, right, span=eq.span)
+    def _term_head(self, scope: dict, frames: list) -> Process:
+        """Reads a term up to its first whole subterm (nil, a fusion, or the
+        Nil after a prefix with no '.'), pushing a frame for each enclosing
+        construct, and returns that subterm."""
+        while True:
+            t = self.next()  # a failure raises, so taking t first is harmless
+            if t.kind == "nil":
+                return Nil(span=t.span)
+            if t.kind == "(":
+                frames.append([])
+            elif t.kind == "new":
+                binders = self._items(lambda: self.expect("ident"))
+                self.expect("in")
+                names = self._bind(binders, scope, frames)
+                frames += [(New, (n,), t.span) for n in names]
+            elif t.kind == "repeat":
+                frames.append((Repeat, (), t.span))
+            elif t.kind == "ident" and self.peek().kind in ("!", "?"):
+                subj = self.lookup(t, scope)
+                if self.next().kind == "!":
+                    self.expect("(")
+                    objs = self._items(lambda: self._value(self.next(), scope),
+                                       ")")
+                    self.expect(")")
+                    frames.append((Out, (subj, tuple(objs)), t.span))
+                else:
+                    open_tok = self.next()
+                    close = {"(": ")", "<": ">"}.get(open_tok.kind)
+                    if close is None:
+                        self.fail("expected '(' or '<' after '?'", open_tok)
+                    toks = self._items(lambda: self.expect("ident"), close)
+                    self.expect(close)
+                    binding = close == ")"
+                    names = (self._bind(toks, scope, frames) if binding
+                             else [self.lookup(tok, scope) for tok in toks])
+                    frames.append((In, (subj, tuple(names), binding), t.span))
+                if self.peek().kind != ".":
+                    return Nil()
+                self.next()
+            else:  # fusion: value '=' value
+                left = self._value(t, scope)
+                eq = self.expect("=")
+                return Fusion(left, self._value(self.next(), scope), span=eq.span)
 
 
 def parse_program(text: str, filename: str = "<input>",
@@ -411,17 +424,24 @@ def _rename(p: Process, fresh: list) -> Process:
     names (taken from fresh in pre-order) over a free input, and each bound
     occurrence renamed.  A New of a renamed id shadows the renaming."""
     binders = iter(fresh)
+    env = {}  # bound id -> fresh name (None: not renamed), changed in place
     built = []
-    stack = [(p, {})]  # (node, renaming) to visit; (node, fields) to build
+    # a node to visit, (node, fields) to build once its children are, or
+    # the env entries to restore
+    stack = [p]
     while stack:
-        p, env = stack.pop()
+        p = stack.pop()
         kind = type(p)
-        if type(env) is tuple:  # p's one or two children are built
+        if kind is dict:
+            env.update(p)
+        elif kind is tuple:
+            p, fields = p
+            kind = type(p)
             n = 2 if kind is Par else 1
-            q = kind(*env, *built[-n:], span=p.span)
+            q = kind(*fields, *built[-n:], span=p.span)
             del built[-n:]
             if kind is In and p.binding:
-                for f in reversed(env[1]):
+                for f in reversed(fields[1]):
                     q = New(f, q, span=p.span)
             built.append(q)
         elif kind is Nil:
@@ -430,32 +450,34 @@ def _rename(p: Process, fresh: list) -> Process:
             built.append(Fusion(_rename_value(p.left, env),
                                 _rename_value(p.right, env), span=p.span))
         elif kind is Par:
-            stack += ((p, ()), (p.right, env), (p.left, env))
-        elif kind is New or kind is Repeat:
-            if kind is New and p.name.id in env:
-                env = {k: v for k, v in env.items() if k != p.name.id}
-            stack += ((p, (p.name,) if kind is New else ()), (p.body, env))
+            stack += ((p, ()), p.right, p.left)
+        elif kind is New:  # shadows a renaming of its id
+            stack += ((p, (p.name,)), {p.name.id: env.get(p.name.id)}, p.body)
+            env[p.name.id] = None
+        elif kind is Repeat:
+            stack += ((p, ()), p.body)
         elif kind is Out:
             objects = tuple(_rename_value(v, env) for v in p.objects)
-            stack += ((p, (env.get(p.subject.id, p.subject), objects)),
-                      (p.cont, env))
+            stack += ((p, (env.get(p.subject.id) or p.subject, objects)),
+                      p.cont)
         elif kind is In:
-            subject = env.get(p.subject.id, p.subject)
+            subject = env.get(p.subject.id) or p.subject
             if p.binding:
                 objects = next(binders)
+                stack.append({o.id: env.get(o.id) for o in p.objects})
                 # the first of repeated parameters wins, as in substitution
-                env = {**env, **dict(zip([o.id for o in reversed(p.objects)],
-                                         reversed(objects)))}
+                env.update(zip([o.id for o in reversed(p.objects)],
+                               reversed(objects)))
             else:
-                objects = tuple(env.get(o.id, o) for o in p.objects)
-            stack += ((p, (subject, objects, False)), (p.cont, env))
+                objects = tuple(env.get(o.id) or o for o in p.objects)
+            stack += ((p, (subject, objects, False)), p.cont)
         else:
             raise TypeError(p)
     return built[0]
 
 
 def _rename_value(v: Value, env: dict) -> Value:
-    if type(v) is NameRef and v.name.id in env:
+    if type(v) is NameRef and env.get(v.name.id):
         return NameRef(env[v.name.id])
     return v
 

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import (BoolLit, Fusion, In, IntLit, NameRef, New, Out, Par,
-                   Repeat, StrLit, UnitLit)
+                   Repeat, StrLit, UnitLit, nodes)
 from .diag import Diagnostic
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,10 @@ def automata_isomorphic(a: ProtocolAutomaton, b: ProtocolAutomaton) -> bool:
 # Sort checking (unification from use)
 
 
+def _is_var(t) -> bool:
+    return type(t) is tuple and t[0] == "var"
+
+
 class _Unifier:
     def __init__(self):
         self.binding: dict = {}
@@ -154,48 +158,61 @@ class _Unifier:
         return ("var", ("n", name.id))
 
     def resolve(self, t):
-        while isinstance(t, tuple) and t[0] == "var" and t[1] in self.binding:
+        """The end of t's variable chain, now bound to each var on it."""
+        chain = []
+        while _is_var(t) and t[1] in self.binding:
+            chain.append(t[1])
             t = self.binding[t[1]]
+        for key in chain:
+            self.binding[key] = t
         return t
 
     def _occurs(self, key, t) -> bool:
-        t = self.resolve(t)
-        if isinstance(t, tuple) and t[0] == "var":
-            return t[1] == key
-        if isinstance(t, ChanSort):
-            return any(self._occurs(key, p) for p in t.payload)
+        stack = [t]
+        while stack:
+            t = self.resolve(stack.pop())
+            if t == ("var", key):
+                return True
+            if type(t) is ChanSort:
+                stack += t.payload
         return False
 
     def unify(self, t1, t2, span, what: str) -> None:
-        t1, t2 = self.resolve(t1), self.resolve(t2)
-        if t1 == t2:
-            return
-        if isinstance(t1, tuple) and t1[0] == "var":
-            if self._occurs(t1[1], t2):
-                self._err(span, f"recursive channel sort required by {what}")
-                return
-            self.binding[t1[1]] = t2
-            return
-        if isinstance(t2, tuple) and t2[0] == "var":
-            self.unify(t2, t1, span, what)
-            return
-        if isinstance(t1, ChanSort) and isinstance(t2, ChanSort):
-            if len(t1.payload) != len(t2.payload):
-                self._err(span, f"arity mismatch in {what}: "
-                          f"{len(t1.payload)} vs {len(t2.payload)}")
-                return
-            for a, b in zip(t1.payload, t2.payload):
-                self.unify(a, b, span, what)
-            return
-        self._err(span, f"sort mismatch in {what}: {self._show(t1)} vs {self._show(t2)}")
+        """Pairs are unified depth first, left to right, from a stack."""
+        stack = [(t1, t2)]
+        while stack:
+            t1, t2 = stack.pop()
+            t1, t2 = self.resolve(t1), self.resolve(t2)
+            if t1 == t2:
+                continue
+            if _is_var(t2) and not _is_var(t1):
+                t1, t2 = t2, t1  # bind the variable, on whichever side
+            if _is_var(t1):
+                if self._occurs(t1[1], t2):
+                    self._err(span, f"recursive channel sort required by {what}")
+                else:
+                    self.binding[t1[1]] = t2
+            elif type(t1) is ChanSort and type(t2) is ChanSort:
+                if len(t1.payload) != len(t2.payload):
+                    self._err(span, f"arity mismatch in {what}: "
+                              f"{len(t1.payload)} vs {len(t2.payload)}")
+                else:
+                    stack += reversed(list(zip(t1.payload, t2.payload)))
+            else:
+                self._err(span, f"sort mismatch in {what}: "
+                          f"{self._show(t1)} vs {self._show(t2)}")
 
     def _show(self, t) -> str:
-        t = self.resolve(t)
-        if isinstance(t, tuple) and t[0] == "var":
-            return "?"
-        if isinstance(t, ChanSort):
-            return "chan(" + ",".join(self._show(p) for p in t.payload) + ")"
-        return str(t)
+        out, stack = [], [t]
+        while stack:
+            t = self.resolve(stack.pop())  # punctuation resolves to itself
+            if type(t) is ChanSort:
+                out.append("chan(")
+                parts = [x for p in t.payload for x in (",", p)][1:]
+                stack += (")", *reversed(parts))
+            else:
+                out.append("?" if _is_var(t) else str(t))
+        return "".join(out)
 
     def _err(self, span, msg: str) -> None:
         self.diags.append(Diagnostic("error", "E-SORT", msg, span))
@@ -223,34 +240,19 @@ def check_sorts(program) -> list:
             return uni.name_var(v.name)
         return literal_sort(v)
 
-    def walk(p) -> None:
-        if isinstance(p, Par):
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, New):
-            walk(p.body)
-        elif isinstance(p, Repeat):
-            walk(p.body)
-        elif isinstance(p, Out):
+    for p in nodes(program.main):  # pre-order: the order of the diagnostics
+        kind = type(p)
+        if kind is Out or kind is In:
+            role = "output" if kind is Out else "input"
+            term = value_term if kind is Out else uni.name_var
             slots = [uni.fresh_var() for _ in p.objects]
             uni.unify(uni.name_var(p.subject), ChanSort(tuple(slots)),
-                      p.span, f"output on {p.subject.display}")
+                      p.span, f"{role} on {p.subject.display}")
             for slot, v in zip(slots, p.objects):
-                uni.unify(slot, value_term(v), p.span,
-                          f"output payload on {p.subject.display}")
-            walk(p.cont)
-        elif isinstance(p, In):
-            slots = [uni.fresh_var() for _ in p.objects]
-            uni.unify(uni.name_var(p.subject), ChanSort(tuple(slots)),
-                      p.span, f"input on {p.subject.display}")
-            for slot, o in zip(slots, p.objects):
-                uni.unify(slot, uni.name_var(o), p.span,
-                          f"input payload on {p.subject.display}")
-            walk(p.cont)
-        elif isinstance(p, Fusion):
+                uni.unify(slot, term(v), p.span,
+                          f"{role} payload on {p.subject.display}")
+        elif kind is Fusion:
             uni.unify(value_term(p.left), value_term(p.right), p.span, "fusion")
-
-    walk(program.main)
     return uni.diags
 
 
@@ -298,26 +300,23 @@ def check_extern_usage(program) -> list:
         for m in d.methods:
             ret_chan[(d.alias, m.name)] = m.return_channel.display
     diags = []
-    memo = {}  # id(subterm) -> frozenset of the aliases it uses
-
-    def used(p) -> frozenset:
-        got = memo.get(id(p))
-        if got is None:
-            if isinstance(p, Par):
-                got = used(p.left) | used(p.right)
-            elif isinstance(p, (New, Repeat)):
-                got = used(p.body)
-            elif isinstance(p, (Out, In)):
-                got = used(p.cont)
-                if p.subject.id in table:
-                    got = got | {table[p.subject.id][0]}
-            elif isinstance(p, Fusion):
-                got = frozenset(table[v.name.id][0] for v in (p.left, p.right)
-                                if isinstance(v, NameRef) and v.name.id in table)
-            else:
-                got = frozenset()
-            memo[id(p)] = got
-        return got
+    used = {}  # id(subterm) -> frozenset of the aliases it uses
+    for p in reversed(nodes(program.main)):  # every node after its children
+        kind = type(p)
+        if kind is Par:
+            got = used[id(p.left)] | used[id(p.right)]
+        elif kind is New or kind is Repeat:
+            got = used[id(p.body)]
+        elif kind is Out or kind is In:
+            got = used[id(p.cont)]
+            if p.subject.id in table:
+                got = got | {table[p.subject.id][0]}
+        elif kind is Fusion:
+            got = frozenset(table[v.name.id][0] for v in (p.left, p.right)
+                            if isinstance(v, NameRef) and v.name.id in table)
+        else:
+            got = frozenset()
+        used[id(p)] = got
 
     def violation(span, alias, method, action):
         diags.append(Diagnostic(
@@ -325,45 +324,37 @@ def check_extern_usage(program) -> list:
             f"call to {method} on {alias} must be followed by input on "
             f"{ret_chan[(alias, method)]}, found {action}", span))
 
-    def walk(p, pending: dict, warned: frozenset = frozenset()) -> None:
-        # warned: aliases already reported higher up the same flat | chain
-        if isinstance(p, Par):
-            shared = used(p.left) & used(p.right)
+    # (node, alias -> method awaiting its return, aliases already reported
+    # higher up the same flat | chain); pending is never changed in place
+    stack = [(program.main, {}, frozenset())]
+    while stack:
+        p, pending, warned = stack.pop()
+        kind = type(p)
+        if kind is Par:
+            shared = used[id(p.left)] & used[id(p.right)]
             for alias in sorted(shared - warned):
                 diags.append(Diagnostic(
                     "warning", "W-PAR",
                     f"extern block {alias} used from parallel branches; "
                     f"protocol order enforced at run time", p.span))
             warned = warned | shared
-            walk(p.left, dict(pending), warned)
-            walk(p.right, dict(pending), warned)
-        elif isinstance(p, (New, Repeat)):
-            walk(p.body, dict(pending))
-        elif isinstance(p, Out):
-            info = table.get(p.subject.id)
-            if info is not None:
-                alias, role, method = info
-                if pending.get(alias):
-                    violation(p.span, alias, pending[alias],
-                              f"output on {p.subject.display}")
-                elif role == "call":
-                    pending = dict(pending)
-                    pending[alias] = method
-            walk(p.cont, pending)
-        elif isinstance(p, In):
+            stack += ((p.right, pending, warned), (p.left, pending, warned))
+        elif kind is New or kind is Repeat:
+            stack.append((p.body, pending, frozenset()))
+        elif kind is Out or kind is In:
             info = table.get(p.subject.id)
             if info is not None:
                 alias, role, method = info
                 want = pending.get(alias)
-                if want:
-                    if role == "ret" and method == want:
-                        pending = dict(pending)
-                        pending[alias] = None
-                    else:
-                        violation(p.span, alias, want,
-                                  f"input on {p.subject.display}")
-            walk(p.cont, pending)
-        elif isinstance(p, Fusion):
+                if kind is In and want and role == "ret" and method == want:
+                    pending = {**pending, alias: None}
+                elif want:
+                    action = "output" if kind is Out else "input"
+                    violation(p.span, alias, want, f"{action} on {p.subject.display}")
+                elif kind is Out and role == "call":
+                    pending = {**pending, alias: method}
+            stack.append((p.cont, pending, frozenset()))
+        elif kind is Fusion:
             sides = [v.name.id for v in (p.left, p.right)
                      if isinstance(v, NameRef) and v.name.id in table]
             if len(sides) == 2:
@@ -371,6 +362,4 @@ def check_extern_usage(program) -> list:
                     "error", "E-USE",
                     "fusing two extern channels would alias host endpoints",
                     p.span))
-
-    walk(program.main, {})
     return diags

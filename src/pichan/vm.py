@@ -513,20 +513,14 @@ def run(program, seed: int = 0, max_steps: int = DEFAULT_MAX_STEPS,
 
 def detect_stuck(machine: Machine) -> StuckReport:
     """Report the prefixes the soup is blocked on.  Only valid when no redex
-    and no pending host return exist."""
+    and no pending host return exist; every thread is then an output or an
+    input, as a fusion is always a redex and a repeat can always unfold."""
     if machine.enumerate_redexes() or _has_pending(machine):
         raise NotStuck("machine still has redexes or a pending host return")
-    residuals = []
-    for t, env in zip(machine.threads, machine.envs):
-        if isinstance(t, (Out, In)):
-            subject = env.get(t.subject.id, t.subject)
-            residuals.append(("output" if isinstance(t, Out) else "input",
-                              subject.display, len(t.objects)))
-        elif isinstance(t, Repeat):
-            residuals.append(("repeat", "-", 0))
-        elif isinstance(t, Fusion):  # unreachable: fusions are always redexes
-            residuals.append(("fusion", "-", 0))
-    return StuckReport(tuple(residuals))
+    return StuckReport(tuple(
+        ("output" if type(t) is Out else "input",
+         env.get(t.subject.id, t.subject).display, len(t.objects))
+        for t, env in zip(machine.threads, machine.envs)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ The element set follows the core AST, except that one ``<par>`` holds the
 right spine of a ``|`` chain, two or more children: ``Par(a, Par(b, c))``
 is ``<par>a b c</par>``, while a Par in left position nests.  A chain's
 width then adds no depth, and size grows linearly with it.  The reader
-folds children to the right and follows a last child that is a par, so the
-right-nested binary pars of earlier writers read to the same program; as
-every version-1 document still loads unchanged, the version stays "1".
+folds children to the right, so the right-nested binary pars of earlier
+writers read to the same program.
 
-Serialization is deterministic: fixed attribute order, 2-space
-indentation, names written as ``display#id``.  Equal programs produce
-byte-identical documents and ``from_xml(to_xml(p)) == p`` exactly, ids
-included.
+Serialization is deterministic: one element per line with no indentation,
+fixed attribute order, names written as ``display#id``.  Equal programs
+produce byte-identical documents and ``from_xml(to_xml(p)) == p`` exactly,
+ids included.  Whitespace between elements is ignored, so the indented
+documents of earlier writers load too; as every version-1 document still
+loads unchanged, the version stays "1".  Writer and reader use explicit
+stacks, so nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from xml.sax.saxutils import quoteattr
 
 from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil, Out,
                    Par, Process, Repeat, StrLit, SurfaceFormError, UnitLit,
-                   Value, is_core)
+                   Value)
 from .diag import Diagnostic
 from .interop import ExternDecl, MethodDecl
 from .parser import Program
@@ -44,19 +46,10 @@ class VersionError(SchemaError):
 # Writing
 
 
-class _Writer:
-    def __init__(self):
-        self.lines = []
-
-    def emit(self, depth: int, tag: str, attrs=(), close: bool = False):
-        text = "  " * depth + "<" + tag
-        for key, val in attrs:
-            text += f" {key}={quoteattr(val)}"
-        text += "/>" if close else ">"
-        self.lines.append(text)
-
-    def end(self, depth: int, tag: str):
-        self.lines.append("  " * depth + f"</{tag}>")
+def _element(tag: str, attrs=(), close: bool = False) -> str:
+    """One line of the document: an opening (or, with close, empty) tag."""
+    return ("<" + tag + "".join(f" {key}={quoteattr(val)}" for key, val in attrs)
+            + ("/>" if close else ">"))
 
 
 def _name_text(n: Name) -> str:
@@ -79,96 +72,93 @@ def _sorts_attr(sorts: tuple) -> str:
     return ",".join(str(s) for s in sorts)
 
 
-def _write_extern(w: _Writer, d: ExternDecl, depth: int) -> None:
-    w.emit(depth, "extern", [("alias", d.alias), ("class", d.class_name)])
+def _write_extern(lines: list, d: ExternDecl) -> None:
+    lines.append(_element("extern", [("alias", d.alias), ("class", d.class_name)]))
     for m in d.methods:
-        w.emit(depth + 1, "method", [("name", m.name)])
-        w.emit(depth + 2, "call", [("channel", _name_text(m.call_channel)),
-                                   ("params", _sorts_attr(m.param_sorts))],
-               close=True)
-        w.emit(depth + 2, "ret", [("channel", _name_text(m.return_channel)),
-                                  ("result", _sorts_attr(m.return_payload))],
-               close=True)
-        w.emit(depth + 2, "protocol",
-               [("states", str(m.protocol.num_states))])
+        lines += (_element("method", [("name", m.name)]),
+                  _element("call", [("channel", _name_text(m.call_channel)),
+                                    ("params", _sorts_attr(m.param_sorts))], True),
+                  _element("ret", [("channel", _name_text(m.return_channel)),
+                                   ("result", _sorts_attr(m.return_payload))], True),
+                  _element("protocol", [("states", str(m.protocol.num_states))]))
         for (s, chan, payload, t) in m.protocol.transitions:
-            w.emit(depth + 3, "t", [("from", str(s)), ("chan", chan),
-                                    ("payload", _sorts_attr(payload)),
-                                    ("to", str(t))], close=True)
-        w.end(depth + 2, "protocol")
-        w.end(depth + 1, "method")
-    w.end(depth, "extern")
+            lines.append(_element("t", [("from", str(s)), ("chan", chan),
+                                        ("payload", _sorts_attr(payload)),
+                                        ("to", str(t))], True))
+        lines += ("</protocol>", "</method>")
+    lines.append("</extern>")
 
 
-def _write_proc(w: _Writer, p: Process, depth: int) -> None:
-    if isinstance(p, Nil):
-        w.emit(depth, "nil", close=True)
-    elif isinstance(p, Par):
-        w.emit(depth, "par")
-        while isinstance(p, Par):  # the right spine is one element
-            _write_proc(w, p.left, depth + 1)
-            p = p.right
-        _write_proc(w, p, depth + 1)
-        w.end(depth, "par")
-    elif isinstance(p, New):
-        w.emit(depth, "new", [("name", _name_text(p.name))])
-        _write_proc(w, p.body, depth + 1)
-        w.end(depth, "new")
-    elif isinstance(p, Out):
-        w.emit(depth, "out", [("subject", _name_text(p.subject))])
-        for v in p.objects:
-            kind, val = _value_attr(v)
-            w.emit(depth + 1, "arg", [("kind", kind), ("value", val)], close=True)
-        w.emit(depth + 1, "cont")
-        _write_proc(w, p.cont, depth + 2)
-        w.end(depth + 1, "cont")
-        w.end(depth, "out")
-    elif isinstance(p, In):
-        if p.binding:
-            raise SurfaceFormError("binding input cannot be serialized")
-        w.emit(depth, "in", [("subject", _name_text(p.subject))])
-        for n in p.objects:
-            w.emit(depth + 1, "arg", [("kind", "name"),
-                                      ("value", _name_text(n))], close=True)
-        w.emit(depth + 1, "cont")
-        _write_proc(w, p.cont, depth + 2)
-        w.end(depth + 1, "cont")
-        w.end(depth, "in")
-    elif isinstance(p, Repeat):
-        w.emit(depth, "repeat")
-        _write_proc(w, p.body, depth + 1)
-        w.end(depth, "repeat")
-    elif isinstance(p, Fusion):
-        lk, lv = _value_attr(p.left)
-        rk, rv = _value_attr(p.right)
-        w.emit(depth, "fusion", [("left", f"{lk}:{lv}"),
-                                 ("right", f"{rk}:{rv}")], close=True)
-    else:
-        raise TypeError(p)
+def _write_proc(lines: list, p: Process) -> None:
+    """Elements of p in order, from a stack of nodes and closing tags."""
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        kind = type(p)
+        if kind is str:
+            lines.append(p)
+        elif kind is Nil:
+            lines.append("<nil/>")
+        elif kind is Par:
+            spine = []
+            while type(p) is Par:  # the right spine is one element
+                spine.append(p.left)
+                p = p.right
+            lines.append("<par>")
+            stack += ("</par>", p, *reversed(spine))
+        elif kind is New:
+            lines.append(_element("new", [("name", _name_text(p.name))]))
+            stack += ("</new>", p.body)
+        elif kind is Out or kind is In:
+            if kind is In and p.binding:
+                raise SurfaceFormError("binding input cannot be serialized")
+            tag = "out" if kind is Out else "in"
+            lines.append(_element(tag, [("subject", _name_text(p.subject))]))
+            for v in p.objects:
+                vk, val = _value_attr(v) if tag == "out" else ("name", _name_text(v))
+                lines.append(_element("arg", [("kind", vk), ("value", val)], True))
+            lines.append("<cont>")
+            stack += (f"</{tag}>", "</cont>", p.cont)
+        elif kind is Repeat:
+            lines.append("<repeat>")
+            stack += ("</repeat>", p.body)
+        elif kind is Fusion:
+            lk, lv = _value_attr(p.left)
+            rk, rv = _value_attr(p.right)
+            lines.append(_element("fusion", [("left", f"{lk}:{lv}"),
+                                             ("right", f"{rk}:{rv}")], True))
+        else:
+            raise TypeError(p)
 
 
 def to_xml(program: Program) -> str:
-    """Serialize a core program; deterministic byte-for-byte."""
-    if not is_core(program.main):
-        raise SurfaceFormError("program must be desugared before serialization")
-    w = _Writer()
-    w.emit(0, "pic", [("version", XIR_VERSION)])
+    """Serialize a core program, one element per line; deterministic byte
+    for byte.  A binding input raises SurfaceFormError."""
+    lines = [_element("pic", [("version", XIR_VERSION)]),
+             "<externs>" if program.externs else "<externs/>"]
+    for d in program.externs:
+        _write_extern(lines, d)
     if program.externs:
-        w.emit(1, "externs")
-        for d in program.externs:
-            _write_extern(w, d, 2)
-        w.end(1, "externs")
-    else:
-        w.emit(1, "externs", close=True)
-    w.emit(1, "process")
-    _write_proc(w, program.main, 2)
-    w.end(1, "process")
-    w.end(0, "pic")
-    return "\n".join(w.lines) + "\n"
+        lines.append("</externs>")
+    lines.append("<process>")
+    _write_proc(lines, program.main)
+    lines += ("</process>", "</pic>")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Reading
+
+
+def _decimal(text: str, error: str, signed: bool = False) -> int:
+    """int(text) for decimal digits, after one '-' when signed (int() alone
+    also takes "+1" or "1_0"); else, or past int()'s limit, SchemaError."""
+    if (text.removeprefix("-") if signed else text).isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's int-conversion limit
+            pass
+    raise SchemaError(error)
 
 
 def _parse_name(text: str, what: str, names: dict) -> Name:
@@ -176,9 +166,10 @@ def _parse_name(text: str, what: str, names: dict) -> Name:
     n = names.get(text)
     if n is None:
         display, sep, nid = text.rpartition("#")
-        if not sep or not nid.removeprefix("-").isdecimal():
-            raise SchemaError(f"bad name reference {text!r} in {what}")
-        n = names[text] = Name(int(nid), display, "source")
+        error = f"bad name reference {text!r} in {what}"
+        if not sep:
+            raise SchemaError(error)
+        n = names[text] = Name(_decimal(nid, error, True), display, "source")
     return n
 
 
@@ -186,10 +177,7 @@ def _parse_value(kind: str, val: str, what: str, names: dict) -> Value:
     if kind == "name":
         return NameRef(_parse_name(val, what, names))
     if kind == "int":
-        # the source int rule: int() alone would also take "+1" or "1_0"
-        if not val.removeprefix("-").isdecimal():
-            raise SchemaError(f"bad int literal {val!r} in {what}")
-        return IntLit(int(val))
+        return IntLit(_decimal(val, f"bad int literal {val!r} in {what}", True))
     if kind == "str":
         return StrLit(val)
     if kind == "bool":
@@ -225,66 +213,77 @@ def _attrs(elem, required: tuple, what: str) -> list:
 
 
 def _read_proc(elem, names: dict) -> Process:
-    tag = elem.tag
-    if tag == "nil":
-        _attrs(elem, (), "nil")
-        if len(elem) != 0:
-            raise SchemaError("nil takes no children")
-        return Nil()
-    if tag == "par":
-        # children fold to the right; a last child that is a par continues
-        # the spine, so nested binary pars read in the same loop
-        left = []
-        while elem.tag == "par":
+    """The process of elem, from a stack: each element is checked when it
+    is reached, in document order, and its node is built from the top of
+    built once its children are; a par's children fold to the right."""
+    built = []
+    stack = [elem]
+    while stack:
+        elem = stack.pop()
+        if type(elem) is tuple:  # (constructor, fields): the children are built
+            make, fields = elem
+            if make is Par:  # fields is the child count
+                p = built.pop()
+                for _ in range(fields - 1):
+                    p = Par(built.pop(), p)
+                built.append(p)
+            else:
+                built.append(make(*fields, built.pop()))
+            continue
+        tag = elem.tag
+        if tag == "nil":
+            _attrs(elem, (), "nil")
+            if len(elem) != 0:
+                raise SchemaError("nil takes no children")
+            built.append(Nil())
+        elif tag == "par":
             _attrs(elem, (), "par")
             if len(elem) < 2:
                 raise SchemaError("par takes at least 2 children")
-            left += [_read_proc(child, names) for child in elem[:-1]]
-            elem = elem[-1]
-        p = _read_proc(elem, names)
-        for q in reversed(left):
-            p = Par(q, p)
-        return p
-    if tag == "new":
-        (name,) = _attrs(elem, ("name",), "new")
-        if len(elem) != 1:
-            raise SchemaError("new takes exactly 1 child")
-        return New(_parse_name(name, "new", names), _read_proc(elem[0], names))
-    if tag in ("out", "in"):
-        (subject,) = _attrs(elem, ("subject",), tag)
-        if len(elem) == 0 or elem[-1].tag != "cont":
-            raise SchemaError(f"{tag} must end with a cont child")
-        cont_elem = elem[-1]
-        _attrs(cont_elem, (), "cont")
-        if len(cont_elem) != 1:
-            raise SchemaError("cont takes exactly 1 child")
-        args = []
-        for a in elem[:-1]:
-            if a.tag != "arg":
-                raise SchemaError(f"unexpected element {a.tag!r} in {tag}")
-            kind, val = _attrs(a, ("kind", "value"), "arg")
-            args.append(_parse_value(kind, val, tag, names))
-        subj = _parse_name(subject, tag, names)
-        cont = _read_proc(cont_elem[0], names)
-        if tag == "out":
-            return Out(subj, tuple(args), cont)
-        objects = []
-        for v in args:
-            if not isinstance(v, NameRef):
-                raise SchemaError("in arguments must be names")
-            objects.append(v.name)
-        return In(subj, tuple(objects), False, cont)
-    if tag == "repeat":
-        _attrs(elem, (), "repeat")
-        if len(elem) != 1:
-            raise SchemaError("repeat takes exactly 1 child")
-        return Repeat(_read_proc(elem[0], names))
-    if tag == "fusion":
-        left, right = _attrs(elem, ("left", "right"), "fusion")
-        if len(elem) != 0:
-            raise SchemaError("fusion takes no children")
-        return Fusion(_split_value(left, names), _split_value(right, names))
-    raise SchemaError(f"unknown element {tag!r}")
+            stack += ((Par, len(elem)), *reversed(elem))
+        elif tag == "new":
+            (name,) = _attrs(elem, ("name",), "new")
+            if len(elem) != 1:
+                raise SchemaError("new takes exactly 1 child")
+            stack += ((New, (_parse_name(name, "new", names),)), elem[0])
+        elif tag == "repeat":
+            _attrs(elem, (), "repeat")
+            if len(elem) != 1:
+                raise SchemaError("repeat takes exactly 1 child")
+            stack += ((Repeat, ()), elem[0])
+        elif tag == "out" or tag == "in":
+            (subject,) = _attrs(elem, ("subject",), tag)
+            if len(elem) == 0 or elem[-1].tag != "cont":
+                raise SchemaError(f"{tag} must end with a cont child")
+            cont_elem = elem[-1]
+            _attrs(cont_elem, (), "cont")
+            if len(cont_elem) != 1:
+                raise SchemaError("cont takes exactly 1 child")
+            args = []
+            for a in elem[:-1]:
+                if a.tag != "arg":
+                    raise SchemaError(f"unexpected element {a.tag!r} in {tag}")
+                kind, val = _attrs(a, ("kind", "value"), "arg")
+                args.append(_parse_value(kind, val, tag, names))
+            subj = _parse_name(subject, tag, names)
+            make = Out if tag == "out" else _free_input
+            stack += ((make, (subj, tuple(args))), cont_elem[0])
+        elif tag == "fusion":
+            left, right = _attrs(elem, ("left", "right"), "fusion")
+            if len(elem) != 0:
+                raise SchemaError("fusion takes no children")
+            built.append(Fusion(_split_value(left, names),
+                                _split_value(right, names)))
+        else:
+            raise SchemaError(f"unknown element {tag!r}")
+    return built[0]
+
+
+def _free_input(subject: Name, args: tuple, cont: Process) -> In:
+    # runs once the cont is read, so errors inside the cont come first
+    if not all(type(v) is NameRef for v in args):
+        raise SchemaError("in arguments must be names")
+    return In(subject, tuple(v.name for v in args), False, cont)
 
 
 def _split_value(text: str, names: dict) -> Value:
@@ -303,7 +302,7 @@ def _check_protocol(proto: ProtocolAutomaton, method: str) -> None:
             raise SchemaError(
                 f"protocol of {method}: transition state out of range")
         outgoing.add(s)
-    if outgoing != set(range(proto.num_states)):
+    if len(outgoing) != proto.num_states:  # every one is in range
         raise SchemaError(
             f"protocol of {method}: some state has no outgoing transition")
 
@@ -321,18 +320,17 @@ def _read_extern(elem, names: dict) -> ExternDecl:
         chan, params = _attrs(call_elem, ("channel", "params"), "call")
         rchan, result = _attrs(ret_elem, ("channel", "result"), "ret")
         (states,) = _attrs(proto_elem, ("states",), "protocol")
-        if not states.isdecimal():
-            raise SchemaError("protocol states must be a number")
+        states = _decimal(states, "protocol states must be a number")
         transitions = []
         for t in proto_elem:
             if t.tag != "t":
                 raise SchemaError(f"unexpected element {t.tag!r} in protocol")
             frm, tchan, payload, to = _attrs(t, ("from", "chan", "payload", "to"), "t")
-            if not frm.isdecimal() or not to.isdecimal():
-                raise SchemaError("protocol transition states must be numbers")
-            transitions.append((int(frm), tchan,
-                                _parse_sorts(payload, "protocol"), int(to)))
-        proto = ProtocolAutomaton(int(states), tuple(transitions))
+            error = "protocol transition states must be numbers"
+            transitions.append((_decimal(frm, error), tchan,
+                                _parse_sorts(payload, "protocol"),
+                                _decimal(to, error)))
+        proto = ProtocolAutomaton(states, tuple(transitions))
         _check_protocol(proto, mname)
         methods.append(MethodDecl(
             mname, _parse_name(chan, "call", names), _parse_sorts(params, "call"),

@@ -1,0 +1,505 @@
+"""Reference walkers: the recursive process parser, sort checker,
+extern-usage checker and XIR writer and reader that pichan used before its
+walks kept their own stacks.  They overflow the Python stack on deep input
+and copy a scope at every binder, but each is a direct reading of its rule;
+test_deep_inputs checks pichan's versions against them on inputs small
+enough for recursion.
+
+What they share with pichan did not change with the walks: the tokenizer,
+extern blocks, the value and item rules of the parser, and the XIR
+reader's attribute, name and extern helpers.  The XIR writer here indents
+by two spaces per level, as it did.
+"""
+
+from __future__ import annotations
+
+import xml.etree.ElementTree as ET
+from xml.sax.saxutils import quoteattr
+
+from pichan.core import (Fusion, In, Name, NameRef, NameSupply, New, Nil,
+                         Out, Par, Process, Repeat, SurfaceFormError,
+                         name_scan)
+from pichan.diag import Diagnostic
+from pichan.parser import Program, _Parser, tokenize
+from pichan.typecheck import (ChanSort, _decl_channel_sorts,
+                              extern_channel_table, literal_sort)
+from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _attrs,
+                        _name_text, _parse_name, _parse_value, _read_extern,
+                        _sorts_attr, _split_value, _value_attr)
+
+# ---------------------------------------------------------------------------
+# Parser
+
+
+class _RecursiveParser(_Parser):
+    def lookup(self, tok, scope: dict) -> Name:
+        if tok.text in scope:
+            return scope[tok.text]
+        if tok.text in self.globals:
+            return self.globals[tok.text]
+        if tok.text not in self.free:
+            self.free[tok.text] = self.supply.fresh(tok.text, "source")
+        return self.free[tok.text]
+
+    def _bind_copy(self, toks: list, scope: dict) -> tuple:
+        names = [self.supply.fresh(tok.text, "source") for tok in toks]
+        return names, {**scope, **{t.text: n for t, n in zip(toks, names)}}
+
+    def parse_proc(self, scope: dict) -> Process:
+        left = self.parse_term(scope)
+        if self.peek().kind == "|":
+            bar = self.next()
+            right = self.parse_proc(scope)
+            return Par(left, right, span=bar.span)
+        return left
+
+    def _cont(self, scope: dict) -> Process:
+        if self.peek().kind == ".":
+            self.next()
+            return self.parse_term(scope)
+        return Nil()
+
+    def parse_term(self, scope: dict) -> Process:
+        t = self.peek()
+        if t.kind == "nil":
+            self.next()
+            return Nil(span=t.span)
+        if t.kind == "(":
+            self.next()
+            p = self.parse_proc(scope)
+            self.expect(")")
+            return p
+        if t.kind == "new":
+            self.next()
+            binders = self._items(lambda: self.expect("ident"))
+            self.expect("in")
+            names, scope = self._bind_copy(binders, scope)
+            body = self.parse_term(scope)
+            for name in reversed(names):
+                body = New(name, body, span=t.span)
+            return body
+        if t.kind == "repeat":
+            self.next()
+            return Repeat(self.parse_term(scope), span=t.span)
+        if t.kind == "ident" and self.peek(1).kind in ("!", "?"):
+            self.next()
+            subj = self.lookup(t, scope)
+            if self.next().kind == "!":
+                self.expect("(")
+                objs = self._items(lambda: self._value(self.next(), scope),
+                                   ")")
+                self.expect(")")
+                return Out(subj, tuple(objs), self._cont(scope), span=t.span)
+            open_tok = self.next()
+            if open_tok.kind == "(":
+                params = self._items(lambda: self.expect("ident"), ")")
+                self.expect(")")
+                names, scope = self._bind_copy(params, scope)
+                return In(subj, tuple(names), True, self._cont(scope),
+                          span=t.span)
+            if open_tok.kind == "<":
+                names = self._items(
+                    lambda: self.lookup(self.expect("ident"), scope), ">")
+                self.expect(">")
+                return In(subj, tuple(names), False, self._cont(scope),
+                          span=t.span)
+            self.fail("expected '(' or '<' after '?'", open_tok)
+        left = self._value(self.next(), scope)
+        eq = self.expect("=")
+        right = self._value(self.next(), scope)
+        return Fusion(left, right, span=eq.span)
+
+
+def parse_program(text: str, filename: str = "<input>") -> Program:
+    parser = _RecursiveParser(tokenize(text, filename), NameSupply())
+    externs = []
+    while parser.peek().kind == "extern":
+        externs.append(parser.parse_extern())
+    if parser.peek().kind == "eof":
+        parser.fail("expected a process")
+    main = parser.parse_proc({})
+    parser.expect("eof")
+    return Program(tuple(externs), main)
+
+
+# ---------------------------------------------------------------------------
+# Sort checking
+
+
+class _Unifier:
+    def __init__(self):
+        self.binding: dict = {}
+        self._fresh = 0
+        self.diags: list = []
+
+    def fresh_var(self):
+        self._fresh += 1
+        return ("var", ("t", self._fresh))
+
+    def name_var(self, name):
+        return ("var", ("n", name.id))
+
+    def resolve(self, t):
+        while isinstance(t, tuple) and t[0] == "var" and t[1] in self.binding:
+            t = self.binding[t[1]]
+        return t
+
+    def _occurs(self, key, t) -> bool:
+        t = self.resolve(t)
+        if isinstance(t, tuple) and t[0] == "var":
+            return t[1] == key
+        if isinstance(t, ChanSort):
+            return any(self._occurs(key, p) for p in t.payload)
+        return False
+
+    def unify(self, t1, t2, span, what: str) -> None:
+        t1, t2 = self.resolve(t1), self.resolve(t2)
+        if t1 == t2:
+            return
+        if isinstance(t1, tuple) and t1[0] == "var":
+            if self._occurs(t1[1], t2):
+                self._err(span, f"recursive channel sort required by {what}")
+                return
+            self.binding[t1[1]] = t2
+            return
+        if isinstance(t2, tuple) and t2[0] == "var":
+            self.unify(t2, t1, span, what)
+            return
+        if isinstance(t1, ChanSort) and isinstance(t2, ChanSort):
+            if len(t1.payload) != len(t2.payload):
+                self._err(span, f"arity mismatch in {what}: "
+                          f"{len(t1.payload)} vs {len(t2.payload)}")
+                return
+            for a, b in zip(t1.payload, t2.payload):
+                self.unify(a, b, span, what)
+            return
+        self._err(span, f"sort mismatch in {what}: {self._show(t1)} vs {self._show(t2)}")
+
+    def _show(self, t) -> str:
+        t = self.resolve(t)
+        if isinstance(t, tuple) and t[0] == "var":
+            return "?"
+        if isinstance(t, ChanSort):
+            return "chan(" + ",".join(self._show(p) for p in t.payload) + ")"
+        return str(t)
+
+    def _err(self, span, msg: str) -> None:
+        self.diags.append(Diagnostic("error", "E-SORT", msg, span))
+
+
+def check_sorts(program) -> list:
+    uni = _Unifier()
+    for d in program.externs:
+        for nid, sort in _decl_channel_sorts(d).items():
+            uni.binding[("n", nid)] = sort
+
+    def value_term(v):
+        if isinstance(v, NameRef):
+            return uni.name_var(v.name)
+        return literal_sort(v)
+
+    def walk(p) -> None:
+        if isinstance(p, Par):
+            walk(p.left)
+            walk(p.right)
+        elif isinstance(p, New):
+            walk(p.body)
+        elif isinstance(p, Repeat):
+            walk(p.body)
+        elif isinstance(p, Out):
+            slots = [uni.fresh_var() for _ in p.objects]
+            uni.unify(uni.name_var(p.subject), ChanSort(tuple(slots)),
+                      p.span, f"output on {p.subject.display}")
+            for slot, v in zip(slots, p.objects):
+                uni.unify(slot, value_term(v), p.span,
+                          f"output payload on {p.subject.display}")
+            walk(p.cont)
+        elif isinstance(p, In):
+            slots = [uni.fresh_var() for _ in p.objects]
+            uni.unify(uni.name_var(p.subject), ChanSort(tuple(slots)),
+                      p.span, f"input on {p.subject.display}")
+            for slot, o in zip(slots, p.objects):
+                uni.unify(slot, uni.name_var(o), p.span,
+                          f"input payload on {p.subject.display}")
+            walk(p.cont)
+        elif isinstance(p, Fusion):
+            uni.unify(value_term(p.left), value_term(p.right), p.span, "fusion")
+
+    walk(program.main)
+    return uni.diags
+
+
+# ---------------------------------------------------------------------------
+# Extern usage
+
+
+def check_extern_usage(program) -> list:
+    table = extern_channel_table(program.externs)
+    ret_chan = {}
+    for d in program.externs:
+        for m in d.methods:
+            ret_chan[(d.alias, m.name)] = m.return_channel.display
+    diags = []
+    memo = {}
+
+    def used(p) -> frozenset:
+        got = memo.get(id(p))
+        if got is None:
+            if isinstance(p, Par):
+                got = used(p.left) | used(p.right)
+            elif isinstance(p, (New, Repeat)):
+                got = used(p.body)
+            elif isinstance(p, (Out, In)):
+                got = used(p.cont)
+                if p.subject.id in table:
+                    got = got | {table[p.subject.id][0]}
+            elif isinstance(p, Fusion):
+                got = frozenset(table[v.name.id][0] for v in (p.left, p.right)
+                                if isinstance(v, NameRef) and v.name.id in table)
+            else:
+                got = frozenset()
+            memo[id(p)] = got
+        return got
+
+    def violation(span, alias, method, action):
+        diags.append(Diagnostic(
+            "error", "E-USE",
+            f"call to {method} on {alias} must be followed by input on "
+            f"{ret_chan[(alias, method)]}, found {action}", span))
+
+    def walk(p, pending: dict, warned: frozenset = frozenset()) -> None:
+        if isinstance(p, Par):
+            shared = used(p.left) & used(p.right)
+            for alias in sorted(shared - warned):
+                diags.append(Diagnostic(
+                    "warning", "W-PAR",
+                    f"extern block {alias} used from parallel branches; "
+                    f"protocol order enforced at run time", p.span))
+            warned = warned | shared
+            walk(p.left, dict(pending), warned)
+            walk(p.right, dict(pending), warned)
+        elif isinstance(p, (New, Repeat)):
+            walk(p.body, dict(pending))
+        elif isinstance(p, Out):
+            info = table.get(p.subject.id)
+            if info is not None:
+                alias, role, method = info
+                if pending.get(alias):
+                    violation(p.span, alias, pending[alias],
+                              f"output on {p.subject.display}")
+                elif role == "call":
+                    pending = dict(pending)
+                    pending[alias] = method
+            walk(p.cont, pending)
+        elif isinstance(p, In):
+            info = table.get(p.subject.id)
+            if info is not None:
+                alias, role, method = info
+                want = pending.get(alias)
+                if want:
+                    if role == "ret" and method == want:
+                        pending = dict(pending)
+                        pending[alias] = None
+                    else:
+                        violation(p.span, alias, want,
+                                  f"input on {p.subject.display}")
+            walk(p.cont, pending)
+        elif isinstance(p, Fusion):
+            sides = [v.name.id for v in (p.left, p.right)
+                     if isinstance(v, NameRef) and v.name.id in table]
+            if len(sides) == 2:
+                diags.append(Diagnostic(
+                    "error", "E-USE",
+                    "fusing two extern channels would alias host endpoints",
+                    p.span))
+
+    walk(program.main, {})
+    return diags
+
+
+# ---------------------------------------------------------------------------
+# XIR writer (indented) and reader
+
+
+class _Writer:
+    def __init__(self):
+        self.lines = []
+
+    def emit(self, depth: int, tag: str, attrs=(), close: bool = False):
+        text = "  " * depth + "<" + tag
+        for key, val in attrs:
+            text += f" {key}={quoteattr(val)}"
+        text += "/>" if close else ">"
+        self.lines.append(text)
+
+    def end(self, depth: int, tag: str):
+        self.lines.append("  " * depth + f"</{tag}>")
+
+
+def _write_extern(w: _Writer, d, depth: int) -> None:
+    w.emit(depth, "extern", [("alias", d.alias), ("class", d.class_name)])
+    for m in d.methods:
+        w.emit(depth + 1, "method", [("name", m.name)])
+        w.emit(depth + 2, "call", [("channel", _name_text(m.call_channel)),
+                                   ("params", _sorts_attr(m.param_sorts))],
+               close=True)
+        w.emit(depth + 2, "ret", [("channel", _name_text(m.return_channel)),
+                                  ("result", _sorts_attr(m.return_payload))],
+               close=True)
+        w.emit(depth + 2, "protocol",
+               [("states", str(m.protocol.num_states))])
+        for (s, chan, payload, t) in m.protocol.transitions:
+            w.emit(depth + 3, "t", [("from", str(s)), ("chan", chan),
+                                    ("payload", _sorts_attr(payload)),
+                                    ("to", str(t))], close=True)
+        w.end(depth + 2, "protocol")
+        w.end(depth + 1, "method")
+    w.end(depth, "extern")
+
+
+def _write_proc(w: _Writer, p: Process, depth: int) -> None:
+    if isinstance(p, Nil):
+        w.emit(depth, "nil", close=True)
+    elif isinstance(p, Par):
+        w.emit(depth, "par")
+        while isinstance(p, Par):
+            _write_proc(w, p.left, depth + 1)
+            p = p.right
+        _write_proc(w, p, depth + 1)
+        w.end(depth, "par")
+    elif isinstance(p, New):
+        w.emit(depth, "new", [("name", _name_text(p.name))])
+        _write_proc(w, p.body, depth + 1)
+        w.end(depth, "new")
+    elif isinstance(p, Out):
+        w.emit(depth, "out", [("subject", _name_text(p.subject))])
+        for v in p.objects:
+            kind, val = _value_attr(v)
+            w.emit(depth + 1, "arg", [("kind", kind), ("value", val)], close=True)
+        w.emit(depth + 1, "cont")
+        _write_proc(w, p.cont, depth + 2)
+        w.end(depth + 1, "cont")
+        w.end(depth, "out")
+    elif isinstance(p, In):
+        if p.binding:
+            raise SurfaceFormError("binding input cannot be serialized")
+        w.emit(depth, "in", [("subject", _name_text(p.subject))])
+        for n in p.objects:
+            w.emit(depth + 1, "arg", [("kind", "name"),
+                                      ("value", _name_text(n))], close=True)
+        w.emit(depth + 1, "cont")
+        _write_proc(w, p.cont, depth + 2)
+        w.end(depth + 1, "cont")
+        w.end(depth, "in")
+    elif isinstance(p, Repeat):
+        w.emit(depth, "repeat")
+        _write_proc(w, p.body, depth + 1)
+        w.end(depth, "repeat")
+    elif isinstance(p, Fusion):
+        lk, lv = _value_attr(p.left)
+        rk, rv = _value_attr(p.right)
+        w.emit(depth, "fusion", [("left", f"{lk}:{lv}"),
+                                 ("right", f"{rk}:{rv}")], close=True)
+    else:
+        raise TypeError(p)
+
+
+def to_xml(program: Program) -> str:
+    if not name_scan(program.main)[1]:
+        raise SurfaceFormError("program must be desugared before serialization")
+    w = _Writer()
+    w.emit(0, "pic", [("version", XIR_VERSION)])
+    if program.externs:
+        w.emit(1, "externs")
+        for d in program.externs:
+            _write_extern(w, d, 2)
+        w.end(1, "externs")
+    else:
+        w.emit(1, "externs", close=True)
+    w.emit(1, "process")
+    _write_proc(w, program.main, 2)
+    w.end(1, "process")
+    w.end(0, "pic")
+    return "\n".join(w.lines) + "\n"
+
+
+def _read_proc(elem, names: dict) -> Process:
+    tag = elem.tag
+    if tag == "nil":
+        _attrs(elem, (), "nil")
+        if len(elem) != 0:
+            raise SchemaError("nil takes no children")
+        return Nil()
+    if tag == "par":
+        left = []
+        while elem.tag == "par":
+            _attrs(elem, (), "par")
+            if len(elem) < 2:
+                raise SchemaError("par takes at least 2 children")
+            left += [_read_proc(child, names) for child in elem[:-1]]
+            elem = elem[-1]
+        p = _read_proc(elem, names)
+        for q in reversed(left):
+            p = Par(q, p)
+        return p
+    if tag == "new":
+        (name,) = _attrs(elem, ("name",), "new")
+        if len(elem) != 1:
+            raise SchemaError("new takes exactly 1 child")
+        return New(_parse_name(name, "new", names), _read_proc(elem[0], names))
+    if tag in ("out", "in"):
+        (subject,) = _attrs(elem, ("subject",), tag)
+        if len(elem) == 0 or elem[-1].tag != "cont":
+            raise SchemaError(f"{tag} must end with a cont child")
+        cont_elem = elem[-1]
+        _attrs(cont_elem, (), "cont")
+        if len(cont_elem) != 1:
+            raise SchemaError("cont takes exactly 1 child")
+        args = []
+        for a in elem[:-1]:
+            if a.tag != "arg":
+                raise SchemaError(f"unexpected element {a.tag!r} in {tag}")
+            kind, val = _attrs(a, ("kind", "value"), "arg")
+            args.append(_parse_value(kind, val, tag, names))
+        subj = _parse_name(subject, tag, names)
+        cont = _read_proc(cont_elem[0], names)
+        if tag == "out":
+            return Out(subj, tuple(args), cont)
+        objects = []
+        for v in args:
+            if not isinstance(v, NameRef):
+                raise SchemaError("in arguments must be names")
+            objects.append(v.name)
+        return In(subj, tuple(objects), False, cont)
+    if tag == "repeat":
+        _attrs(elem, (), "repeat")
+        if len(elem) != 1:
+            raise SchemaError("repeat takes exactly 1 child")
+        return Repeat(_read_proc(elem[0], names))
+    if tag == "fusion":
+        left, right = _attrs(elem, ("left", "right"), "fusion")
+        if len(elem) != 0:
+            raise SchemaError("fusion takes no children")
+        return Fusion(_split_value(left, names), _split_value(right, names))
+    raise SchemaError(f"unknown element {tag!r}")
+
+
+def from_xml(document) -> Program:
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        raise SchemaError(f"not well-formed XML: {exc}")
+    if root.tag != "pic":
+        raise SchemaError(f"root element must be pic, found {root.tag!r}")
+    (version,) = _attrs(root, ("version",), "pic")
+    if version != XIR_VERSION:
+        raise VersionError(f"unsupported version {version!r}")
+    if len(root) != 2 or root[0].tag != "externs" or root[1].tag != "process":
+        raise SchemaError("pic must contain externs then process")
+    _attrs(root[0], (), "externs")
+    _attrs(root[1], (), "process")
+    names = {}
+    externs = tuple(_read_extern(e, names) for e in root[0])
+    if len(root[1]) != 1:
+        raise SchemaError("process takes exactly 1 child")
+    return Program(externs, _read_proc(root[1][0], names))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pichan.core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
                          NameRef, NameSupply, New, Nil, Out, Par, Repeat,
                          StrLit, SurfaceFormError, canonical_key, congruent,
-                         free_names, fused_equal, is_core, merge, name_scan,
+                         free_names, fused_equal, merge, name_scan,
                          par_all, process_size)
 
 from randgen import gen_process
@@ -370,9 +370,9 @@ def test_congruent_par_laws_generated(seed):
 
 def test_is_core():
     x, v = _names("x", "v")
-    assert is_core(Out(x, (), Nil()))
-    assert not is_core(Repeat(In(x, (v,), True, Nil())))
-    assert is_core(In(x, (v,), False, Nil()))
+    assert name_scan(Out(x, (), Nil()))[1]
+    assert not name_scan(Repeat(In(x, (v,), True, Nil())))[1]
+    assert name_scan(In(x, (v,), False, Nil()))[1]
 
 
 def test_process_size_counts_occurrences():

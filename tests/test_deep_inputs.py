@@ -1,0 +1,251 @@
+"""Deep input and the explicit-stack walks: every shape of deep_inputs.py
+through `cli.main`, and the parser, checkers and XIR writer and reader
+against the recursive reference walkers in reference_recursive.py."""
+
+import random
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pichan.cli import EXIT_STUCK, main
+from pichan.core import nodes
+from pichan.diag import ParseError
+from pichan.parser import desugar, format_program, parse_program
+from pichan.typecheck import check_extern_usage, check_sorts
+from pichan.xir import SchemaError, from_xml, to_xml
+
+import reference_recursive as ref
+from deep_inputs import SHAPES, run_shape
+from golden_traces import corpus
+from randgen import gen_program
+from test_parser import ACCOUNT_EXTERN
+
+# ---------------------------------------------------------------------------
+# deep shapes at 10^4, and a 10^5-deep XIR document
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.__name__)
+def test_deep_shape_gets_its_exit_codes(shape, tmp_path):
+    got = run_shape(shape, 10_000, tmp_path)
+    assert tuple(code for _, code, _ in got) == SHAPES[shape]
+
+
+def _left_nested_par_document(depth):
+    """A <par> nested depth deep in left position, each with an output on
+    its right: one element per line, as to_xml writes it."""
+    out = '<out subject="a#0">\n<cont>\n<nil/>\n</cont>\n</out>\n'
+    return ('<pic version="1">\n<externs/>\n<process>\n' + "<par>\n" * depth
+            + out + (out + "</par>\n") * depth + "</process>\n</pic>\n")
+
+
+def test_run_100000_deep_left_nested_par(tmp_path, capsys):
+    doc = _left_nested_par_document(100_000)
+    assert to_xml(from_xml(doc)) == doc  # not ==: dataclass __eq__ recurses
+    path = tmp_path / "deep.xir.xml"
+    path.write_text(doc)
+    assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STUCK
+    err = capsys.readouterr().err
+    assert err.count("blocked output on a/0") == 100_001
+
+
+# ---------------------------------------------------------------------------
+# the parser and both checkers against the recursive walkers
+
+
+def _shown(text, parse=parse_program, sorts=check_sorts,
+           usage=check_extern_usage):
+    """Everything a parse shows: each node's kind and span in pre-order,
+    the desugared XIR (ids included) and both checkers' diagnostics; or
+    the ParseError's diagnostics."""
+    try:
+        program = parse(text, "f.pi")
+    except ParseError as exc:
+        return [str(d) for d in exc.diagnostics]
+    core = desugar(program)
+    return ([(type(n).__name__, n.span) for n in nodes(program.main)],
+            to_xml(core), [str(d) for d in sorts(core)],
+            [str(d) for d in usage(core)])
+
+
+def _reference(text):
+    return _shown(text, ref.parse_program, ref.check_sorts,
+                  ref.check_extern_usage)
+
+
+_SOUP = st.lists(st.sampled_from([
+    "x", "y", "v", "w", "new", "in", "repeat", "nil", "(", ")", "|", ".",
+    "!", "?", "<", ">", ",", "=", "1", '"s"', "true", "unit", "x!()",
+    "x?(v)", "y!(v)", "v?<w>", "new v, v in", "x?(v, v)", "//", "\n",
+]), max_size=25).map(" ".join)
+
+
+@given(_SOUP)
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_reference_on_token_soup(text):
+    assert _shown(text) == _reference(text)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_parse_matches_reference_on_formatted_programs(seed):
+    text = format_program(gen_program(random.Random(seed), max_nodes=60))
+    assert _shown(text) == _reference(text)
+
+
+# actions that may prefix a continuation, and terms that end a chain;
+# together they disagree on arities and payload sorts, fuse literals with
+# channels and pass channels over themselves
+_ACTIONS = ["a!(1)", 'a!("s")', "a!(b)", "a!(a)", "b!(1, 2)", "b!()",
+            "b?(x)", "a?(x)", "a?<c>", "c!(true)", "d!(d)", "x?(y, z)",
+            "y!(z)", "d?(p)", "p?(q)", "q!(1)", "p!(q)", "e!(e, 1)",
+            'g!("s", true)', "f!(b)", "f!(g)"]
+_ENDS = ["nil", "x!(1)", 'x!("s")', "a = b", "1 = c", '"s" = c', "c = d",
+         "z!(unit)", "q = a", "x = y"]
+
+
+_WRAPPERS = ["{}", "({})", "new e in {}", "repeat {}", "b?(x).({})",
+             "new e in ({0} | {0})", "repeat ({0} | x!(1))"]
+
+
+def _programs(actions, ends, head=""):
+    """head, then 1-5 wrapped chains of up to four actions and an end,
+    joined by |."""
+    chain = st.builds(lambda acts, end: ".".join(acts + [end]),
+                      st.lists(st.sampled_from(actions), max_size=4),
+                      st.sampled_from(ends))
+    term = st.builds(str.format, st.sampled_from(_WRAPPERS), chain)
+    return st.lists(term, min_size=1, max_size=5).map(
+        lambda terms: head + " | ".join(terms))
+
+
+@given(_programs(_ACTIONS, _ENDS))
+@settings(max_examples=300, deadline=None)
+def test_checks_match_reference_on_sort_errors(text):
+    assert _shown(text) == _reference(text)
+
+
+_EXTERN_ACTIONS = ["read!()", "readn!()", "Ret2?(v)", "Ret1?()", "Ret2?<w>",
+                   "x!(v)", "v?(u)"]
+_EXTERN_ENDS = ["nil", "read!()", "Ret1?()", "read = readn", "v = 1",
+                "read = x"]
+
+
+@given(_programs(_EXTERN_ACTIONS, _EXTERN_ENDS, ACCOUNT_EXTERN))
+@settings(max_examples=300, deadline=None)
+def test_checks_match_reference_on_extern_use(text):
+    assert _shown(text) == _reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    # f's payload unifies chan(int,int) with chan(string,bool): two errors
+    # from one unification, reported left to right
+    'b!(1, 2) | g!("s", true) | f!(b) | f!(g)',
+    'b!(1, 2) | g!("s", true) | h!(k) | k!(b) | h!(m) | m!(g)',
+    'u!(1) | w!("s") | y!(true) | b!(u, u) | g!(w, y) | f!(b) | f!(g)',
+])
+def test_checks_match_reference_on_nested_mismatches(text):
+    got = _shown(text)
+    assert got == _reference(text)
+    assert len(got[2]) >= 2
+
+
+def test_checks_match_reference_on_deep_sorts():
+    # a channel passed over the next one, 200 deep: one long chan(...) in
+    # a mismatch, and a chain of variables that resolve compresses
+    text = " | ".join(f"c{i}!(c{i + 1})" for i in range(200)) + " | c0!(1)"
+    got = _shown(text)
+    assert got == _reference(text)
+    assert "chan(chan(chan(" in got[2][0]
+
+
+# ---------------------------------------------------------------------------
+# XIR: one element per line, old indented documents, mutants
+
+
+def _core_programs():
+    seen = set()
+    for _, program, _, _ in corpus():
+        if id(program) not in seen:
+            seen.add(id(program))
+            yield desugar(program)
+    for seed in range(60):
+        yield desugar(gen_program(random.Random(seed), max_nodes=40))
+    yield desugar(parse_program(ACCOUNT_EXTERN + "read!() | Ret2?(v).(v=1 "
+                                "| repeat nil) | x?(a, b).a!(b, 1, \"s\", "
+                                "true, unit)"))
+
+
+def test_writer_is_the_reference_unindented():
+    for program in _core_programs():
+        old = ref.to_xml(program)
+        new = to_xml(program)
+        assert new == re.sub(r"(?m)^ +", "", old)
+        # the indented form loads to the same program
+        assert to_xml(from_xml(old)) == new
+
+
+def _read(reader, text):
+    try:
+        return to_xml(reader(text))
+    except SchemaError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _mutants(text, rng):
+    """Single edits at every element, then random pairs of them."""
+    edits = []
+    for m in re.finditer(r"<(/?)(\w+)", text):
+        edits.append((m.start(2), m.start(2), "zz"))  # rename the tag
+    for m in re.finditer(r"<\w+[^<>]*/>\n?", text):
+        edits.append((m.start(), m.end(), ""))  # drop an empty element
+    for m in re.finditer(r"^.*\n", text, re.M):
+        edits.append((m.start(), m.end(), ""))  # drop a line
+        edits.append((m.start(), m.start(), m.group()))  # repeat a line
+    for m in re.finditer(r'"([^"]*)"', text):
+        for value in ("x", "1", "name", "int", "0#1", "", "-1"):
+            edits.append((m.start(1), m.end(1), value))
+    singles = [[e] for e in edits]
+    pairs = [rng.sample(edits, 2) for _ in range(len(edits))]
+    for group in singles + pairs:
+        out = text
+        for start, end, value in sorted(group, reverse=True):
+            if end <= len(out):
+                out = out[:start] + value + out[end:]
+        yield out
+
+
+def test_reader_matches_reference_on_mutants():
+    rng = random.Random(7)
+    programs = list(_core_programs())
+    docs = [to_xml(p) for p in programs[-1:] + rng.sample(programs, 6)]
+    count = 0
+    for doc in docs:
+        for mutant in _mutants(doc, rng):
+            assert _read(from_xml, mutant) == _read(ref.from_xml, mutant), mutant
+            count += 1
+    assert count > 1000
+
+
+def _process_document(process):
+    return f'<pic version="1"><externs/><process>{process}</process></pic>'
+
+
+@pytest.mark.parametrize("process,message", [
+    # the cont is read before an in's arguments are checked to be names
+    ('<in subject="x#0"><arg kind="int" value="1"/><cont><widget/></cont>'
+     '</in>', "unknown element 'widget'"),
+    # a new's name before its child, an out's arguments before its subject
+    ('<new name="a"><widget/></new>', "bad name reference 'a' in new"),
+    ('<out subject="x"><arg kind="int" value="x"/><cont><nil/></cont></out>',
+     "bad int literal 'x' in out"),
+    # a par's children in order, each one whole before the next
+    ('<par><par><widget/><nil/></par><gadget/></par>',
+     "unknown element 'widget'"),
+    ('<par><nil/><par><gadget/><nil/></par><par/></par>',
+     "unknown element 'gadget'"),
+])
+def test_reader_reports_the_first_error_the_reference_does(process, message):
+    doc = _process_document(process)
+    assert _read(from_xml, doc) == _read(ref.from_xml, doc)
+    assert _read(from_xml, doc) == ("SchemaError", message)

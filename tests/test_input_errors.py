@@ -1,0 +1,122 @@
+"""Unreadable and oversized input: every case ends in its documented exit
+code and diagnostic, never a traceback."""
+
+import json
+
+import pytest
+
+from pichan.cli import EXIT_IO, EXIT_SYNTAX, EXIT_TYPE, main
+from pichan.ifgen import ManifestParseError, load_manifest
+from pichan.parser import desugar, parse_program
+from pichan.xir import SchemaError, from_xml, to_xml, validate
+
+from test_parser import ACCOUNT_EXTERN
+
+# more digits than int() converts from text under the default limit
+LONG = "1" * 5000
+
+# ---------------------------------------------------------------------------
+# bytes that are not UTF-8
+
+
+@pytest.mark.parametrize("command", ["check", "compile", "run"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "bad.pi"
+    path.write_bytes(b"x!(1) | \xff\n")
+    argv = [command, str(path)] + (["-o", str(tmp_path / "o")]
+                                   if command == "compile" else [])
+    assert main(argv) == EXIT_IO
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"class": "A\xff"}')
+    assert main(["gen-iface", str(path), "--alias", "A",
+                 "-o", str(tmp_path / "o.pi")]) == EXIT_SYNTAX
+    assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# manifests of the wrong shape
+
+
+@pytest.mark.parametrize("raw", [
+    {"class": "A", "methods": 5},
+    {"class": "A", "methods": [{"name": "m", "params": 5}]},
+    {"class": "A", "methods": [{"name": "m", "params": [[1]]}]},
+    {"class": "A", "methods": [{"name": "m", "returns": []}]},
+])
+def test_manifest_of_the_wrong_shape_exits_1(tmp_path, capsys, raw):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ManifestParseError):
+        load_manifest(path)
+    assert main(["gen-iface", str(path), "--alias", "A",
+                 "-o", str(tmp_path / "o.pi")]) == EXIT_SYNTAX
+    assert "error:" in capsys.readouterr().err
+
+
+def test_manifest_nested_100000_deep_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"class": "A", "methods": ' + "[" * 100_000
+                    + "]" * 100_000 + "}")
+    with pytest.raises(ManifestParseError):
+        load_manifest(path)
+    assert main(["gen-iface", str(path), "--alias", "A",
+                 "-o", str(tmp_path / "o.pi")]) == EXIT_SYNTAX
+
+
+# ---------------------------------------------------------------------------
+# integers past the int-conversion limit
+
+
+def test_long_int_in_source_is_e_syntax(tmp_path, capsys):
+    path = tmp_path / "long.pi"
+    path.write_text(f"x!({LONG})\n")
+    assert main(["check", str(path)]) == EXIT_SYNTAX
+    out = capsys.readouterr().out
+    assert "long.pi:1:4: error E-SYNTAX integer literal has too many digits" in out
+
+
+def _out_document(subject, arg):
+    return ('<pic version="1"><externs/><process>'
+            f'<out subject="{subject}">{arg}<cont><nil/></cont></out>'
+            '</process></pic>')
+
+
+@pytest.mark.parametrize("doc", [
+    _out_document(f"x#{LONG}", ""),
+    _out_document("x#0", f'<arg kind="int" value="{LONG}"/>'),
+    _out_document("x#0", f'<arg kind="int" value="-{LONG}"/>'),
+    _out_document("x#0", f'<arg kind="name" value="y#{LONG}"/>'),
+], ids=["subject-id", "int", "negative-int", "object-id"])
+def test_long_number_in_xir_is_e_schema(tmp_path, capsys, doc):
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
+    path = tmp_path / "long.xir.xml"
+    path.write_text(doc)
+    assert main(["run", str(path)]) == EXIT_TYPE
+    assert "error: bad" in capsys.readouterr().err
+
+
+def _account_document():
+    return to_xml(desugar(parse_program(ACCOUNT_EXTERN + "read!()")))
+
+
+@pytest.mark.parametrize("old,new", [
+    ('states="2"', f'states="{LONG}"'),
+    ('from="0"', f'from="{LONG}"'),
+    ('to="1"', f'to="{LONG}"'),
+], ids=["states", "from", "to"])
+def test_long_protocol_number_is_e_schema(old, new):
+    doc = _account_document().replace(old, new, 1)
+    assert doc != _account_document()
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
+
+
+def test_huge_state_count_is_checked_without_a_set_of_states():
+    # every transition is in range, so only the count can be short; a set
+    # of all 10^9 states is never built
+    doc = _account_document().replace('states="2"', 'states="1000000000"', 1)
+    with pytest.raises(SchemaError, match="some state has no outgoing"):
+        from_xml(doc)

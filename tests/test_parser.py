@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (Fusion, In, IntLit, NameRef, NameSupply, New, Nil,
-                         Out, Par, Repeat, StrLit, free_names, is_core)
+                         Out, Par, Repeat, StrLit, free_names, name_scan)
 from pichan.diag import ParseError
 from pichan.parser import (Program, desugar, format_program, parse_program,
                            program_alpha_eq, tokenize)
@@ -186,7 +186,7 @@ def test_desugar_binding_input():
     assert isinstance(inp, In) and not inp.binding
     assert inp.objects == (p.name,)
     assert inp.cont == Out(p.name, (), Nil())
-    assert is_core(p)
+    assert name_scan(p)[1]
 
 
 def test_desugar_zero_arity_flag_only():
@@ -213,7 +213,7 @@ def test_desugar_nested_no_capture():
 def test_desugar_idempotent_and_preserves_free_names(seed):
     program = gen_program(random.Random(seed))
     once = desugar(program)
-    assert is_core(once.main)
+    assert name_scan(once.main)[1]
     assert desugar(once) == once
     assert free_names(once.main) == free_names(program.main)
 
