@@ -131,13 +131,6 @@ def cmd_geniface(args) -> int:
     return EXIT_OK
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("PIC_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pichan",
                                  description="pi-calculus toolchain")
@@ -171,7 +164,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     if getattr(args, "seed", None) is None and args.command == "run":
-        args.seed = _default_seed()
+        text = os.environ.get("PIC_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            print(f"error: PIC_SEED must be an integer, found {text!r}",
+                  file=sys.stderr)
+            return EXIT_SYNTAX
     if getattr(args, "seed", None) is not None and args.seed < 0:
         print("error: seed must be non-negative", file=sys.stderr)
         return EXIT_SYNTAX

@@ -259,15 +259,6 @@ class FusionEnv:
         # indexes by root (the VM's soup index) drains it
         self.union_log: list[tuple[int, int]] = []
 
-    def copy(self) -> "FusionEnv":
-        env = FusionEnv()
-        env._parent = dict(self._parent)
-        env._rank = dict(self._rank)
-        env._attach = dict(self._attach)
-        env._names = dict(self._names)
-        env.union_log = list(self.union_log)
-        return env
-
     def _find(self, nid: int) -> int:
         root = nid
         while self._parent.get(root, root) != root:
@@ -349,14 +340,6 @@ class FusionEnv:
         if prev is not None and not self._literals_equal(prev, lit):
             raise FusionClash(f"cannot fuse literals {prev} and {lit}")
         self._attach[root] = lit
-
-
-def fused_equal(env: FusionEnv, a: Value, b: Value) -> bool:
-    return env.fused_equal(a, b)
-
-
-def merge(env: FusionEnv, a: Value, b: Value) -> FusionEnv:
-    return env.merge(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 This is the stand-in for a real foreign runtime: a registry of host classes
 with signature tables, bound to extern declarations at startup but
 instantiated lazily at first call so that declaration order can never be
-observed through constructor side effects.  Every call/return is checked
-against the method's protocol automaton at run time.
+observed through constructor side effects.  A call to an endpoint that has
+a staged return is refused, so calls and returns follow the canonical
+call-then-return protocol.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import Name
-from .typecheck import INT, ProtocolAutomaton, canonical_protocol
+from .typecheck import INT, ProtocolAutomaton
 
 
 class DuplicateClass(Exception):
@@ -55,10 +56,6 @@ class MethodDecl:
     protocol: ProtocolAutomaton
     protocol_declared: bool = field(compare=False, default=False)
     span: object = field(compare=False, default=None)
-
-    def canonical_automaton(self) -> ProtocolAutomaton:
-        return canonical_protocol(self.call_channel.display, self.param_sorts,
-                                  self.return_channel.display, self.return_payload)
 
 
 @dataclass(frozen=True)
@@ -117,36 +114,20 @@ class HostRegistry:
 
 
 class Endpoint:
-    """Runtime state for one extern declaration: lazily created instance,
-    per-method protocol monitor state, and at most one staged return."""
+    """Runtime state for one extern declaration: lazily created instance
+    and at most one staged return, the endpoint's only protocol state."""
 
     def __init__(self, decl: ExternDecl, host: HostClass):
         self.decl = decl
         self.host = host
         self.instance = None  # Uninstantiated until first call
-        self.monitor = {m.name: 0 for m in decl.methods}
         self.pending: Optional[tuple[str, object]] = None  # (method, value)
-
-    @property
-    def live(self) -> bool:
-        return self.instance is not None
 
     def method(self, name: str) -> MethodDecl:
         for m in self.decl.methods:
             if m.name == name:
                 return m
         raise KeyError(name)
-
-    def call_accepted(self, method: MethodDecl) -> bool:
-        tm = method.protocol.transition_map()
-        return (self.monitor[method.name], method.call_channel.display) in tm
-
-    def copy(self) -> "Endpoint":
-        ep = Endpoint(self.decl, self.host)
-        ep.instance = self.instance
-        ep.monitor = dict(self.monitor)
-        ep.pending = self.pending
-        return ep
 
 
 def resolve_externs(decls, registry: HostRegistry) -> dict:
@@ -181,16 +162,10 @@ _RETURN_TYPES = {"void": type(None), "unit": type(None), "int": int,
 
 def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
                   registry: HostRegistry, step: int) -> None:
-    """Run one host call: instantiate on first use, advance the monitor,
-    invoke the host function, check its result against the declared return
-    sort and stage it for return delivery."""
+    """Run one host call: refuse it while a return is staged, instantiate on
+    first use, invoke the host function, check its result against the
+    declared return sort and stage it for return delivery."""
     m = endpoint.method(method_name)
-    tm = m.protocol.transition_map()
-    key = (endpoint.monitor[method_name], m.call_channel.display)
-    if key not in tm:
-        raise ProtocolViolation(
-            f"call to {method_name} on {endpoint.decl.alias} violates its "
-            f"protocol (awaiting return?)")
     if endpoint.pending is not None:
         raise ProtocolViolation(
             f"call to {method_name} on {endpoint.decl.alias} while a return "
@@ -199,7 +174,6 @@ def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
     if endpoint.instance is None:
         endpoint.instance = endpoint.host.constructor(log)
     endpoint.instance._pichan_log = log
-    endpoint.monitor[method_name] = tm[key][1]
     fn = getattr(endpoint.instance, method_name)
     try:
         value = fn(*args)
@@ -213,19 +187,11 @@ def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
 
 
 def complete_return(endpoint: Endpoint) -> tuple[str, object]:
-    """Consume the staged return, advancing the monitor back along the
-    return transition.  The caller fuses the value with the receiver."""
+    """Consume the staged return.  The caller fuses the value with the
+    receiver."""
     if endpoint.pending is None:
         raise ProtocolViolation(f"no pending return on {endpoint.decl.alias}")
     method_name, value = endpoint.pending
-    m = endpoint.method(method_name)
-    tm = m.protocol.transition_map()
-    key = (endpoint.monitor[method_name], m.return_channel.display)
-    if key not in tm:
-        raise ProtocolViolation(
-            f"return from {method_name} on {endpoint.decl.alias} violates "
-            f"its protocol")
-    endpoint.monitor[method_name] = tm[key][1]
     endpoint.pending = None
     return method_name, value
 

@@ -110,6 +110,7 @@ class _Parser:
         self.pos = 0
         self.supply = supply
         self.globals: dict[str, Name] = {}  # extern channels
+        self.aliases: set[str] = set()  # extern aliases
         self.free: dict[str, Name] = {}  # free names of main
 
     # -- token plumbing
@@ -137,7 +138,11 @@ class _Parser:
 
     def parse_extern(self) -> ExternDecl:
         start = self.expect("extern")
-        alias = self.expect("ident").text
+        alias_tok = self.expect("ident")
+        alias = alias_tok.text
+        if alias in self.aliases:
+            self.fail(f"extern alias {alias} declared twice", alias_tok)
+        self.aliases.add(alias)
         self.expect("->")
         self.expect("class")
         cls = self.expect("ident").text
@@ -560,12 +565,11 @@ def _format_extern(d: ExternDecl, names: dict) -> str:
 
 def _protocol_text(auto: ProtocolAutomaton) -> str:
     # protocols parse from a linear rec body; rebuild it from state 0
-    tm = auto.transition_map()
     steps = []
     state = 0
     for _ in range(auto.num_states):
-        outs = [(c, v) for (s, c), v in tm.items() if s == state]
-        chan, (payload, nxt) = outs[0]
+        chan, payload, nxt = next((c, pl, t) for (s, c, pl, t)
+                                  in auto.transitions if s == state)
         args = ", ".join(str(s) for s in payload)
         steps.append(f"{chan}({args})")
         state = nxt

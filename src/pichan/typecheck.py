@@ -9,7 +9,6 @@ cycle; anything else parses but is rejected here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .core import (BoolLit, Fusion, In, IntLit, NameRef, New, Out, Par,
@@ -66,23 +65,11 @@ def literal_sort(v) -> BaseSort:
 
 @dataclass(frozen=True)
 class ProtocolAutomaton:
-    """Deterministic automaton over channel names; state 0 is the start and
-    every transition sequence loops back to it (protocols are recursive)."""
+    """Automaton over channel names; state 0 is the start and every
+    transition sequence loops back to it (protocols are recursive)."""
 
     num_states: int
     transitions: tuple  # tuple of (state, channel: str, payload: tuple, next_state)
-
-    def transition_map(self) -> dict:
-        """(state, channel) -> (payload, next state); built once, since the
-        automaton is frozen.  Callers must not mutate it."""
-        return self._transition_map
-
-    @cached_property
-    def _transition_map(self) -> dict:
-        return {(s, c): (pl, t) for (s, c, pl, t) in self.transitions}
-
-    def channels(self) -> set:
-        return {c for (_, c, _, _) in self.transitions}
 
 
 def canonical_protocol(call_channel: str, param_sorts: tuple,
@@ -94,46 +81,20 @@ def canonical_protocol(call_channel: str, param_sorts: tuple,
     ))
 
 
-def automata_isomorphic(a: ProtocolAutomaton, b: ProtocolAutomaton) -> bool:
-    """Start-preserving isomorphism on the reachable parts."""
-    ta, tb = a.transition_map(), b.transition_map()
-    mapping = {0: 0}
-    rev = {0: 0}
-    todo = [0]
-    seen_a = set()
-    while todo:
-        sa = todo.pop()
-        if sa in seen_a:
-            continue
-        seen_a.add(sa)
-        sb = mapping[sa]
-        outs_a = {c: v for (s, c), v in ta.items() if s == sa}
-        outs_b = {c: v for (s, c), v in tb.items() if s == sb}
-        if set(outs_a) != set(outs_b):
-            return False
-        for c, (pl_a, na) in outs_a.items():
-            pl_b, nb = outs_b[c]
-            if tuple(pl_a) != tuple(pl_b):
-                return False
-            if na in mapping:
-                if mapping[na] != nb:
-                    return False
-            elif nb in rev:
-                return False
-            else:
-                mapping[na] = nb
-                rev[nb] = na
-            todo.append(na)
-    # all of b's reachable states must have been matched
-    reach_b = {0}
-    frontier = [0]
-    while frontier:
-        s = frontier.pop()
-        for (ss, _), (_, t) in tb.items():
-            if ss == s and t not in reach_b:
-                reach_b.add(t)
-                frontier.append(t)
-    return reach_b == set(rev)
+def is_canonical(method) -> bool:
+    """Whether the part of method's protocol reachable from state 0 is the
+    call-then-return cycle: the start's one transition is the call, to
+    another state whose one transition is the return, back to the start."""
+    def moves(state):
+        return [(c, tuple(pl), t) for (s, c, pl, t) in method.protocol.transitions
+                if s == state]
+    start = moves(0)
+    if len(start) != 1 or start[0][:2] != (method.call_channel.display,
+                                           tuple(method.param_sorts)):
+        return False
+    mid = start[0][2]
+    return mid != 0 and moves(mid) == [(method.return_channel.display,
+                                        tuple(method.return_payload), 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +222,12 @@ def check_sorts(program) -> list:
 
 
 def check_protocol_schema(decl) -> list:
-    """Each method's automaton must be exactly the canonical call-then-return
-    cycle (an omitted clause was already synthesized to it by the parser)."""
-    diags = []
-    for m in decl.methods:
-        canon = canonical_protocol(m.call_channel.display, tuple(m.param_sorts),
-                                   m.return_channel.display, tuple(m.return_payload))
-        if not automata_isomorphic(m.protocol, canon):
-            diags.append(Diagnostic(
-                "error", "E-PROTO",
-                f"protocol for method {m.name} of {decl.alias} is not the "
-                f"canonical call-then-return cycle", m.span))
-    return diags
+    """Each method's automaton must be the canonical call-then-return cycle
+    (an omitted clause was already synthesized to it by the parser)."""
+    return [Diagnostic("error", "E-PROTO",
+                       f"protocol for method {m.name} of {decl.alias} is not "
+                       f"the canonical call-then-return cycle", m.span)
+            for m in decl.methods if not is_canonical(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +247,9 @@ def extern_channel_table(externs) -> dict:
 def check_extern_usage(program) -> list:
     """Conservative per-thread walk: after a call the same thread's next
     action on that extern block must be the paired return input.  Parallel
-    use of one block is downgraded to a warning; the runtime monitor is
-    authoritative there, and each flat | chain warns once per alias."""
+    use of one block is downgraded to a warning, as the VM lets a call wait
+    while its endpoint has a staged return; each flat | chain warns once per
+    alias."""
     table = extern_channel_table(program.externs)
     ret_chan = {}  # (alias, method) -> return channel display
     for d in program.externs:

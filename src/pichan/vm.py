@@ -9,7 +9,6 @@ traces on any platform.
 
 from __future__ import annotations
 
-import copy
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -142,34 +141,6 @@ class Machine:
         m.add_thread(program.main, {})
         return m
 
-    def copy(self) -> "Machine":
-        m = Machine(self._copy_registry())
-        m.threads = list(self.threads)
-        m.envs = list(self.envs)
-        m._seqs = list(self._seqs)
-        m._outs, m._ins = _copy_buckets(self._outs), _copy_buckets(self._ins)
-        m._live = set(self._live)
-        m._fusions = set(self._fusions)
-        m._repeats = dict(self._repeats)
-        m._actions = self._actions
-        m.env = self.env.copy()
-        m.endpoints = {}
-        for alias, ep in self.endpoints.items():
-            ep2 = ep.copy()
-            ep2.host = m.registry.classes[ep.host.class_name]
-            if ep.instance is not None:
-                ep2.instance = copy.deepcopy(ep.instance)
-            m.endpoints[alias] = ep2
-        m.supply = NameSupply(self.supply._next)
-        m.step_index = self.step_index
-        return m
-
-    def _copy_registry(self) -> HostRegistry:
-        reg = HostRegistry()
-        reg.classes = dict(self.registry.classes)
-        reg.effect_log = list(self.registry.effect_log)
-        return reg
-
     # -- soup maintenance
 
     def add_thread(self, p: Process, env: dict) -> None:
@@ -264,10 +235,10 @@ class Machine:
     def enumerate_redexes(self, strict: bool = True) -> list:
         """All enabled redexes in a deterministic order: by thread position,
         then kind (comm < fusion < unfold < host-call < host-return), then
-        partner position.  strict=True gates host calls on the protocol
-        monitor and per-endpoint pending return (the normal scheduler);
-        strict=False offers every call attempt so an adversarial scheduler
-        can expose protocol violations.
+        partner position.  strict=True offers a host call only while its
+        endpoint has no staged return (the normal scheduler); strict=False
+        offers every call attempt so an adversarial scheduler can expose
+        protocol violations.
 
         Reads the persistent soup index, so the cost is O(redexes * log
         threads) plus the repeats and extern methods; idle threads cost
@@ -297,8 +268,7 @@ class Machine:
                   if self._unfold_wanted(actions, calls, returns)]
         for r, (alias, m) in calls.items():
             ep = self.endpoints[alias]
-            if r in outs and (not strict or (ep.pending is None
-                                             and ep.call_accepted(m))):
+            if r in outs and (not strict or ep.pending is None):
                 for bucket in outs[r].values():
                     found += [("host-call", i, alias, m.name)
                               for i in map(at, bucket)]
@@ -427,11 +397,6 @@ def _resolve(v: Value, env: dict) -> Value:
     return v
 
 
-def _copy_buckets(table: dict) -> dict:
-    return {r: {arity: set(bucket) for arity, bucket in by_arity.items()}
-            for r, by_arity in table.items()}
-
-
 def _host_value(v: Value):
     if isinstance(v, IntLit):
         return v.value
@@ -532,13 +497,21 @@ def explore_runs(program, registry_builder, max_depth: int = 20,
                  strict: bool = False) -> list:
     """Depth-first exploration of every redex choice.  Returns a list of
     (event kind tuple, status) per maximal run (depth-capped runs get
-    status 'depth-limit')."""
+    status 'depth-limit').  A machine follows its first redex; each other
+    one replays its path of redexes on a fresh Machine.initialize, so
+    registry_builder must build equal fresh registries."""
     from .interop import build_std_registry
     registry_builder = registry_builder or build_std_registry
-    root = Machine.initialize(program, registry_builder())
     results = []
 
-    def rec(machine: Machine, kinds: tuple, depth: int) -> None:
+    def fresh(path: tuple) -> Machine:
+        machine = Machine.initialize(program, registry_builder())
+        for redex in path:
+            machine.execute(redex)
+            machine.step_index += 1
+        return machine
+
+    def rec(machine: Machine, path: tuple, kinds: tuple, depth: int) -> None:
         redexes = machine.enumerate_redexes(strict=strict)
         if not redexes:
             if machine.threads or _has_pending(machine):
@@ -549,8 +522,8 @@ def explore_runs(program, registry_builder, max_depth: int = 20,
         if depth == 0:
             results.append((kinds, "depth-limit"))
             return
-        for redex in redexes:
-            m2 = machine.copy()
+        for k, redex in enumerate(redexes):
+            m2 = machine if k == 0 else fresh(path)
             try:
                 ev = m2.execute(redex)
             except FusionClash:
@@ -560,7 +533,7 @@ def explore_runs(program, registry_builder, max_depth: int = 20,
                 results.append((kinds + ("violation",), "violation"))
                 continue
             m2.step_index += 1
-            rec(m2, kinds + (ev.kind,), depth - 1)
+            rec(m2, path + (redex,), kinds + (ev.kind,), depth - 1)
 
-    rec(root, (), max_depth)
+    rec(fresh(()), (), (), max_depth)
     return results

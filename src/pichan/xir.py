@@ -28,7 +28,7 @@ from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil, Out,
 from .diag import Diagnostic
 from .interop import ExternDecl, MethodDecl
 from .parser import Program
-from .typecheck import ProtocolAutomaton, base_sort
+from .typecheck import ProtocolAutomaton, base_sort, is_canonical
 
 XIR_VERSION = "1"
 FILE_EXTENSION = ".xir.xml"
@@ -332,10 +332,14 @@ def _read_extern(elem, names: dict) -> ExternDecl:
                                 _decimal(to, error)))
         proto = ProtocolAutomaton(states, tuple(transitions))
         _check_protocol(proto, mname)
-        methods.append(MethodDecl(
+        m = MethodDecl(
             mname, _parse_name(chan, "call", names), _parse_sorts(params, "call"),
             _parse_name(rchan, "ret", names), _parse_sorts(result, "ret"), proto,
-            protocol_declared=True))
+            protocol_declared=True)
+        if not is_canonical(m):
+            raise SchemaError(f"protocol of {mname} is not the canonical "
+                              f"call-then-return cycle")
+        methods.append(m)
     return ExternDecl(alias, cls, tuple(methods))
 
 
@@ -360,6 +364,11 @@ def from_xml(document) -> Program:
     _attrs(root[1], (), "process")
     names = {}
     externs = tuple(_read_extern(e, names) for e in root[0])
+    aliases = set()
+    for d in externs:
+        if d.alias in aliases:
+            raise SchemaError(f"extern alias {d.alias} declared twice")
+        aliases.add(d.alias)
     if len(root[1]) != 1:
         raise SchemaError("process takes exactly 1 child")
     return Program(externs, _read_proc(root[1][0], names))

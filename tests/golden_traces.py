@@ -9,6 +9,13 @@ the VM scopes `new` at run time: binders under nested `repeat`s, one binder
 re-bound on every unfold, and one `new` over a wide `|`.  They were recorded
 with the substitution VM, before threads carried environments.
 
+A third, golden/explore_runs.json, holds the sha256 of the list that
+vm.explore_runs returns (every run's event kinds and status, in the order
+of the depth-first search) for the samples, a sequential double call on
+Account, small host-worker and echo programs, the scoping families and 30
+randgen programs.  It was recorded with the VM that explored by copying
+machines, before explore_runs replayed each path on a fresh machine.
+
 Re-record only for a deliberate change of semantics:
 
     PYTHONPATH=src python tests/golden_traces.py
@@ -21,14 +28,16 @@ import json
 import random
 from pathlib import Path
 
+from pichan.interop import build_std_registry
 from pichan.parser import parse_program
-from pichan.vm import DEFAULT_MAX_STEPS, run
+from pichan.vm import DEFAULT_MAX_STEPS, explore_runs, run
 
 from randgen import gen_program
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "traces.json"
 ENV_GOLDEN = HERE / "golden" / "env_traces.json"
+EXPLORE_GOLDEN = HERE / "golden" / "explore_runs.json"
 SAMPLES = HERE.parent / "samples"
 SAMPLE_SEEDS = range(5)
 RANDGEN_PROGRAMS = 50
@@ -40,6 +49,12 @@ HOST_COUNTERS = 3
 HOST_CONSOLES = 2
 ENV_MAX_STEPS = 60
 WIDE_NEW = 50
+EXPLORE_RANDGEN = 30
+EXPLORE_DEPTH = 7  # for the scoping families and the randgen programs
+ACCOUNT = """extern FClass -> class Account {
+  int read() { call read: void; return Ret2: int; }
+}
+"""
 
 
 def echo_source(clients: int) -> str:
@@ -132,6 +147,35 @@ def corpus():
             yield f"{name}@{seed}", program, seed, max_steps
 
 
+def explore_corpus():
+    """Yield (name, program, max_depth, strict) for every explore_runs
+    entry; the samples and host programs are explored both ways."""
+    both = [(path.name, parse_program(path.read_text()), 20)
+            for path in sorted(SAMPLES.glob("*.pi"))]
+    both += [
+        ("sequential-reads", parse_program(
+            ACCOUNT + "read!() | read!() | Ret2?(v) | Ret2?(w)"), 20),
+        ("host2", parse_program(host_source(2)), 20),
+        ("echo1", parse_program(echo_source(1)), 12),
+    ]
+    for name, program, depth in both:
+        for strict in (False, True):
+            yield f"{name}/{'strict' if strict else 'loose'}", program, depth, strict
+    yield "nested3", parse_program(nested_repeat_source()), EXPLORE_DEPTH, False
+    yield "rebind", parse_program(rebind_source()), EXPLORE_DEPTH, False
+    yield "widenew6", parse_program(wide_new_source(6)), EXPLORE_DEPTH, False
+    for k in range(EXPLORE_RANDGEN):
+        program = gen_program(random.Random(k), with_externs=False,
+                              max_nodes=RANDGEN_MAX_NODES)
+        yield f"randgen{k}", program, EXPLORE_DEPTH, False
+
+
+def explore_digest(program, max_depth: int, strict: bool) -> str:
+    runs = explore_runs(program, build_std_registry, max_depth=max_depth,
+                        strict=strict)
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+
+
 def digest(program, seed: int, max_steps: int) -> str:
     trace = run(program, seed=seed, max_steps=max_steps)
     text = json.dumps([trace.lines(), trace.status])
@@ -149,3 +193,8 @@ if __name__ == "__main__":
                  for name, program, seed, max_steps in entries}
         path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(table)} digests to {path}")
+    table = {name: explore_digest(program, max_depth, strict)
+             for name, program, max_depth, strict in explore_corpus()}
+    EXPLORE_GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True)
+                              + "\n")
+    print(f"wrote {len(table)} digests to {EXPLORE_GOLDEN}")

@@ -80,8 +80,7 @@ def enumerate_redexes(m: Machine, strict: bool = True) -> list:
             if hit is not None:
                 alias, meth = hit
                 ep = m.endpoints[alias]
-                if not strict or (ep.pending is None
-                                  and ep.call_accepted(meth)):
+                if not strict or ep.pending is None:
                     redexes.append(("host-call", i, alias, meth.name))
         elif isinstance(t, In):
             alias = _pending_return_match(m, t)

@@ -13,15 +13,16 @@ from pichan.core import (In, IntLit, NameRef, NameSupply, Out, Par,
 from pichan.interop import ExternDecl, MethodDecl, build_std_registry, resolve_externs
 from pichan.parser import (Program, _extern_eq, desugar, format_program,
                            parse_program, program_alpha_eq)
-from pichan.typecheck import (INT, ProtocolAutomaton, automata_isomorphic,
-                              canonical_protocol, check_extern_usage,
-                              check_protocol_schema, check_sorts)
+from pichan.typecheck import (INT, ProtocolAutomaton, canonical_protocol,
+                              check_extern_usage, check_protocol_schema,
+                              check_sorts)
 from pichan.vm import explore_runs, run
 from pichan.xir import from_xml, to_xml
 from pichan.ifgen import ACCOUNT_MANIFEST, generate_interface, parse_manifest
 
 from axiom_oracle import alpha_key, closure_components
 from randgen import gen_program
+from reference_protocol import automata_isomorphic
 from term_enum import enumerate_terms
 from test_parser import ACCOUNT_EXTERN
 

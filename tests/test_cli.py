@@ -12,6 +12,7 @@ from pichan.ifgen import ACCOUNT_MANIFEST
 from test_parser import ACCOUNT_EXTERN
 
 ACCOUNT_PROGRAM = ACCOUNT_EXTERN + "read!() | Ret2?(v).nil\n"
+SAMPLES_DIR = Path(__file__).resolve().parent.parent / "samples"
 
 
 @pytest.fixture
@@ -201,6 +202,79 @@ def test_negative_seed_rejected(account_src, tmp_path):
     assert main(["run", str(out), "--seed", "-1"]) == EXIT_SYNTAX
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "0x10"])
+def test_malformed_pic_seed_rejected(account_src, tmp_path, capsys,
+                                     monkeypatch, value):
+    out = _compile(account_src, tmp_path)
+    capsys.readouterr()
+    monkeypatch.setenv("PIC_SEED", value)
+    assert main(["run", str(out)]) == EXIT_SYNTAX
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: PIC_SEED must be an integer, "
+                            f"found {value!r}\n")
+    # --seed overrides the environment, which is then not read
+    assert main(["run", str(out), "--seed", "0"]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# duplicate extern aliases and non-canonical protocols in XIR
+
+
+DUPLICATE_ALIAS = """extern A -> class Counter {
+  int inc() { call inc: void; return R1: int; }
+}
+extern A -> class Console {
+  void print(int) { call print: int; return R2: void; }
+}
+inc!().R1?(v).print!(v).R2?()
+"""
+
+
+def test_duplicate_extern_alias_is_syntax_error(tmp_path, capsys):
+    src = tmp_path / "dup.pi"
+    src.write_text(DUPLICATE_ALIAS)
+    want = f"{src}:4:8: error E-SYNTAX extern alias A declared twice\n"
+    assert main(["check", str(src)]) == EXIT_SYNTAX
+    assert capsys.readouterr().out == want
+    out = tmp_path / "dup.xir.xml"
+    assert main(["compile", str(src), "-o", str(out)]) == EXIT_SYNTAX
+    assert capsys.readouterr().out == want
+    assert not out.exists()
+
+
+def test_duplicate_extern_alias_in_xir_exit_2(tmp_path, capsys):
+    src = tmp_path / "two.pi"
+    src.write_text(DUPLICATE_ALIAS.replace("extern A -> class Console",
+                                           "extern B -> class Console"))
+    doc = _compile(src, tmp_path)
+    text = doc.read_text(encoding="utf-8")
+    doc.write_text(text.replace('alias="B"', 'alias="A"'), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", str(doc)]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: extern alias A declared twice\n"
+
+
+def test_run_non_canonical_protocol_exit_2(tmp_path, capsys):
+    # read loops on the start state, so the return has no transition
+    out = tmp_path / "account.xir.xml"
+    assert main(["compile", str(SAMPLES_DIR / "account.pi"),
+                 "-o", str(out)]) == EXIT_OK
+    text = out.read_text(encoding="utf-8")
+    old = '<t from="0" chan="read" payload="" to="1"/>'
+    assert text.count(old) == 1
+    out.write_text(text.replace(old, old.replace('to="1"', 'to="0"')),
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", str(out), "--seed", "0"]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: protocol of read is not the canonical "
+                            "call-then-return cycle\n")
+
+
 # ---------------------------------------------------------------------------
 # gen-iface
 
@@ -223,7 +297,7 @@ def test_gen_iface_bad_manifest(tmp_path):
                  "-o", str(tmp_path / "o.pi")]) == EXIT_SYNTAX
 
 
-SAMPLES = sorted((Path(__file__).parent.parent / "samples").glob("*.pi"))
+SAMPLES = sorted(SAMPLES_DIR.glob("*.pi"))
 
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)

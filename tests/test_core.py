@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from pichan.core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
                          NameRef, NameSupply, New, Nil, Out, Par, Repeat,
                          StrLit, SurfaceFormError, canonical_key, congruent,
-                         free_names, fused_equal, merge, name_scan,
-                         par_all, process_size)
+                         free_names, name_scan, par_all, process_size)
 
 from randgen import gen_process
 from substitution import substitute
@@ -140,72 +139,72 @@ def test_substitute_free_name_law(seed):
 def test_fused_equal_after_merge():
     x, y = _names("x", "y")
     env = FusionEnv()
-    merge(env, NameRef(x), NameRef(y))
-    assert fused_equal(env, NameRef(x), NameRef(y))
+    env.merge(NameRef(x), NameRef(y))
+    assert env.fused_equal(NameRef(x), NameRef(y))
 
 
 def test_fused_equal_distinct_names_empty_env():
     x, y = _names("x", "y")
     env = FusionEnv()
-    assert not fused_equal(env, NameRef(x), NameRef(y))
+    assert not env.fused_equal(NameRef(x), NameRef(y))
 
 
 def test_fused_equal_transitive():
     x, y, z = _names("x", "y", "z")
     env = FusionEnv()
-    merge(env, NameRef(x), NameRef(y))
-    merge(env, NameRef(y), NameRef(z))
-    assert fused_equal(env, NameRef(x), NameRef(z))
+    env.merge(NameRef(x), NameRef(y))
+    env.merge(NameRef(y), NameRef(z))
+    assert env.fused_equal(NameRef(x), NameRef(z))
 
 
 def test_merge_reflexive_noop():
     x = _names("x")[0]
     env = FusionEnv()
-    merge(env, NameRef(x), NameRef(x))
-    assert fused_equal(env, NameRef(x), NameRef(x))
+    env.merge(NameRef(x), NameRef(x))
+    assert env.fused_equal(NameRef(x), NameRef(x))
     assert env.attached_literal(x) is None
 
 
 def test_merge_literal_attachment_idempotent():
     x = _names("x")[0]
     env = FusionEnv()
-    merge(env, NameRef(x), IntLit(5))
-    merge(env, NameRef(x), IntLit(5))
+    env.merge(NameRef(x), IntLit(5))
+    env.merge(NameRef(x), IntLit(5))
     assert env.attached_literal(x) == IntLit(5)
-    assert fused_equal(env, NameRef(x), IntLit(5))
+    assert env.fused_equal(NameRef(x), IntLit(5))
 
 
 def test_merge_literal_clash():
     x = _names("x")[0]
     env = FusionEnv()
-    merge(env, NameRef(x), IntLit(5))
+    env.merge(NameRef(x), IntLit(5))
     with pytest.raises(FusionClash):
-        merge(env, NameRef(x), IntLit(6))
+        env.merge(NameRef(x), IntLit(6))
 
 
 def test_merge_clash_through_classes():
     x, y = _names("x", "y")
     env = FusionEnv()
-    merge(env, NameRef(x), IntLit(5))
-    merge(env, NameRef(y), IntLit(6))
+    env.merge(NameRef(x), IntLit(5))
+    env.merge(NameRef(y), IntLit(6))
     with pytest.raises(FusionClash):
-        merge(env, NameRef(x), NameRef(y))
+        env.merge(NameRef(x), NameRef(y))
 
 
 def test_merge_literal_literal():
     env = FusionEnv()
-    merge(env, StrLit("a"), StrLit("a"))
+    env.merge(StrLit("a"), StrLit("a"))
     with pytest.raises(FusionClash):
-        merge(env, BoolLit(True), BoolLit(False))
+        env.merge(BoolLit(True), BoolLit(False))
 
 
 def test_bool_and_int_literals_never_fuse():
     # bool is not int even where the host language thinks 1 == True
     x = _names("x")[0]
     env = FusionEnv()
-    merge(env, NameRef(x), IntLit(1))
+    env.merge(NameRef(x), IntLit(1))
     with pytest.raises(FusionClash):
-        merge(env, NameRef(x), BoolLit(True))
+        env.merge(NameRef(x), BoolLit(True))
 
 
 @given(st.integers(0, 10**6))
@@ -218,13 +217,13 @@ def test_merge_order_independence(seed):
     rng.shuffle(perm)
     env1, env2 = FusionEnv(), FusionEnv()
     for a, b in pairs:
-        merge(env1, NameRef(a), NameRef(b))
+        env1.merge(NameRef(a), NameRef(b))
     for a, b in perm:
-        merge(env2, NameRef(a), NameRef(b))
+        env2.merge(NameRef(a), NameRef(b))
     for a in names:
         for b in names:
-            assert (fused_equal(env1, NameRef(a), NameRef(b))
-                    == fused_equal(env2, NameRef(a), NameRef(b)))
+            assert (env1.fused_equal(NameRef(a), NameRef(b))
+                    == env2.fused_equal(NameRef(a), NameRef(b)))
 
 
 @given(st.integers(0, 10**6))
@@ -234,24 +233,17 @@ def test_fused_equal_is_equivalence(seed):
     names = _names(*"abcde")
     env = FusionEnv()
     for _ in range(5):
-        merge(env, NameRef(rng.choice(names)), NameRef(rng.choice(names)))
+        env.merge(NameRef(rng.choice(names)), NameRef(rng.choice(names)))
     refs = [NameRef(n) for n in names]
     for a in refs:
-        assert fused_equal(env, a, a)
+        assert env.fused_equal(a, a)
         for b in refs:
-            assert fused_equal(env, a, b) == fused_equal(env, b, a)
+            assert env.fused_equal(a, b) == env.fused_equal(b, a)
             for c in refs:
-                if fused_equal(env, a, b) and fused_equal(env, b, c):
-                    assert fused_equal(env, a, c)
+                if env.fused_equal(a, b) and env.fused_equal(b, c):
+                    assert env.fused_equal(a, c)
 
 
-def test_fusion_env_copy_isolated():
-    x, y = _names("x", "y")
-    env = FusionEnv()
-    snap = env.copy()
-    merge(env, NameRef(x), NameRef(y))
-    assert fused_equal(env, NameRef(x), NameRef(y))
-    assert not fused_equal(snap, NameRef(x), NameRef(y))
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,9 @@ def test_effect_log_lines_json():
 
 def test_resolve_account_no_ctor_runs():
     reg, ep = _bind()
-    assert not ep.live
     assert ep.instance is None
     assert reg.effect_log == []
-    assert ep.monitor == {"readn": 0, "read": 0}
+    assert ep.pending is None
 
 
 def test_resolve_unknown_class():
@@ -99,13 +98,11 @@ def test_resolve_signature_mismatch_missing_method():
 def test_first_call_instantiates_and_stages_return():
     reg, ep = _bind()
     dispatch_call(ep, "read", [], reg, step=4)
-    assert ep.live
+    assert ep.instance is not None
     assert reg.effect_log == [("Account", "ctor", 4)]
     assert ep.pending == ("read", 1976528)
-    assert ep.monitor["read"] == 1
     assert complete_return(ep) == ("read", 1976528)
     assert ep.pending is None
-    assert ep.monitor["read"] == 0
 
 
 def test_ctor_runs_once():
@@ -122,6 +119,7 @@ def test_second_call_before_return_violates():
     dispatch_call(ep, "read", [], reg, step=0)
     with pytest.raises(ProtocolViolation):
         dispatch_call(ep, "read", [], reg, step=1)
+    assert ep.pending == ("read", 1976528)
 
 
 def test_cross_method_call_while_pending_violates():
@@ -184,15 +182,6 @@ def test_counter_keeps_state():
     for want in (1, 2, 3):
         dispatch_call(ep, "inc", [], reg, step=0)
         assert complete_return(ep) == ("inc", want)
-
-
-def test_endpoint_copy_shares_nothing_mutable():
-    reg, ep = _bind()
-    dispatch_call(ep, "read", [], reg, step=0)
-    ep2 = ep.copy()
-    complete_return(ep)
-    assert ep2.pending == ("read", 1976528)
-    assert ep2.monitor["read"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pichan.core import (Fusion, In, IntLit, NameRef, NameSupply, New, Nil,
 from pichan.diag import ParseError
 from pichan.parser import (Program, desugar, format_program, parse_program,
                            program_alpha_eq, tokenize)
-from pichan.typecheck import INT
+from pichan.typecheck import INT, canonical_protocol
 from pichan.xir import to_xml
 
 import reference_frontend
@@ -48,7 +48,9 @@ def test_parse_account_extern_block():
     assert read.param_sorts == () and read.return_payload == (INT,)
     # declared protocols equal the canonical synthesized ones
     for m in d.methods:
-        assert m.protocol == m.canonical_automaton()
+        assert m.protocol == canonical_protocol(
+            m.call_channel.display, m.param_sorts, m.return_channel.display,
+            m.return_payload)
         assert m.protocol_declared
 
 
@@ -70,7 +72,9 @@ nil
     program = parse_program(src)
     m = program.externs[0].methods[0]
     assert not m.protocol_declared
-    assert m.protocol == m.canonical_automaton()
+    assert m.protocol == canonical_protocol(
+        m.call_channel.display, m.param_sorts, m.return_channel.display,
+        m.return_payload)
 
 
 def test_parse_output_input_fusion():

@@ -1,5 +1,6 @@
 """Tests for sort inference, protocol schema checking and extern usage."""
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -7,12 +8,15 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pichan.core import Name
 from pichan.parser import desugar, parse_program
 from pichan.typecheck import (BOOL, INT, STR, ProtocolAutomaton,
-                              automata_isomorphic, canonical_protocol,
-                              check_extern_usage, check_protocol_schema,
-                              check_sorts)
+                              canonical_protocol, check_extern_usage,
+                              check_protocol_schema, check_sorts,
+                              is_canonical)
 
+from reference_protocol import (automata_isomorphic, canonical_by_isomorphism,
+                                transition_map)
 from test_parser import ACCOUNT_EXTERN
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -165,9 +169,47 @@ def test_schema_check_accepts_exactly_canonical_small():
         iso = automata_isomorphic(auto, canon)
         if iso:
             hits += 1
-            tm = auto.transition_map()
+            tm = transition_map(auto)
             assert tm[(0, "c")][1] != 0  # call must leave the start state
     assert hits >= 1
+
+
+def _method(auto):
+    """Method c() -> int, call channel c and return channel r, with auto."""
+    decl = parse_program("extern A -> class C {\n"
+                         "  int c() { call c: void; return r: int; }\n"
+                         "}\nnil").externs[0]
+    return dataclasses.replace(decl.methods[0], protocol=auto)
+
+
+def test_is_canonical_matches_isomorphism_reference():
+    hits = 0
+    for auto in enumerate_automata(("c", "r"), 3):
+        m = _method(auto)
+        assert is_canonical(m) == canonical_by_isomorphism(m), auto
+        hits += is_canonical(m)
+    assert hits >= 1
+
+
+def test_is_canonical_checks_payloads_and_every_move():
+    assert not is_canonical(_method(ProtocolAutomaton(
+        2, ((0, "c", (INT,), 1), (1, "r", (INT,), 0)))))
+    assert not is_canonical(_method(ProtocolAutomaton(
+        2, ((0, "c", (), 1), (1, "r", (STR,), 0)))))
+    # XIR may give the call and the return one display: a one-state loop
+    # on it is not the two-state cycle
+    m = dataclasses.replace(
+        _method(ProtocolAutomaton(1, ((0, "c", (), 0),))), return_payload=(),
+        return_channel=Name(99, "c"))
+    assert not is_canonical(m) and not canonical_by_isomorphism(m)
+    assert is_canonical(dataclasses.replace(m, protocol=ProtocolAutomaton(
+        2, ((0, "c", (), 1), (1, "c", (), 0)))))
+    # two moves on one channel: a (state, channel) map keeps the last one,
+    # which makes the reference call this canonical
+    auto = ProtocolAutomaton(2, ((0, "c", (), 0), (0, "c", (), 1),
+                                 (1, "r", (INT,), 0)))
+    assert canonical_by_isomorphism(_method(auto))
+    assert not is_canonical(_method(auto))
 
 
 # ---------------------------------------------------------------------------

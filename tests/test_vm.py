@@ -94,7 +94,7 @@ def test_enumerate_host_call_gated_by_monitor():
     m = _machine(ACCOUNT_EXTERN + "read!().Ret2?(v)")
     assert m.enumerate_redexes() == [("host-call", 0, "FClass", "read")]
     m.execute(m.enumerate_redexes()[0])
-    # monitor now awaits the return; strict enumeration only offers delivery
+    # a return is now staged; strict enumeration only offers delivery
     redexes = m.enumerate_redexes()
     assert redexes == [("host-return", 0, "FClass")]
 
@@ -229,10 +229,13 @@ def test_enumerate_matches_reference_rebound_binder_id():
 @pytest.mark.parametrize("name,program,max_steps", BENCH_FAMILIES,
                          ids=[entry[0] for entry in BENCH_FAMILIES])
 def test_copy_mid_run_then_diverge(name, program, max_steps, strict):
-    m = Machine.initialize(program, build_std_registry())
+    # the twin is a second machine stepped with the same seed
+    m, twin = (Machine.initialize(program, build_std_registry())
+               for _ in range(2))
     _check_against_reference(m, 0, 6, strict)
-    twin = m.copy()
+    _check_against_reference(twin, 0, 6, strict)
     redexes = m.enumerate_redexes(strict)
+    assert twin.enumerate_redexes(strict) == redexes
     assert len(redexes) > 1
     m.execute(redexes[0])
     twin.execute(redexes[-1])
@@ -260,16 +263,14 @@ def test_union_merges_buckets_of_both_roots():
 
 @pytest.mark.parametrize("indexed", [False, True])
 def test_copy_has_its_own_index(indexed):
-    # the union is made on the env directly; indexed=False copies before any
-    # enumeration has moved the buckets
+    # the union is made on the env directly; indexed=False executes before
+    # any enumeration has moved the buckets
     m = _machine("x!(a) | y?<v>")
     m.env.merge(NameRef(m.threads[0].subject), NameRef(m.threads[1].subject))
     if indexed:
         assert m.enumerate_redexes() == [("comm", 0, 1)]
-    twin = m.copy()
     m.execute(("comm", 0, 1))
     assert m.enumerate_redexes() == []
-    assert twin.enumerate_redexes() == [("comm", 0, 1)]
 
 
 def test_execute_after_fusion_without_enumerating():
@@ -463,6 +464,36 @@ def test_run_violation_status():
             explore_runs(parse_program(src), build_std_registry)}
     assert "violation" in seen
     assert "terminated" in seen
+
+
+def test_explore_runs_parallel_reads():
+    # the criterion-5 program: the loose scheduler may call while a return
+    # is staged, the strict one makes the second call wait
+    src = ACCOUNT_EXTERN + "(read!().Ret2?(v).nil) | (read!().Ret2?(w).nil)"
+    program = desugar(parse_program(src))
+    violation = (("host-call", "violation"), "violation")
+    done = (("host-call", "host-return", "host-call", "host-return"),
+            "terminated")
+    assert explore_runs(program, build_std_registry, max_depth=12) == [
+        violation, done, violation, done]
+    assert explore_runs(program, build_std_registry, max_depth=12,
+                        strict=True) == [done, done]
+
+
+EXPLORE_GOLDEN = golden_traces.load(golden_traces.EXPLORE_GOLDEN)
+EXPLORE_CORPUS = list(golden_traces.explore_corpus())
+
+
+def test_explore_corpus_complete():
+    assert sorted(name for name, *_ in EXPLORE_CORPUS) == sorted(EXPLORE_GOLDEN)
+
+
+@pytest.mark.parametrize("name,program,max_depth,strict", EXPLORE_CORPUS,
+                         ids=[entry[0] for entry in EXPLORE_CORPUS])
+def test_explore_runs_golden(name, program, max_depth, strict):
+    # every run's kinds and status, in depth-first order
+    assert (golden_traces.explore_digest(program, max_depth, strict)
+            == EXPLORE_GOLDEN[name])
 
 
 def test_trace_line_format():

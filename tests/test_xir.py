@@ -1,5 +1,6 @@
 """Tests for the XML execution format: round trips, determinism, schema."""
 
+import dataclasses
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 
 from pichan.core import (Name, NameRef, New, Nil, Out, SurfaceFormError)
 from pichan.parser import Program, desugar, parse_program
+from pichan.typecheck import INT
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, from_xml,
                         to_xml, validate)
 
 from golden_traces import echo_source
 from randgen import gen_program
+from reference_protocol import canonical_by_isomorphism
+from test_acceptance import _all_automata
 from test_parser import ACCOUNT_EXTERN
 
 
@@ -234,5 +238,37 @@ def test_bad_protocol_number_is_schema_error(old, new):
     doc = _account_document().replace(old, new, 1)
     assert doc != _account_document()
     with pytest.raises(SchemaError):
+        from_xml(doc)
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
+
+
+def test_reader_accepts_exactly_the_canonical_protocols():
+    # the isomorphism reference, plus the range and dead-state rules
+    decl = parse_program(ACCOUNT_EXTERN + "nil").externs[0]
+    total = accepted = 0
+    for auto in _all_automata(("read", "Ret2"), {"read": (), "Ret2": (INT,)}, 3):
+        read = dataclasses.replace(decl.methods[1], protocol=auto)
+        doc = to_xml(Program((dataclasses.replace(decl, methods=(read,)),),
+                             Nil()))
+        want = (canonical_by_isomorphism(read) and
+                {s for (s, _, _, _) in auto.transitions}
+                == set(range(auto.num_states)))
+        try:
+            got = from_xml(doc).externs[0].methods[0].protocol == auto
+        except SchemaError:
+            got = False
+        assert got == want, auto
+        total += 1
+        accepted += got
+    assert total > 4000 and accepted >= 1
+
+
+def test_duplicate_extern_alias_is_schema_error():
+    decl = parse_program(ACCOUNT_EXTERN + "nil").externs[0]
+    doc = to_xml(Program((decl, dataclasses.replace(decl, alias="Other")),
+                         Nil()))
+    assert [d.alias for d in from_xml(doc).externs] == ["FClass", "Other"]
+    doc = doc.replace('alias="Other"', 'alias="FClass"')
+    with pytest.raises(SchemaError, match="extern alias FClass declared twice"):
         from_xml(doc)
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
