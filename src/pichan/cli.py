@@ -1,7 +1,8 @@
 """Command-line pipeline: compile, check, run, gen-iface.
 
 Exit codes: 0 ok, 1 syntax/manifest error, 2 type/protocol/schema error,
-3 I/O or UTF-8 error, 4 stuck, 5 clash or protocol violation, 6 step limit.
+3 I/O or UTF-8 error (a stdout pipe closed by its reader included), 4 stuck,
+5 clash or protocol violation, 6 step limit.
 """
 
 from __future__ import annotations
@@ -177,7 +178,15 @@ def main(argv=None) -> int:
     if getattr(args, "max_steps", 0) < 0:
         print("error: max-steps must be non-negative", file=sys.stderr)
         return EXIT_SYNTAX
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`pichan run x.xir | head -1`); point stdout
+        # at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -122,12 +122,11 @@ class Endpoint:
         self.host = host
         self.instance = None  # Uninstantiated until first call
         self.pending: Optional[tuple[str, object]] = None  # (method, value)
+        # by name; the first declared method wins a repeated name
+        self._methods = {m.name: m for m in reversed(decl.methods)}
 
     def method(self, name: str) -> MethodDecl:
-        for m in self.decl.methods:
-            if m.name == name:
-                return m
-        raise KeyError(name)
+        return self._methods[name]
 
 
 def resolve_externs(decls, registry: HostRegistry) -> dict:

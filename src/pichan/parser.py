@@ -148,8 +148,9 @@ class _Parser:
         cls = self.expect("ident").text
         self.expect("{")
         methods = []
+        names = set()
         while self.peek().kind != "}":
-            methods.append(self.parse_method())
+            methods.append(self.parse_method(names))
         self.expect("}")
         return ExternDecl(alias, cls, tuple(methods), span=start.span)
 
@@ -176,10 +177,16 @@ class _Parser:
             sorts.append(base_sort(name))
         return tuple(sorts)
 
-    def parse_method(self) -> MethodDecl:
+    def parse_method(self, names: set) -> MethodDecl:
+        """One method of an extern block; names holds the block's method
+        names so far."""
         start = self.peek()
         ret_name = self._sort_name()
-        mname = self.expect("ident").text
+        name_tok = self.expect("ident")
+        mname = name_tok.text
+        if mname in names:
+            self.fail(f"extern method {mname} declared twice", name_tok)
+        names.add(mname)
         self.expect("(")
         header_params = self._sort_list(")")
         self.expect(")")
@@ -564,15 +571,17 @@ def _format_extern(d: ExternDecl, names: dict) -> str:
 
 
 def _protocol_text(auto: ProtocolAutomaton) -> str:
-    # protocols parse from a linear rec body; rebuild it from state 0
+    # protocols parse from a linear rec body; rebuild it from state 0 up to
+    # the step back to 0, so states that state 0 cannot reach are left out
     steps = []
     state = 0
     for _ in range(auto.num_states):
-        chan, payload, nxt = next((c, pl, t) for (s, c, pl, t)
-                                  in auto.transitions if s == state)
+        chan, payload, state = next((c, pl, t) for (s, c, pl, t)
+                                    in auto.transitions if s == state)
         args = ", ".join(str(s) for s in payload)
         steps.append(f"{chan}({args})")
-        state = nxt
+        if state == 0:
+            break
     return "rec S {" + ".".join(steps) + ".S}"
 
 

@@ -10,7 +10,7 @@ traces on any platform.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -107,9 +107,17 @@ class Machine:
     so _seqs (parallel to threads) is ascending and a thread's position is
     the bisection of its sequence number.  Outputs and inputs sit in
     buckets _outs/_ins[fusion root][arity] -> set of sequence numbers;
-    _live holds the (root, arity) keys that have both.  Unions reach the
-    buckets through FusionEnv.union_log, drained before each enumeration
-    and each removal."""
+    _live holds the (root, arity) keys that have both.
+
+    The host tables are kept the same way.  _calls[root] is (rank, alias,
+    method) of the first declared method whose call channel has that root,
+    and _callable holds the roots in both _calls and _outs.
+    _returns[root][arity] lists (rank, alias), in declaration order, of the
+    endpoints whose staged return goes to a receiver on (root, arity); the
+    first of them is the one offered.
+
+    Unions reach the index through FusionEnv.union_log, drained before each
+    enumeration, each removal and each change of the host tables."""
 
     def __init__(self, registry: HostRegistry):
         self.threads: list[Process] = []
@@ -124,6 +132,10 @@ class Machine:
         self._actions: dict[int, tuple] = {}
         self.env = FusionEnv()
         self.endpoints: dict[str, Endpoint] = {}
+        self._calls: dict[int, tuple] = {}
+        self._callable: set[int] = set()
+        self._returns: dict[int, dict[int, list]] = {}
+        self._ranks: dict[str, int] = {}  # alias -> declaration index
         self.supply = NameSupply()
         self.registry = registry
         self.step_index = 0
@@ -137,6 +149,11 @@ class Machine:
             top, _ = program_scan(program)
         m = cls(registry)
         m.endpoints = resolve_externs(program.externs, registry)
+        m._ranks = {alias: k for k, alias in enumerate(m.endpoints)}
+        methods = ((alias, meth) for alias, ep in m.endpoints.items()
+                   for meth in ep.decl.methods)
+        for rank, (alias, meth) in enumerate(methods):
+            m._calls.setdefault(meth.call_channel.id, (rank, alias, meth))
         m.supply = NameSupply(top + 1)
         m.add_thread(program.main, {})
         return m
@@ -177,6 +194,8 @@ class Machine:
             mine.setdefault(root, {}).setdefault(arity, set()).add(seq)
             if arity in other.get(root, ()):
                 self._live.add((root, arity))
+            if kind is Out and root in self._calls:
+                self._callable.add(root)
         elif kind is Fusion:
             self._fusions.add(seq)
         elif kind is Repeat:
@@ -204,11 +223,16 @@ class Machine:
             del table[root][arity]
             if not table[root]:
                 del table[root]
+                if table is self._outs:
+                    self._callable.discard(root)
             self._live.discard((root, arity))
 
     def _drain_unions(self) -> None:
-        """Move the buckets of every root absorbed since the last drain under
-        its surviving root, merging the smaller set into the larger."""
+        """Move the buckets and host-table entries of every root absorbed
+        since the last drain under its surviving root: the smaller bucket
+        merges into the larger, the first declared call method wins and
+        waiting returns stay in declaration order."""
+        calls, returns = self._calls, self._returns
         for absorbed, root in self.env.union_log:
             arities = set()
             for table in (self._outs, self._ins):
@@ -228,7 +252,38 @@ class Machine:
                 if (arity in self._outs.get(root, ())
                         and arity in self._ins.get(root, ())):
                     self._live.add((root, arity))
+            call = calls.pop(absorbed, None)
+            if call is not None:
+                calls[root] = min(call, calls.get(root, call),
+                                  key=itemgetter(0))
+            self._callable.discard(absorbed)
+            if root in calls and root in self._outs:
+                self._callable.add(root)
+            waiting = returns.pop(absorbed, None)
+            if waiting is not None:
+                into = returns.setdefault(root, {})
+                for arity, ranked in waiting.items():
+                    into[arity] = sorted(into.get(arity, []) + ranked)
         self.env.union_log.clear()
+
+    def _stage(self, alias: str, method: str, staged: bool) -> None:
+        """Enter (staged=True) or drop alias's return of method in
+        _returns, under the current root of its return channel."""
+        self._drain_unions()
+        m = self.endpoints[alias].method(method)
+        r = self.env.representative(m.return_channel)
+        arity = len(m.return_payload)
+        entry = (self._ranks[alias], alias)
+        if staged:
+            insort(self._returns.setdefault(r, {}).setdefault(arity, []),
+                   entry)
+            return
+        waiting = self._returns[r]
+        waiting[arity].remove(entry)
+        if not waiting[arity]:
+            del waiting[arity]
+            if not waiting:
+                del self._returns[r]
 
     # -- redex enumeration
 
@@ -240,21 +295,11 @@ class Machine:
         offers every call attempt so an adversarial scheduler can expose
         protocol violations.
 
-        Reads the persistent soup index, so the cost is O(redexes * log
-        threads) plus the repeats and extern methods; idle threads cost
-        nothing."""
+        Reads the persistent soup index and host tables, so the cost is
+        O(redexes * log threads) plus the repeats and the staged returns;
+        idle threads and idle extern endpoints cost nothing."""
         self._drain_unions()
-        root = self.env.representative
         outs, ins = self._outs, self._ins
-        calls = {}  # call channel root -> (alias, method); first match wins
-        returns = {}  # (return channel root, arity) -> alias awaiting it
-        for alias, ep in self.endpoints.items():
-            for m in ep.decl.methods:
-                calls.setdefault(root(m.call_channel), (alias, m))
-            if ep.pending is not None:
-                m = ep.method(ep.pending[0])
-                returns.setdefault((root(m.return_channel),
-                                    len(m.return_payload)), alias)
         # Kinds are collected in order, and comms in partner order; the
         # stable sort by thread position then gives the documented order.
         at = partial(bisect_left, self._seqs)  # sequence number -> position
@@ -265,31 +310,33 @@ class Machine:
                 found += [("comm", i, j) for i in senders]
         found += [("fusion", i) for i in map(at, self._fusions)]
         found += [("unfold", at(seq)) for seq, actions in self._repeats.items()
-                  if self._unfold_wanted(actions, calls, returns)]
-        for r, (alias, m) in calls.items():
-            ep = self.endpoints[alias]
-            if r in outs and (not strict or ep.pending is None):
+                  if self._unfold_wanted(actions)]
+        for r in self._callable:
+            _, alias, m = self._calls[r]
+            if not strict or self.endpoints[alias].pending is None:
                 for bucket in outs[r].values():
                     found += [("host-call", i, alias, m.name)
                               for i in map(at, bucket)]
-        for (r, arity), alias in returns.items():
-            found += [("host-return", i, alias)
-                      for i in map(at, ins.get(r, {}).get(arity, ()))]
+        for r, waiting in self._returns.items():
+            for arity, ranked in waiting.items():
+                found += [("host-return", i, ranked[0][1])
+                          for i in map(at, ins.get(r, {}).get(arity, ()))]
         if not found:
             # a repeat may always unfold when nothing else can move
             found = [("unfold", i) for i in map(at, self._repeats)]
         found.sort(key=itemgetter(1))
         return found
 
-    def _unfold_wanted(self, actions, calls, returns) -> bool:
+    def _unfold_wanted(self, actions) -> bool:
         """Offer an unfold only when the body's top-level actions could take
         part in a comm or host redex afterwards, with the soup or each other."""
         root = self.env.representative
         keyed = {(is_out, root(subject), arity)
                  for is_out, subject, arity in actions}
         return any((not is_out, r, arity) in keyed
-                   or (r in calls or arity in self._ins.get(r, ()) if is_out
-                       else (r, arity) in returns
+                   or (r in self._calls or arity in self._ins.get(r, ())
+                       if is_out
+                       else arity in self._returns.get(r, ())
                        or arity in self._outs.get(r, ()))
                    for is_out, r, arity in keyed)
 
@@ -352,6 +399,7 @@ class Machine:
             args = self._ground_args(out, env)
             ep = self.endpoints[alias]
             dispatch_call(ep, method, args, self.registry, step)
+            self._stage(alias, method, True)
             self._remove(i)
             self.add_thread(out.cont, env)
             details = f"{alias}.{method}({','.join(map(repr, args))})"
@@ -362,6 +410,7 @@ class Machine:
             inp, env = self.threads[i], self.envs[i]
             ep = self.endpoints[alias]
             method, value = complete_return(ep)
+            self._stage(alias, method, False)
             self._remove(i)
             if inp.objects:
                 n = inp.objects[0]
@@ -427,7 +476,7 @@ def _value_text(v: Value) -> str:
 
 
 def _has_pending(m: Machine) -> bool:
-    return any(ep.pending is not None for ep in m.endpoints.values())
+    return bool(m._returns)  # every staged return has an entry there
 
 
 def step(machine: Machine, rng: Xorshift64Star,

@@ -310,10 +310,14 @@ def _check_protocol(proto: ProtocolAutomaton, method: str) -> None:
 def _read_extern(elem, names: dict) -> ExternDecl:
     alias, cls = _attrs(elem, ("alias", "class"), "extern")
     methods = []
+    seen = set()
     for melem in elem:
         if melem.tag != "method":
             raise SchemaError(f"unexpected element {melem.tag!r} in extern")
         (mname,) = _attrs(melem, ("name",), "method")
+        if mname in seen:
+            raise SchemaError(f"extern method {mname} declared twice")
+        seen.add(mname)
         if len(melem) != 3 or [c.tag for c in melem] != ["call", "ret", "protocol"]:
             raise SchemaError(f"method {mname} must contain call, ret, protocol")
         call_elem, ret_elem, proto_elem = melem

@@ -92,3 +92,65 @@ def gen_process(rng: random.Random, supply: NameSupply, scope: list,
     names = tuple(rng.choice(scope) for _ in range(arity))
     return In(subj, names, False,
               gen_process(rng, supply, scope, budget, surface))
+
+
+# the std registry's classes: (class, ((method, params, result), ...))
+_STD_CLASSES = (("Counter", (("inc", (), "int"),)),
+                ("Console", (("print", ("int",), "void"),)),
+                ("Account", (("readn", (), "void"), ("read", (), "int"))),
+                ("LoggingCtor", (("poke", (), "void"),)))
+
+
+def gen_host_source(rng: random.Random, max_aliases: int = 4,
+                    max_parts: int = 8) -> str:
+    """A .pi program over the std registry's classes, which Machine can
+    resolve: 1-max_aliases extern blocks, each method on its own channels,
+    and a main of workers that call a method and await its return, stray
+    receivers on return channels, fusions of two call or two return
+    channels (at the start or after a call) and repeats on host channels."""
+    blocks, methods = [], []
+    for k in range(rng.randint(1, max_aliases)):
+        cls, meths = rng.choice(_STD_CLASSES)
+        lines = [f"extern A{k} -> class {cls} {{"]
+        for name, params, result in meths:
+            call, ret = f"{name}{k}", f"R{name}{k}"
+            lines.append(f"  {result} {name}({', '.join(params)}) {{ "
+                         f"call {call}: {', '.join(params) or 'void'}; "
+                         f"return {ret}: {result}; }}")
+            methods.append((call, ret, params, result))
+        lines.append("}")
+        blocks.append("\n".join(lines))
+    counter = iter(range(10**6))
+
+    def exchange():
+        call, ret, params, result = rng.choice(methods)
+        args = ", ".join(str(rng.randint(0, 9)) for _ in params)
+        binder = "" if result == "void" else f"v{next(counter)}"
+        return f"{call}!({args}).{ret}?({binder})"
+
+    def fusion():
+        pick = rng.randrange(2)  # fuse two call or two return channels
+        a, b = rng.choice(methods), rng.choice(methods)
+        return f"{a[pick]} = {b[pick]}"
+
+    parts = []
+    for _ in range(rng.randint(1, max_parts)):
+        roll = rng.random()
+        if roll < 0.45:
+            parts.append(".".join(exchange()
+                                  for _ in range(rng.randint(1, 3))))
+        elif roll < 0.6:
+            parts.append(fusion())
+        elif roll < 0.75:
+            parts.append(f"{exchange()}.({fusion()})")
+        elif roll < 0.9:
+            _, ret, _, result = rng.choice(methods)
+            # one receiver in five has the other arity and never matches
+            void = (result == "void") != (rng.random() < 0.2)
+            parts.append(f"{ret}?({'' if void else 'w'})")
+        else:
+            ret = rng.choice(methods)[1]
+            parts.append(rng.choice([f"repeat {ret}?(w)",
+                                     f"repeat g?().{exchange()}",
+                                     "g!()"]))
+    return "\n".join(blocks) + "\n" + " | ".join(parts) + "\n"

@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line pipeline and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,8 @@ import pytest
 from pichan.cli import (EXIT_FAULT, EXIT_IO, EXIT_OK, EXIT_STEP_LIMIT,
                         EXIT_STUCK, EXIT_SYNTAX, EXIT_TYPE, main)
 from pichan.ifgen import ACCOUNT_MANIFEST
+from pichan.parser import format_program
+from pichan.xir import from_xml
 
 from test_parser import ACCOUNT_EXTERN
 
@@ -257,6 +262,42 @@ def test_duplicate_extern_alias_in_xir_exit_2(tmp_path, capsys):
     assert captured.err == "error: extern alias A declared twice\n"
 
 
+DUPLICATE_METHOD = """
+extern K -> class Counter {
+  int inc() { call inc1: void; return R1: int; }
+  int inc() { call inc2: void; return R2: int; }
+}
+inc2!().R2?(v)
+"""
+
+
+def test_duplicate_extern_method_is_syntax_error(tmp_path, capsys):
+    # a return is looked up by method name, so the second inc's return
+    # would go to R1 and the run would end stuck
+    src = tmp_path / "dup.pi"
+    src.write_text(DUPLICATE_METHOD)
+    want = f"{src}:4:7: error E-SYNTAX extern method inc declared twice\n"
+    assert main(["check", str(src)]) == EXIT_SYNTAX
+    assert capsys.readouterr().out == want
+    out = tmp_path / "dup.xir.xml"
+    assert main(["compile", str(src), "-o", str(out)]) == EXIT_SYNTAX
+    assert capsys.readouterr().out == want
+    assert not out.exists()
+
+
+def test_duplicate_extern_method_in_xir_exit_2(tmp_path, capsys):
+    doc = _compile(SAMPLES_DIR / "account.pi", tmp_path)
+    text = doc.read_text(encoding="utf-8")
+    assert text.count('<method name="readn">') == 1
+    doc.write_text(text.replace('<method name="readn">',
+                                '<method name="read">'), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", str(doc)]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: extern method read declared twice\n"
+
+
 def test_run_non_canonical_protocol_exit_2(tmp_path, capsys):
     # read loops on the start state, so the return has no transition
     out = tmp_path / "account.xir.xml"
@@ -403,3 +444,45 @@ def test_run_int_literal_as_the_tokenizer_reads_it(tmp_path, capsys, value):
     path.write_text(_int_document(value), encoding="utf-8")
     assert main(["run", str(path)]) == EXIT_STUCK  # the output has no reader
     assert "bad int literal" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# formatting a loaded program, and a closed stdout
+
+
+def test_format_protocol_with_unreachable_state_checks(tmp_path):
+    # state 1 cannot be reached from state 0; the formatted protocol is
+    # the cycle from 0 back to 0 and leaves it out
+    doc = _compile(SAMPLES_DIR / "counter.pi", tmp_path)
+    text = doc.read_text(encoding="utf-8")
+    old = ('<protocol states="2">\n'
+           '<t from="0" chan="inc" payload="" to="1"/>\n'
+           '<t from="1" chan="IncRet" payload="int" to="0"/>\n')
+    new = ('<protocol states="3">\n'
+           '<t from="0" chan="inc" payload="" to="2"/>\n'
+           '<t from="1" chan="inc" payload="" to="1"/>\n'
+           '<t from="2" chan="IncRet" payload="int" to="0"/>\n')
+    assert text.count(old) == 1
+    formatted = format_program(from_xml(text.replace(old, new)))
+    assert "rec S {inc().IncRet(int).S}" in formatted
+    src = tmp_path / "formatted.pi"
+    src.write_text(formatted)
+    assert main(["check", str(src)]) == EXIT_OK
+
+
+def test_run_into_closed_pipe_exits_3_without_traceback(tmp_path):
+    src = tmp_path / "spin.pi"
+    src.write_text("repeat x!()\n")
+    doc = _compile(src, tmp_path)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    # 20000 trace lines are far more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pichan.cli", "run", str(doc),
+         "--max-steps", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"0|repeat-unfold|thread 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_IO
+    assert err == ""

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (Fusion, FusionClash, In, IntLit, NameRef, NameSupply,
-                         New, Nil, Out, Par, Repeat, congruent)
+from pichan.core import (Fusion, FusionClash, FusionEnv, In, IntLit, NameRef,
+                         NameSupply, New, Nil, Out, Par, Repeat, congruent)
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
 from pichan.parser import Program, desugar, parse_program
@@ -18,7 +18,7 @@ from pichan.xir import from_xml, to_xml
 
 import golden_traces
 import reference_scheduler
-from randgen import gen_program
+from randgen import gen_host_source, gen_program
 from substitution import soup
 from test_parser import ACCOUNT_EXTERN
 
@@ -183,6 +183,123 @@ def test_enumerate_fused_call_channels_first_endpoint_wins(strict):
         _check_against_reference(m, seed, 20, strict)
 
 
+# ---------------------------------------------------------------------------
+# the host tables kept across steps
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_host_tables_two_pending_on_fused_return_channels(strict):
+    # both endpoints stage a return for the one fused class: K1's is offered
+    # to every receiver first, and K2's once K1's has been delivered
+    src = COUNTER_PAIR + "R1 = R2 | inc1!().R1?(a) | inc2!().R2?(b)"
+    m = _machine(src)
+    m.execute(("fusion", 0))
+    m.execute(("host-call", 0, "K1", "inc"))
+    m.execute(("host-call", 0, "K2", "inc"))
+    assert m.enumerate_redexes(strict) == [("host-return", 0, "K1"),
+                                           ("host-return", 1, "K1")]
+    m.execute(("host-return", 1, "K1"))
+    assert m.enumerate_redexes(strict) == [("host-return", 0, "K2")]
+    for seed in range(12):
+        _check_against_reference(_machine(src), seed, 20, strict)
+        assert run(parse_program(src), seed=seed).status == "terminated"
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_host_tables_call_channels_fused_mid_run(strict):
+    # inc2's outputs call K2 until the comm on go runs the fusion, then K1
+    src = (COUNTER_PAIR + "go!() | go?().(inc2 = inc1) | inc2!().R2?(a)"
+           " | inc2!().R1?(b) | inc1!().R1?(c)")
+    m = _machine(src)
+    assert m.enumerate_redexes(strict)[1:] == [
+        ("host-call", 2, "K2", "inc"), ("host-call", 3, "K2", "inc"),
+        ("host-call", 4, "K1", "inc")]
+    m.execute(("comm", 0, 1))
+    m.execute(("fusion", 3))
+    assert m.enumerate_redexes(strict) == [
+        ("host-call", 0, "K1", "inc"), ("host-call", 1, "K1", "inc"),
+        ("host-call", 2, "K1", "inc")]
+    for seed in range(12):
+        _check_against_reference(_machine(src), seed, 30, strict)
+
+
+@pytest.mark.parametrize("fusion", ["R1 = R2", "R2 = R1"])
+@pytest.mark.parametrize("strict", [True, False])
+def test_host_tables_return_channel_fused_after_call(strict, fusion):
+    # K1 and K2 have staged returns on R1 and R2 when the fusion runs; the
+    # fused class then offers K1's first, whichever root survives
+    src = COUNTER_PAIR + f"inc1!().({fusion}) | R2?(a) | inc2!().R2?(b)"
+    m = _machine(src)
+    m.execute(("host-call", 0, "K1", "inc"))
+    m.execute(("host-call", 1, "K2", "inc"))
+    assert m.enumerate_redexes(strict) == [
+        ("host-return", 0, "K2"), ("fusion", 1), ("host-return", 2, "K2")]
+    m.execute(("fusion", 1))
+    assert m.enumerate_redexes(strict) == [("host-return", 0, "K1"),
+                                           ("host-return", 1, "K1")]
+    for seed in range(12):
+        _check_against_reference(_machine(src), seed, 20, strict)
+
+
+def test_host_tables_refused_loose_call_changes_nothing():
+    # the refused call stages nothing: once K1's one return is delivered,
+    # R1?(c) is offered none
+    src = COUNTER_PAIR + "inc1!() | inc1!().R1?(a) | R1?(b) | R1?(c)"
+    m = _machine(src)
+    m.execute(("host-call", 0, "K1", "inc"))
+    before = m.enumerate_redexes(strict=False)
+    assert before == [("host-call", 0, "K1", "inc"), ("host-return", 1, "K1"),
+                      ("host-return", 2, "K1")]
+    with pytest.raises(ProtocolViolation):
+        m.execute(("host-call", 0, "K1", "inc"))
+    assert m.enumerate_redexes(strict=False) == before
+    m.execute(("host-return", 1, "K1"))
+    assert m.enumerate_redexes(strict=False) == [("host-call", 0, "K1", "inc")]
+    _check_against_reference(m, 0, 10, False)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_enumerate_matches_reference_host_programs(strict):
+    for seed in range(150):
+        m = _machine(gen_host_source(random.Random(seed)))
+        _check_against_reference(m, seed, 40, strict)
+
+
+IDLE_CONSOLE = """extern P{k} -> class Console {{
+  void print(int) {{ call print{k}: int; return Q{k}: void; }}
+}}
+"""
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_enumerate_cost_does_not_grow_with_idle_externs(monkeypatch, strict):
+    # one enumeration asks for as many fusion roots with 64 idle extern
+    # aliases as with 1: the host tables are not rebuilt per step
+    counter = ("extern K -> class Counter {\n"
+               "  int inc() { call inc: void; return R: int; }\n}\n")
+    main = "inc!().R?(a) | R?(b) | repeat g?().inc!() | g!()"
+    representative = FusionEnv.representative
+    calls = []
+
+    def counted(env, name):
+        calls.append(name)
+        return representative(env, name)
+
+    counts, redexes = [], []
+    for idle in (1, 64):
+        src = counter + "".join(IDLE_CONSOLE.format(k=k)
+                                for k in range(idle)) + main
+        m = _machine(src)
+        m.execute(("host-call", 0, "K", "inc"))  # a return is staged
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(FusionEnv, "representative", counted)
+            redexes.append(m.enumerate_redexes(strict))
+        counts.append(len(calls))
+    assert redexes[0] == redexes[1]
+    assert counts[0] == counts[1]
+
+
 BENCH_FAMILIES = list(golden_traces.bench_families())
 
 
@@ -277,6 +394,15 @@ def test_execute_after_fusion_without_enumerating():
     m = _machine("a = b | a!() | b?()")
     m.execute(("fusion", 0))
     m.execute(("comm", 0, 1))
+    assert m.threads == [] and m.enumerate_redexes() == []
+
+
+def test_host_return_after_fusion_without_enumerating():
+    # K1's return is staged under R1's root, which the fusion then absorbs
+    m = _machine(COUNTER_PAIR + "inc1!().(R2 = R1) | R2?(a)")
+    m.execute(("host-call", 0, "K1", "inc"))
+    m.execute(("fusion", 1))
+    m.execute(("host-return", 0, "K1"))
     assert m.threads == [] and m.enumerate_redexes() == []
 
 

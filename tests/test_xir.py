@@ -272,3 +272,14 @@ def test_duplicate_extern_alias_is_schema_error():
     with pytest.raises(SchemaError, match="extern alias FClass declared twice"):
         from_xml(doc)
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
+
+
+def test_duplicate_extern_method_is_schema_error():
+    decl = parse_program(ACCOUNT_EXTERN + "nil").externs[0]
+    doc = to_xml(Program((decl,), Nil()))
+    assert [m.name for m in from_xml(doc).externs[0].methods] == ["readn",
+                                                                  "read"]
+    doc = doc.replace('<method name="readn">', '<method name="read">')
+    with pytest.raises(SchemaError, match="extern method read declared twice"):
+        from_xml(doc)
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
