@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 from typing import Optional
 
@@ -101,6 +101,8 @@ class Machine:
     environment (envs, parallel to threads) from the ids of the binders
     around it to their run-time names; a name not in it is free.  Subjects
     and objects are resolved through it when a thread is indexed or run.
+    The threads of one | share their environment, and an unfolded repeat
+    body gets the part of its repeat's environment that the body names.
 
     The soup index is kept across steps and changes only where the soup
     does.  Every thread has a sequence number; threads are only appended,
@@ -130,6 +132,8 @@ class Machine:
         self._repeats: dict[int, tuple] = {}  # seq -> body's top-level actions
         # id(Repeat node) -> (node, its body's top-level actions, unresolved)
         self._actions: dict[int, tuple] = {}
+        # id(Repeat node) -> (node, the ids named in its body)
+        self._named: dict[int, tuple] = {}
         self.env = FusionEnv()
         self.endpoints: dict[str, Endpoint] = {}
         self._calls: dict[int, tuple] = {}
@@ -139,6 +143,7 @@ class Machine:
         self.supply = NameSupply()
         self.registry = registry
         self.step_index = 0
+        self._changes = 0  # bumped by each change to the soup or host tables
 
     @classmethod
     def initialize(cls, program, registry: HostRegistry) -> "Machine":
@@ -162,20 +167,24 @@ class Machine:
 
     def add_thread(self, p: Process, env: dict) -> None:
         """Insert p under env with Par flattened, Nil dropped and each
-        top-level New bound in a copy of env to a fresh name, left to right,
-        with an explicit stack."""
-        stack = [(p, env)]
+        top-level New bound in env itself to a fresh name, left to right,
+        with an explicit stack.
+
+        Binding in place is sound for programs whose binder ids are unique
+        and occur only inside their New, as xir.from_xml checks: the id is
+        then unbound in env and no other thread sharing env mentions it.
+        Each node runs at most once per environment, since every
+        repeat-unfold gets an environment of its own."""
+        self._changes += 1
+        stack = [p]
         while stack:
-            p, env = stack.pop()
+            p = stack.pop()
             kind = type(p)
             if kind is Par:
-                stack += ((p.right, env), (p.left, env))
+                stack += (p.right, p.left)
             elif kind is New:
-                env = dict(env)
-                while type(p) is New:
-                    env[p.name.id] = self.supply.fresh(p.name.display, "fresh")
-                    p = p.body
-                stack.append((p, env))
+                env[p.name.id] = self.supply.fresh(p.name.display, "fresh")
+                stack.append(p.body)
             elif kind is not Nil:
                 self._insert(p, env)
 
@@ -269,6 +278,7 @@ class Machine:
     def _stage(self, alias: str, method: str, staged: bool) -> None:
         """Enter (staged=True) or drop alias's return of method in
         _returns, under the current root of its return channel."""
+        self._changes += 1
         self._drain_unions()
         m = self.endpoints[alias].method(method)
         r = self.env.representative(m.return_channel)
@@ -287,7 +297,7 @@ class Machine:
 
     # -- redex enumeration
 
-    def enumerate_redexes(self, strict: bool = True) -> list:
+    def enumerate_redexes(self, strict: bool = True) -> "Redexes":
         """All enabled redexes in a deterministic order: by thread position,
         then kind (comm < fusion < unfold < host-call < host-return), then
         partner position.  strict=True offers a host call only while its
@@ -295,37 +305,56 @@ class Machine:
         offers every call attempt so an adversarial scheduler can expose
         protocol violations.
 
+        The result is a Redexes sequence: one sorted entry per redex, the
+        sequence number of the thread it is ordered by, and a redex tuple is
+        built only for the entries read.  An output heads one comm per
+        input in its (root, arity) bucket, then its host call; a fusion, a
+        wanted repeat and an input taking a staged return head one redex.
         Reads the persistent soup index and host tables, so the cost is
-        O(redexes * log threads) plus the repeats and the staged returns;
-        idle threads and idle extern endpoints cost nothing."""
+        O(redexes) plus the repeats, the staged returns and one sort of
+        plain ints; idle threads and idle extern endpoints cost nothing."""
         self._drain_unions()
         outs, ins = self._outs, self._ins
-        # Kinds are collected in order, and comms in partner order; the
-        # stable sort by thread position then gives the documented order.
-        at = partial(bisect_left, self._seqs)  # sequence number -> position
-        found = []
+        heads = []
         for r, arity in self._live:
-            senders = list(map(at, outs[r][arity]))
-            for j in sorted(map(at, ins[r][arity])):
-                found += [("comm", i, j) for i in senders]
-        found += [("fusion", i) for i in map(at, self._fusions)]
-        found += [("unfold", at(seq)) for seq, actions in self._repeats.items()
+            senders, n = outs[r][arity], len(ins[r][arity])
+            heads += senders if n == 1 else list(senders) * n
+        heads += self._fusions
+        heads += [seq for seq, actions in self._repeats.items()
                   if self._unfold_wanted(actions)]
         for r in self._callable:
-            _, alias, m = self._calls[r]
-            if not strict or self.endpoints[alias].pending is None:
+            if not strict or self.endpoints[self._calls[r][1]].pending is None:
                 for bucket in outs[r].values():
-                    found += [("host-call", i, alias, m.name)
-                              for i in map(at, bucket)]
+                    heads += bucket
         for r, waiting in self._returns.items():
-            for arity, ranked in waiting.items():
-                found += [("host-return", i, ranked[0][1])
-                          for i in map(at, ins.get(r, {}).get(arity, ()))]
-        if not found:
+            for arity in waiting:
+                heads += ins.get(r, {}).get(arity, ())
+        if not heads:
             # a repeat may always unfold when nothing else can move
-            found = [("unfold", i) for i in map(at, self._repeats)]
-        found.sort(key=itemgetter(1))
-        return found
+            heads = list(self._repeats)
+        heads.sort()
+        return Redexes(self, heads)
+
+    def _redex(self, seq: int, offset: int) -> tuple:
+        """The redex headed by thread seq that is offset-th among the ones
+        it heads, in the order enumerate_redexes documents."""
+        i = bisect_left(self._seqs, seq)
+        t, env = self.threads[i], self.envs[i]
+        kind = type(t)
+        if kind is Fusion:
+            return ("fusion", i)
+        if kind is Repeat:
+            return ("unfold", i)
+        root = self.env.representative(env.get(t.subject.id, t.subject))
+        arity = len(t.objects)
+        if kind is In:
+            return ("host-return", i, self._returns[root][arity][0][1])
+        partners = self._ins.get(root, {}).get(arity, ())
+        if offset < len(partners):
+            j = sorted(partners)[offset]
+            return ("comm", i, bisect_left(self._seqs, j))
+        _, alias, m = self._calls[root]
+        return ("host-call", i, alias, m.name)
 
     def _unfold_wanted(self, actions) -> bool:
         """Offer an unfold only when the body's top-level actions could take
@@ -344,6 +373,7 @@ class Machine:
 
     def _remove(self, *indices) -> list:
         """Take threads out of the soup; returns their (code, env) pairs."""
+        self._changes += 1
         self._drain_unions()
         removed = [(self.threads[i], self.envs[i]) for i in indices]
         for i in sorted(indices, reverse=True):
@@ -391,7 +421,9 @@ class Machine:
             return TraceEvent(step, "comm", details, data=(subject, objects))
         if kind == "unfold":
             i = redex[1]
-            self.add_thread(self.threads[i].body, self.envs[i])
+            rep, env = self.threads[i], self.envs[i]
+            self.add_thread(rep.body, {k: env[k] for k in
+                                       _named_ids(rep, self._named) if k in env})
             return TraceEvent(step, "repeat-unfold", f"thread {i}")
         if kind == "host-call":
             i, alias, method = redex[1], redex[2], redex[3]
@@ -423,6 +455,46 @@ class Machine:
         raise ValueError(redex)
 
 
+class Redexes(Sequence):
+    """What enumerate_redexes returns: a read-only sequence of redex tuples
+    over a sorted list of head sequence numbers, one per redex.  len() is
+    the redex count; [k] decodes entry k alone, the thread by bisection and
+    its partner by k's offset in the run of equal entries.  A read after
+    the machine has changed raises RuntimeError; a caller that executes
+    between reads takes list() first."""
+
+    __slots__ = ("_machine", "_heads", "_changes")
+
+    def __init__(self, machine: Machine, heads: list):
+        self._machine, self._heads = machine, heads
+        self._changes = machine._changes
+
+    def __len__(self) -> int:
+        return len(self._heads)
+
+    def __getitem__(self, k):
+        heads = self._heads
+        if type(k) is slice:
+            return [self[i] for i in range(*k.indices(len(heads)))]
+        m = self._machine
+        if m._changes != self._changes or m.env.union_log:
+            raise RuntimeError("redexes read after the machine changed")
+        if k < 0:
+            k += len(heads)
+            if k < 0:
+                raise IndexError("redex index out of range")
+        seq = heads[k]
+        return m._redex(seq, k - bisect_left(heads, seq))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, Redexes)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Redexes({list(self)!r})"
+
+
 def _top_actions(p: Process) -> list:
     """Out/In prefixes at the top level of a term (through Par and New), left
     to right, each paired with whether a New on the way binds its subject."""
@@ -438,6 +510,41 @@ def _top_actions(p: Process) -> list:
         elif kind is Out or kind is In:
             found.append((p, p.subject.id in bound))
     return found
+
+
+def _named_ids(rep: Repeat, cache: dict) -> frozenset:
+    """The ids named in rep's body, all that an unfold keeps of the
+    repeat's environment: sibling threads bind their own New ids in it too.
+    One walk fills cache for rep and each repeat inside it, inner ones
+    first, so each node is visited once however deep repeats nest."""
+    if id(rep) not in cache:
+        own = {id(rep): set()}  # ids named outside any inner repeat
+        inner = []  # (repeat, the repeat around it), in pre-order
+        stack = [(rep.body, rep)]
+        while stack:
+            p, r = stack.pop()
+            kind = type(p)
+            if kind is Par:
+                stack += ((p.right, r), (p.left, r))
+            elif kind is New:
+                stack.append((p.body, r))
+            elif kind is Repeat:
+                own[id(p)] = set()
+                inner.append((p, r))
+                stack.append((p.body, p))
+            elif kind is Fusion:
+                own[id(r)].update(v.name.id for v in (p.left, p.right)
+                                  if type(v) is NameRef)
+            elif kind is Out or kind is In:
+                names = (p.objects if kind is In else
+                         [v.name for v in p.objects if type(v) is NameRef])
+                own[id(r)].update(n.id for n in (p.subject, *names))
+                stack.append((p.cont, r))
+        for p, r in reversed(inner):
+            cache[id(p)] = (p, frozenset(own[id(p)]))
+            own[id(r)] |= cache[id(p)][1]
+        cache[id(rep)] = (rep, frozenset(own[id(rep)]))
+    return cache[id(rep)][1]
 
 
 def _resolve(v: Value, env: dict) -> Value:
@@ -561,7 +668,7 @@ def explore_runs(program, registry_builder, max_depth: int = 20,
         return machine
 
     def rec(machine: Machine, path: tuple, kinds: tuple, depth: int) -> None:
-        redexes = machine.enumerate_redexes(strict=strict)
+        redexes = list(machine.enumerate_redexes(strict=strict))
         if not redexes:
             if machine.threads or _has_pending(machine):
                 results.append((kinds, "stuck-with-residuals"))

@@ -212,12 +212,38 @@ def _attrs(elem, required: tuple, what: str) -> list:
                       f"found {sorted(attrib)}")
 
 
-def _read_proc(elem, names: dict) -> Process:
+def _check_use(n: Name, seen: set, closed: set) -> None:
+    """A name used must not be a binder id whose new has closed."""
+    if n.id in closed:
+        raise SchemaError(f"name {_name_text(n)} occurs outside its new")
+    seen.add(n.id)
+
+
+def _check_binder(n: Name, channels: set, seen: set, bound: set) -> None:
+    """A new's id is bound once, is no extern channel's and does not occur
+    before its new."""
+    if n.id in bound:
+        raise SchemaError(f"binder id {n.id} of new {_name_text(n)} is "
+                          f"already bound")
+    if n.id in channels:
+        raise SchemaError(f"binder id {n.id} of new {_name_text(n)} is an "
+                          f"extern channel id")
+    if n.id in seen:
+        raise SchemaError(f"name {_name_text(n)} occurs outside its new")
+    bound.add(n.id)
+
+
+def _read_proc(elem, names: dict, channels: set) -> Process:
     """The process of elem, from a stack: each element is checked when it
     is reached, in document order, and its node is built from the top of
-    built once its children are; a par's children fold to the right."""
+    built once its children are; a par's children fold to the right.
+
+    Binder ids are checked on the way (_check_binder, _check_use): the VM
+    binds a new's id in a shared environment, which is sound only when no
+    id is bound twice and none occurs outside its new."""
     built = []
     stack = [elem]
+    seen, bound, closed = set(), set(), set()  # ids: used, bound, out of scope
     while stack:
         elem = stack.pop()
         if type(elem) is tuple:  # (constructor, fields): the children are built
@@ -228,6 +254,8 @@ def _read_proc(elem, names: dict) -> Process:
                     p = Par(built.pop(), p)
                 built.append(p)
             else:
+                if make is New:
+                    closed.add(fields[0].id)
                 built.append(make(*fields, built.pop()))
             continue
         tag = elem.tag
@@ -245,7 +273,9 @@ def _read_proc(elem, names: dict) -> Process:
             (name,) = _attrs(elem, ("name",), "new")
             if len(elem) != 1:
                 raise SchemaError("new takes exactly 1 child")
-            stack += ((New, (_parse_name(name, "new", names),)), elem[0])
+            n = _parse_name(name, "new", names)
+            _check_binder(n, channels, seen, bound)
+            stack += ((New, (n,)), elem[0])
         elif tag == "repeat":
             _attrs(elem, (), "repeat")
             if len(elem) != 1:
@@ -266,14 +296,21 @@ def _read_proc(elem, names: dict) -> Process:
                 kind, val = _attrs(a, ("kind", "value"), "arg")
                 args.append(_parse_value(kind, val, tag, names))
             subj = _parse_name(subject, tag, names)
+            _check_use(subj, seen, closed)
+            for v in args:
+                if type(v) is NameRef:
+                    _check_use(v.name, seen, closed)
             make = Out if tag == "out" else _free_input
             stack += ((make, (subj, tuple(args))), cont_elem[0])
         elif tag == "fusion":
             left, right = _attrs(elem, ("left", "right"), "fusion")
             if len(elem) != 0:
                 raise SchemaError("fusion takes no children")
-            built.append(Fusion(_split_value(left, names),
-                                _split_value(right, names)))
+            left, right = _split_value(left, names), _split_value(right, names)
+            for v in (left, right):
+                if type(v) is NameRef:
+                    _check_use(v.name, seen, closed)
+            built.append(Fusion(left, right))
         else:
             raise SchemaError(f"unknown element {tag!r}")
     return built[0]
@@ -375,7 +412,9 @@ def from_xml(document) -> Program:
         aliases.add(d.alias)
     if len(root[1]) != 1:
         raise SchemaError("process takes exactly 1 child")
-    return Program(externs, _read_proc(root[1][0], names))
+    channels = {n.id for d in externs for m in d.methods
+                for n in (m.call_channel, m.return_channel)}
+    return Program(externs, _read_proc(root[1][0], names, channels))
 
 
 def validate(document) -> list:

@@ -1,4 +1,4 @@
-"""Deep and wide `.pi` programs: eight shapes whose depth or width grows with
+"""Deep and wide `.pi` programs: nine shapes whose depth or width grows with
 one parameter n, and the exit code each of `pichan check`, `compile` and
 `run --max-steps 10` documents for it.
 
@@ -53,6 +53,13 @@ def new_chain(n: int) -> str:
     return "".join(f"new a{i} in " for i in range(n)) + f"a{n - 1}!()"
 
 
+def new_under_par(n: int) -> str:
+    """new a0 in (a0!() | new a1 in (...)): n restrictions, each under the
+    | of the one before"""
+    return ("".join(f"new a{i} in (a{i}!() | " for i in range(n - 1))
+            + f"new a{n - 1} in a{n - 1}!()" + ")" * (n - 1))
+
+
 def right_nested_par(n: int) -> str:
     """(a!() | (a!() | (...))): n outputs, every | parenthesized"""
     return "(a!() | " * (n - 1) + "a!()" + ")" * (n - 1)
@@ -73,6 +80,7 @@ SHAPES = {
     input_chain: (0, 0, 4),
     repeat_chain: (0, 0, 6),
     new_chain: (0, 0, 4),
+    new_under_par: (0, 0, 4),
     right_nested_par: (0, 0, 4),
     left_nested_par: (0, 0, 4),
 }

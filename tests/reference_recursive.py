@@ -423,7 +423,39 @@ def to_xml(program: Program) -> str:
     return "\n".join(w.lines) + "\n"
 
 
-def _read_proc(elem, names: dict) -> Process:
+class _Binders:
+    """The binder rule, read directly: a new binds an id no earlier new
+    bound and no extern channel has, and every occurrence of a bound id lies
+    inside its new (scope holds the ids of the news around an element)."""
+
+    def __init__(self, channels: set):
+        self.channels, self.bound, self.seen = channels, set(), set()
+
+    def bind(self, n: Name) -> None:
+        text = f"{n.display}#{n.id}"
+        if n.id in self.bound:
+            raise SchemaError(f"binder id {n.id} of new {text} is already "
+                              f"bound")
+        if n.id in self.channels:
+            raise SchemaError(f"binder id {n.id} of new {text} is an extern "
+                              f"channel id")
+        if n.id in self.seen:
+            raise SchemaError(f"name {text} occurs outside its new")
+        self.bound.add(n.id)
+
+    def use(self, values, scope: frozenset) -> None:
+        for v in values:
+            n = v.name if isinstance(v, NameRef) else v
+            if not isinstance(n, Name):
+                continue
+            if n.id in self.bound and n.id not in scope:
+                raise SchemaError(f"name {n.display}#{n.id} occurs outside "
+                                  f"its new")
+            self.seen.add(n.id)
+
+
+def _read_proc(elem, names: dict, binders: _Binders,
+               scope: frozenset = frozenset()) -> Process:
     tag = elem.tag
     if tag == "nil":
         _attrs(elem, (), "nil")
@@ -436,9 +468,10 @@ def _read_proc(elem, names: dict) -> Process:
             _attrs(elem, (), "par")
             if len(elem) < 2:
                 raise SchemaError("par takes at least 2 children")
-            left += [_read_proc(child, names) for child in elem[:-1]]
+            left += [_read_proc(child, names, binders, scope)
+                     for child in elem[:-1]]
             elem = elem[-1]
-        p = _read_proc(elem, names)
+        p = _read_proc(elem, names, binders, scope)
         for q in reversed(left):
             p = Par(q, p)
         return p
@@ -446,7 +479,9 @@ def _read_proc(elem, names: dict) -> Process:
         (name,) = _attrs(elem, ("name",), "new")
         if len(elem) != 1:
             raise SchemaError("new takes exactly 1 child")
-        return New(_parse_name(name, "new", names), _read_proc(elem[0], names))
+        n = _parse_name(name, "new", names)
+        binders.bind(n)
+        return New(n, _read_proc(elem[0], names, binders, scope | {n.id}))
     if tag in ("out", "in"):
         (subject,) = _attrs(elem, ("subject",), tag)
         if len(elem) == 0 or elem[-1].tag != "cont":
@@ -462,7 +497,8 @@ def _read_proc(elem, names: dict) -> Process:
             kind, val = _attrs(a, ("kind", "value"), "arg")
             args.append(_parse_value(kind, val, tag, names))
         subj = _parse_name(subject, tag, names)
-        cont = _read_proc(cont_elem[0], names)
+        binders.use([subj, *args], scope)
+        cont = _read_proc(cont_elem[0], names, binders, scope)
         if tag == "out":
             return Out(subj, tuple(args), cont)
         objects = []
@@ -475,12 +511,14 @@ def _read_proc(elem, names: dict) -> Process:
         _attrs(elem, (), "repeat")
         if len(elem) != 1:
             raise SchemaError("repeat takes exactly 1 child")
-        return Repeat(_read_proc(elem[0], names))
+        return Repeat(_read_proc(elem[0], names, binders, scope))
     if tag == "fusion":
         left, right = _attrs(elem, ("left", "right"), "fusion")
         if len(elem) != 0:
             raise SchemaError("fusion takes no children")
-        return Fusion(_split_value(left, names), _split_value(right, names))
+        left, right = _split_value(left, names), _split_value(right, names)
+        binders.use([left, right], scope)
+        return Fusion(left, right)
     raise SchemaError(f"unknown element {tag!r}")
 
 
@@ -502,4 +540,8 @@ def from_xml(document) -> Program:
     externs = tuple(_read_extern(e, names) for e in root[0])
     if len(root[1]) != 1:
         raise SchemaError("process takes exactly 1 child")
-    return Program(externs, _read_proc(root[1][0], names))
+    channels = set()
+    for d in externs:
+        for m in d.methods:
+            channels |= {m.call_channel.id, m.return_channel.id}
+    return Program(externs, _read_proc(root[1][0], names, _Binders(channels)))

@@ -425,6 +425,45 @@ def test_run_new_over_2000_thread_par_step_limit(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 10
 
 
+def _thread(tag, subject):
+    return f'<{tag} subject="{subject}"><cont><nil/></cont></{tag}>'
+
+
+@pytest.mark.parametrize("process,error", [
+    # the VM would rebind a#0 in the environment a!() shares with it
+    ('<new name="a#0"><par>' + _thread("out", "a#0")
+     + '<new name="a#0">' + _thread("in", "a#0") + "</new></par></new>",
+     "binder id 0 of new a#0 is already bound"),
+    ("<par>" + _thread("in", "a#0") + '<new name="a#0">'
+     + _thread("out", "a#0") + "</new></par>",
+     "name a#0 occurs outside its new"),
+    ('<par><new name="a#0">' + _thread("out", "a#0") + "</new>"
+     + _thread("in", "a#0") + "</par>",
+     "name a#0 occurs outside its new"),
+], ids=["bound-twice", "used-before-its-new", "used-after-its-new"])
+def test_run_binder_id_error_exit_2(tmp_path, capsys, process, error):
+    path = tmp_path / "binders.xir.xml"
+    path.write_text(_document(process), encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_run_binder_id_is_extern_channel_exit_2(account_src, tmp_path, capsys):
+    out = _compile(account_src, tmp_path)
+    text = out.read_text(encoding="utf-8")
+    assert '<ret channel="Ret2#3" result="int"/>' in text
+    assert '<new name="v#5">' in text
+    out.write_text(text.replace("v#5", "v#3"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", str(out)]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: binder id 3 of new v#3 is an extern " \
+                           "channel id\n"
+
+
 def _int_document(value):
     return _document(f'<out subject="x#0"><arg kind="int" value="{value}"/>'
                      '<cont><nil/></cont></out>')

@@ -227,6 +227,26 @@ def test_reader_matches_reference_on_mutants():
     assert count > 1000
 
 
+def test_reader_matches_reference_on_binder_mutants():
+    # one name id swapped for another id of the same document: news that
+    # bind an id twice or an extern channel's, names outside their new
+    rng = random.Random(11)
+    programs = list(_core_programs())
+    errors = set()
+    for doc in [to_xml(p) for p in programs[-1:] + rng.sample(programs, 12)]:
+        ids = sorted(set(re.findall(r'#(-?\d+)"', doc)))
+        for m in re.finditer(r'#(-?\d+)"', doc):
+            for other in rng.sample(ids, min(3, len(ids))):
+                mutant = doc[:m.start(1)] + other + doc[m.end(1):]
+                got = _read(from_xml, mutant)
+                assert got == _read(ref.from_xml, mutant), mutant
+                if type(got) is tuple:
+                    errors.add(re.sub(r"\S*#\S*|\d+", "_", got[1]))
+    assert errors >= {"binder id _ of new _ is already bound",
+                      "binder id _ of new _ is an extern channel id",
+                      "name _ occurs outside its new"}
+
+
 def _process_document(process):
     return f'<pic version="1"><externs/><process>{process}</process></pic>'
 

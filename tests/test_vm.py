@@ -14,7 +14,7 @@ from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
 from pichan.parser import Program, desugar, parse_program
 from pichan.vm import (DEFAULT_MAX_STEPS, Machine, NotStuck, Xorshift64Star,
                        detect_stuck, explore_runs, run, step)
-from pichan.xir import from_xml, to_xml
+from pichan.xir import SchemaError, from_xml, to_xml
 
 import golden_traces
 import reference_scheduler
@@ -106,6 +106,16 @@ def test_enumerate_adversarial_offers_violating_call():
     loose = m.enumerate_redexes(strict=False)
     assert all(r[0] != "host-call" for r in strict)
     assert any(r[0] == "host-call" for r in loose)
+
+
+def test_output_heads_its_comms_then_its_host_call():
+    counter = ("extern K -> class Counter {\n"
+               "  int inc() { call inc: void; return R: int; }\n}\n")
+    m = _machine(counter + "inc?() | inc!() | inc?()")
+    redexes = m.enumerate_redexes()
+    assert redexes == [("comm", 1, 0), ("comm", 1, 2),
+                       ("host-call", 1, "K", "inc")]
+    assert redexes == reference_scheduler.enumerate_redexes(m, True)
 
 
 def test_enumeration_order_is_stable():
@@ -326,16 +336,77 @@ def test_enumerate_matches_reference_env_families(name, program, max_steps,
         _check_against_reference(m, seed, max_steps, strict)
 
 
-def test_enumerate_matches_reference_rebound_binder_id():
-    # XIR may reuse a binder id; the inner New shadows the outer one, also
-    # for the repeat's unfold test and for the environments of its threads
+def test_from_xml_rejects_rebound_binder_id():
+    # the VM binds a new's id in an environment its siblings share, so XIR
+    # may not reuse a binder id, not even under an inner New
     doc = to_xml(desugar(parse_program("new a in (repeat new b in b!() "
                                        "| a?() | a!())")))
     assert '<new name="a#0">' in doc and '<new name="b#1">' in doc
-    program = from_xml(doc.replace("b#1", "a#0"))
-    for seed in range(4):
+    with pytest.raises(SchemaError, match="binder id 0 of new a#0 is "
+                                          "already bound"):
+        from_xml(doc.replace("b#1", "a#0"))
+
+
+# ---------------------------------------------------------------------------
+# the Redexes sequence: decoded entries, slices and stale reads
+
+
+def _check_redexes_sequence(m, seed, steps, strict):
+    """Step m with the seeded scheduler; before every step the sequence
+    answers len, each index (negative ones too) and slices as the reference
+    list does, and after the step a read raises."""
+    rng = Xorshift64Star(seed)
+    for _ in range(steps):
+        r = m.enumerate_redexes(strict)
+        ref = reference_scheduler.enumerate_redexes(m, strict)
+        n = len(r)
+        assert n == len(list(r)) == len(ref)
+        assert ([r[k] for k in range(-n, n)]
+                == [ref[k] for k in range(-n, n)])
+        assert r[1:] == ref[1:] and r[::-2] == ref[::-2] and r[n:] == []
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                r[k]
+        if not n:
+            return
+        try:
+            m.execute(r[rng.below(n)])
+        except (FusionClash, ProtocolViolation, UngroundArgument, HostFault):
+            return
+        m.step_index += 1
+        for read in (lambda: r[0], lambda: r[-1], lambda: list(r)):
+            with pytest.raises(RuntimeError):
+                read()
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name,program,max_steps", BENCH_FAMILIES,
+                         ids=[entry[0] for entry in BENCH_FAMILIES])
+def test_redexes_sequence_bench_families(name, program, max_steps, strict):
+    for seed in range(2):
         m = Machine.initialize(program, build_std_registry())
-        _check_against_reference(m, seed, 12, True)
+        _check_redexes_sequence(m, seed, max_steps, strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_redexes_sequence_host_programs(strict):
+    for seed in range(40):
+        m = _machine(gen_host_source(random.Random(seed)))
+        _check_redexes_sequence(m, seed, 40, strict)
+
+
+def test_redexes_read_after_a_direct_union_raises():
+    m = _machine("x!(a) | y?<v> | y?<w>")
+    r = m.enumerate_redexes()
+    assert r == []
+    m.env.merge(NameRef(m.threads[0].subject), NameRef(m.threads[1].subject))
+    assert len(r) == 0  # the count is the enumeration's
+    r = m.enumerate_redexes()
+    assert r == [("comm", 0, 1), ("comm", 0, 2)]
+    m.env.merge(NameRef(m.threads[0].objects[0].name),
+                NameRef(m.threads[1].objects[0]))
+    with pytest.raises(RuntimeError):
+        r[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +422,45 @@ def test_copy_mid_run_then_diverge(name, program, max_steps, strict):
                for _ in range(2))
     _check_against_reference(m, 0, 6, strict)
     _check_against_reference(twin, 0, 6, strict)
-    redexes = m.enumerate_redexes(strict)
+    redexes = list(m.enumerate_redexes(strict))  # read after m executes
     assert twin.enumerate_redexes(strict) == redexes
     assert len(redexes) > 1
     m.execute(redexes[0])
     twin.execute(redexes[-1])
     _check_against_reference(m, 1, max_steps, strict)
     _check_against_reference(twin, 1, max_steps, strict)
+
+
+def test_unfold_keeps_only_the_ids_its_body_names():
+    # each client's New binds in the environment the server shares, so an
+    # unfold that copied it whole would cost O(clients) time and memory
+    m = _machine(golden_traces.echo_source(40))
+    assert type(m.threads[0]) is Repeat and len(m.envs[0]) == 40
+    m.execute(("unfold", 0))
+    assert len(m.threads) == 42 and len(m.envs[-1]) == 2  # its x and r
+    assert len(m.envs[0]) == 40
+
+
+@pytest.mark.parametrize("body", ["x?<v>", "(a = v)", "x!(v)", "v!()",
+                                  "x?().y!(v)", "(x!() | new w in w!(v))",
+                                  "repeat v!()"])
+def test_unfold_keeps_a_name_bound_outside_the_repeat(body):
+    m = _machine(f"new v in (repeat {body} | v!())")
+    v = m.threads[1].subject
+    fresh = m.envs[1][v.id]
+    m.execute(("unfold", 0))
+    assert m.envs[2][v.id] == fresh
+
+
+def test_unfold_of_nested_repeats_walks_each_body_once():
+    depth = 300
+    m = _machine("new a in " + "repeat " * depth + "a!()")
+    for level in range(depth):  # the soup grows by one repeat a level
+        m.execute(("unfold", level))
+        if level == 0:  # the first unfold names every inner repeat's ids
+            assert len(m._named) == depth
+    assert len(m._named) == depth and len(m.threads) == depth + 1
+    assert all(env == m.envs[0] for env in m.envs)
 
 
 def test_union_merges_buckets_of_both_roots():
