@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class SurfaceFormError(Exception):
@@ -25,11 +25,21 @@ class FusionClash(Exception):
 # Names and values
 
 
-@dataclass(frozen=True)
 class Name:
-    id: int
-    display: str = field(compare=False)
-    origin: str = field(compare=False, default="source")  # source | fresh
+    """A name.  Equality and hash use the id alone."""
+
+    __slots__ = ("id", "display", "origin")
+
+    def __init__(self, id: int, display: str, origin: str = "source"):
+        self.id = id
+        self.display = display
+        self.origin = origin  # source | fresh
+
+    def __eq__(self, other):
+        return self.id == other.id if type(other) is Name else NotImplemented
+
+    def __hash__(self):
+        return hash(self.id)
 
     def __repr__(self):
         return f"{self.display}#{self.id}"
@@ -47,27 +57,27 @@ class NameSupply:
         return n
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NameRef:
     name: Name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StrLit:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UnitLit:
     pass
 
@@ -96,26 +106,26 @@ def value_token(v: Value, env: Optional[dict] = None) -> str:
 # Process AST
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Nil:
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Par:
     left: "Process"
     right: "Process"
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class New:
     name: Name
     body: "Process"
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Out:
     subject: Name
     objects: tuple  # tuple[Value, ...]
@@ -123,7 +133,7 @@ class Out:
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class In:
     subject: Name
     objects: tuple  # tuple[Name, ...]
@@ -132,13 +142,13 @@ class In:
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Repeat:
     body: "Process"
     span: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fusion:
     left: Value
     right: Value
@@ -201,39 +211,6 @@ _SIZES = {Nil: 1, Par: 1, New: 2, Repeat: 1, Fusion: 3}
 def process_size(p: Process) -> int:
     """Node count, with every name/value occurrence counted as one node."""
     return sum(_SIZES.get(type(q)) or 2 + len(q.objects) for q in nodes(p))
-
-
-def free_names(p: Process) -> set:
-    """Names occurring free in p.  New binds its name; a binding input
-    binds its object names in the continuation."""
-    if isinstance(p, Nil):
-        return set()
-    if isinstance(p, Par):
-        return free_names(p.left) | free_names(p.right)
-    if isinstance(p, New):
-        return free_names(p.body) - {p.name}
-    if isinstance(p, Out):
-        names = {p.subject}
-        for v in p.objects:
-            if isinstance(v, NameRef):
-                names.add(v.name)
-        return names | free_names(p.cont)
-    if isinstance(p, In):
-        inner = free_names(p.cont)
-        if p.binding:
-            inner -= set(p.objects)
-        else:
-            inner |= set(p.objects)
-        return {p.subject} | inner
-    if isinstance(p, Repeat):
-        return free_names(p.body)
-    if isinstance(p, Fusion):
-        names = set()
-        for v in (p.left, p.right):
-            if isinstance(v, NameRef):
-                names.add(v.name)
-        return names
-    raise TypeError(p)
 
 
 def _subst_value(v: Value, src: Name, dst: Name) -> Value:
@@ -549,13 +526,3 @@ def congruent(p: Process, q: Process) -> bool:
     alpha-conversion.  Repeat bodies are compared normalized, not unfolded."""
     return canonical_key(p) == canonical_key(q)
 
-
-def par_all(threads: Iterable[Process]) -> Process:
-    """Right-nested Par of the given threads (Nil when empty)."""
-    threads = list(threads)
-    if not threads:
-        return NIL
-    acc = threads[-1]
-    for t in reversed(threads[:-1]):
-        acc = Par(t, acc)
-    return acc

@@ -1,8 +1,13 @@
-"""Shared diagnostics: source spans and the file:line:col report format."""
+"""Shared diagnostics: source spans and the file:line:col report format.
+
+The parser gives nodes and extern declarations the span (source, offset).
+Line and column are worked out from it only when a Diagnostic is made."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 
@@ -13,12 +18,39 @@ class SourceSpan(NamedTuple):
     length: int = 1
 
 
+class Source:
+    """A file's name and text, and the offsets at which its lines start,
+    computed on first use."""
+
+    __slots__ = ("file", "text", "_starts")
+
+    def __init__(self, file: str, text: str):
+        self.file = file
+        self.text = text
+        self._starts = None
+
+    def span(self, offset: int) -> SourceSpan:
+        """The line and column of offset.  A line starts after each '\\n';
+        columns count characters, so a tab is one column."""
+        if self._starts is None:
+            self._starts = list(accumulate(
+                (len(line) + 1 for line in self.text.split("\n")[:-1]),
+                initial=0))
+        line = bisect_right(self._starts, offset)
+        return SourceSpan(self.file, line, offset - self._starts[line - 1] + 1)
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
     code: str  # E-SYNTAX, E-SORT, E-PROTO, E-USE, W-PAR, ...
     message: str
-    span: Optional[SourceSpan] = None
+    span: Optional[SourceSpan] = None  # a (Source, offset) pair is resolved
+
+    def __post_init__(self):
+        if type(self.span) is tuple:
+            source, offset = self.span
+            object.__setattr__(self, "span", source.span(offset))
 
     def __str__(self):
         span = self.span or SourceSpan("<input>", 1, 1)

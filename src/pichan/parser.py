@@ -17,18 +17,18 @@ Surface grammar (lowest precedence first):
     value    := ident | INT | STRING | 'true' | 'false' | 'unit'
 
 Comments run from '//' to end of line.  A missing continuation is nil.
+A node's span is (diag.Source, offset of its token).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, NameSupply,
                    New, Nil, Out, Par, Process, Repeat, StrLit, UnitLit,
                    Value, name_scan)
-from .diag import Diagnostic, ParseError, SourceSpan
+from .diag import Diagnostic, ParseError, Source
 from .interop import ExternDecl, MethodDecl
 from .typecheck import ProtocolAutomaton, base_sort, canonical_protocol
 
@@ -39,11 +39,13 @@ KEYWORDS = {
 }
 
 # one alternative per lexical class, tried in this order at each position;
-# `bad` catches what no other rule takes, an unterminated '"' included
+# `space` takes white space with every comment that a newline ends, so a
+# `comment` match is a comment that ends the text; `bad` catches what no
+# other rule takes, an unterminated '"' included
 _TOKEN_RE = re.compile(r"""
-    (?P<space>[ \t\r]+) | (?P<newline>\n) | (?P<comment>//[^\n]*)
-  | (?P<strlit>"[^"\\]*(?:\\.[^"\\]*)*") | (?P<intlit>-?\d+)
-  | (?P<word>[^\W\d]\w*) | (?P<punct>->|[!?()<>{}|.,=:;]) | (?P<bad>.)
+    (?P<word>[^\W\d]\w*) | (?P<punct>->|[!?()<>{}|.,=:;])
+  | (?P<space>(?:[ \t\r\n]+|//[^\n]*\n)+) | (?P<comment>//[^\n]*)
+  | (?P<strlit>"[^"\\]*(?:\\.[^"\\]*)*") | (?P<intlit>-?\d+) | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPES = {"n": "\n", "t": "\t"}  # others stand for themselves
@@ -55,49 +57,34 @@ class Program:
     main: Process
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "intlit" | "strlit" | keyword/punct text | "eof"
-    text: str
-    span: SourceSpan
-
-
 def tokenize(text: str, filename: str = "<input>") -> list:
-    """One left-to-right scan of _TOKEN_RE.  Columns count characters from
-    the start of the line, so a tab is one column."""
+    """One left-to-right scan of _TOKEN_RE, giving (kind, text, offset)
+    tuples; kind is "ident", "intlit", "strlit", a keyword or punctuation
+    text, or "eof"."""
     tokens = []
-    line, line_start = 1, 0
+    append = tokens.append
     m = None
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "space" or kind == "comment":
             continue
-        start = m.start()
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-            continue
-        word = m.group()
-        span = SourceSpan(filename, line, start - line_start + 1, len(word))
+        word = m[0]
         if kind == "word" and (word[0].isalpha() or word[0] == "_"):
             kind = word if word in KEYWORDS else "ident"
         elif kind == "punct":
             kind = word
         elif kind == "strlit":
-            if "\n" in word:
-                line += word.count("\n")
-                line_start = start + word.rindex("\n") + 1
             word = _ESCAPE_RE.sub(lambda e: _UNESCAPES.get(e[1], e[1]),
                                   word[1:-1])
         elif kind != "intlit":  # bad, or a word such as '²' that isalpha rejects
             msg = ("unterminated string" if word == '"'
                    else f"unexpected character {word[0]!r}")
             raise ParseError([Diagnostic("error", "E-SYNTAX", msg,
-                                         span._replace(length=1))])
-        tokens.append(Token(kind, word, span))
+                                         (Source(filename, text), m.start()))])
+        append((kind, word, m.start()))
     # a comment that ends the text leaves the end of input where it starts
     end = m.start() if m and m.lastgroup == "comment" else len(text)
-    tokens.append(Token("eof", "", SourceSpan(filename, line,
-                                              end - line_start + 1, 1)))
+    append(("eof", "", end))
     return tokens
 
 
@@ -105,8 +92,9 @@ _SORT_TOKENS = {"void", "int", "string", "bool"}
 
 
 class _Parser:
-    def __init__(self, tokens: list, supply: NameSupply):
-        self.tokens = tokens
+    def __init__(self, tokens: list, source: Source, supply: NameSupply):
+        self.tokens = tokens  # (kind, text, offset) tuples
+        self.source = source  # of the tokens' offsets
         self.pos = 0
         self.supply = supply
         self.globals: dict[str, Name] = {}  # extern channels
@@ -115,61 +103,65 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> tuple:
         return self.tokens[self.pos + ahead]  # never past the eof token
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.tokens[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> tuple:
         t = self.peek()
-        if t.kind != kind:
-            self.fail(f"expected {kind!r}, found {t.text or 'end of input'!r}", t)
+        if t[0] != kind:
+            self.fail(f"expected {kind!r}, found {t[1] or 'end of input'!r}", t)
         return self.next()
 
-    def fail(self, msg: str, tok: Token = None):
+    def at(self, tok: tuple) -> tuple:
+        """The span of tok."""
+        return (self.source, tok[2])
+
+    def fail(self, msg: str, tok: tuple = None):
         tok = tok or self.peek()
-        raise ParseError([Diagnostic("error", "E-SYNTAX", msg, tok.span)])
+        raise ParseError([Diagnostic("error", "E-SYNTAX", msg, self.at(tok))])
 
     # -- extern blocks
 
     def parse_extern(self) -> ExternDecl:
         start = self.expect("extern")
         alias_tok = self.expect("ident")
-        alias = alias_tok.text
+        alias = alias_tok[1]
         if alias in self.aliases:
             self.fail(f"extern alias {alias} declared twice", alias_tok)
         self.aliases.add(alias)
         self.expect("->")
         self.expect("class")
-        cls = self.expect("ident").text
+        cls = self.expect("ident")[1]
         self.expect("{")
         methods = []
         names = set()
-        while self.peek().kind != "}":
+        while self.peek()[0] != "}":
             methods.append(self.parse_method(names))
         self.expect("}")
-        return ExternDecl(alias, cls, tuple(methods), span=start.span)
+        return ExternDecl(alias, cls, tuple(methods), span=self.at(start))
 
     def _sort_name(self):
         t = self.next()
-        if t.kind not in _SORT_TOKENS:
-            self.fail(f"expected a sort, found {t.text!r}", t)
-        return t.text
+        if t[0] not in _SORT_TOKENS:
+            self.fail(f"expected a sort, found {t[1]!r}", t)
+        return t[1]
 
     def _sort_list(self, close: str = None) -> tuple:
         """Comma-separated sorts; 'void' alone, or close next, means an
         empty payload."""
-        if self.peek().kind == close:
+        if self.peek()[0] == close:
             return ()
         first = self._sort_name()
         if first == "void":
             return ()
         sorts = [base_sort(first)]
-        while self.peek().kind == ",":
+        while self.peek()[0] == ",":
             self.next()
             name = self._sort_name()
             if name == "void":
@@ -183,7 +175,7 @@ class _Parser:
         start = self.peek()
         ret_name = self._sort_name()
         name_tok = self.expect("ident")
-        mname = name_tok.text
+        mname = name_tok[1]
         if mname in names:
             self.fail(f"extern method {mname} declared twice", name_tok)
         names.add(mname)
@@ -212,7 +204,7 @@ class _Parser:
         call_chan = self._declare_channel(call_tok)
         ret_chan = self._declare_channel(ret_tok)
         declared = False
-        if self.peek().kind == "acceded":
+        if self.peek()[0] == "acceded":
             self.next()
             self.expect("as")
             self.expect("{")
@@ -224,31 +216,31 @@ class _Parser:
                                           ret_chan.display, ret_payload)
         return MethodDecl(mname, call_chan, param_sorts, ret_chan,
                           ret_payload, protocol, protocol_declared=declared,
-                          span=start.span)
+                          span=self.at(start))
 
-    def _declare_channel(self, tok: Token) -> Name:
-        if tok.text in self.globals:
+    def _declare_channel(self, tok: tuple) -> Name:
+        if tok[1] in self.globals:
             raise ParseError([Diagnostic(
                 "error", "E-SYNTAX",
-                f"extern channel {tok.text} declared twice", tok.span)])
-        name = self.supply.fresh(tok.text, "source")
-        self.globals[tok.text] = name
+                f"extern channel {tok[1]} declared twice", self.at(tok))])
+        name = self.supply.fresh(tok[1], "source")
+        self.globals[tok[1]] = name
         return name
 
     def parse_protocol(self) -> ProtocolAutomaton:
         self.expect("rec")
-        var = self.expect("ident").text
+        var = self.expect("ident")[1]
         self.expect("{")
         transitions = []
         state = 0
         while True:
             tok = self.expect("ident")
-            if tok.text == var and self.peek().kind == "}":
+            if tok[1] == var and self.peek()[0] == "}":
                 break
             self.expect("(")
             payload = self._sort_list(")")
             self.expect(")")
-            transitions.append([state, tok.text, payload, state + 1])
+            transitions.append([state, tok[1], payload, state + 1])
             state += 1
             self.expect(".")
         self.expect("}")
@@ -259,29 +251,29 @@ class _Parser:
 
     # -- processes
 
-    def lookup(self, tok: Token, scope: dict) -> Name:
+    def lookup(self, tok: tuple, scope: dict) -> Name:
         """scope (where None marks a closed binder), extern, else free."""
-        name = scope.get(tok.text) or self.globals.get(tok.text)
+        name = scope.get(tok[1]) or self.globals.get(tok[1])
         if name is not None:
             return name
-        if tok.text not in self.free:
-            self.free[tok.text] = self.supply.fresh(tok.text, "source")
-        return self.free[tok.text]
+        if tok[1] not in self.free:
+            self.free[tok[1]] = self.supply.fresh(tok[1], "source")
+        return self.free[tok[1]]
 
     def _bind(self, toks: list, scope: dict, frames: list) -> list:
         """Fresh names for toks, bound in scope in place; frames gets the
         entries to restore."""
-        frames.append({t.text: scope.get(t.text) for t in toks})
-        names = [self.supply.fresh(tok.text, "source") for tok in toks]
-        scope.update((t.text, n) for t, n in zip(toks, names))
+        frames.append({t[1]: scope.get(t[1]) for t in toks})
+        names = [self.supply.fresh(tok[1], "source") for tok in toks]
+        scope.update((t[1], n) for t, n in zip(toks, names))
         return names
 
     def _items(self, item, close: str = None) -> list:
         """item (',' item)*, or no items when the next token is close."""
-        if self.peek().kind == close:
+        if self.peek()[0] == close:
             return []
         items = [item()]
-        while self.peek().kind == ",":
+        while self.peek()[0] == ",":
             self.next()
             items.append(item())
         return items
@@ -302,32 +294,32 @@ class _Parser:
                 elif type(frame) is tuple:
                     make, fields, span = frame
                     p = make(*fields, p, span=span)
-                elif self.peek().kind == "|":
+                elif self.peek()[0] == "|":
                     frame += (p, self.next())
                     frames.append(frame)
                     break
                 else:
                     for left, bar in reversed(list(zip(frame[::2], frame[1::2]))):
-                        p = Par(left, p, span=bar.span)
+                        p = Par(left, p, span=self.at(bar))
                     if not frames:
                         return p
                     self.expect(")")
 
-    def _value(self, t: Token, scope: dict) -> Value:
-        if t.kind == "ident":
+    def _value(self, t: tuple, scope: dict) -> Value:
+        if t[0] == "ident":
             return NameRef(self.lookup(t, scope))
-        if t.kind == "intlit":
+        if t[0] == "intlit":
             try:
-                return IntLit(int(t.text))
+                return IntLit(int(t[1]))
             except ValueError:  # past the interpreter's int-conversion limit
                 self.fail("integer literal has too many digits", t)
-        if t.kind == "strlit":
-            return StrLit(t.text)
-        if t.kind in ("true", "false"):
-            return BoolLit(t.kind == "true")
-        if t.kind == "unit":
+        if t[0] == "strlit":
+            return StrLit(t[1])
+        if t[0] in ("true", "false"):
+            return BoolLit(t[0] == "true")
+        if t[0] == "unit":
             return UnitLit()
-        self.fail(f"expected a value, found {t.text or 'end of input'!r}", t)
+        self.fail(f"expected a value, found {t[1] or 'end of input'!r}", t)
 
     def _term_head(self, scope: dict, frames: list) -> Process:
         """Reads a term up to its first whole subterm (nil, a fusion, or the
@@ -335,28 +327,29 @@ class _Parser:
         construct, and returns that subterm."""
         while True:
             t = self.next()  # a failure raises, so taking t first is harmless
-            if t.kind == "nil":
-                return Nil(span=t.span)
-            if t.kind == "(":
+            kind = t[0]
+            if kind == "nil":
+                return Nil(span=self.at(t))
+            if kind == "(":
                 frames.append([])
-            elif t.kind == "new":
+            elif kind == "new":
                 binders = self._items(lambda: self.expect("ident"))
                 self.expect("in")
                 names = self._bind(binders, scope, frames)
-                frames += [(New, (n,), t.span) for n in names]
-            elif t.kind == "repeat":
-                frames.append((Repeat, (), t.span))
-            elif t.kind == "ident" and self.peek().kind in ("!", "?"):
+                frames += [(New, (n,), self.at(t)) for n in names]
+            elif kind == "repeat":
+                frames.append((Repeat, (), self.at(t)))
+            elif kind == "ident" and self.peek()[0] in ("!", "?"):
                 subj = self.lookup(t, scope)
-                if self.next().kind == "!":
+                if self.next()[0] == "!":
                     self.expect("(")
                     objs = self._items(lambda: self._value(self.next(), scope),
                                        ")")
                     self.expect(")")
-                    frames.append((Out, (subj, tuple(objs)), t.span))
+                    frames.append((Out, (subj, tuple(objs)), self.at(t)))
                 else:
                     open_tok = self.next()
-                    close = {"(": ")", "<": ">"}.get(open_tok.kind)
+                    close = {"(": ")", "<": ">"}.get(open_tok[0])
                     if close is None:
                         self.fail("expected '(' or '<' after '?'", open_tok)
                     toks = self._items(lambda: self.expect("ident"), close)
@@ -364,14 +357,16 @@ class _Parser:
                     binding = close == ")"
                     names = (self._bind(toks, scope, frames) if binding
                              else [self.lookup(tok, scope) for tok in toks])
-                    frames.append((In, (subj, tuple(names), binding), t.span))
-                if self.peek().kind != ".":
+                    frames.append((In, (subj, tuple(names), binding),
+                                   self.at(t)))
+                if self.peek()[0] != ".":
                     return Nil()
                 self.next()
             else:  # fusion: value '=' value
                 left = self._value(t, scope)
                 eq = self.expect("=")
-                return Fusion(left, self._value(self.next(), scope), span=eq.span)
+                return Fusion(left, self._value(self.next(), scope),
+                              span=self.at(eq))
 
 
 def parse_program(text: str, filename: str = "<input>",
@@ -379,12 +374,11 @@ def parse_program(text: str, filename: str = "<input>",
     """Parse source text into a surface Program (binding inputs allowed).
     Raises ParseError carrying diagnostics with source spans."""
     supply = supply or NameSupply()
-    tokens = tokenize(text, filename)
-    parser = _Parser(tokens, supply)
+    parser = _Parser(tokenize(text, filename), Source(filename, text), supply)
     externs = []
-    while parser.peek().kind == "extern":
+    while parser.peek()[0] == "extern":
         externs.append(parser.parse_extern())
-    if parser.peek().kind == "eof":
+    if parser.peek()[0] == "eof":
         parser.fail("expected a process")
     main = parser.parse_proc({})
     parser.expect("eof")

@@ -20,8 +20,9 @@ from .core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
                    NameRef, NameSupply, New, Nil, Out, Par, Process, Repeat,
                    StrLit, UnitLit, Value)
 from .interop import (Endpoint, HostFault, HostRegistry, ProtocolViolation,
-                      UngroundArgument, complete_return, dispatch_call,
-                      resolve_externs)
+                      UngroundArgument, build_std_registry, complete_return,
+                      dispatch_call, resolve_externs)
+from .parser import desugar, program_scan
 
 DEFAULT_MAX_STEPS = 10000
 
@@ -147,7 +148,6 @@ class Machine:
 
     @classmethod
     def initialize(cls, program, registry: HostRegistry) -> "Machine":
-        from .parser import desugar, program_scan
         top, core = program_scan(program)
         if not core:
             program = desugar(program)
@@ -601,7 +601,6 @@ def step(machine: Machine, rng: Xorshift64Star,
 def run(program, seed: int = 0, max_steps: int = DEFAULT_MAX_STEPS,
         registry: Optional[HostRegistry] = None) -> Trace:
     """Reduce until stuck, clash, violation or the step limit."""
-    from .interop import build_std_registry
     registry = registry if registry is not None else build_std_registry()
     machine = Machine.initialize(program, registry)
     rng = Xorshift64Star(seed)
@@ -656,7 +655,6 @@ def explore_runs(program, registry_builder, max_depth: int = 20,
     status 'depth-limit').  A machine follows its first redex; each other
     one replays its path of redexes on a fresh Machine.initialize, so
     registry_builder must build equal fresh registries."""
-    from .interop import build_std_registry
     registry_builder = registry_builder or build_std_registry
     results = []
 

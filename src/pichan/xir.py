@@ -19,6 +19,7 @@ stacks, so nesting depth is bounded by memory alone.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
@@ -46,9 +47,15 @@ class VersionError(SchemaError):
 # Writing
 
 
+# what quoteattr replaces; a value without any of these it only wraps in '"'
+_NEEDS_QUOTING = re.compile('[&<>"\n\r\t]').search
+
+
 def _element(tag: str, attrs=(), close: bool = False) -> str:
     """One line of the document: an opening (or, with close, empty) tag."""
-    return ("<" + tag + "".join(f" {key}={quoteattr(val)}" for key, val in attrs)
+    return ("<" + tag
+            + "".join(f" {key}={quoteattr(val)}" if _NEEDS_QUOTING(val)
+                      else f' {key}="{val}"' for key, val in attrs)
             + ("/>" if close else ">"))
 
 

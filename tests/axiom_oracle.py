@@ -16,10 +16,11 @@ design) keeps apart.
 from __future__ import annotations
 
 from pichan.core import (Fusion, In, Name, NameRef, NameSupply, New, Nil,
-                         Out, Par, Process, Repeat, free_names, name_scan,
-                         process_size, value_token)
+                         Out, Par, Process, Repeat, name_scan, process_size,
+                         value_token)
 
 from substitution import substitute
+from terms import free_names
 
 NIL = Nil()
 

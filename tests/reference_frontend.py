@@ -5,17 +5,27 @@ desugaring; test_parser checks pichan.parser.tokenize and desugar against
 them.
 
 One deliberate change from the original: a raw newline inside a string
-literal now advances the line count, as it does in pichan.parser.
+literal now advances the line count, as it does in pichan.parser.  The
+tokens here carry a SourceSpan each, as pichan's did before its tokens
+carried an offset; test_parser resolves pichan's offsets to compare them.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from pichan.core import (Fusion, In, Nil, New, Out, Par, Process, Repeat,
                          NameSupply)
 from pichan.diag import Diagnostic, ParseError, SourceSpan
-from pichan.parser import KEYWORDS, Program, Token, program_scan
+from pichan.parser import KEYWORDS, Program, program_scan
 
 from substitution import substitute
+
+class Token(NamedTuple):
+    kind: str  # "ident" | "intlit" | "strlit" | keyword/punct text | "eof"
+    text: str
+    span: SourceSpan
+
 
 _PUNCT = ["->", "!", "?", "(", ")", "<", ">", "{", "}", "|", ".", ",", "=",
           ":", ";"]

@@ -19,7 +19,7 @@ from xml.sax.saxutils import quoteattr
 from pichan.core import (Fusion, In, Name, NameRef, NameSupply, New, Nil,
                          Out, Par, Process, Repeat, SurfaceFormError,
                          name_scan)
-from pichan.diag import Diagnostic
+from pichan.diag import Diagnostic, Source
 from pichan.parser import Program, _Parser, tokenize
 from pichan.typecheck import (ChanSort, _decl_channel_sorts,
                               extern_channel_table, literal_sort)
@@ -33,89 +33,91 @@ from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _attrs,
 
 class _RecursiveParser(_Parser):
     def lookup(self, tok, scope: dict) -> Name:
-        if tok.text in scope:
-            return scope[tok.text]
-        if tok.text in self.globals:
-            return self.globals[tok.text]
-        if tok.text not in self.free:
-            self.free[tok.text] = self.supply.fresh(tok.text, "source")
-        return self.free[tok.text]
+        if tok[1] in scope:
+            return scope[tok[1]]
+        if tok[1] in self.globals:
+            return self.globals[tok[1]]
+        if tok[1] not in self.free:
+            self.free[tok[1]] = self.supply.fresh(tok[1], "source")
+        return self.free[tok[1]]
 
     def _bind_copy(self, toks: list, scope: dict) -> tuple:
-        names = [self.supply.fresh(tok.text, "source") for tok in toks]
-        return names, {**scope, **{t.text: n for t, n in zip(toks, names)}}
+        names = [self.supply.fresh(tok[1], "source") for tok in toks]
+        return names, {**scope, **{t[1]: n for t, n in zip(toks, names)}}
 
     def parse_proc(self, scope: dict) -> Process:
         left = self.parse_term(scope)
-        if self.peek().kind == "|":
+        if self.peek()[0] == "|":
             bar = self.next()
             right = self.parse_proc(scope)
-            return Par(left, right, span=bar.span)
+            return Par(left, right, span=self.at(bar))
         return left
 
     def _cont(self, scope: dict) -> Process:
-        if self.peek().kind == ".":
+        if self.peek()[0] == ".":
             self.next()
             return self.parse_term(scope)
         return Nil()
 
     def parse_term(self, scope: dict) -> Process:
         t = self.peek()
-        if t.kind == "nil":
+        if t[0] == "nil":
             self.next()
-            return Nil(span=t.span)
-        if t.kind == "(":
+            return Nil(span=self.at(t))
+        if t[0] == "(":
             self.next()
             p = self.parse_proc(scope)
             self.expect(")")
             return p
-        if t.kind == "new":
+        if t[0] == "new":
             self.next()
             binders = self._items(lambda: self.expect("ident"))
             self.expect("in")
             names, scope = self._bind_copy(binders, scope)
             body = self.parse_term(scope)
             for name in reversed(names):
-                body = New(name, body, span=t.span)
+                body = New(name, body, span=self.at(t))
             return body
-        if t.kind == "repeat":
+        if t[0] == "repeat":
             self.next()
-            return Repeat(self.parse_term(scope), span=t.span)
-        if t.kind == "ident" and self.peek(1).kind in ("!", "?"):
+            return Repeat(self.parse_term(scope), span=self.at(t))
+        if t[0] == "ident" and self.peek(1)[0] in ("!", "?"):
             self.next()
             subj = self.lookup(t, scope)
-            if self.next().kind == "!":
+            if self.next()[0] == "!":
                 self.expect("(")
                 objs = self._items(lambda: self._value(self.next(), scope),
                                    ")")
                 self.expect(")")
-                return Out(subj, tuple(objs), self._cont(scope), span=t.span)
+                return Out(subj, tuple(objs), self._cont(scope),
+                           span=self.at(t))
             open_tok = self.next()
-            if open_tok.kind == "(":
+            if open_tok[0] == "(":
                 params = self._items(lambda: self.expect("ident"), ")")
                 self.expect(")")
                 names, scope = self._bind_copy(params, scope)
                 return In(subj, tuple(names), True, self._cont(scope),
-                          span=t.span)
-            if open_tok.kind == "<":
+                          span=self.at(t))
+            if open_tok[0] == "<":
                 names = self._items(
                     lambda: self.lookup(self.expect("ident"), scope), ">")
                 self.expect(">")
                 return In(subj, tuple(names), False, self._cont(scope),
-                          span=t.span)
+                          span=self.at(t))
             self.fail("expected '(' or '<' after '?'", open_tok)
         left = self._value(self.next(), scope)
         eq = self.expect("=")
         right = self._value(self.next(), scope)
-        return Fusion(left, right, span=eq.span)
+        return Fusion(left, right, span=self.at(eq))
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
-    parser = _RecursiveParser(tokenize(text, filename), NameSupply())
+    parser = _RecursiveParser(tokenize(text, filename), Source(filename, text),
+                              NameSupply())
     externs = []
-    while parser.peek().kind == "extern":
+    while parser.peek()[0] == "extern":
         externs.append(parser.parse_extern())
-    if parser.peek().kind == "eof":
+    if parser.peek()[0] == "eof":
         parser.fail("expected a process")
     main = parser.parse_proc({})
     parser.expect("eof")

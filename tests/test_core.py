@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
-                         NameRef, NameSupply, New, Nil, Out, Par, Repeat,
-                         StrLit, SurfaceFormError, canonical_key, congruent,
-                         free_names, name_scan, par_all, process_size)
+                         Name, NameRef, NameSupply, New, Nil, Out, Par, Repeat,
+                         StrLit, SurfaceFormError, UnitLit, canonical_key,
+                         congruent, name_scan, process_size)
 
 from randgen import gen_process
 from substitution import substitute
+from terms import free_names, par_all
 
 
 def _names(*displays):
@@ -381,3 +382,39 @@ def test_par_all():
     assert par_all([]) == Nil()
     assert par_all([a]) == a
     assert par_all([a, b]) == Par(a, b)
+
+
+# ---------------------------------------------------------------------------
+# identity of names and nodes
+
+
+def test_name_equality_and_hash_use_the_id_alone():
+    a, b = Name(7, "x", "source"), Name(7, "y", "fresh")
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert Name(7, "x") != Name(8, "x")
+    assert Name(7, "x") != 7 and Name(7, "x") != NameRef(Name(7, "x"))
+
+
+def _one_of_each_node(span):
+    x, y = _names("x", "y")
+    return [Nil(span=span), Par(Nil(), Nil(), span=span),
+            New(x, Nil(), span=span), Out(x, (NameRef(y),), Nil(), span=span),
+            In(x, (y,), True, Nil(), span=span), Repeat(Nil(), span=span),
+            Fusion(NameRef(x), IntLit(1), span=span)]
+
+
+def test_node_equality_and_hash_ignore_the_span():
+    for plain, placed in zip(_one_of_each_node(None),
+                             _one_of_each_node(("f.pi", 3))):
+        assert plain == placed and hash(plain) == hash(placed)
+    x, y = _names("x", "y")
+    assert Out(x, (), Nil()) != Out(y, (), Nil())
+    assert In(x, (y,), True, Nil()) != In(x, (y,), False, Nil())
+
+
+def test_names_values_and_nodes_have_no_dict():
+    x, = _names("x")
+    for obj in [x, NameRef(x), IntLit(1), StrLit("s"), BoolLit(True),
+                UnitLit(), *_one_of_each_node(None)]:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

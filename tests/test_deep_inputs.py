@@ -56,15 +56,17 @@ def test_run_100000_deep_left_nested_par(tmp_path, capsys):
 
 def _shown(text, parse=parse_program, sorts=check_sorts,
            usage=check_extern_usage):
-    """Everything a parse shows: each node's kind and span in pre-order,
-    the desugared XIR (ids included) and both checkers' diagnostics; or
-    the ParseError's diagnostics."""
+    """Everything a parse shows: each node's kind and span in pre-order
+    (file, line and column, resolved through the source map), the desugared
+    XIR (ids included) and both checkers' diagnostics; or the ParseError's
+    diagnostics."""
     try:
         program = parse(text, "f.pi")
     except ParseError as exc:
         return [str(d) for d in exc.diagnostics]
     core = desugar(program)
-    return ([(type(n).__name__, n.span) for n in nodes(program.main)],
+    return ([(type(n).__name__, n.span and n.span[0].span(n.span[1]))
+             for n in nodes(program.main)],
             to_xml(core), [str(d) for d in sorts(core)],
             [str(d) for d in usage(core)])
 

@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (Fusion, In, IntLit, NameRef, NameSupply, New, Nil,
-                         Out, Par, Repeat, StrLit, free_names, name_scan)
-from pichan.diag import ParseError
-from pichan.parser import (Program, desugar, format_program, parse_program,
-                           program_alpha_eq, tokenize)
-from pichan.typecheck import INT, canonical_protocol
+                         Out, Par, Repeat, StrLit, name_scan)
+from pichan.diag import ParseError, Source
+from pichan.parser import (_TOKEN_RE, Program, desugar, format_program,
+                           parse_program, program_alpha_eq, tokenize)
+from pichan.typecheck import INT, canonical_protocol, check_sorts
 from pichan.xir import to_xml
 
 import reference_frontend
 from golden_traces import corpus
 from randgen import gen_program
+from terms import free_names
 
 ACCOUNT_EXTERN = """
 extern FClass -> class Account {
@@ -159,11 +160,33 @@ def test_parse_unterminated_string():
         parse_program('x!("oops')
 
 
+def resolved_tokens(text, filename="<input>"):
+    """pichan's tokens of text as (kind, text, SourceSpan): each offset
+    resolved through the source map, the length that of the lexeme."""
+    source = Source(filename, text)
+    return [(kind, word, source.span(offset)._replace(
+                length=1 if kind == "eof"
+                else _TOKEN_RE.match(text, offset).end() - offset))
+            for kind, word, offset in tokenize(text, filename)]
+
+
+def where(node):
+    """(line, column) of a node's (Source, offset) span."""
+    source, offset = node.span
+    return source.span(offset)[1:3]
+
+
 def test_tokenize_positions():
-    toks = tokenize("x!()\ny?<v>")
-    ident = [t for t in toks if t.kind == "ident"]
-    assert (ident[0].span.line, ident[0].span.column) == (1, 1)
-    assert (ident[1].span.line, ident[1].span.column) == (2, 1)
+    toks = resolved_tokens("x!()\ny?<v>")
+    ident = [t for t in toks if t[0] == "ident"]
+    assert (ident[0][2].line, ident[0][2].column) == (1, 1)
+    assert (ident[1][2].line, ident[1][2].column) == (2, 1)
+
+
+def test_tokens_carry_offsets():
+    assert tokenize("x!(1)\n y") == [
+        ("ident", "x", 0), ("!", "!", 1), ("(", "(", 2), ("intlit", "1", 3),
+        (")", ")", 4), ("ident", "y", 7), ("eof", "", 8)]
 
 
 def test_method_header_mismatch_rejected():
@@ -259,24 +282,56 @@ _LEX_TEXT = st.tuples(st.lists(_LEX_PIECES, max_size=30), _LEX_RISKS,
 
 
 def _lex(tokenize_fn, text):
+    """(kind, text, (file, line, column, length)) per token, or the
+    diagnostics with their full spans."""
     try:
         return [tuple(t) for t in tokenize_fn(text, "f.pi")]
     except ParseError as exc:
-        return [str(d) for d in exc.diagnostics]
+        return [(str(d), d.span) for d in exc.diagnostics]
 
 
 @given(_LEX_TEXT)
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_reference(text):
-    assert _lex(tokenize, text) == _lex(reference_frontend.tokenize, text)
+    assert _lex(resolved_tokens, text) == _lex(reference_frontend.tokenize,
+                                               text)
 
 
 @pytest.mark.parametrize("text", [
     "x //c", "//", "a\\", '"abc\\', "-", "x\t\ry", '"a\nb" x', '"\\\n" y',
     "\u00b2x", "\u0661\u0662", "-\u0661", "x\u00b2 -> y", "", "\n\n  ",
+    "x!()\r\ny?<v>\r\n", "\tx\t!(\t1)", '"a\nb"\ny', "x // end", "x!()$",
+    "\u00e9t\u00e9!(\u00fc) | x!(\u20ac)",
 ])
 def test_tokenize_matches_reference_on_edges(text):
-    assert _lex(tokenize, text) == _lex(reference_frontend.tokenize, text)
+    assert _lex(resolved_tokens, text) == _lex(reference_frontend.tokenize,
+                                               text)
+
+
+# (text, the first diagnostic's position); each position was checked by
+# hand, and the parent of the offset-carrying tokens printed the same
+@pytest.mark.parametrize("text, where", [
+    ("x!()\r\ny!(1 2)", "f.pi:2:1"),  # CRLF: the line starts after '\n'
+    ("x!()\r\n| y?(v", "f.pi:2:7"),
+    ("\tx!(\t1,\t)", "f.pi:1:9"),  # a tab is one column
+    ('x!("a\nb", 1 2)', "f.pi:2:7"),  # a newline in a string starts a line
+    ("x!( // end", "f.pi:1:5"),  # end of input where the last comment starts
+    ("x!()\ny!()$", "f.pi:2:5"),  # an error on the last character
+    ("x!(1).", "f.pi:1:7"),
+    ("\u00e9t\u00e9!(\u00fc) | x!(\u20ac)", "f.pi:1:14"),  # characters
+])
+def test_parse_error_positions(text, where):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text, "f.pi")
+    assert str(exc.value.diagnostics[0]).startswith(where + ": error E-SYNTAX")
+
+
+def test_check_positions_resolve_through_the_source_map():
+    program = parse_program('x!(1)\r\n|\t\u00e9!()\n| x!("s")', "f.pi")
+    assert program.main.span[0]._starts is None  # nothing resolved yet
+    assert [str(d) for d in check_sorts(desugar(program))] == [
+        "f.pi:3:3: error E-SORT sort mismatch in output payload on x: "
+        "int vs string"]
 
 
 def _same_core(program):
@@ -315,8 +370,8 @@ def test_desugar_matches_reference_on_hand_built_terms():
 def test_desugar_keeps_spans_under_binding_input():
     program = desugar(parse_program('x?(v).y!(1).y!("s")'))
     out = program.main.body.cont
-    assert (out.span.line, out.span.column) == (1, 7)
-    assert (out.cont.span.line, out.cont.span.column) == (1, 13)
+    assert where(out) == (1, 7)
+    assert where(out.cont) == (1, 13)
 
 
 # ---------------------------------------------------------------------------

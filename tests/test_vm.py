@@ -20,6 +20,7 @@ import golden_traces
 import reference_scheduler
 from randgen import gen_host_source, gen_program
 from substitution import soup
+from terms import free_names
 from test_parser import ACCOUNT_EXTERN
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -813,7 +814,6 @@ def _flat_count(p):
 
 
 def test_comm_never_creates_free_names():
-    from pichan.core import free_names
     m = _machine("x!(a) | x?<b>.b!(c)")
     names_before = set()
     for t in soup(m):

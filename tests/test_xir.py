@@ -4,18 +4,20 @@ import dataclasses
 import random
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (Name, NameRef, New, Nil, Out, SurfaceFormError)
+from pichan.core import (Name, NameRef, New, Nil, Out, StrLit,
+                         SurfaceFormError)
 from pichan.parser import Program, desugar, parse_program
 from pichan.typecheck import INT
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, from_xml,
                         to_xml, validate)
 
-from golden_traces import echo_source
+from golden_traces import SAMPLES, echo_source
 from randgen import gen_program
 from reference_protocol import canonical_by_isomorphism
 from test_acceptance import _all_automata
@@ -41,6 +43,25 @@ def test_account_document_structure():
 def test_round_trip_exact_including_ids():
     program = desugar(parse_program("new a in a!(1, \"s\", true, unit).a?<b>"))
     assert from_xml(to_xml(program)) == program
+
+
+@pytest.mark.parametrize("text", [
+    "plain", "it's", 'a"b', "'\"both", "a&b", "<c>", "tab\there", "new\nline",
+    "cr\rx", "caf\u00e9", ""])
+def test_attribute_values_are_written_as_quoteattr_writes_them(text):
+    doc = to_xml(Program((), Out(Name(0, "x"), (StrLit(text),), Nil())))
+    assert f'<arg kind="str" value={quoteattr(text)}/>' in doc.splitlines()
+    assert from_xml(doc).main.objects == (StrLit(text),)
+
+
+@pytest.mark.parametrize("sample", sorted(SAMPLES.glob("*.pi")),
+                         ids=lambda path: path.name)
+def test_round_trip_exact_on_the_samples(sample):
+    program = desugar(parse_program(sample.read_text(), sample.name))
+    back = from_xml(to_xml(program))
+    assert back == program
+    # the document holds no spans, and equality does not look at them
+    assert back.main.span is None and program.main.span is not None
 
 
 def test_determinism_byte_identical():
