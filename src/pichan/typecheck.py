@@ -1,7 +1,10 @@
 """Sort inference for channels and protocol checking for extern blocks.
 
 Plain channels have no declaration syntax, so their sorts are inferred by
-unification from use; extern channels get their sorts from the declaration.
+unification from use, action by action in pre-order, over a union-find of
+sort classes; extern channels get their sorts from the declaration.  A
+binding that would make a sort recursive is refused when it is made, found
+by a search forward from the sort and backward from the class at once.
 Protocols on extern methods are restricted to the canonical call-then-return
 cycle; anything else parses but is rejected here.
 """
@@ -35,28 +38,8 @@ UNIT = BaseSort("unit")
 _BASE_BY_NAME = {"int": INT, "string": STR, "bool": BOOL, "unit": UNIT}
 
 
-@dataclass(frozen=True)
-class ChanSort:
-    payload: tuple  # tuple of Sorts
-
-    def __str__(self):
-        return "chan(" + ",".join(str(s) for s in self.payload) + ")"
-
-
 def base_sort(name: str) -> Optional[BaseSort]:
     return _BASE_BY_NAME.get(name)
-
-
-def literal_sort(v) -> BaseSort:
-    if isinstance(v, IntLit):
-        return INT
-    if isinstance(v, StrLit):
-        return STR
-    if isinstance(v, BoolLit):
-        return BOOL
-    if isinstance(v, UnitLit):
-        return UNIT
-    raise TypeError(v)
 
 
 # ---------------------------------------------------------------------------
@@ -100,92 +83,128 @@ def is_canonical(method) -> bool:
 # ---------------------------------------------------------------------------
 # Sort checking (unification from use)
 
-
-def _is_var(t) -> bool:
-    return type(t) is tuple and t[0] == "var"
+_LITERAL_SORT = {IntLit: INT, StrLit: STR, BoolLit: BOOL, UnitLit: UNIT}
 
 
 class _Unifier:
+    """Union-find over sort classes.  A class is keyed by a name id, or by a
+    negative key for a payload slot that no name fills.  Its root holds its
+    sort in `sort`: absent while unknown, a BaseSort, or a channel's payload
+    as a tuple of terms (class keys and BaseSorts).  `users` maps a root to
+    the classes whose payloads mention it.  Two classes with known sorts are
+    never merged: their payloads are unified, and a mismatch leaves both."""
+
     def __init__(self):
-        self.binding: dict = {}
-        self._fresh = 0
-        self.diags: list = []
+        self.parent, self.sort, self.users = {}, {}, {}
+        self._fresh, self.diags = 0, []
 
-    def fresh_var(self):
-        self._fresh += 1
-        return ("var", ("t", self._fresh))
+    def find(self, k):
+        root, parent = k, self.parent
+        while root in parent:
+            root = parent[root]
+        while k != root:
+            parent[k], k = root, parent[k]
+        return root
 
-    def name_var(self, name):
-        return ("var", ("n", name.id))
+    def _join(self, a, b) -> None:
+        """Merge class a, whose sort is unknown, into class b: the root with
+        more users stays, and it takes b's sort."""
+        users, sort = self.users, self.sort
+        if len(users.get(a, ())) > len(users.get(b, ())):
+            a, b = b, a
+            if a in sort:
+                sort[b] = sort.pop(a)
+        self.parent[a] = b
+        if a in users:
+            users.setdefault(b, []).extend(users.pop(a))
 
-    def resolve(self, t):
-        """The end of t's variable chain, now bound to each var on it."""
-        chain = []
-        while _is_var(t) and t[1] in self.binding:
-            chain.append(t[1])
-            t = self.binding[t[1]]
-        for key in chain:
-            self.binding[key] = t
-        return t
+    def _reaches(self, src, dst) -> bool:
+        """Whether class dst occurs in the sort of class src.  The search
+        steps forward from src through payloads and backward from dst
+        through users, one class each in turn, and stops when the two meet
+        or either side runs out: at most 2 * min(descendants, ancestors)
+        classes."""
+        find, sort, users = self.find, self.sort, self.users
+        if src == dst or type(sort.get(src)) is not tuple:
+            return src == dst
+        fwd, bwd, fseen, bseen = [src], [dst], {src}, {dst}
+        while True:
+            got = sort.get(fwd.pop())
+            for k in got if type(got) is tuple else ():
+                if type(k) is int and (k := find(k)) not in fseen:
+                    if k in bseen:
+                        return True
+                    fseen.add(k)
+                    fwd.append(k)
+            if not fwd:
+                return False
+            for k in users.get(bwd.pop(), ()):
+                if (k := find(k)) not in bseen:
+                    if k in fseen:
+                        return True
+                    bseen.add(k)
+                    bwd.append(k)
+            if not bwd:
+                return False
 
-    def _occurs(self, key, t) -> bool:
-        stack = [t]
-        while stack:
-            t = self.resolve(stack.pop())
-            if t == ("var", key):
-                return True
-            if type(t) is ChanSort:
-                stack += t.payload
-        return False
-
-    def unify(self, t1, t2, span, what: str) -> None:
-        """Pairs are unified depth first, left to right, from a stack."""
-        stack = [(t1, t2)]
-        while stack:
-            t1, t2 = stack.pop()
-            t1, t2 = self.resolve(t1), self.resolve(t2)
-            if t1 == t2:
-                continue
-            if _is_var(t2) and not _is_var(t1):
-                t1, t2 = t2, t1  # bind the variable, on whichever side
-            if _is_var(t1):
-                if self._occurs(t1[1], t2):
+    def give(self, root, terms: list, span, what: str) -> None:
+        """Make class root, of unknown sort, a channel of terms; a term that
+        would make the sort recursive is refused, and its slot left unknown."""
+        payload = []
+        for t in terms:
+            if type(t) is int:
+                t = self.find(t)
+                if self._reaches(t, root):
                     self._err(span, f"recursive channel sort required by {what}")
-                else:
-                    self.binding[t1[1]] = t2
-            elif type(t1) is ChanSort and type(t2) is ChanSort:
-                if len(t1.payload) != len(t2.payload):
+                    self._fresh -= 1
+                    t = self._fresh
+                self.users.setdefault(t, []).append(root)
+            payload.append(t)
+        self.sort[root] = tuple(payload)
+
+    def unify(self, a, b, span, what: str) -> None:
+        """Terms are unified depth first, left to right, from a stack."""
+        find, sort = self.find, self.sort
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            sa = sort.get(a := find(a)) if type(a) is int else a
+            sb = sort.get(b := find(b)) if type(b) is int else b
+            if sa is None or sb is None:
+                if sa is not None:  # bind the unknown class, on either side
+                    a, b, sb = b, a, sa
+                if type(sb) is tuple and self._reaches(b, a):
+                    self._err(span, f"recursive channel sort required by {what}")
+                elif type(b) is not int:
+                    sort[a] = sb
+                elif a != b:
+                    self._join(a, b)
+            elif type(sa) is tuple and type(sb) is tuple:
+                if len(sa) != len(sb):
                     self._err(span, f"arity mismatch in {what}: "
-                              f"{len(t1.payload)} vs {len(t2.payload)}")
-                else:
-                    stack += reversed(list(zip(t1.payload, t2.payload)))
-            else:
+                              f"{len(sa)} vs {len(sb)}")
+                elif sa is not sb:
+                    stack += reversed(list(zip(sa, sb)))
+            elif sa != sb:
                 self._err(span, f"sort mismatch in {what}: "
-                          f"{self._show(t1)} vs {self._show(t2)}")
+                          f"{self._show(a)} vs {self._show(b)}")
 
     def _show(self, t) -> str:
         out, stack = [], [t]
         while stack:
-            t = self.resolve(stack.pop())  # punctuation resolves to itself
-            if type(t) is ChanSort:
+            t = stack.pop()  # punctuation shows as itself
+            if type(t) is int:
+                t = self.sort.get(self.find(t), "?")
+            if type(t) is tuple:
                 out.append("chan(")
-                parts = [x for p in t.payload for x in (",", p)][1:]
+                parts = [x for p in t for x in (",", p)][1:]
                 stack += (")", *reversed(parts))
             else:
-                out.append("?" if _is_var(t) else str(t))
+                out.append(str(t))
         return "".join(out)
 
     def _err(self, span, msg: str) -> None:
         self.diags.append(Diagnostic("error", "E-SORT", msg, span))
-
-
-def _decl_channel_sorts(decl) -> dict:
-    """Extern channel name id -> declared ChanSort."""
-    sorts = {}
-    for m in decl.methods:
-        sorts[m.call_channel.id] = ChanSort(tuple(m.param_sorts))
-        sorts[m.return_channel.id] = ChanSort(tuple(m.return_payload))
-    return sorts
 
 
 def check_sorts(program) -> list:
@@ -193,27 +212,36 @@ def check_sorts(program) -> list:
     arity or payload mismatches anywhere in the program."""
     uni = _Unifier()
     for d in program.externs:
-        for nid, sort in _decl_channel_sorts(d).items():
-            uni.binding[("n", nid)] = sort
+        for m in d.methods:
+            uni.sort[m.call_channel.id] = tuple(m.param_sorts)
+            uni.sort[m.return_channel.id] = tuple(m.return_payload)
+    find, sort = uni.find, uni.sort
 
-    def value_term(v):
-        if isinstance(v, NameRef):
-            return uni.name_var(v.name)
-        return literal_sort(v)
+    def term(v):
+        return v.name.id if type(v) is NameRef else _LITERAL_SORT[type(v)]
 
     for p in nodes(program.main):  # pre-order: the order of the diagnostics
         kind = type(p)
         if kind is Out or kind is In:
-            role = "output" if kind is Out else "input"
-            term = value_term if kind is Out else uni.name_var
-            slots = [uni.fresh_var() for _ in p.objects]
-            uni.unify(uni.name_var(p.subject), ChanSort(tuple(slots)),
-                      p.span, f"{role} on {p.subject.display}")
-            for slot, v in zip(slots, p.objects):
-                uni.unify(slot, term(v), p.span,
-                          f"{role} payload on {p.subject.display}")
+            role, name = "output" if kind is Out else "input", p.subject.display
+            what = f"{role} payload on {name}"
+            terms = ([term(v) for v in p.objects] if kind is Out
+                     else [n.id for n in p.objects])
+            subject = find(p.subject.id)
+            got = sort.get(subject)
+            if got is None:
+                uni.give(subject, terms, p.span, what)
+            elif type(got) is not tuple:
+                uni._err(p.span, f"sort mismatch in {role} on {name}: "
+                         f"{got} vs chan({','.join('?' * len(terms))})")
+            elif len(got) != len(terms):
+                uni._err(p.span, f"arity mismatch in {role} on {name}: "
+                         f"{len(got)} vs {len(terms)}")
+            else:
+                for a, b in zip(got, terms):
+                    uni.unify(a, b, p.span, what)
         elif kind is Fusion:
-            uni.unify(value_term(p.left), value_term(p.right), p.span, "fusion")
+            uni.unify(term(p.left), term(p.right), p.span, "fusion")
     return uni.diags
 
 
@@ -250,6 +278,8 @@ def check_extern_usage(program) -> list:
     use of one block is downgraded to a warning, as the VM lets a call wait
     while its endpoint has a staged return; each flat | chain warns once per
     alias."""
+    if not program.externs:  # no extern channel: nothing to report
+        return []
     table = extern_channel_table(program.externs)
     ret_chan = {}  # (alias, method) -> return channel display
     for d in program.externs:

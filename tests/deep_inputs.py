@@ -1,10 +1,12 @@
-"""Deep and wide `.pi` programs: nine shapes whose depth or width grows with
+"""Deep and wide `.pi` programs: ten shapes whose depth or width grows with
 one parameter n, and the exit code each of `pichan check`, `compile` and
 `run --max-steps 10` documents for it.
 
-Run as a script to time every command on every shape at one size:
+Run as a script to time every command on every shape at one size, or on
+the shapes named after the size:
 
     PYTHONPATH=src python tests/deep_inputs.py 100000
+    PYTHONPATH=src python tests/deep_inputs.py 100000 reversed_outputs
 
 It prints one line per shape and command: the exit code, the expected one
 and the seconds taken.  test_deep_inputs.py drives the same shapes through
@@ -70,6 +72,12 @@ def left_nested_par(n: int) -> str:
     return "(" * (n - 1) + "a!()" + " | b!())" * (n - 1)
 
 
+def reversed_outputs(n: int) -> str:
+    """c{n-1}!(c{n}) | ... | c1!(c2) | c0!(c1): each channel passed over the
+    one before it, written from the end of the chain"""
+    return " | ".join(f"c{i}!(c{i + 1})" for i in reversed(range(n)))
+
+
 # shape -> exit codes of (check, compile, run --max-steps 10): a soup of
 # outputs and inputs with no partner is stuck (4); a repeat can always
 # unfold, so the repeat chain meets the step limit (6)
@@ -83,6 +91,7 @@ SHAPES = {
     new_under_par: (0, 0, 4),
     right_nested_par: (0, 0, 4),
     left_nested_par: (0, 0, 4),
+    reversed_outputs: (0, 0, 4),
 }
 
 
@@ -104,11 +113,18 @@ def run_shape(shape, n: int, work: Path) -> list:
 
 def main(argv: list) -> int:
     n = int(argv[0]) if argv else 10000
+    by_name = {shape.__name__: shape for shape in SHAPES}
+    for name in argv[1:]:
+        if name not in by_name:
+            print(f"unknown shape {name}; the shapes are "
+                  f"{', '.join(by_name)}", file=sys.stderr)
+            return 2
+    shapes = [by_name[name] for name in argv[1:]] or list(SHAPES)
     worst = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for shape, expected in SHAPES.items():
+        for shape in shapes:
             for (command, code, seconds), want in zip(
-                    run_shape(shape, n, Path(tmp)), expected):
+                    run_shape(shape, n, Path(tmp)), SHAPES[shape]):
                 print(f"{shape.__name__:17} {command:8} exit {code} "
                       f"(expected {want}) {seconds:7.2f} s")
                 worst = worst or int(code != want)

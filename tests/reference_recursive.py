@@ -8,21 +8,25 @@ enough for recursion.
 What they share with pichan did not change with the walks: the tokenizer,
 extern blocks, the value and item rules of the parser, and the XIR
 reader's attribute, name and extern helpers.  The XIR writer here indents
-by two spaces per level, as it did.
+by two spaces per level, as it did.  The sort checker here keeps sorts as
+terms (ChanSort, literal_sort), binds variables in a dict and walks the
+whole sort for its occurs check; pichan's is a union-find over sort
+classes, and must report the same diagnostics in the same order.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 from xml.sax.saxutils import quoteattr
 
-from pichan.core import (Fusion, In, Name, NameRef, NameSupply, New, Nil,
-                         Out, Par, Process, Repeat, SurfaceFormError,
-                         name_scan)
+from pichan.core import (BoolLit, Fusion, In, IntLit, Name, NameRef,
+                         NameSupply, New, Nil, Out, Par, Process, Repeat,
+                         StrLit, SurfaceFormError, UnitLit, name_scan)
 from pichan.diag import Diagnostic, Source
 from pichan.parser import Program, _Parser, tokenize
-from pichan.typecheck import (ChanSort, _decl_channel_sorts,
-                              extern_channel_table, literal_sort)
+from pichan.typecheck import (BOOL, INT, STR, UNIT, BaseSort,
+                              extern_channel_table)
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _attrs,
                         _name_text, _parse_name, _parse_value, _read_extern,
                         _sorts_attr, _split_value, _value_attr)
@@ -125,7 +129,36 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Sort checking
+# Sort checking: sorts as terms, variables bound in a dict
+
+
+@dataclass(frozen=True)
+class ChanSort:
+    payload: tuple  # tuple of Sorts
+
+    def __str__(self):
+        return "chan(" + ",".join(str(s) for s in self.payload) + ")"
+
+
+def literal_sort(v) -> BaseSort:
+    if isinstance(v, IntLit):
+        return INT
+    if isinstance(v, StrLit):
+        return STR
+    if isinstance(v, BoolLit):
+        return BOOL
+    if isinstance(v, UnitLit):
+        return UNIT
+    raise TypeError(v)
+
+
+def _decl_channel_sorts(decl) -> dict:
+    """Extern channel name id -> declared ChanSort."""
+    sorts = {}
+    for m in decl.methods:
+        sorts[m.call_channel.id] = ChanSort(tuple(m.param_sorts))
+        sorts[m.return_channel.id] = ChanSort(tuple(m.return_payload))
+    return sorts
 
 
 class _Unifier:

@@ -4,6 +4,7 @@ against the recursive reference walkers in reference_recursive.py."""
 
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from pichan.typecheck import check_extern_usage, check_sorts
 from pichan.xir import SchemaError, from_xml, to_xml
 
 import reference_recursive as ref
-from deep_inputs import SHAPES, run_shape
+from deep_inputs import SHAPES, reversed_outputs, run_shape
 from golden_traces import corpus
 from randgen import gen_program
 from test_parser import ACCOUNT_EXTERN
@@ -152,13 +153,79 @@ def test_checks_match_reference_on_nested_mismatches(text):
     assert len(got[2]) >= 2
 
 
-def test_checks_match_reference_on_deep_sorts():
-    # a channel passed over the next one, 200 deep: one long chan(...) in
-    # a mismatch, and a chain of variables that resolve compresses
-    text = " | ".join(f"c{i}!(c{i + 1})" for i in range(200)) + " | c0!(1)"
+@pytest.mark.parametrize("text", [
+    # the slot c!(c) leaves unknown is later filled through x, so d's
+    # payload c holds x: the cycle runs through that slot
+    "c!(c) | c?<x> | d!(c) | x!(d)",
+    # cycles closed after a fusion, by a fusion, and through the payload
+    # slot an input and an output share
+    "a!(b) | b = c | c!(a)",
+    "a!(b) | c!(a) | b = c",
+    "x?<y> | x!(z) | z!(x)",
+])
+def test_checks_match_reference_on_cycles(text):
     got = _shown(text)
     assert got == _reference(text)
-    assert "chan(chan(chan(" in got[2][0]
+    assert "recursive channel sort required by" in got[2][-1]
+
+
+def test_checks_match_reference_on_deep_sorts():
+    # a channel passed over the next one, 200 deep, with the links written
+    # in order, in reverse and shuffled: one long chan(...) in a mismatch;
+    # and the same chain closed into a cycle by its last link written
+    shuffled = list(range(200))
+    random.Random(5).shuffle(shuffled)
+    for links in (range(200), reversed(range(200)), shuffled):
+        links = list(links)
+        text = " | ".join(f"c{i}!(c{i + 1})" for i in links) + " | c0!(1)"
+        got = _shown(text)
+        assert got == _reference(text)
+        assert "chan(chan(chan(" in got[2][0]
+        text = " | ".join(f"c{i}!(c{(i + 1) % 200})" for i in links)
+        got = _shown(text)
+        assert got == _reference(text)
+        assert got[2] == [f"f.pi:1:{text.index(f'c{links[-1]}!(') + 1}: "
+                          f"error E-SORT recursive channel sort required by "
+                          f"output payload on c{links[-1]}"]
+
+
+# random channel-passing programs over six channels, each name used at any
+# arity and with literals, so that arities and base-versus-channel sorts
+# clash on shared names
+_NAMES = [f"c{i}" for i in range(6)]
+_VALUES = st.sampled_from(_NAMES + ["1", '"s"', "true", "unit"])
+_ARGS = st.lists(_VALUES, max_size=3).map(", ".join)
+_SORT_ACTIONS = st.one_of(
+    st.builds("{}!({})".format, st.sampled_from(_NAMES), _ARGS),
+    st.builds("{}?<{}>".format, st.sampled_from(_NAMES),
+              st.lists(st.sampled_from(_NAMES), max_size=3).map(", ".join)),
+    st.builds("{}?({})".format, st.sampled_from(_NAMES),
+              st.lists(st.sampled_from(["c4", "c5", "v"]), max_size=3,
+                       unique=True).map(", ".join)))
+_SORT_ENDS = st.one_of(st.just("nil"), _SORT_ACTIONS,
+                       st.builds("{} = {}".format, _VALUES, _VALUES))
+_SORT_PROGRAMS = st.lists(
+    st.builds(lambda acts, end: ".".join(acts + [end]),
+              st.lists(_SORT_ACTIONS, max_size=4), _SORT_ENDS),
+    min_size=1, max_size=6).map(" | ".join)
+
+
+@given(_SORT_PROGRAMS)
+@settings(max_examples=500, deadline=None)
+def test_check_sorts_matches_reference_on_channel_passing(text):
+    core = desugar(parse_program(text, "f.pi"))
+    assert ([str(d) for d in check_sorts(core)]
+            == [str(d) for d in ref.check_sorts(core)])
+
+
+def test_check_on_20000_reversed_outputs_takes_under_10_s(tmp_path):
+    # an occurs check that walks the whole sort built so far at every link
+    # takes minutes here
+    src = tmp_path / "chain.pi"
+    src.write_text(reversed_outputs(20_000), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", str(src)]) == 0
+    assert time.perf_counter() - start < 10
 
 
 # ---------------------------------------------------------------------------
