@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from . import ifgen, vm, xir
 from .diag import ParseError, has_errors
@@ -132,6 +133,7 @@ def cmd_geniface(args) -> int:
     return EXIT_OK
 
 
+@cache  # built once per process; parse_args leaves it unchanged
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pichan",
                                  description="pi-calculus toolchain")

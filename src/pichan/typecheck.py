@@ -84,6 +84,7 @@ def is_canonical(method) -> bool:
 # Sort checking (unification from use)
 
 _LITERAL_SORT = {IntLit: INT, StrLit: STR, BoolLit: BOOL, UnitLit: UNIT}
+SHOW_LIMIT = 200  # characters of a sort that a message shows, then "..."
 
 
 class _Unifier:
@@ -190,17 +191,21 @@ class _Unifier:
                           f"{self._show(a)} vs {self._show(b)}")
 
     def _show(self, t) -> str:
-        out, stack = [], [t]
+        """t as text, cut short with "..." once past SHOW_LIMIT characters."""
+        out, size, stack = [], 0, [t]
         while stack:
+            if size > SHOW_LIMIT:
+                out.append("...")
+                break
             t = stack.pop()  # punctuation shows as itself
             if type(t) is int:
                 t = self.sort.get(self.find(t), "?")
             if type(t) is tuple:
-                out.append("chan(")
                 parts = [x for p in t for x in (",", p)][1:]
                 stack += (")", *reversed(parts))
-            else:
-                out.append(str(t))
+                t = "chan("
+            out.append(str(t))
+            size += len(out[-1])
         return "".join(out)
 
     def _err(self, span, msg: str) -> None:
@@ -286,23 +291,24 @@ def check_extern_usage(program) -> list:
         for m in d.methods:
             ret_chan[(d.alias, m.name)] = m.return_channel.display
     diags = []
-    used = {}  # id(subterm) -> frozenset of the aliases it uses
+    # id(Par) -> the aliases both its sides use, from a stack of the alias
+    # sets of the subterms read so far; only a Par or a new alias copies one
+    shared, sets = {}, []
     for p in reversed(nodes(program.main)):  # every node after its children
         kind = type(p)
         if kind is Par:
-            got = used[id(p.left)] | used[id(p.right)]
-        elif kind is New or kind is Repeat:
-            got = used[id(p.body)]
+            left, right = sets.pop(), sets.pop()
+            shared[id(p)] = left & right
+            sets.append(left | right)
         elif kind is Out or kind is In:
-            got = used[id(p.cont)]
-            if p.subject.id in table:
-                got = got | {table[p.subject.id][0]}
+            info = table.get(p.subject.id)
+            if info is not None and info[0] not in sets[-1]:
+                sets[-1] = sets[-1] | {info[0]}
         elif kind is Fusion:
-            got = frozenset(table[v.name.id][0] for v in (p.left, p.right)
-                            if isinstance(v, NameRef) and v.name.id in table)
-        else:
-            got = frozenset()
-        used[id(p)] = got
+            sets.append(frozenset(table[v.name.id][0] for v in (p.left, p.right)
+                                  if isinstance(v, NameRef) and v.name.id in table))
+        elif kind is not New and kind is not Repeat:  # nil
+            sets.append(frozenset())
 
     def violation(span, alias, method, action):
         diags.append(Diagnostic(
@@ -317,13 +323,13 @@ def check_extern_usage(program) -> list:
         p, pending, warned = stack.pop()
         kind = type(p)
         if kind is Par:
-            shared = used[id(p.left)] & used[id(p.right)]
-            for alias in sorted(shared - warned):
+            both = shared[id(p)]
+            for alias in sorted(both - warned):
                 diags.append(Diagnostic(
                     "warning", "W-PAR",
                     f"extern block {alias} used from parallel branches; "
                     f"protocol order enforced at run time", p.span))
-            warned = warned | shared
+            warned = warned | both
             stack += ((p.right, pending, warned), (p.left, pending, warned))
         elif kind is New or kind is Repeat:
             stack.append((p.body, pending, frozenset()))

@@ -1,26 +1,32 @@
 """XML execution format: the interchange representation between the
 compiler and the virtual machine.
 
-The element set follows the core AST, except that one ``<par>`` holds the
-right spine of a ``|`` chain, two or more children: ``Par(a, Par(b, c))``
-is ``<par>a b c</par>``, while a Par in left position nests.  A chain's
-width then adds no depth, and size grows linearly with it.  The reader
-folds children to the right, so the right-nested binary pars of earlier
-writers read to the same program.
+The element set follows the core AST, one element per action.  An
+``<out>``, ``<in>``, ``<new>`` or ``<repeat>`` holds its continuation as its
+one child element, and no child means nil, so ``<nil/>`` appears only as a
+``<par>`` child or as the whole process.  An action's arguments are the
+attributes ``a0``, ``a1``, ... in the ``kind:value`` grammar of ``<fusion>``
+(``name:x#3``, ``str:...``, ``unit:``), which XML quoting covers.  One
+``<par>`` holds the right spine of a ``|`` chain, two or more children:
+``Par(a, Par(b, c))`` is ``<par>a b c</par>``, while a Par in left position
+nests; the reader folds children to the right, so binary pars read to the
+same program.
 
 Serialization is deterministic: one element per line with no indentation,
 fixed attribute order, names written as ``display#id``.  Equal programs
 produce byte-identical documents and ``from_xml(to_xml(p)) == p`` exactly,
-ids included.  Whitespace between elements is ignored, so the indented
-documents of earlier writers load too; as every version-1 document still
-loads unchanged, the version stays "1".  Writer and reader use explicit
-stacks, so nesting depth is bounded by memory alone.
+ids included.  Whitespace between elements is ignored, so indented
+documents load too.  This is version "2"; version 1, which wrapped
+continuations in ``<cont>`` and arguments in ``<arg>``, is a VersionError.
+Writer and reader use explicit stacks, so nesting depth is bounded by
+memory alone.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from functools import cache
 from xml.sax.saxutils import quoteattr
 
 from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil, Out,
@@ -31,8 +37,7 @@ from .interop import ExternDecl, MethodDecl
 from .parser import Program
 from .typecheck import ProtocolAutomaton, base_sort, is_canonical
 
-XIR_VERSION = "1"
-FILE_EXTENSION = ".xir.xml"
+XIR_VERSION = "2"
 
 
 class SchemaError(Exception):
@@ -51,11 +56,14 @@ class VersionError(SchemaError):
 _NEEDS_QUOTING = re.compile('[&<>"\n\r\t]').search
 
 
+def _quoted(val: str) -> str:
+    """val as an attribute value, written as quoteattr writes it."""
+    return quoteattr(val) if _NEEDS_QUOTING(val) else f'"{val}"'
+
+
 def _element(tag: str, attrs=(), close: bool = False) -> str:
     """One line of the document: an opening (or, with close, empty) tag."""
-    return ("<" + tag
-            + "".join(f" {key}={quoteattr(val)}" if _NEEDS_QUOTING(val)
-                      else f' {key}="{val}"' for key, val in attrs)
+    return ("<" + tag + "".join(f" {key}={_quoted(val)}" for key, val in attrs)
             + ("/>" if close else ">"))
 
 
@@ -63,16 +71,17 @@ def _name_text(n: Name) -> str:
     return f"{n.display}#{n.id}"
 
 
-def _value_attr(v: Value) -> tuple:
+def _value_text(v: Value) -> str:
+    """v in the kind:value grammar of arguments and fusion sides."""
     if isinstance(v, NameRef):
-        return ("name", _name_text(v.name))
+        return "name:" + _name_text(v.name)
     if isinstance(v, IntLit):
-        return ("int", str(v.value))
+        return f"int:{v.value}"
     if isinstance(v, StrLit):
-        return ("str", v.value)
+        return "str:" + v.value
     if isinstance(v, BoolLit):
-        return ("bool", "true" if v.value else "false")
-    return ("unit", "")
+        return "bool:true" if v.value else "bool:false"
+    return "unit:"
 
 
 def _sorts_attr(sorts: tuple) -> str:
@@ -113,29 +122,31 @@ def _write_proc(lines: list, p: Process) -> None:
                 p = p.right
             lines.append("<par>")
             stack += ("</par>", p, *reversed(spine))
-        elif kind is New:
-            lines.append(_element("new", [("name", _name_text(p.name))]))
-            stack += ("</new>", p.body)
-        elif kind is Out or kind is In:
-            if kind is In and p.binding:
-                raise SurfaceFormError("binding input cannot be serialized")
-            tag = "out" if kind is Out else "in"
-            lines.append(_element(tag, [("subject", _name_text(p.subject))]))
-            for v in p.objects:
-                vk, val = _value_attr(v) if tag == "out" else ("name", _name_text(v))
-                lines.append(_element("arg", [("kind", vk), ("value", val)], True))
-            lines.append("<cont>")
-            stack += (f"</{tag}>", "</cont>", p.cont)
-        elif kind is Repeat:
-            lines.append("<repeat>")
-            stack += ("</repeat>", p.body)
         elif kind is Fusion:
-            lk, lv = _value_attr(p.left)
-            rk, rv = _value_attr(p.right)
-            lines.append(_element("fusion", [("left", f"{lk}:{lv}"),
-                                             ("right", f"{rk}:{rv}")], True))
-        else:
-            raise TypeError(p)
+            lines.append(_element("fusion", [("left", _value_text(p.left)),
+                                             ("right", _value_text(p.right))],
+                                  True))
+        else:  # an action: its continuation is its one child, none for nil
+            if kind is New:
+                tag, line = "new", f"<new name={_quoted(_name_text(p.name))}"
+            elif kind is Repeat:
+                tag, line = "repeat", "<repeat"
+            elif kind is In and p.binding:
+                raise SurfaceFormError("binding input cannot be serialized")
+            elif kind is Out or kind is In:
+                tag = "out" if kind is Out else "in"
+                line = f"<{tag} subject={_quoted(_name_text(p.subject))}"
+                for i, v in enumerate(p.objects):
+                    text = _value_text(v) if kind is Out else "name:" + _name_text(v)
+                    line += f" a{i}={_quoted(text)}"
+            else:
+                raise TypeError(p)
+            cont = p.body if kind is New or kind is Repeat else p.cont
+            if type(cont) is Nil:
+                lines.append(line + "/>")
+            else:
+                lines.append(line + ">")
+                stack += (f"</{tag}>", cont)
 
 
 def to_xml(program: Program) -> str:
@@ -240,10 +251,17 @@ def _check_binder(n: Name, channels: set, seen: set, bound: set) -> None:
     bound.add(n.id)
 
 
+@cache
+def _action_keys(count: int) -> tuple:
+    """The count attributes of an out or in: subject, a0, a1, ..."""
+    return ("subject", *(f"a{i}" for i in range(count - 1)))
+
+
 def _read_proc(elem, names: dict, channels: set) -> Process:
     """The process of elem, from a stack: each element is checked when it
     is reached, in document order, and its node is built from the top of
-    built once its children are; a par's children fold to the right.
+    built once its children are; a par's children fold to the right, and an
+    action with no child continues as nil.
 
     Binder ids are checked on the way (_check_binder, _check_use): the VM
     binds a new's id in a shared environment, which is sound only when no
@@ -266,75 +284,69 @@ def _read_proc(elem, names: dict, channels: set) -> Process:
                 built.append(make(*fields, built.pop()))
             continue
         tag = elem.tag
-        if tag == "nil":
-            _attrs(elem, (), "nil")
-            if len(elem) != 0:
-                raise SchemaError("nil takes no children")
-            built.append(Nil())
-        elif tag == "par":
-            _attrs(elem, (), "par")
-            if len(elem) < 2:
-                raise SchemaError("par takes at least 2 children")
-            stack += ((Par, len(elem)), *reversed(elem))
-        elif tag == "new":
-            (name,) = _attrs(elem, ("name",), "new")
-            if len(elem) != 1:
-                raise SchemaError("new takes exactly 1 child")
-            n = _parse_name(name, "new", names)
-            _check_binder(n, channels, seen, bound)
-            stack += ((New, (n,)), elem[0])
-        elif tag == "repeat":
-            _attrs(elem, (), "repeat")
-            if len(elem) != 1:
-                raise SchemaError("repeat takes exactly 1 child")
-            stack += ((Repeat, ()), elem[0])
-        elif tag == "out" or tag == "in":
-            (subject,) = _attrs(elem, ("subject",), tag)
-            if len(elem) == 0 or elem[-1].tag != "cont":
-                raise SchemaError(f"{tag} must end with a cont child")
-            cont_elem = elem[-1]
-            _attrs(cont_elem, (), "cont")
-            if len(cont_elem) != 1:
-                raise SchemaError("cont takes exactly 1 child")
-            args = []
-            for a in elem[:-1]:
-                if a.tag != "arg":
-                    raise SchemaError(f"unexpected element {a.tag!r} in {tag}")
-                kind, val = _attrs(a, ("kind", "value"), "arg")
-                args.append(_parse_value(kind, val, tag, names))
+        if tag == "out" or tag == "in":
+            # the subject and its arguments, read and used in one place
+            subject, *args = _attrs(elem, _action_keys(len(elem.attrib)), tag)
+            args = tuple(_split_value(a, tag, names) for a in args)
             subj = _parse_name(subject, tag, names)
             _check_use(subj, seen, closed)
             for v in args:
                 if type(v) is NameRef:
                     _check_use(v.name, seen, closed)
-            make = Out if tag == "out" else _free_input
-            stack += ((make, (subj, tuple(args))), cont_elem[0])
+            make, fields = (Out if tag == "out" else _free_input), (subj, args)
+        elif tag == "new":
+            (name,) = _attrs(elem, ("name",), "new")
+            n = _parse_name(name, "new", names)
+            _check_binder(n, channels, seen, bound)
+            make, fields = New, (n,)
+        elif tag == "repeat":
+            _attrs(elem, (), "repeat")
+            make, fields = Repeat, ()
+        elif tag == "nil":
+            _attrs(elem, (), "nil")
+            if len(elem) != 0:
+                raise SchemaError("nil takes no children")
+            built.append(Nil())
+            continue
+        elif tag == "par":
+            _attrs(elem, (), "par")
+            if len(elem) < 2:
+                raise SchemaError("par takes at least 2 children")
+            stack += ((Par, len(elem)), *reversed(elem))
+            continue
         elif tag == "fusion":
             left, right = _attrs(elem, ("left", "right"), "fusion")
             if len(elem) != 0:
                 raise SchemaError("fusion takes no children")
-            left, right = _split_value(left, names), _split_value(right, names)
+            left, right = (_split_value(v, "fusion", names) for v in (left, right))
             for v in (left, right):
                 if type(v) is NameRef:
                     _check_use(v.name, seen, closed)
             built.append(Fusion(left, right))
+            continue
         else:
             raise SchemaError(f"unknown element {tag!r}")
+        if len(elem) > 1:  # an action: its one child, or none for nil
+            raise SchemaError(f"{tag} takes at most 1 child")
+        if not len(elem):
+            built.append(Nil())
+        stack += ((make, fields), *elem)
     return built[0]
 
 
 def _free_input(subject: Name, args: tuple, cont: Process) -> In:
-    # runs once the cont is read, so errors inside the cont come first
+    # runs once the continuation is read, so its errors come first
     if not all(type(v) is NameRef for v in args):
         raise SchemaError("in arguments must be names")
     return In(subject, tuple(v.name for v in args), False, cont)
 
 
-def _split_value(text: str, names: dict) -> Value:
+def _split_value(text: str, what: str, names: dict) -> Value:
+    """A value in the kind:value grammar of arguments and fusion sides."""
     kind, sep, val = text.partition(":")
     if not sep and kind != "unit":
-        raise SchemaError(f"bad fusion value {text!r}")
-    return _parse_value(kind, val, "fusion", names)
+        raise SchemaError(f"bad {what} value {text!r}")
+    return _parse_value(kind, val, what, names)
 
 
 def _check_protocol(proto: ProtocolAutomaton, method: str) -> None:

@@ -9,8 +9,9 @@ the shapes named after the size:
     PYTHONPATH=src python tests/deep_inputs.py 100000 reversed_outputs
 
 It prints one line per shape and command: the exit code, the expected one
-and the seconds taken.  test_deep_inputs.py drives the same shapes through
-`cli.main` at a smaller size.
+and the seconds taken; then one line per shape with the bytes of its
+compiled XIR per byte of source.  test_deep_inputs.py drives the same shapes
+through `cli.main` at a smaller size.
 """
 
 from __future__ import annotations
@@ -128,6 +129,12 @@ def main(argv: list) -> int:
                 print(f"{shape.__name__:17} {command:8} exit {code} "
                       f"(expected {want}) {seconds:7.2f} s")
                 worst = worst or int(code != want)
+            src, xir = (Path(tmp) / (shape.__name__ + ext)
+                        for ext in (".pi", ".xir.xml"))
+            if xir.exists():
+                print(f"{shape.__name__:17} xir      "
+                      f"{xir.stat().st_size / src.stat().st_size:.2f} bytes "
+                      f"per source byte")
     return worst
 
 

@@ -7,8 +7,9 @@ enough for recursion.
 
 What they share with pichan did not change with the walks: the tokenizer,
 extern blocks, the value and item rules of the parser, and the XIR
-reader's attribute, name and extern helpers.  The XIR writer here indents
-by two spaces per level, as it did.  The sort checker here keeps sorts as
+reader's attribute, name, value and extern helpers.  The XIR writer here
+indents by two spaces per level, as it did; writer and reader follow
+version 2 of the format, as pichan's do.  The sort checker here keeps sorts as
 terms (ChanSort, literal_sort), binds variables in a dict and walks the
 whole sort for its occurs check; pichan's is a union-find over sort
 classes, and must report the same diagnostics in the same order.
@@ -25,11 +26,11 @@ from pichan.core import (BoolLit, Fusion, In, IntLit, Name, NameRef,
                          StrLit, SurfaceFormError, UnitLit, name_scan)
 from pichan.diag import Diagnostic, Source
 from pichan.parser import Program, _Parser, tokenize
-from pichan.typecheck import (BOOL, INT, STR, UNIT, BaseSort,
+from pichan.typecheck import (BOOL, INT, SHOW_LIMIT, STR, UNIT, BaseSort,
                               extern_channel_table)
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _attrs,
-                        _name_text, _parse_name, _parse_value, _read_extern,
-                        _sorts_attr, _split_value, _value_attr)
+                        _name_text, _parse_name, _read_extern, _sorts_attr,
+                        _split_value, _value_text)
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -210,13 +211,29 @@ class _Unifier:
             return
         self._err(span, f"sort mismatch in {what}: {self._show(t1)} vs {self._show(t2)}")
 
-    def _show(self, t) -> str:
+    def _pieces(self, t):
         t = self.resolve(t)
         if isinstance(t, tuple) and t[0] == "var":
-            return "?"
-        if isinstance(t, ChanSort):
-            return "chan(" + ",".join(self._show(p) for p in t.payload) + ")"
-        return str(t)
+            yield "?"
+        elif isinstance(t, ChanSort):
+            yield "chan("
+            for i, p in enumerate(t.payload):
+                if i:
+                    yield ","
+                yield from self._pieces(p)
+            yield ")"
+        else:
+            yield str(t)
+
+    def _show(self, t) -> str:
+        """The pieces of t, with "..." for the rest once past SHOW_LIMIT."""
+        out = []
+        for piece in self._pieces(t):
+            if sum(map(len, out)) > SHOW_LIMIT:
+                out.append("...")
+                break
+            out.append(piece)
+        return "".join(out)
 
     def _err(self, span, msg: str) -> None:
         self.diags.append(Diagnostic("error", "E-SORT", msg, span))
@@ -392,6 +409,17 @@ def _write_extern(w: _Writer, d, depth: int) -> None:
     w.end(depth, "extern")
 
 
+def _write_action(w: _Writer, depth: int, tag: str, attrs: list,
+                  cont: Process) -> None:
+    """An action whose one child is its continuation, or none for nil."""
+    if isinstance(cont, Nil):
+        w.emit(depth, tag, attrs, close=True)
+    else:
+        w.emit(depth, tag, attrs)
+        _write_proc(w, cont, depth + 1)
+        w.end(depth, tag)
+
+
 def _write_proc(w: _Writer, p: Process, depth: int) -> None:
     if isinstance(p, Nil):
         w.emit(depth, "nil", close=True)
@@ -403,38 +431,23 @@ def _write_proc(w: _Writer, p: Process, depth: int) -> None:
         _write_proc(w, p, depth + 1)
         w.end(depth, "par")
     elif isinstance(p, New):
-        w.emit(depth, "new", [("name", _name_text(p.name))])
-        _write_proc(w, p.body, depth + 1)
-        w.end(depth, "new")
+        _write_action(w, depth, "new", [("name", _name_text(p.name))], p.body)
     elif isinstance(p, Out):
-        w.emit(depth, "out", [("subject", _name_text(p.subject))])
-        for v in p.objects:
-            kind, val = _value_attr(v)
-            w.emit(depth + 1, "arg", [("kind", kind), ("value", val)], close=True)
-        w.emit(depth + 1, "cont")
-        _write_proc(w, p.cont, depth + 2)
-        w.end(depth + 1, "cont")
-        w.end(depth, "out")
+        args = [(f"a{i}", _value_text(v)) for i, v in enumerate(p.objects)]
+        _write_action(w, depth, "out",
+                      [("subject", _name_text(p.subject)), *args], p.cont)
     elif isinstance(p, In):
         if p.binding:
             raise SurfaceFormError("binding input cannot be serialized")
-        w.emit(depth, "in", [("subject", _name_text(p.subject))])
-        for n in p.objects:
-            w.emit(depth + 1, "arg", [("kind", "name"),
-                                      ("value", _name_text(n))], close=True)
-        w.emit(depth + 1, "cont")
-        _write_proc(w, p.cont, depth + 2)
-        w.end(depth + 1, "cont")
-        w.end(depth, "in")
+        args = [(f"a{i}", "name:" + _name_text(n))
+                for i, n in enumerate(p.objects)]
+        _write_action(w, depth, "in",
+                      [("subject", _name_text(p.subject)), *args], p.cont)
     elif isinstance(p, Repeat):
-        w.emit(depth, "repeat")
-        _write_proc(w, p.body, depth + 1)
-        w.end(depth, "repeat")
+        _write_action(w, depth, "repeat", [], p.body)
     elif isinstance(p, Fusion):
-        lk, lv = _value_attr(p.left)
-        rk, rv = _value_attr(p.right)
-        w.emit(depth, "fusion", [("left", f"{lk}:{lv}"),
-                                 ("right", f"{rk}:{rv}")], close=True)
+        w.emit(depth, "fusion", [("left", _value_text(p.left)),
+                                 ("right", _value_text(p.right))], close=True)
     else:
         raise TypeError(p)
 
@@ -489,6 +502,16 @@ class _Binders:
             self.seen.add(n.id)
 
 
+def _read_child(elem, names: dict, binders: _Binders,
+                scope: frozenset) -> Process:
+    """An action's continuation: its one child element, or nil if none."""
+    if len(elem) > 1:
+        raise SchemaError(f"{elem.tag} takes at most 1 child")
+    if len(elem) == 0:
+        return Nil()
+    return _read_proc(elem[0], names, binders, scope)
+
+
 def _read_proc(elem, names: dict, binders: _Binders,
                scope: frozenset = frozenset()) -> Process:
     tag = elem.tag
@@ -512,28 +535,18 @@ def _read_proc(elem, names: dict, binders: _Binders,
         return p
     if tag == "new":
         (name,) = _attrs(elem, ("name",), "new")
-        if len(elem) != 1:
-            raise SchemaError("new takes exactly 1 child")
         n = _parse_name(name, "new", names)
         binders.bind(n)
-        return New(n, _read_proc(elem[0], names, binders, scope | {n.id}))
+        return New(n, _read_child(elem, names, binders, scope | {n.id}))
     if tag in ("out", "in"):
-        (subject,) = _attrs(elem, ("subject",), tag)
-        if len(elem) == 0 or elem[-1].tag != "cont":
-            raise SchemaError(f"{tag} must end with a cont child")
-        cont_elem = elem[-1]
-        _attrs(cont_elem, (), "cont")
-        if len(cont_elem) != 1:
-            raise SchemaError("cont takes exactly 1 child")
-        args = []
-        for a in elem[:-1]:
-            if a.tag != "arg":
-                raise SchemaError(f"unexpected element {a.tag!r} in {tag}")
-            kind, val = _attrs(a, ("kind", "value"), "arg")
-            args.append(_parse_value(kind, val, tag, names))
+        # a subject, then one attribute a<i> per argument
+        count = max(len(elem.attrib) - 1, 0)
+        subject, *texts = _attrs(
+            elem, ("subject", *(f"a{i}" for i in range(count))), tag)
+        args = [_split_value(text, tag, names) for text in texts]
         subj = _parse_name(subject, tag, names)
         binders.use([subj, *args], scope)
-        cont = _read_proc(cont_elem[0], names, binders, scope)
+        cont = _read_child(elem, names, binders, scope)
         if tag == "out":
             return Out(subj, tuple(args), cont)
         objects = []
@@ -544,14 +557,13 @@ def _read_proc(elem, names: dict, binders: _Binders,
         return In(subj, tuple(objects), False, cont)
     if tag == "repeat":
         _attrs(elem, (), "repeat")
-        if len(elem) != 1:
-            raise SchemaError("repeat takes exactly 1 child")
-        return Repeat(_read_proc(elem[0], names, binders, scope))
+        return Repeat(_read_child(elem, names, binders, scope))
     if tag == "fusion":
         left, right = _attrs(elem, ("left", "right"), "fusion")
         if len(elem) != 0:
             raise SchemaError("fusion takes no children")
-        left, right = _split_value(left, names), _split_value(right, names)
+        left = _split_value(left, "fusion", names)
+        right = _split_value(right, "fusion", names)
         binders.use([left, right], scope)
         return Fusion(left, right)
     raise SchemaError(f"unknown element {tag!r}")

@@ -12,7 +12,7 @@ from pichan.cli import (EXIT_FAULT, EXIT_IO, EXIT_OK, EXIT_STEP_LIMIT,
                         EXIT_STUCK, EXIT_SYNTAX, EXIT_TYPE, main)
 from pichan.ifgen import ACCOUNT_MANIFEST
 from pichan.parser import format_program
-from pichan.xir import from_xml
+from pichan.xir import from_xml, validate
 
 from test_parser import ACCOUNT_EXTERN
 
@@ -187,8 +187,23 @@ def test_run_step_limit_exit_6(tmp_path):
 
 def test_run_schema_error_exit_2(tmp_path):
     bad = tmp_path / "bad.xir.xml"
-    bad.write_text('<pic version="2"><externs/><process><nil/></process></pic>')
+    bad.write_text('<pic version="3"><externs/><process><nil/></process></pic>')
     assert main(["run", str(bad)]) == EXIT_TYPE
+
+
+def test_run_version_1_document_exit_2(tmp_path, capsys):
+    # version 1 wrapped continuations in <cont> and arguments in <arg>;
+    # the reader takes version 2 alone
+    doc = ('<pic version="1"><externs/><process><out subject="x#0">'
+           '<arg kind="int" value="1"/><cont><nil/></cont></out>'
+           '</process></pic>')
+    bad = tmp_path / "v1.xir.xml"
+    bad.write_text(doc)
+    assert main(["run", str(bad)]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unsupported version "
+                                                "'1'\n")
+    assert [d.code for d in validate(doc)] == ["E-VERSION"]
 
 
 def test_run_pic_seed_env(account_src, tmp_path, capsys, monkeypatch):
@@ -363,17 +378,16 @@ def test_gen_iface_empty_class(tmp_path):
 
 def _pair(k):
     """An output and an input on channel c_k, each with a nil continuation."""
-    return [f'<{tag} subject="c{k}#{k}"><cont><nil/></cont></{tag}>'
-            for tag in ("out", "in")]
+    return [f'<{tag} subject="c{k}#{k}"/>' for tag in ("out", "in")]
 
 
 def _document(process):
-    return f'<pic version="1"><externs/><process>{process}</process></pic>'
+    return f'<pic version="2"><externs/><process>{process}</process></pic>'
 
 
 @pytest.mark.parametrize("bad", [
-    _document('<out subject="x#--5"><cont><nil/></cont></out>'),
-    _document('<out subject="x#²"><cont><nil/></cont></out>'),
+    _document('<out subject="x#--5"/>'),
+    _document('<out subject="x#²"/>'),
 ], ids=["double-minus", "superscript-digit"])
 def test_run_bad_name_id_exit_2(tmp_path, capsys, bad):
     path = tmp_path / "bad.xir.xml"
@@ -416,8 +430,8 @@ def test_run_2000_deep_binary_par_step_limit(tmp_path, capsys):
 def test_run_new_over_2000_thread_par_step_limit(tmp_path, capsys):
     # a New's scope is an environment, not a substitution down the spine
     threads = [t for k in range(1000) for t in _pair(k)]
-    threads[0] = '<out subject="z#5000"><cont><nil/></cont></out>'
-    threads[-1] = '<in subject="z#5000"><cont><nil/></cont></in>'
+    threads[0] = '<out subject="z#5000"/>'
+    threads[-1] = '<in subject="z#5000"/>'
     process = f'<new name="z#5000"><par>{"".join(threads)}</par></new>'
     path = tmp_path / "widenew.xir.xml"
     path.write_text(_document(process), encoding="utf-8")
@@ -426,7 +440,7 @@ def test_run_new_over_2000_thread_par_step_limit(tmp_path, capsys):
 
 
 def _thread(tag, subject):
-    return f'<{tag} subject="{subject}"><cont><nil/></cont></{tag}>'
+    return f'<{tag} subject="{subject}"/>'
 
 
 @pytest.mark.parametrize("process,error", [
@@ -465,8 +479,7 @@ def test_run_binder_id_is_extern_channel_exit_2(account_src, tmp_path, capsys):
 
 
 def _int_document(value):
-    return _document(f'<out subject="x#0"><arg kind="int" value="{value}"/>'
-                     '<cont><nil/></cont></out>')
+    return _document(f'<out subject="x#0" a0="int:{value}"/>')
 
 
 @pytest.mark.parametrize("value", [" +1_000", "+1", "1_0", "-", "--5", "1 "])

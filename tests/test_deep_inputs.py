@@ -14,7 +14,8 @@ from pichan.cli import EXIT_STUCK, main
 from pichan.core import nodes
 from pichan.diag import ParseError
 from pichan.parser import desugar, format_program, parse_program
-from pichan.typecheck import check_extern_usage, check_sorts
+from pichan.typecheck import (SHOW_LIMIT, check_extern_usage,
+                              check_sorts)
 from pichan.xir import SchemaError, from_xml, to_xml
 
 import reference_recursive as ref
@@ -36,8 +37,8 @@ def test_deep_shape_gets_its_exit_codes(shape, tmp_path):
 def _left_nested_par_document(depth):
     """A <par> nested depth deep in left position, each with an output on
     its right: one element per line, as to_xml writes it."""
-    out = '<out subject="a#0">\n<cont>\n<nil/>\n</cont>\n</out>\n'
-    return ('<pic version="1">\n<externs/>\n<process>\n' + "<par>\n" * depth
+    out = '<out subject="a#0"/>\n'
+    return ('<pic version="2">\n<externs/>\n<process>\n' + "<par>\n" * depth
             + out + (out + "</par>\n") * depth + "</process>\n</pic>\n")
 
 
@@ -189,6 +190,34 @@ def test_checks_match_reference_on_deep_sorts():
                           f"output payload on c{links[-1]}"]
 
 
+def _doubling(levels):
+    """c0!(c1, c1) | c1!(c2, c2) | ... | c0 = 1: the sort of c0, written as a
+    tree, doubles in size per level"""
+    return (" | ".join(f"c{i}!(c{i + 1}, c{i + 1})" for i in range(levels))
+            + " | c0 = 1")
+
+
+def test_sort_shared_in_two_slots_shows_bounded(tmp_path, capsys):
+    # the message stops past SHOW_LIMIT characters of the sort, in pichan
+    # and in the reference alike
+    got = _shown(_doubling(12))
+    assert got == _reference(_doubling(12))
+    assert got[2] == ["f.pi:1:180: error E-SORT sort mismatch in fusion: "
+                      + "chan(" * 12 + "?,?),chan(?,?)),chan(chan(?,?),"
+                      "chan(?,?))),chan(chan(chan(?,?),chan(?,?)),chan(chan(?,"
+                      "?),chan(?,?)))),chan(chan(chan(chan(?,?),chan(?,?)),"
+                      "chan(... vs int"]
+    src = tmp_path / "doubling.pi"
+    src.write_text(_doubling(40), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", str(src)]) == 2
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("... vs int\n")
+    message = out.split(": error E-SORT ", 1)[1]
+    assert len(message) < SHOW_LIMIT + 50
+
+
 # random channel-passing programs over six channels, each name used at any
 # arity and with literals, so that arities and base-versus-channel sorts
 # clash on shared names
@@ -317,17 +346,17 @@ def test_reader_matches_reference_on_binder_mutants():
 
 
 def _process_document(process):
-    return f'<pic version="1"><externs/><process>{process}</process></pic>'
+    return f'<pic version="2"><externs/><process>{process}</process></pic>'
 
 
 @pytest.mark.parametrize("process,message", [
-    # the cont is read before an in's arguments are checked to be names
-    ('<in subject="x#0"><arg kind="int" value="1"/><cont><widget/></cont>'
-     '</in>', "unknown element 'widget'"),
+    # an in's continuation is read before its arguments are checked to be
+    # names
+    ('<in subject="x#0" a0="int:1"><widget/></in>',
+     "unknown element 'widget'"),
     # a new's name before its child, an out's arguments before its subject
     ('<new name="a"><widget/></new>', "bad name reference 'a' in new"),
-    ('<out subject="x"><arg kind="int" value="x"/><cont><nil/></cont></out>',
-     "bad int literal 'x' in out"),
+    ('<out subject="x" a0="int:x"/>', "bad int literal 'x' in out"),
     # a par's children in order, each one whole before the next
     ('<par><par><widget/><nil/></par><gadget/></par>',
      "unknown element 'widget'"),

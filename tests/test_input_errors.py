@@ -80,16 +80,16 @@ def test_long_int_in_source_is_e_syntax(tmp_path, capsys):
 
 
 def _out_document(subject, arg):
-    return ('<pic version="1"><externs/><process>'
-            f'<out subject="{subject}">{arg}<cont><nil/></cont></out>'
+    return ('<pic version="2"><externs/><process>'
+            f'<out subject="{subject}"{arg}/>'
             '</process></pic>')
 
 
 @pytest.mark.parametrize("doc", [
     _out_document(f"x#{LONG}", ""),
-    _out_document("x#0", f'<arg kind="int" value="{LONG}"/>'),
-    _out_document("x#0", f'<arg kind="int" value="-{LONG}"/>'),
-    _out_document("x#0", f'<arg kind="name" value="y#{LONG}"/>'),
+    _out_document("x#0", f' a0="int:{LONG}"'),
+    _out_document("x#0", f' a0="int:-{LONG}"'),
+    _out_document("x#0", f' a0="name:y#{LONG}"'),
 ], ids=["subject-id", "int", "negative-int", "object-id"])
 def test_long_number_in_xir_is_e_schema(tmp_path, capsys, doc):
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]

@@ -626,8 +626,8 @@ def test_fresh_names_above_extern_channel_ids():
     # every id in main lies below the extern channels' ids, so a fresh name
     # counted from main alone would take the first call channel's id
     text = to_xml(desugar(parse_program(ACCOUNT_EXTERN + "nil")))
-    text = text.replace("<nil/>", '<new name="z#-1"><out subject="z#-1">'
-                        "<cont><nil/></cont></out></new>")
+    text = text.replace("<nil/>", '<new name="z#-1"><out subject="z#-1"/>'
+                        "</new>")
     program = from_xml(text)
     channels = {n.id for d in program.externs for n in d.channels()}
     m = Machine.initialize(program, build_std_registry())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (Name, NameRef, New, Nil, Out, StrLit,
+from pichan.core import (Fusion, Name, NameRef, New, Nil, Out, StrLit,
                          SurfaceFormError)
 from pichan.parser import Program, desugar, parse_program
 from pichan.typecheck import INT
@@ -50,7 +50,8 @@ def test_round_trip_exact_including_ids():
     "cr\rx", "caf\u00e9", ""])
 def test_attribute_values_are_written_as_quoteattr_writes_them(text):
     doc = to_xml(Program((), Out(Name(0, "x"), (StrLit(text),), Nil())))
-    assert f'<arg kind="str" value={quoteattr(text)}/>' in doc.splitlines()
+    assert (f'<out subject="x#0" a0={quoteattr("str:" + text)}/>'
+            in doc.splitlines())
     assert from_xml(doc).main.objects == (StrLit(text),)
 
 
@@ -71,15 +72,15 @@ def test_determinism_byte_identical():
 
 def test_free_name_accepted():
     # a subject that is never bound and not extern is fine: it is free
-    doc = ('<pic version="1"><externs/><process>'
-           '<out subject="x#3"><cont><nil/></cont></out>'
+    doc = ('<pic version="2"><externs/><process>'
+           '<out subject="x#3"/>'
            '</process></pic>')
     program = from_xml(doc)
     assert program.main == Out(Name(3, "x"), (), Nil())
 
 
 def test_version_error():
-    doc = '<pic version="2"><externs/><process><nil/></process></pic>'
+    doc = '<pic version="1"><externs/><process><nil/></process></pic>'
     with pytest.raises(VersionError):
         from_xml(doc)
     diags = validate(doc)
@@ -87,7 +88,7 @@ def test_version_error():
 
 
 def test_par_arity_diagnostic():
-    doc = ('<pic version="1"><externs/><process>'
+    doc = ('<pic version="2"><externs/><process>'
            '<par><nil/></par></process></pic>')
     diags = validate(doc)
     assert len(diags) == 1 and diags[0].code == "E-SCHEMA"
@@ -95,14 +96,14 @@ def test_par_arity_diagnostic():
 
 
 def test_unknown_element_rejected():
-    doc = ('<pic version="1"><externs/><process>'
+    doc = ('<pic version="2"><externs/><process>'
            '<widget/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
 
 
 def test_unknown_attribute_rejected():
-    doc = ('<pic version="1"><externs/><process>'
+    doc = ('<pic version="2"><externs/><process>'
            '<nil bogus="1"/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
@@ -119,9 +120,8 @@ def test_surface_form_rejected():
 
 
 def test_in_argument_must_be_name():
-    doc = ('<pic version="1"><externs/><process>'
-           '<in subject="x#0"><arg kind="int" value="3"/>'
-           '<cont><nil/></cont></in></process></pic>')
+    doc = ('<pic version="2"><externs/><process>'
+           '<in subject="x#0" a0="int:3"/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
 
@@ -134,11 +134,11 @@ def _mutations(text):
         if tag == "pic":
             continue
         out.append(text[:m.start() + 1] + "zz" + text[m.start() + 1:])
-    # also drop whole self-closing elements; arg lists are variable-length
-    # by design, so dropping an arg yields a different but valid program
+    # also drop whole self-closing elements (an action's one child is
+    # optional, so dropping it would give a different but valid program;
+    # this document has none)
     for m in re.finditer(r"<(\w+)[^<>]*/>", text):
-        if m.group(1) != "arg":
-            out.append(text[:m.start()] + text[m.end():])
+        out.append(text[:m.start()] + text[m.end():])
     return out
 
 
@@ -188,13 +188,13 @@ def test_par_chain_round_trip_exact(src, children):
 
 
 def _out(subject):
-    return f'<out subject="{subject}"><cont><nil/></cont></out>'
+    return f'<out subject="{subject}"/>'
 
 
 def test_binary_par_document_loads_to_the_same_program():
     # the form earlier writers produced: every par has exactly two
     # children and a chain nests to the right
-    binary = ('<pic version="1"><externs/><process><par>'
+    binary = ('<pic version="2"><externs/><process><par>'
               + _out("a#0") + "<par>" + _out("b#1") + "<par>" + _out("c#2")
               + _out("d#3") + "</par></par></par></process></pic>")
     program = desugar(parse_program("a!() | b!() | c!() | d!()"))
@@ -204,18 +204,18 @@ def test_binary_par_document_loads_to_the_same_program():
 
 @pytest.mark.parametrize("children", ["", "<nil/>"])
 def test_par_needs_two_children(children):
-    doc = (f'<pic version="1"><externs/><process><par>{children}</par>'
+    doc = (f'<pic version="2"><externs/><process><par>{children}</par>'
            '</process></pic>')
     diags = validate(doc)
     assert len(diags) == 1 and diags[0].code == "E-SCHEMA"
     # a short par at the end of a spine is caught too
-    doc = (f'<pic version="1"><externs/><process><par>{_out("a#0")}'
+    doc = (f'<pic version="2"><externs/><process><par>{_out("a#0")}'
            f'<par>{children}</par></par></process></pic>')
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
 
 
 def test_names_shared_within_a_document():
-    program = from_xml('<pic version="1"><externs/><process><par>'
+    program = from_xml('<pic version="2"><externs/><process><par>'
                        + _out("a#0") + _out("a#0") + "</par></process></pic>")
     assert program.main.left.subject is program.main.right.subject
 
@@ -232,7 +232,7 @@ def test_bytes_grow_linearly_in_echo_clients():
 
 @pytest.mark.parametrize("name", ["x#--5", "x#²", "x#+5", "x# 5", "x#"])
 def test_bad_name_id_is_schema_error(name):
-    doc = (f'<pic version="1"><externs/><process>{_out(name)}'
+    doc = (f'<pic version="2"><externs/><process>{_out(name)}'
            '</process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
@@ -240,7 +240,7 @@ def test_bad_name_id_is_schema_error(name):
 
 
 def test_negative_and_decimal_name_ids_accepted():
-    doc = ('<pic version="1"><externs/><process><par>' + _out("x#-5")
+    doc = ('<pic version="2"><externs/><process><par>' + _out("x#-5")
            + _out("y#١٢") + "</par></process></pic>")
     main = from_xml(doc).main
     assert (main.left.subject.id, main.right.subject.id) == (-5, 12)
@@ -304,3 +304,88 @@ def test_duplicate_extern_method_is_schema_error():
     with pytest.raises(SchemaError, match="extern method read declared twice"):
         from_xml(doc)
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
+
+
+# ---------------------------------------------------------------------------
+# version 2: one element per action
+
+
+def _process_doc(process):
+    return f'<pic version="2"><externs/><process>{process}</process></pic>'
+
+
+@pytest.mark.parametrize("element,found", [
+    ('<out subject="x#0" a1="int:1"/>', "['a1', 'subject']"),
+    ('<out subject="x#0" a0="int:1" a2="int:2"/>', "['a0', 'a2', 'subject']"),
+    ('<in subject="x#0" a0="name:y#1" bogus="1"/>',
+     "['a0', 'bogus', 'subject']"),
+    ('<out a0="int:1"/>', "['a0']"),
+    ('<new name="a#0" a0="int:1"/>', "['a0', 'name']"),
+    ('<repeat a0="int:1"/>', "['a0']"),
+], ids=["a1-without-a0", "a2-without-a1", "unknown", "no-subject", "new",
+        "repeat"])
+def test_bad_action_attributes_are_e_schema(element, found):
+    doc = _process_doc(element)
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
+    with pytest.raises(SchemaError, match=re.escape(f"found {found}")):
+        from_xml(doc)
+
+
+@pytest.mark.parametrize("start,tag", [('out subject="x#0"', "out"),
+                                       ('in subject="x#0"', "in"),
+                                       ('new name="a#0"', "new"),
+                                       ("repeat", "repeat")])
+def test_action_with_two_children_is_e_schema(start, tag):
+    child = '<out subject="y#1"/>'
+    doc = _process_doc(f"<{start}>{child}{child}</{tag}>")
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
+    with pytest.raises(SchemaError, match=f"^{tag} takes at most 1 child$"):
+        from_xml(doc)
+    # one child, or none for nil, is the action's continuation
+    assert validate(_process_doc(f"<{start}>{child}</{tag}>")) == []
+    assert validate(_process_doc(f"<{start}/>")) == []
+
+
+_AWKWARD = st.text(st.sampled_from(list(':#"&<>\n\r\t\' a\u00e9'))
+                   | st.characters(blacklist_categories=("Cs", "Cc")),
+                   max_size=12)
+
+
+@given(st.lists(_AWKWARD, max_size=4), _AWKWARD)
+@settings(max_examples=300, deadline=None)
+def test_string_literals_round_trip(texts, fused):
+    # each string is one attribute value, which XML quoting covers
+    x = Name(0, "x")
+    program = Program((), Out(x, tuple(map(StrLit, texts)),
+                              Fusion(NameRef(x), StrLit(fused))))
+    text = to_xml(program)
+    assert from_xml(text) == program
+    assert to_xml(from_xml(text)) == text
+
+
+def _nil_and_wrappers(text):
+    """Tags of <cont> and <arg> elements, and the parent tag of every
+    <nil/>, in the document."""
+    root = ET.fromstring(text)
+    wrappers = [e.tag for e in root.iter() if e.tag in ("cont", "arg")]
+    nil_parents = [parent.tag for parent in root.iter() for child in parent
+                   if child.tag == "nil"]
+    return wrappers, nil_parents
+
+
+@pytest.mark.parametrize("sample", sorted(SAMPLES.glob("*.pi")),
+                         ids=lambda path: path.name)
+def test_compiled_samples_have_one_element_per_action(sample):
+    text = to_xml(desugar(parse_program(sample.read_text(), sample.name)))
+    wrappers, nil_parents = _nil_and_wrappers(text)
+    assert wrappers == [] and set(nil_parents) <= {"par", "process"}
+
+
+def test_compiled_random_programs_have_one_element_per_action():
+    nil_parents = set()
+    for seed in range(150):
+        text = to_xml(desugar(gen_program(random.Random(seed))))
+        wrappers, parents = _nil_and_wrappers(text)
+        assert wrappers == []
+        nil_parents.update(parents)
+    assert nil_parents == {"par", "process"}
