@@ -87,7 +87,7 @@ def cmd_run(args) -> int:
     try:
         program = xir.from_xml(text)
     except xir.SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.code} {exc}", file=sys.stderr)
         return EXIT_TYPE
     try:
         registry = build_registry(args.registry)

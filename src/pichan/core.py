@@ -28,12 +28,11 @@ class FusionClash(Exception):
 class Name:
     """A name.  Equality and hash use the id alone."""
 
-    __slots__ = ("id", "display", "origin")
+    __slots__ = ("id", "display")
 
-    def __init__(self, id: int, display: str, origin: str = "source"):
+    def __init__(self, id: int, display: str):
         self.id = id
         self.display = display
-        self.origin = origin  # source | fresh
 
     def __eq__(self, other):
         return self.id == other.id if type(other) is Name else NotImplemented
@@ -51,8 +50,8 @@ class NameSupply:
     def __init__(self, start: int = 0):
         self._next = start
 
-    def fresh(self, display: str, origin: str = "fresh") -> Name:
-        n = Name(self._next, display, origin)
+    def fresh(self, display: str) -> Name:
+        n = Name(self._next, display)
         self._next += 1
         return n
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import Name
-from .typecheck import INT, ProtocolAutomaton
+from .typecheck import INT
 
 
 class DuplicateClass(Exception):
@@ -48,13 +48,17 @@ class ProtocolViolation(Exception):
 
 @dataclass(frozen=True)
 class MethodDecl:
+    """One method: its call and return channels and their sorts.  protocol
+    is the declared `acceded as` body as (channel display, payload) steps,
+    or None when the clause is omitted; `check` tests it, and XIR does not
+    carry it, so it takes no part in equality."""
+
     name: str
     call_channel: Name
     param_sorts: tuple  # tuple[BaseSort, ...], empty for void
     return_channel: Name
     return_payload: tuple  # () for void, else a 1-tuple
-    protocol: ProtocolAutomaton
-    protocol_declared: bool = field(compare=False, default=False)
+    protocol: Optional[tuple] = field(compare=False, default=None)
     span: object = field(compare=False, default=None)
 
 

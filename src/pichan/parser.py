@@ -30,7 +30,7 @@ from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, NameSupply,
                    Value, name_scan)
 from .diag import Diagnostic, ParseError, Source
 from .interop import ExternDecl, MethodDecl
-from .typecheck import ProtocolAutomaton, base_sort, canonical_protocol
+from .typecheck import base_sort
 
 KEYWORDS = {
     "nil", "new", "in", "repeat", "extern", "class", "call", "return",
@@ -203,51 +203,43 @@ class _Parser:
                       f"match the return clause", start)
         call_chan = self._declare_channel(call_tok)
         ret_chan = self._declare_channel(ret_tok)
-        declared = False
+        protocol = None
         if self.peek()[0] == "acceded":
             self.next()
             self.expect("as")
             self.expect("{")
             protocol = self.parse_protocol()
             self.expect("}")
-            declared = True
-        else:
-            protocol = canonical_protocol(call_chan.display, param_sorts,
-                                          ret_chan.display, ret_payload)
         return MethodDecl(mname, call_chan, param_sorts, ret_chan,
-                          ret_payload, protocol, protocol_declared=declared,
-                          span=self.at(start))
+                          ret_payload, protocol, span=self.at(start))
 
     def _declare_channel(self, tok: tuple) -> Name:
         if tok[1] in self.globals:
             raise ParseError([Diagnostic(
                 "error", "E-SYNTAX",
                 f"extern channel {tok[1]} declared twice", self.at(tok))])
-        name = self.supply.fresh(tok[1], "source")
+        name = self.supply.fresh(tok[1])
         self.globals[tok[1]] = name
         return name
 
-    def parse_protocol(self) -> ProtocolAutomaton:
+    def parse_protocol(self) -> tuple:
+        """A `rec` body, as its (channel display, payload) steps."""
         self.expect("rec")
         var = self.expect("ident")[1]
         self.expect("{")
-        transitions = []
-        state = 0
+        steps = []
         while True:
             tok = self.expect("ident")
             if tok[1] == var and self.peek()[0] == "}":
                 break
             self.expect("(")
-            payload = self._sort_list(")")
+            steps.append((tok[1], self._sort_list(")")))
             self.expect(")")
-            transitions.append([state, tok[1], payload, state + 1])
-            state += 1
             self.expect(".")
         self.expect("}")
-        if not transitions:
+        if not steps:
             self.fail("empty protocol body")
-        transitions[-1][3] = 0  # loop back to the rec variable
-        return ProtocolAutomaton(state, tuple(tuple(t) for t in transitions))
+        return tuple(steps)
 
     # -- processes
 
@@ -257,14 +249,14 @@ class _Parser:
         if name is not None:
             return name
         if tok[1] not in self.free:
-            self.free[tok[1]] = self.supply.fresh(tok[1], "source")
+            self.free[tok[1]] = self.supply.fresh(tok[1])
         return self.free[tok[1]]
 
     def _bind(self, toks: list, scope: dict, frames: list) -> list:
         """Fresh names for toks, bound in scope in place; frames gets the
         entries to restore."""
         frames.append({t[1]: scope.get(t[1]) for t in toks})
-        names = [self.supply.fresh(tok[1], "source") for tok in toks]
+        names = [self.supply.fresh(tok[1]) for tok in toks]
         scope.update((t[1], n) for t, n in zip(toks, names))
         return names
 
@@ -409,8 +401,7 @@ def _fresh_binders(p: Process, supply: NameSupply) -> list:
         p = stack.pop()
         kind = type(p)
         if kind is tuple:  # (slot, objects) once the continuation is done
-            fresh[p[0]] = tuple(supply.fresh(o.display, "fresh")
-                                for o in p[1])
+            fresh[p[0]] = tuple(supply.fresh(o.display) for o in p[1])
         elif kind is Par:
             stack += (p.right, p.left)
         elif kind is In:
@@ -559,24 +550,14 @@ def _format_extern(d: ExternDecl, names: dict) -> str:
         lines.append(f"  {ret} {m.name}({_sorts_text(m.param_sorts) if m.param_sorts else ''}) {{")
         lines.append(f"    call {call}: {_sorts_text(m.param_sorts)};")
         lines.append(f"    return {retc}: {_sorts_text(m.return_payload)};")
-        lines.append(f"  }} acceded as {{{_protocol_text(m.protocol)}}}")
+        if m.protocol is None:
+            lines.append("  }")
+        else:
+            steps = "".join(f"{chan}({', '.join(map(str, payload))})."
+                            for chan, payload in m.protocol)
+            lines.append(f"  }} acceded as {{rec S {{{steps}S}}}}")
     lines.append("}")
     return "\n".join(lines)
-
-
-def _protocol_text(auto: ProtocolAutomaton) -> str:
-    # protocols parse from a linear rec body; rebuild it from state 0 up to
-    # the step back to 0, so states that state 0 cannot reach are left out
-    steps = []
-    state = 0
-    for _ in range(auto.num_states):
-        chan, payload, state = next((c, pl, t) for (s, c, pl, t)
-                                    in auto.transitions if s == state)
-        args = ", ".join(str(s) for s in payload)
-        steps.append(f"{chan}({args})")
-        if state == 0:
-            break
-    return "rec S {" + ".".join(steps) + ".S}"
 
 
 def _value_text(v: Value, names: dict) -> str:

@@ -5,8 +5,9 @@ unification from use, action by action in pre-order, over a union-find of
 sort classes; extern channels get their sorts from the declaration.  A
 binding that would make a sort recursive is refused when it is made, found
 by a search forward from the sort and backward from the class at once.
-Protocols on extern methods are restricted to the canonical call-then-return
-cycle; anything else parses but is rejected here.
+A protocol on an extern method is the list of steps of its `rec` body, and
+only the canonical call-then-return cycle is accepted; anything else parses
+but is rejected here, so no later stage sees a protocol.
 """
 
 from __future__ import annotations
@@ -40,44 +41,6 @@ _BASE_BY_NAME = {"int": INT, "string": STR, "bool": BOOL, "unit": UNIT}
 
 def base_sort(name: str) -> Optional[BaseSort]:
     return _BASE_BY_NAME.get(name)
-
-
-# ---------------------------------------------------------------------------
-# Protocol automata
-
-
-@dataclass(frozen=True)
-class ProtocolAutomaton:
-    """Automaton over channel names; state 0 is the start and every
-    transition sequence loops back to it (protocols are recursive)."""
-
-    num_states: int
-    transitions: tuple  # tuple of (state, channel: str, payload: tuple, next_state)
-
-
-def canonical_protocol(call_channel: str, param_sorts: tuple,
-                       return_channel: str, return_payload: tuple) -> ProtocolAutomaton:
-    """The call-then-return two-state cycle."""
-    return ProtocolAutomaton(2, (
-        (0, call_channel, tuple(param_sorts), 1),
-        (1, return_channel, tuple(return_payload), 0),
-    ))
-
-
-def is_canonical(method) -> bool:
-    """Whether the part of method's protocol reachable from state 0 is the
-    call-then-return cycle: the start's one transition is the call, to
-    another state whose one transition is the return, back to the start."""
-    def moves(state):
-        return [(c, tuple(pl), t) for (s, c, pl, t) in method.protocol.transitions
-                if s == state]
-    start = moves(0)
-    if len(start) != 1 or start[0][:2] != (method.call_channel.display,
-                                           tuple(method.param_sorts)):
-        return False
-    mid = start[0][2]
-    return mid != 0 and moves(mid) == [(method.return_channel.display,
-                                        tuple(method.return_payload), 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +218,19 @@ def check_sorts(program) -> list:
 
 
 def check_protocol_schema(decl) -> list:
-    """Each method's automaton must be the canonical call-then-return cycle
-    (an omitted clause was already synthesized to it by the parser)."""
-    return [Diagnostic("error", "E-PROTO",
-                       f"protocol for method {m.name} of {decl.alias} is not "
-                       f"the canonical call-then-return cycle", m.span)
-            for m in decl.methods if not is_canonical(m)]
+    """Each declared protocol must be the canonical call-then-return cycle:
+    the call on its parameter sorts, then the return on its payload.  An
+    omitted clause (protocol None) is that cycle."""
+    diags = []
+    for m in decl.methods:
+        canonical = ((m.call_channel.display, m.param_sorts),
+                     (m.return_channel.display, m.return_payload))
+        if m.protocol not in (None, canonical):
+            diags.append(Diagnostic(
+                "error", "E-PROTO", f"protocol for method {m.name} of "
+                f"{decl.alias} is not the canonical call-then-return cycle",
+                m.span))
+    return diags
 
 
 # ---------------------------------------------------------------------------

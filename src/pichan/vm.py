@@ -183,7 +183,7 @@ class Machine:
             if kind is Par:
                 stack += (p.right, p.left)
             elif kind is New:
-                env[p.name.id] = self.supply.fresh(p.name.display, "fresh")
+                env[p.name.id] = self.supply.fresh(p.name.display)
                 stack.append(p.body)
             elif kind is not Nil:
                 self._insert(p, env)

@@ -12,14 +12,19 @@ attributes ``a0``, ``a1``, ... in the ``kind:value`` grammar of ``<fusion>``
 nests; the reader folds children to the right, so binary pars read to the
 same program.
 
+Each extern method is one empty element that names its channels and
+their sorts: ``<method name="read" call="read#0" params="" ret="Ret2#1"
+result="int"/>``.  Its protocol is not written: ``check`` accepts only the
+canonical call-then-return cycle, which the VM assumes.
+
 Serialization is deterministic: one element per line with no indentation,
 fixed attribute order, names written as ``display#id``.  Equal programs
 produce byte-identical documents and ``from_xml(to_xml(p)) == p`` exactly,
 ids included.  Whitespace between elements is ignored, so indented
-documents load too.  This is version "2"; version 1, which wrapped
-continuations in ``<cont>`` and arguments in ``<arg>``, is a VersionError.
-Writer and reader use explicit stacks, so nesting depth is bounded by
-memory alone.
+documents load too.  This is version "3"; an earlier version (2 wrote each
+method's protocol automaton, 1 also wrapped continuations in ``<cont>`` and
+arguments in ``<arg>``) is a VersionError.  Writer and reader use explicit
+stacks, so nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from functools import cache
+from typing import Optional
 from xml.sax.saxutils import quoteattr
 
 from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil, Out,
@@ -35,17 +41,17 @@ from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil, Out,
 from .diag import Diagnostic
 from .interop import ExternDecl, MethodDecl
 from .parser import Program
-from .typecheck import ProtocolAutomaton, base_sort, is_canonical
+from .typecheck import base_sort
 
-XIR_VERSION = "2"
+XIR_VERSION = "3"
 
 
 class SchemaError(Exception):
-    pass
+    code = "E-SCHEMA"
 
 
 class VersionError(SchemaError):
-    pass
+    code = "E-VERSION"
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +96,12 @@ def _sorts_attr(sorts: tuple) -> str:
 
 def _write_extern(lines: list, d: ExternDecl) -> None:
     lines.append(_element("extern", [("alias", d.alias), ("class", d.class_name)]))
-    for m in d.methods:
-        lines += (_element("method", [("name", m.name)]),
-                  _element("call", [("channel", _name_text(m.call_channel)),
-                                    ("params", _sorts_attr(m.param_sorts))], True),
-                  _element("ret", [("channel", _name_text(m.return_channel)),
-                                   ("result", _sorts_attr(m.return_payload))], True),
-                  _element("protocol", [("states", str(m.protocol.num_states))]))
-        for (s, chan, payload, t) in m.protocol.transitions:
-            lines.append(_element("t", [("from", str(s)), ("chan", chan),
-                                        ("payload", _sorts_attr(payload)),
-                                        ("to", str(t))], True))
-        lines += ("</protocol>", "</method>")
+    lines += (_element("method", [("name", m.name),
+                                  ("call", _name_text(m.call_channel)),
+                                  ("params", _sorts_attr(m.param_sorts)),
+                                  ("ret", _name_text(m.return_channel)),
+                                  ("result", _sorts_attr(m.return_payload))],
+                       True) for m in d.methods)
     lines.append("</extern>")
 
 
@@ -168,15 +168,15 @@ def to_xml(program: Program) -> str:
 # Reading
 
 
-def _decimal(text: str, error: str, signed: bool = False) -> int:
-    """int(text) for decimal digits, after one '-' when signed (int() alone
-    also takes "+1" or "1_0"); else, or past int()'s limit, SchemaError."""
-    if (text.removeprefix("-") if signed else text).isdecimal():
+def _decimal(text: str) -> Optional[int]:
+    """int(text) for decimal digits after at most one '-' (int() alone also
+    takes "+1" or "1_0"); else, or past int()'s limit, None."""
+    if text.removeprefix("-").isdecimal():
         try:
             return int(text)
         except ValueError:  # past the interpreter's int-conversion limit
             pass
-    raise SchemaError(error)
+    return None
 
 
 def _parse_name(text: str, what: str, names: dict) -> Name:
@@ -184,10 +184,10 @@ def _parse_name(text: str, what: str, names: dict) -> Name:
     n = names.get(text)
     if n is None:
         display, sep, nid = text.rpartition("#")
-        error = f"bad name reference {text!r} in {what}"
-        if not sep:
-            raise SchemaError(error)
-        n = names[text] = Name(_decimal(nid, error, True), display, "source")
+        nid = _decimal(nid) if sep else None
+        if nid is None:
+            raise SchemaError(f"bad name reference {text!r} in {what}")
+        n = names[text] = Name(nid, display)
     return n
 
 
@@ -195,7 +195,10 @@ def _parse_value(kind: str, val: str, what: str, names: dict) -> Value:
     if kind == "name":
         return NameRef(_parse_name(val, what, names))
     if kind == "int":
-        return IntLit(_decimal(val, f"bad int literal {val!r} in {what}", True))
+        n = _decimal(val)
+        if n is None:
+            raise SchemaError(f"bad int literal {val!r} in {what}")
+        return IntLit(n)
     if kind == "str":
         return StrLit(val)
     if kind == "bool":
@@ -349,20 +352,6 @@ def _split_value(text: str, what: str, names: dict) -> Value:
     return _parse_value(kind, val, what, names)
 
 
-def _check_protocol(proto: ProtocolAutomaton, method: str) -> None:
-    """Transitions must stay in range and every state must move (protocols
-    are recursive cycles, so a dead state is always a schema bug)."""
-    outgoing = set()
-    for (s, _, _, t) in proto.transitions:
-        if not (0 <= s < proto.num_states and 0 <= t < proto.num_states):
-            raise SchemaError(
-                f"protocol of {method}: transition state out of range")
-        outgoing.add(s)
-    if len(outgoing) != proto.num_states:  # every one is in range
-        raise SchemaError(
-            f"protocol of {method}: some state has no outgoing transition")
-
-
 def _read_extern(elem, names: dict) -> ExternDecl:
     alias, cls = _attrs(elem, ("alias", "class"), "extern")
     methods = []
@@ -370,36 +359,16 @@ def _read_extern(elem, names: dict) -> ExternDecl:
     for melem in elem:
         if melem.tag != "method":
             raise SchemaError(f"unexpected element {melem.tag!r} in extern")
-        (mname,) = _attrs(melem, ("name",), "method")
+        mname, call, params, ret, result = _attrs(
+            melem, ("name", "call", "params", "ret", "result"), "method")
+        if len(melem) != 0:
+            raise SchemaError("method takes no children")
         if mname in seen:
             raise SchemaError(f"extern method {mname} declared twice")
         seen.add(mname)
-        if len(melem) != 3 or [c.tag for c in melem] != ["call", "ret", "protocol"]:
-            raise SchemaError(f"method {mname} must contain call, ret, protocol")
-        call_elem, ret_elem, proto_elem = melem
-        chan, params = _attrs(call_elem, ("channel", "params"), "call")
-        rchan, result = _attrs(ret_elem, ("channel", "result"), "ret")
-        (states,) = _attrs(proto_elem, ("states",), "protocol")
-        states = _decimal(states, "protocol states must be a number")
-        transitions = []
-        for t in proto_elem:
-            if t.tag != "t":
-                raise SchemaError(f"unexpected element {t.tag!r} in protocol")
-            frm, tchan, payload, to = _attrs(t, ("from", "chan", "payload", "to"), "t")
-            error = "protocol transition states must be numbers"
-            transitions.append((_decimal(frm, error), tchan,
-                                _parse_sorts(payload, "protocol"),
-                                _decimal(to, error)))
-        proto = ProtocolAutomaton(states, tuple(transitions))
-        _check_protocol(proto, mname)
-        m = MethodDecl(
-            mname, _parse_name(chan, "call", names), _parse_sorts(params, "call"),
-            _parse_name(rchan, "ret", names), _parse_sorts(result, "ret"), proto,
-            protocol_declared=True)
-        if not is_canonical(m):
-            raise SchemaError(f"protocol of {mname} is not the canonical "
-                              f"call-then-return cycle")
-        methods.append(m)
+        methods.append(MethodDecl(
+            mname, _parse_name(call, "call", names), _parse_sorts(params, "call"),
+            _parse_name(ret, "ret", names), _parse_sorts(result, "ret")))
     return ExternDecl(alias, cls, tuple(methods))
 
 
@@ -440,8 +409,6 @@ def validate(document) -> list:
     """Diagnostics instead of exceptions; empty iff from_xml succeeds."""
     try:
         from_xml(document)
-        return []
-    except VersionError as exc:
-        return [Diagnostic("error", "E-VERSION", str(exc))]
     except SchemaError as exc:
-        return [Diagnostic("error", "E-SCHEMA", str(exc))]
+        return [Diagnostic("error", exc.code, str(exc))]
+    return []

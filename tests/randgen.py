@@ -9,7 +9,7 @@ from pichan.core import (BoolLit, Fusion, In, IntLit, NameRef, NameSupply,
                          New, Nil, Out, Par, Repeat, StrLit, UnitLit)
 from pichan.interop import ExternDecl, MethodDecl
 from pichan.parser import Program
-from pichan.typecheck import BOOL, INT, STR, canonical_protocol
+from pichan.typecheck import BOOL, INT, STR
 
 _SORTS = [INT, STR, BOOL]
 
@@ -20,7 +20,7 @@ def gen_program(rng: random.Random, with_externs: bool = True,
     externs = []
     if with_externs and rng.random() < 0.5:
         externs = [gen_extern(rng, supply, i) for i in range(rng.randint(1, 2))]
-    scope = [supply.fresh(c, "source") for c in
+    scope = [supply.fresh(c) for c in
              rng.sample(["a", "b", "c", "d", "e"], rng.randint(2, 4))]
     for d in externs:
         scope.extend(d.channels())
@@ -35,11 +35,11 @@ def gen_extern(rng: random.Random, supply: NameSupply, idx: int) -> ExternDecl:
     methods = []
     for j in range(rng.randint(0, 3)):
         mname = f"m{idx}_{j}"
-        call = supply.fresh(mname, "source")
-        ret = supply.fresh(f"R{idx}_{j}", "source")
+        call = supply.fresh(mname)
+        ret = supply.fresh(f"R{idx}_{j}")
         params = tuple(rng.choice(_SORTS) for _ in range(rng.randint(0, 2)))
         retp = (rng.choice(_SORTS),) if rng.random() < 0.6 else ()
-        proto = canonical_protocol(call.display, params, ret.display, retp)
+        proto = ((call.display, params), (ret.display, retp))  # canonical
         methods.append(MethodDecl(mname, call, params, ret, retp, proto))
     return ExternDecl(alias, cls, tuple(methods))
 
@@ -71,7 +71,7 @@ def gen_process(rng: random.Random, supply: NameSupply, scope: list,
         right = gen_process(rng, supply, scope, budget, surface)
         return Par(left, right)
     if choice < 0.42:
-        name = supply.fresh(rng.choice(["u", "v", "w"]), "source")
+        name = supply.fresh(rng.choice(["u", "v", "w"]))
         body = gen_process(rng, supply, scope + [name], budget, surface)
         return New(name, body)
     if choice < 0.50:
@@ -85,7 +85,7 @@ def gen_process(rng: random.Random, supply: NameSupply, scope: list,
     subj = rng.choice(scope)
     arity = rng.randint(0, 2)
     if surface and rng.random() < 0.5:
-        names = tuple(supply.fresh(rng.choice(["p", "q", "r"]), "source")
+        names = tuple(supply.fresh(rng.choice(["p", "q", "r"]))
                       for _ in range(arity))
         cont = gen_process(rng, supply, scope + list(names), budget, surface)
         return In(subj, names, True, cont)

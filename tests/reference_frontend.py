@@ -133,7 +133,7 @@ def _desugar_proc(p: Process, supply: NameSupply) -> Process:
             return In(p.subject, p.objects, False, cont, span=p.span)
         fresh = []
         for o in p.objects:
-            f = supply.fresh(o.display, "fresh")
+            f = supply.fresh(o.display)
             cont = substitute(cont, o, f, supply)
             fresh.append(f)
         body = In(p.subject, tuple(fresh), False, cont, span=p.span)

@@ -9,7 +9,7 @@ What they share with pichan did not change with the walks: the tokenizer,
 extern blocks, the value and item rules of the parser, and the XIR
 reader's attribute, name, value and extern helpers.  The XIR writer here
 indents by two spaces per level, as it did; writer and reader follow
-version 2 of the format, as pichan's do.  The sort checker here keeps sorts as
+version 3 of the format, as pichan's do.  The sort checker here keeps sorts as
 terms (ChanSort, literal_sort), binds variables in a dict and walks the
 whole sort for its occurs check; pichan's is a union-find over sort
 classes, and must report the same diagnostics in the same order.
@@ -43,11 +43,11 @@ class _RecursiveParser(_Parser):
         if tok[1] in self.globals:
             return self.globals[tok[1]]
         if tok[1] not in self.free:
-            self.free[tok[1]] = self.supply.fresh(tok[1], "source")
+            self.free[tok[1]] = self.supply.fresh(tok[1])
         return self.free[tok[1]]
 
     def _bind_copy(self, toks: list, scope: dict) -> tuple:
-        names = [self.supply.fresh(tok[1], "source") for tok in toks]
+        names = [self.supply.fresh(tok[1]) for tok in toks]
         return names, {**scope, **{t[1]: n for t, n in zip(toks, names)}}
 
     def parse_proc(self, scope: dict) -> Process:
@@ -391,21 +391,12 @@ class _Writer:
 def _write_extern(w: _Writer, d, depth: int) -> None:
     w.emit(depth, "extern", [("alias", d.alias), ("class", d.class_name)])
     for m in d.methods:
-        w.emit(depth + 1, "method", [("name", m.name)])
-        w.emit(depth + 2, "call", [("channel", _name_text(m.call_channel)),
-                                   ("params", _sorts_attr(m.param_sorts))],
+        w.emit(depth + 1, "method", [("name", m.name),
+                                     ("call", _name_text(m.call_channel)),
+                                     ("params", _sorts_attr(m.param_sorts)),
+                                     ("ret", _name_text(m.return_channel)),
+                                     ("result", _sorts_attr(m.return_payload))],
                close=True)
-        w.emit(depth + 2, "ret", [("channel", _name_text(m.return_channel)),
-                                  ("result", _sorts_attr(m.return_payload))],
-               close=True)
-        w.emit(depth + 2, "protocol",
-               [("states", str(m.protocol.num_states))])
-        for (s, chan, payload, t) in m.protocol.transitions:
-            w.emit(depth + 3, "t", [("from", str(s)), ("chan", chan),
-                                    ("payload", _sorts_attr(payload)),
-                                    ("to", str(t))], close=True)
-        w.end(depth + 2, "protocol")
-        w.end(depth + 1, "method")
     w.end(depth, "extern")
 
 

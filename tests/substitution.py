@@ -34,7 +34,7 @@ def substitute(p: Process, src: Name, dst: Name,
             if p.name == src:
                 return p  # src bound here, nothing free below
             if p.name == dst:
-                fresh = supply.fresh(p.name.display, "fresh")
+                fresh = supply.fresh(p.name.display)
                 body = substitute(p.body, p.name, fresh, supply)
                 return New(fresh, go(body))
             return New(p.name, go(p.body))
@@ -53,7 +53,7 @@ def substitute(p: Process, src: Name, dst: Name,
                     objs = []
                     for o in p.objects:
                         if o == dst:
-                            fresh = supply.fresh(o.display, "fresh")
+                            fresh = supply.fresh(o.display)
                             cont = substitute(cont, o, fresh, supply)
                             objs.append(fresh)
                         else:

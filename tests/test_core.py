@@ -18,7 +18,7 @@ from terms import free_names, par_all
 
 def _names(*displays):
     supply = NameSupply()
-    return [supply.fresh(d, "source") for d in displays]
+    return [supply.fresh(d) for d in displays]
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +39,9 @@ def test_free_names_fusion_and_inner_binder():
     # Fusion(x, y) | new y' in y'!() over an *outer* y: the inner binder is a
     # different name object, so both x and the outer y stay free.
     supply = NameSupply()
-    x = supply.fresh("x", "source")
-    y = supply.fresh("y", "source")
-    inner_y = supply.fresh("y", "source")
+    x = supply.fresh("x")
+    y = supply.fresh("y")
+    inner_y = supply.fresh("y")
     p = Par(Fusion(NameRef(x), NameRef(y)),
             New(inner_y, Out(inner_y, (), Nil())))
     assert free_names(p) == {x, y}
@@ -108,7 +108,7 @@ def test_substitute_capture_avoided():
 def test_substitute_binding_input_parameter_shadow():
     x, y = _names("x", "y")
     supply = NameSupply(max(x.id, y.id) + 1)
-    v = supply.fresh("v", "source")
+    v = supply.fresh("v")
     p = In(x, (v,), True, Out(v, (NameRef(x),), Nil()))
     q = substitute(p, x, y)
     assert q.subject == y
@@ -118,7 +118,7 @@ def test_substitute_binding_input_parameter_shadow():
 def _gen(seed, surface=False, max_nodes=14):
     rng = random.Random(seed)
     supply = NameSupply()
-    scope = [supply.fresh(c, "source") for c in "abc"]
+    scope = [supply.fresh(c) for c in "abc"]
     return gen_process(rng, supply, scope, [max_nodes], surface), scope
 
 
@@ -311,9 +311,9 @@ def test_congruent_repeat_not_unfolded():
 
 def test_congruent_alpha():
     supply = NameSupply()
-    x1 = supply.fresh("x", "source")
-    x2 = supply.fresh("q", "source")
-    y = supply.fresh("y", "source")
+    x1 = supply.fresh("x")
+    x2 = supply.fresh("q")
+    y = supply.fresh("y")
     p = New(x1, Out(x1, (NameRef(y),), Nil()))
     q = New(x2, Out(x2, (NameRef(y),), Nil()))
     assert congruent(p, q)
@@ -335,8 +335,8 @@ def test_congruent_rejects_surface_form():
 def test_congruent_new_swap_generated(seed):
     p, scope = _gen(seed)
     supply = NameSupply(name_scan(p)[0] + 1)
-    x = supply.fresh("x", "source")
-    y = supply.fresh("y", "source")
+    x = supply.fresh("x")
+    y = supply.fresh("y")
     assert congruent(New(x, New(y, p)), New(y, New(x, p)))
 
 
@@ -389,7 +389,7 @@ def test_par_all():
 
 
 def test_name_equality_and_hash_use_the_id_alone():
-    a, b = Name(7, "x", "source"), Name(7, "y", "fresh")
+    a, b = Name(7, "x"), Name(7, "y")
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert Name(7, "x") != Name(8, "x")

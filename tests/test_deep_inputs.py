@@ -38,7 +38,7 @@ def _left_nested_par_document(depth):
     """A <par> nested depth deep in left position, each with an output on
     its right: one element per line, as to_xml writes it."""
     out = '<out subject="a#0"/>\n'
-    return ('<pic version="2">\n<externs/>\n<process>\n' + "<par>\n" * depth
+    return ('<pic version="3">\n<externs/>\n<process>\n' + "<par>\n" * depth
             + out + (out + "</par>\n") * depth + "</process>\n</pic>\n")
 
 
@@ -346,7 +346,7 @@ def test_reader_matches_reference_on_binder_mutants():
 
 
 def _process_document(process):
-    return f'<pic version="2"><externs/><process>{process}</process></pic>'
+    return f'<pic version="3"><externs/><process>{process}</process></pic>'
 
 
 @pytest.mark.parametrize("process,message", [

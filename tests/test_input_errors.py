@@ -80,7 +80,7 @@ def test_long_int_in_source_is_e_syntax(tmp_path, capsys):
 
 
 def _out_document(subject, arg):
-    return ('<pic version="2"><externs/><process>'
+    return ('<pic version="3"><externs/><process>'
             f'<out subject="{subject}"{arg}/>'
             '</process></pic>')
 
@@ -96,27 +96,20 @@ def test_long_number_in_xir_is_e_schema(tmp_path, capsys, doc):
     path = tmp_path / "long.xir.xml"
     path.write_text(doc)
     assert main(["run", str(path)]) == EXIT_TYPE
-    assert "error: bad" in capsys.readouterr().err
+    assert "error: E-SCHEMA bad" in capsys.readouterr().err
 
 
 def _account_document():
     return to_xml(desugar(parse_program(ACCOUNT_EXTERN + "read!()")))
 
 
-@pytest.mark.parametrize("old,new", [
-    ('states="2"', f'states="{LONG}"'),
-    ('from="0"', f'from="{LONG}"'),
-    ('to="1"', f'to="{LONG}"'),
-], ids=["states", "from", "to"])
-def test_long_protocol_number_is_e_schema(old, new):
-    doc = _account_document().replace(old, new, 1)
-    assert doc != _account_document()
-    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
-
-
-def test_huge_state_count_is_checked_without_a_set_of_states():
-    # every transition is in range, so only the count can be short; a set
-    # of all 10^9 states is never built
-    doc = _account_document().replace('states="2"', 'states="1000000000"', 1)
-    with pytest.raises(SchemaError, match="some state has no outgoing"):
+@pytest.mark.parametrize("old", ['call="read#2"', 'ret="Ret2#3"'],
+                         ids=["call", "ret"])
+def test_long_method_channel_id_is_e_schema(old):
+    doc = _account_document()
+    assert doc.count(old) == 1
+    bad = old[:old.index("#") + 1] + LONG + '"'
+    doc = doc.replace(old, bad)
+    with pytest.raises(SchemaError, match="bad name reference"):
         from_xml(doc)
+    assert [d.code for d in validate(doc)] == ["E-SCHEMA"]

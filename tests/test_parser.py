@@ -11,7 +11,7 @@ from pichan.core import (Fusion, In, IntLit, NameRef, NameSupply, New, Nil,
 from pichan.diag import ParseError, Source
 from pichan.parser import (_TOKEN_RE, Program, desugar, format_program,
                            parse_program, program_alpha_eq, tokenize)
-from pichan.typecheck import INT, canonical_protocol, check_sorts
+from pichan.typecheck import INT, check_sorts
 from pichan.xir import to_xml
 
 import reference_frontend
@@ -47,12 +47,9 @@ def test_parse_account_extern_block():
     assert read.call_channel.display == "read"
     assert read.return_channel.display == "Ret2"
     assert read.param_sorts == () and read.return_payload == (INT,)
-    # declared protocols equal the canonical synthesized ones
-    for m in d.methods:
-        assert m.protocol == canonical_protocol(
-            m.call_channel.display, m.param_sorts, m.return_channel.display,
-            m.return_payload)
-        assert m.protocol_declared
+    # a declared protocol is its rec body, step by step
+    assert readn.protocol == (("readn", ()), ("Ret1", ()))
+    assert read.protocol == (("read", ()), ("Ret2", (INT,)))
 
 
 def test_parse_nil():
@@ -72,10 +69,7 @@ nil
 """
     program = parse_program(src)
     m = program.externs[0].methods[0]
-    assert not m.protocol_declared
-    assert m.protocol == canonical_protocol(
-        m.call_channel.display, m.param_sorts, m.return_channel.display,
-        m.return_payload)
+    assert m.protocol is None
 
 
 def test_parse_output_input_fusion():
@@ -247,8 +241,8 @@ def test_desugar_idempotent_and_preserves_free_names(seed):
 
 def test_desugar_5000_deep_binding_chain():
     supply = NameSupply()
-    x = supply.fresh("x", "source")
-    params = [supply.fresh("v", "source") for _ in range(5000)]
+    x = supply.fresh("x")
+    params = [supply.fresh("v") for _ in range(5000)]
     p = Out(x, (NameRef(params[-1]),), Nil())
     for v in reversed(params):
         p = In(x, (v,), True, p)
@@ -355,7 +349,7 @@ def test_desugar_matches_reference_on_corpus():
 
 def test_desugar_matches_reference_on_hand_built_terms():
     supply = NameSupply()
-    x, v, w = (supply.fresh(d, "source") for d in "xvw")
+    x, v, w = (supply.fresh(d) for d in "xvw")
     use = Out(v, (NameRef(v), NameRef(w)), Nil())
     shared = In(x, (v,), True, use)
     for p in [In(x, (v, v), True, use),  # a repeated parameter

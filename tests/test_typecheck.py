@@ -1,6 +1,5 @@
 """Tests for sort inference, protocol schema checking and extern usage."""
 
-import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -8,15 +7,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import Name
 from pichan.parser import desugar, parse_program
-from pichan.typecheck import (BOOL, INT, STR, ProtocolAutomaton,
-                              canonical_protocol, check_extern_usage,
-                              check_protocol_schema, check_sorts,
-                              is_canonical)
+from pichan.typecheck import (check_extern_usage, check_protocol_schema,
+                              check_sorts)
 
-from reference_protocol import (automata_isomorphic, canonical_by_isomorphism,
-                                transition_map)
 from test_parser import ACCOUNT_EXTERN
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -109,107 +103,21 @@ def test_wrong_payload_protocol_rejected():
     assert diags and diags[0].code == "E-PROTO"
 
 
-def test_omitted_clause_synthesizes_canonical():
+def test_omitted_clause_is_canonical():
     src = ("extern A -> class Account {\n"
            "  void readn() { call readn: void; return Ret1: void; }\n"
            "}\nnil")
     d = parse_program(src).externs[0]
+    assert d.methods[0].protocol is None
     assert check_protocol_schema(d) == []
-    declared = _canonical("readn", (), "Ret1", ())
-    assert d.methods[0].protocol == declared
-
-
-def _canonical(call, params, ret, payload):
-    return canonical_protocol(call, params, ret, payload)
-
-
-def test_automata_isomorphic_relabeled_states():
-    a = canonical_protocol("c", (INT,), "r", ())
-    b = ProtocolAutomaton(2, ((0, "c", (INT,), 1), (1, "r", (), 0)))
-    shifted = ProtocolAutomaton(3, ((0, "c", (INT,), 2), (2, "r", (), 0)))
-    assert automata_isomorphic(a, b)
-    # state 1 unreachable in `shifted`, reachable part identical
-    assert automata_isomorphic(a, shifted)
-
-
-def test_automata_not_isomorphic():
-    a = canonical_protocol("c", (), "r", ())
-    b = ProtocolAutomaton(2, ((0, "c", (), 1), (1, "c", (), 0)))
-    assert not automata_isomorphic(a, b)
-
-
-def enumerate_automata(channels, max_states):
-    """Every total automaton with 1..max_states states where each state has
-    an outgoing transition on a nonempty subset of the channels."""
-    payload = {"c": (), "r": (INT,)}
-    for n in range(1, max_states + 1):
-        choices = []
-        for _ in range(n):
-            per_state = []
-            for used in range(1, len(channels) + 1):
-                for combo in itertools.combinations(channels, used):
-                    for targets in itertools.product(range(n), repeat=used):
-                        per_state.append(tuple(
-                            (c, payload[c], t)
-                            for c, t in zip(combo, targets)))
-            choices.append(per_state)
-        for assignment in itertools.product(*choices):
-            transitions = []
-            for s, outs in enumerate(assignment):
-                for (c, pl, t) in outs:
-                    transitions.append((s, c, pl, t))
-            yield ProtocolAutomaton(n, tuple(transitions))
 
 
 def test_schema_check_accepts_exactly_canonical_small():
-    # sampled here; the exhaustive <=3-state sweep runs in the acceptance suite
-    canon = canonical_protocol("c", (), "r", (INT,))
-    hits = 0
-    for auto in enumerate_automata(("c", "r"), 2):
-        iso = automata_isomorphic(auto, canon)
-        if iso:
-            hits += 1
-            tm = transition_map(auto)
-            assert tm[(0, "c")][1] != 0  # call must leave the start state
-    assert hits >= 1
-
-
-def _method(auto):
-    """Method c() -> int, call channel c and return channel r, with auto."""
-    decl = parse_program("extern A -> class C {\n"
-                         "  int c() { call c: void; return r: int; }\n"
-                         "}\nnil").externs[0]
-    return dataclasses.replace(decl.methods[0], protocol=auto)
-
-
-def test_is_canonical_matches_isomorphism_reference():
-    hits = 0
-    for auto in enumerate_automata(("c", "r"), 3):
-        m = _method(auto)
-        assert is_canonical(m) == canonical_by_isomorphism(m), auto
-        hits += is_canonical(m)
-    assert hits >= 1
-
-
-def test_is_canonical_checks_payloads_and_every_move():
-    assert not is_canonical(_method(ProtocolAutomaton(
-        2, ((0, "c", (INT,), 1), (1, "r", (INT,), 0)))))
-    assert not is_canonical(_method(ProtocolAutomaton(
-        2, ((0, "c", (), 1), (1, "r", (STR,), 0)))))
-    # XIR may give the call and the return one display: a one-state loop
-    # on it is not the two-state cycle
-    m = dataclasses.replace(
-        _method(ProtocolAutomaton(1, ((0, "c", (), 0),))), return_payload=(),
-        return_channel=Name(99, "c"))
-    assert not is_canonical(m) and not canonical_by_isomorphism(m)
-    assert is_canonical(dataclasses.replace(m, protocol=ProtocolAutomaton(
-        2, ((0, "c", (), 1), (1, "c", (), 0)))))
-    # two moves on one channel: a (state, channel) map keeps the last one,
-    # which makes the reference call this canonical
-    auto = ProtocolAutomaton(2, ((0, "c", (), 0), (0, "c", (), 1),
-                                 (1, "r", (INT,), 0)))
-    assert canonical_by_isomorphism(_method(auto))
-    assert not is_canonical(_method(auto))
+    # sampled here; every clause of 1-3 steps runs in the acceptance suite
+    steps = ["read()", "read(int)", "Ret2()", "Ret2(int)"]
+    accepted = [body for n in (1, 2) for body in itertools.product(steps, repeat=n)
+                if check_protocol_schema(_decl(f"rec S {{{'.'.join(body)}.S}}")) == []]
+    assert accepted == [("read()", "Ret2(int)")]
 
 
 # ---------------------------------------------------------------------------

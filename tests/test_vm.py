@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (Fusion, FusionClash, FusionEnv, In, IntLit, NameRef,
-                         NameSupply, New, Nil, Out, Par, Repeat, congruent)
+                         NameSupply, New, Nil, Out, Par, Repeat, congruent,
+                         name_scan)
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
 from pichan.parser import Program, desugar, parse_program
@@ -598,10 +599,13 @@ def test_unfold_adds_one_thread():
 
 
 def test_new_eliminated_on_insert():
-    m = _machine("new a in a!(1)")
+    program = parse_program("new a in a!(1)")
+    m = Machine.initialize(program, build_std_registry())
     assert len(soup(m)) == 1
     assert isinstance(soup(m)[0], Out)
-    assert soup(m)[0].subject.origin == "fresh"
+    # the binder became a fresh name, above every id in the program
+    a = soup(m)[0].subject
+    assert a.display == "a" and a.id > name_scan(program.main)[0]
 
 
 def test_thread_is_code_node_plus_environment():
@@ -611,14 +615,14 @@ def test_thread_is_code_node_plus_environment():
     code = program.main.body
     assert m.threads[0] is code.left and m.threads[1] is code.right
     a = m.envs[0][program.main.name.id]
-    assert a.origin == "fresh" and a.display == "a"
+    assert a.display == "a" and a.id > name_scan(program.main)[0]
     assert m.envs[0] is m.envs[1]
     m.execute(("unfold", 1))
     out = m.threads[2]
     assert out is code.right.body.body
     assert m.envs[2][out.subject.id] == a
     b = m.envs[2][code.right.body.name.id]
-    assert b.origin == "fresh" and b.id == a.id + 1
+    assert b.display == "b" and b.id == a.id + 1
     assert soup(m)[2] == Out(a, (NameRef(b),), Nil())
 
 

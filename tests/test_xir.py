@@ -13,14 +13,11 @@ from hypothesis import strategies as st
 from pichan.core import (Fusion, Name, NameRef, New, Nil, Out, StrLit,
                          SurfaceFormError)
 from pichan.parser import Program, desugar, parse_program
-from pichan.typecheck import INT
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, from_xml,
                         to_xml, validate)
 
 from golden_traces import SAMPLES, echo_source
 from randgen import gen_program
-from reference_protocol import canonical_by_isomorphism
-from test_acceptance import _all_automata
 from test_parser import ACCOUNT_EXTERN
 
 
@@ -72,7 +69,7 @@ def test_determinism_byte_identical():
 
 def test_free_name_accepted():
     # a subject that is never bound and not extern is fine: it is free
-    doc = ('<pic version="2"><externs/><process>'
+    doc = ('<pic version="3"><externs/><process>'
            '<out subject="x#3"/>'
            '</process></pic>')
     program = from_xml(doc)
@@ -88,7 +85,7 @@ def test_version_error():
 
 
 def test_par_arity_diagnostic():
-    doc = ('<pic version="2"><externs/><process>'
+    doc = ('<pic version="3"><externs/><process>'
            '<par><nil/></par></process></pic>')
     diags = validate(doc)
     assert len(diags) == 1 and diags[0].code == "E-SCHEMA"
@@ -96,14 +93,14 @@ def test_par_arity_diagnostic():
 
 
 def test_unknown_element_rejected():
-    doc = ('<pic version="2"><externs/><process>'
+    doc = ('<pic version="3"><externs/><process>'
            '<widget/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
 
 
 def test_unknown_attribute_rejected():
-    doc = ('<pic version="2"><externs/><process>'
+    doc = ('<pic version="3"><externs/><process>'
            '<nil bogus="1"/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
@@ -120,7 +117,7 @@ def test_surface_form_rejected():
 
 
 def test_in_argument_must_be_name():
-    doc = ('<pic version="2"><externs/><process>'
+    doc = ('<pic version="3"><externs/><process>'
            '<in subject="x#0" a0="int:3"/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
@@ -136,9 +133,11 @@ def _mutations(text):
         out.append(text[:m.start() + 1] + "zz" + text[m.start() + 1:])
     # also drop whole self-closing elements (an action's one child is
     # optional, so dropping it would give a different but valid program;
-    # this document has none)
+    # this document has none); an extern may have any number of methods,
+    # so a <method/> is kept
     for m in re.finditer(r"<(\w+)[^<>]*/>", text):
-        out.append(text[:m.start()] + text[m.end():])
+        if m.group(1) != "method":
+            out.append(text[:m.start()] + text[m.end():])
     return out
 
 
@@ -194,7 +193,7 @@ def _out(subject):
 def test_binary_par_document_loads_to_the_same_program():
     # the form earlier writers produced: every par has exactly two
     # children and a chain nests to the right
-    binary = ('<pic version="2"><externs/><process><par>'
+    binary = ('<pic version="3"><externs/><process><par>'
               + _out("a#0") + "<par>" + _out("b#1") + "<par>" + _out("c#2")
               + _out("d#3") + "</par></par></par></process></pic>")
     program = desugar(parse_program("a!() | b!() | c!() | d!()"))
@@ -204,18 +203,18 @@ def test_binary_par_document_loads_to_the_same_program():
 
 @pytest.mark.parametrize("children", ["", "<nil/>"])
 def test_par_needs_two_children(children):
-    doc = (f'<pic version="2"><externs/><process><par>{children}</par>'
+    doc = (f'<pic version="3"><externs/><process><par>{children}</par>'
            '</process></pic>')
     diags = validate(doc)
     assert len(diags) == 1 and diags[0].code == "E-SCHEMA"
     # a short par at the end of a spine is caught too
-    doc = (f'<pic version="2"><externs/><process><par>{_out("a#0")}'
+    doc = (f'<pic version="3"><externs/><process><par>{_out("a#0")}'
            f'<par>{children}</par></par></process></pic>')
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
 
 
 def test_names_shared_within_a_document():
-    program = from_xml('<pic version="2"><externs/><process><par>'
+    program = from_xml('<pic version="3"><externs/><process><par>'
                        + _out("a#0") + _out("a#0") + "</par></process></pic>")
     assert program.main.left.subject is program.main.right.subject
 
@@ -232,7 +231,7 @@ def test_bytes_grow_linearly_in_echo_clients():
 
 @pytest.mark.parametrize("name", ["x#--5", "x#²", "x#+5", "x# 5", "x#"])
 def test_bad_name_id_is_schema_error(name):
-    doc = (f'<pic version="2"><externs/><process>{_out(name)}'
+    doc = (f'<pic version="3"><externs/><process>{_out(name)}'
            '</process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
@@ -240,7 +239,7 @@ def test_bad_name_id_is_schema_error(name):
 
 
 def test_negative_and_decimal_name_ids_accepted():
-    doc = ('<pic version="2"><externs/><process><par>' + _out("x#-5")
+    doc = ('<pic version="3"><externs/><process><par>' + _out("x#-5")
            + _out("y#١٢") + "</par></process></pic>")
     main = from_xml(doc).main
     assert (main.left.subject.id, main.right.subject.id) == (-5, 12)
@@ -250,38 +249,24 @@ def _account_document():
     return to_xml(desugar(parse_program(ACCOUNT_EXTERN + "read!()")))
 
 
-@pytest.mark.parametrize("old,new", [
-    ('states="2"', 'states="²"'),
-    ('from="0"', 'from="²"'),
-    ('to="1"', 'to="²"'),
-])
-def test_bad_protocol_number_is_schema_error(old, new):
-    doc = _account_document().replace(old, new, 1)
-    assert doc != _account_document()
-    with pytest.raises(SchemaError):
+_READ = '<method name="read" call="read#2" params="" ret="Ret2#3" result="int"/>'
+
+
+@pytest.mark.parametrize("old,new,error", [
+    ("/>", "><nil/></method>", "method takes no children"),
+    (' params=""', "", "expected attributes"),
+    ("/>", ' states="2"/>', "expected attributes"),
+    ('result="int"', 'result="float"', "unknown sort 'float' in ret"),
+    ('ret="Ret2#3"', 'ret="Ret2"', "bad name reference 'Ret2' in ret"),
+], ids=["child", "missing-attribute", "unknown-attribute", "bad-sort",
+        "bad-channel-name"])
+def test_bad_method_element_is_e_schema(old, new, error):
+    doc = _account_document()
+    assert doc.count(_READ) == 1
+    doc = doc.replace(_READ, _READ.replace(old, new))
+    with pytest.raises(SchemaError, match=re.escape(error)):
         from_xml(doc)
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
-
-
-def test_reader_accepts_exactly_the_canonical_protocols():
-    # the isomorphism reference, plus the range and dead-state rules
-    decl = parse_program(ACCOUNT_EXTERN + "nil").externs[0]
-    total = accepted = 0
-    for auto in _all_automata(("read", "Ret2"), {"read": (), "Ret2": (INT,)}, 3):
-        read = dataclasses.replace(decl.methods[1], protocol=auto)
-        doc = to_xml(Program((dataclasses.replace(decl, methods=(read,)),),
-                             Nil()))
-        want = (canonical_by_isomorphism(read) and
-                {s for (s, _, _, _) in auto.transitions}
-                == set(range(auto.num_states)))
-        try:
-            got = from_xml(doc).externs[0].methods[0].protocol == auto
-        except SchemaError:
-            got = False
-        assert got == want, auto
-        total += 1
-        accepted += got
-    assert total > 4000 and accepted >= 1
 
 
 def test_duplicate_extern_alias_is_schema_error():
@@ -300,18 +285,18 @@ def test_duplicate_extern_method_is_schema_error():
     doc = to_xml(Program((decl,), Nil()))
     assert [m.name for m in from_xml(doc).externs[0].methods] == ["readn",
                                                                   "read"]
-    doc = doc.replace('<method name="readn">', '<method name="read">')
+    doc = doc.replace('<method name="readn" ', '<method name="read" ')
     with pytest.raises(SchemaError, match="extern method read declared twice"):
         from_xml(doc)
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
 
 
 # ---------------------------------------------------------------------------
-# version 2: one element per action
+# one element per action, and one per method
 
 
 def _process_doc(process):
-    return f'<pic version="2"><externs/><process>{process}</process></pic>'
+    return f'<pic version="3"><externs/><process>{process}</process></pic>'
 
 
 @pytest.mark.parametrize("element,found", [
@@ -364,28 +349,44 @@ def test_string_literals_round_trip(texts, fused):
 
 
 def _nil_and_wrappers(text):
-    """Tags of <cont> and <arg> elements, and the parent tag of every
-    <nil/>, in the document."""
+    """Tags of the elements that earlier versions wrote (<cont>, <arg>,
+    <call>, <ret>, <protocol>, <t>), and the parent tag of every <nil/>,
+    in the document."""
     root = ET.fromstring(text)
-    wrappers = [e.tag for e in root.iter() if e.tag in ("cont", "arg")]
+    wrappers = [e.tag for e in root.iter()
+                if e.tag in ("cont", "arg", "call", "ret", "protocol", "t")]
     nil_parents = [parent.tag for parent in root.iter() for child in parent
                    if child.tag == "nil"]
     return wrappers, nil_parents
 
 
+def _self_closing_methods(text, program):
+    """The number of <method> lines, after checking that there is one per
+    declared method and that each is one self-closing element."""
+    lines = [line for line in text.splitlines() if line.startswith("<method")]
+    assert len(lines) == sum(len(d.methods) for d in program.externs)
+    assert all(line.endswith("/>") for line in lines)
+    return len(lines)
+
+
 @pytest.mark.parametrize("sample", sorted(SAMPLES.glob("*.pi")),
                          ids=lambda path: path.name)
 def test_compiled_samples_have_one_element_per_action(sample):
-    text = to_xml(desugar(parse_program(sample.read_text(), sample.name)))
+    program = desugar(parse_program(sample.read_text(), sample.name))
+    text = to_xml(program)
     wrappers, nil_parents = _nil_and_wrappers(text)
     assert wrappers == [] and set(nil_parents) <= {"par", "process"}
+    _self_closing_methods(text, program)
 
 
 def test_compiled_random_programs_have_one_element_per_action():
     nil_parents = set()
+    methods = 0
     for seed in range(150):
-        text = to_xml(desugar(gen_program(random.Random(seed))))
+        program = desugar(gen_program(random.Random(seed)))
+        text = to_xml(program)
         wrappers, parents = _nil_and_wrappers(text)
         assert wrappers == []
         nil_parents.update(parents)
-    assert nil_parents == {"par", "process"}
+        methods += _self_closing_methods(text, program)
+    assert nil_parents == {"par", "process"} and methods > 0
