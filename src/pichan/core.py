@@ -1,4 +1,4 @@
-"""Names, values, process terms, explicit fusions and structural congruence.
+"""Names, values, process terms and explicit fusions.
 
 Process terms form a small pi-calculus with explicit fusions: communication
 does not substitute, it fuses argument pairs, and a fusion ``x=y`` is itself
@@ -8,7 +8,6 @@ humans only and never affects semantics.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,21 +83,6 @@ class UnitLit:
 Value = NameRef | IntLit | StrLit | BoolLit | UnitLit
 
 UNIT = UnitLit()
-
-
-def value_token(v: Value, env: Optional[dict] = None) -> str:
-    """Stable textual token for a value; bound names render via env."""
-    if isinstance(v, NameRef):
-        if env is not None and v.name.id in env:
-            return env[v.name.id]
-        return f"f{v.name.id}"
-    if isinstance(v, IntLit):
-        return f"i{v.value}"
-    if isinstance(v, StrLit):
-        return "s" + repr(v.value)
-    if isinstance(v, BoolLit):
-        return "b1" if v.value else "b0"
-    return "u"
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +196,6 @@ def process_size(p: Process) -> int:
     return sum(_SIZES.get(type(q)) or 2 + len(q.objects) for q in nodes(p))
 
 
-def _subst_value(v: Value, src: Name, dst: Name) -> Value:
-    if isinstance(v, NameRef) and v.name == src:
-        return NameRef(dst)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Fusion environment: union-find over name ids with literal attachments
 
@@ -316,212 +294,3 @@ class FusionEnv:
         if prev is not None and not self._literals_equal(prev, lit):
             raise FusionClash(f"cannot fuse literals {prev} and {lit}")
         self._attach[root] = lit
-
-
-# ---------------------------------------------------------------------------
-# Structural congruence via canonical normal forms.
-#
-# Normal form of a scope: a binder block (order-insensitive) over a multiset
-# of threads, where
-#   * Par is flattened and Nil dropped (commutative monoid laws),
-#   * binders are hoisted maximally (reverse scope extrusion; sound because
-#     binder ids are globally unique), unused binders dropped,
-#   * a top-level name-name fusion on a bound name is eliminated by
-#     substitution, reflexive fusions drop,
-#   * Repeat bodies are normalized but never unfolded.
-# Two terms are congruent iff their normal forms serialize identically; the
-# serialization numbers binders by nesting level so it is alpha-insensitive,
-# sorts threads, and picks the lexicographically least binder-block order.
-
-_MAX_PERMUTED_BINDERS = 7
-
-
-def _nf(p: Process):
-    """Process -> (binders, comps) scope normal form."""
-    if isinstance(p, In) and p.binding:
-        raise SurfaceFormError("binding input in core-form operation")
-    binders: list[Name] = []
-    comps: list = []
-    _collect(p, binders, comps)
-    return _fix_scope(binders, comps)
-
-
-def _collect(p: Process, binders: list, comps: list) -> None:
-    if isinstance(p, Nil):
-        return
-    if isinstance(p, Par):
-        _collect(p.left, binders, comps)
-        _collect(p.right, binders, comps)
-        return
-    if isinstance(p, New):
-        binders.append(p.name)
-        _collect(p.body, binders, comps)
-        return
-    if isinstance(p, Out):
-        comps.append(("out", p.subject, p.objects, _nf(p.cont)))
-        return
-    if isinstance(p, In):
-        if p.binding:
-            raise SurfaceFormError("binding input in core-form operation")
-        comps.append(("in", p.subject, p.objects, _nf(p.cont)))
-        return
-    if isinstance(p, Repeat):
-        comps.append(("rep", _nf(p.body)))
-        return
-    if isinstance(p, Fusion):
-        comps.append(("fus", p.left, p.right))
-        return
-    raise TypeError(p)
-
-
-def _comp_names(c) -> set:
-    """Free name ids of an NF component (binders inside already resolved)."""
-    kind = c[0]
-    if kind == "fus":
-        return {v.name.id for v in (c[1], c[2]) if isinstance(v, NameRef)}
-    if kind == "rep":
-        return _scope_names(c[1])
-    # out / in
-    ids = {c[1].id}
-    for v in c[2]:
-        if isinstance(v, NameRef):
-            ids.add(v.name.id)
-        elif isinstance(v, Name):
-            ids.add(v.id)
-    return ids | _scope_names(c[3])
-
-
-def _scope_names(scope) -> set:
-    binders, comps = scope
-    ids = set()
-    for c in comps:
-        ids |= _comp_names(c)
-    return ids - {b.id for b in binders}
-
-
-def _subst_comp(c, src: Name, dst: Name):
-    kind = c[0]
-    if kind == "fus":
-        return ("fus", _subst_value(c[1], src, dst), _subst_value(c[2], src, dst))
-    if kind == "rep":
-        return ("rep", _subst_scope(c[1], src, dst))
-    subj = dst if c[1] == src else c[1]
-    if kind == "out":
-        objs = tuple(_subst_value(v, src, dst) for v in c[2])
-    else:
-        objs = tuple(dst if n == src else n for n in c[2])
-    return (kind, subj, objs, _subst_scope(c[3], src, dst))
-
-
-def _subst_scope(scope, src: Name, dst: Name):
-    binders, comps = scope
-    if any(b == src for b in binders):
-        return scope
-    return _fix_scope(list(binders), [_subst_comp(c, src, dst) for c in comps])
-
-
-def _values_equal(a: Value, b: Value) -> bool:
-    if isinstance(a, NameRef) and isinstance(b, NameRef):
-        return a.name == b.name
-    return type(a) is type(b) and a == b
-
-
-def _fix_scope(binders: list, comps: list):
-    """Normalize a scope: flatten nested scopes were already avoided by
-    construction; eliminate fusions on bound names, drop unused binders,
-    drop reflexive fusions."""
-    comps = list(comps)
-    changed = True
-    while changed:
-        changed = False
-        # reflexive fusions vanish
-        kept = []
-        for c in comps:
-            if c[0] == "fus" and _values_equal(c[1], c[2]):
-                changed = True
-            else:
-                kept.append(c)
-        comps = kept
-        # fusion on a bound name: substitute it away
-        bound_ids = {b.id: b for b in binders}
-        for i, c in enumerate(comps):
-            if c[0] != "fus":
-                continue
-            a, b = c[1], c[2]
-            if not (isinstance(a, NameRef) and isinstance(b, NameRef)):
-                continue
-            if a.name == b.name:
-                continue
-            src = dst = None
-            if a.name.id in bound_ids:
-                src, dst = a.name, b.name
-            elif b.name.id in bound_ids:
-                src, dst = b.name, a.name
-            if src is None:
-                continue
-            rest = comps[:i] + comps[i + 1:]
-            binders = [bb for bb in binders if bb != src]
-            comps = [_subst_comp(cc, src, dst) for cc in rest]
-            changed = True
-            break
-    used = set()
-    for c in comps:
-        used |= _comp_names(c)
-    binders = [b for b in binders if b.id in used]
-    return (tuple(binders), tuple(comps))
-
-
-def _ser_comp(c, env: dict, depth: int) -> str:
-    kind = c[0]
-    if kind == "fus":
-        toks = sorted((value_token(c[1], env), value_token(c[2], env)))
-        return f"f({toks[0]},{toks[1]})"
-    if kind == "rep":
-        return f"r{_ser_scope(c[1], env, depth)}"
-    subj = env.get(c[1].id, f"f{c[1].id}")
-    if kind == "out":
-        objs = ",".join(value_token(v, env) for v in c[2])
-    else:
-        objs = ",".join(env.get(n.id, f"f{n.id}") for n in c[2])
-    tag = "o" if kind == "out" else "i"
-    return f"{tag}({subj};{objs}){_ser_scope(c[3], env, depth)}"
-
-
-def _ser_scope(scope, env: dict, depth: int) -> str:
-    binders, comps = scope
-
-    def body(order) -> str:
-        env2 = dict(env)
-        for i, b in enumerate(order):
-            env2[b.id] = f"b{depth + i}"
-        parts = sorted(_ser_comp(c, env2, depth + len(order)) for c in comps)
-        return "{" + "|".join(parts) + "}"
-
-    if not binders:
-        return body(())
-    if len(binders) <= _MAX_PERMUTED_BINDERS:
-        best = min(body(perm) for perm in itertools.permutations(binders))
-    else:
-        # too many entangled binders for exact canonicalization: order by a
-        # coarse signature (binders anonymized), exact within practical use
-        sig_env = dict(env)
-        for b in binders:
-            sig_env[b.id] = "b?"
-        keyed = sorted(binders, key=lambda b: (
-            sorted(_ser_comp(c, sig_env, depth) for c in comps
-                   if b.id in _comp_names(c)), b.id))
-        best = body(tuple(keyed))
-    return f"n{len(binders)}{best}"
-
-
-def canonical_key(p: Process) -> str:
-    """Serialization of the canonical normal form; equal keys <=> congruent."""
-    return _ser_scope(_nf(p), {}, 0)
-
-
-def congruent(p: Process, q: Process) -> bool:
-    """Structural congruence: Par monoid laws, binder swap and extrusion,
-    unused/Nil restriction drop, fusion symmetry/reflexivity/elimination,
-    alpha-conversion.  Repeat bodies are compared normalized, not unfolded."""
-    return canonical_key(p) == canonical_key(q)
-

@@ -641,53 +641,3 @@ def detect_stuck(machine: Machine) -> StuckReport:
         ("output" if type(t) is Out else "input",
          env.get(t.subject.id, t.subject).display, len(t.objects))
         for t, env in zip(machine.threads, machine.envs)))
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive (adversarial) exploration, used by the test suite to observe
-# every schedulable interleaving of small programs
-
-
-def explore_runs(program, registry_builder, max_depth: int = 20,
-                 strict: bool = False) -> list:
-    """Depth-first exploration of every redex choice.  Returns a list of
-    (event kind tuple, status) per maximal run (depth-capped runs get
-    status 'depth-limit').  A machine follows its first redex; each other
-    one replays its path of redexes on a fresh Machine.initialize, so
-    registry_builder must build equal fresh registries."""
-    registry_builder = registry_builder or build_std_registry
-    results = []
-
-    def fresh(path: tuple) -> Machine:
-        machine = Machine.initialize(program, registry_builder())
-        for redex in path:
-            machine.execute(redex)
-            machine.step_index += 1
-        return machine
-
-    def rec(machine: Machine, path: tuple, kinds: tuple, depth: int) -> None:
-        redexes = list(machine.enumerate_redexes(strict=strict))
-        if not redexes:
-            if machine.threads or _has_pending(machine):
-                results.append((kinds, "stuck-with-residuals"))
-            else:
-                results.append((kinds, "terminated"))
-            return
-        if depth == 0:
-            results.append((kinds, "depth-limit"))
-            return
-        for k, redex in enumerate(redexes):
-            m2 = machine if k == 0 else fresh(path)
-            try:
-                ev = m2.execute(redex)
-            except FusionClash:
-                results.append((kinds + ("clash",), "clash"))
-                continue
-            except (ProtocolViolation, UngroundArgument, HostFault):
-                results.append((kinds + ("violation",), "violation"))
-                continue
-            m2.step_index += 1
-            rec(m2, path + (redex,), kinds + (ev.kind,), depth - 1)
-
-    rec(fresh(()), (), (), max_depth)
-    return results

@@ -2,10 +2,11 @@
 
 Applies the primitive congruence axioms as local rewrites at every position
 and computes equivalence classes as connected components of the rewrite
-graph over alpha-canonical term keys.  Completely independent of the
-canonical-normal-form decision procedure in pichan.core (it never calls
-canonical_key); the only shared helper is capture-avoiding substitution,
-which the fusion-elimination axiom itself is stated with.
+graph over alpha-canonical term keys.  Independent of the
+canonical-normal-form decision procedure in congruence.py (it never calls
+canonical_key); the only shared helpers are value_token, the text of one
+value, and capture-avoiding substitution, which the fusion-elimination
+axiom itself is stated with.
 
 The replication unfolding law is deliberately NOT part of this axiom set:
 unfolding is a reduction-level law, and including it would equate terms
@@ -16,9 +17,9 @@ design) keeps apart.
 from __future__ import annotations
 
 from pichan.core import (Fusion, In, Name, NameRef, NameSupply, New, Nil,
-                         Out, Par, Process, Repeat, name_scan, process_size,
-                         value_token)
+                         Out, Par, Process, Repeat, name_scan, process_size)
 
+from congruence import value_token
 from substitution import substitute
 from terms import free_names
 

@@ -30,8 +30,9 @@ from pathlib import Path
 
 from pichan.interop import build_std_registry
 from pichan.parser import parse_program
-from pichan.vm import DEFAULT_MAX_STEPS, explore_runs, run
+from pichan.vm import DEFAULT_MAX_STEPS, run
 
+from explore import explore_runs
 from randgen import gen_program
 
 HERE = Path(__file__).resolve().parent

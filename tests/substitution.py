@@ -10,7 +10,9 @@ from __future__ import annotations
 from typing import Optional
 
 from pichan.core import (Fusion, In, Name, NameSupply, New, Nil, Out, Par,
-                         Process, Repeat, _subst_value, name_scan)
+                         Process, Repeat, name_scan)
+
+from congruence import _subst_value
 
 
 def substitute(p: Process, src: Name, dst: Name,

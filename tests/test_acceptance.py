@@ -8,18 +8,19 @@ import random
 import time
 from contextlib import contextmanager
 
-from pichan.core import (In, IntLit, NameRef, NameSupply, Out, Par,
-                         canonical_key)
+from pichan.core import In, IntLit, NameRef, NameSupply, Out, Par
 from pichan.interop import build_std_registry, resolve_externs
-from pichan.parser import (Program, _extern_eq, desugar, format_program,
-                           parse_program, program_alpha_eq)
+from pichan.parser import Program, desugar, parse_program
 from pichan.typecheck import (check_extern_usage, check_protocol_schema,
                               check_sorts)
-from pichan.vm import explore_runs, run
+from pichan.vm import run
 from pichan.xir import from_xml, to_xml
 from pichan.ifgen import ACCOUNT_MANIFEST, generate_interface, parse_manifest
 
 from axiom_oracle import alpha_key, closure_components
+from congruence import canonical_key
+from explore import explore_runs
+from printer import _extern_eq, format_program, program_alpha_eq
 from randgen import gen_program
 from term_enum import enumerate_terms
 from test_parser import ACCOUNT_EXTERN

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from pichan.core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
                          Name, NameRef, NameSupply, New, Nil, Out, Par, Repeat,
-                         StrLit, SurfaceFormError, UnitLit, canonical_key,
-                         congruent, name_scan, process_size)
+                         StrLit, SurfaceFormError, UnitLit, name_scan,
+                         process_size)
 
+from congruence import canonical_key, congruent
 from randgen import gen_process
 from substitution import substitute
 from terms import free_names, par_all

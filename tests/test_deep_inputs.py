@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pichan.cli import EXIT_STUCK, main
 from pichan.core import nodes
 from pichan.diag import ParseError
-from pichan.parser import desugar, format_program, parse_program
+from pichan.parser import desugar, parse_program
 from pichan.typecheck import (SHOW_LIMIT, check_extern_usage,
                               check_sorts)
 from pichan.xir import SchemaError, from_xml, to_xml
@@ -21,6 +21,7 @@ from pichan.xir import SchemaError, from_xml, to_xml
 import reference_recursive as ref
 from deep_inputs import SHAPES, reversed_outputs, run_shape
 from golden_traces import corpus
+from printer import format_program
 from randgen import gen_program
 from test_parser import ACCOUNT_EXTERN
 

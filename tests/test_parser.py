@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from pichan.core import (Fusion, In, IntLit, NameRef, NameSupply, New, Nil,
                          Out, Par, Repeat, StrLit, name_scan)
 from pichan.diag import ParseError, Source
-from pichan.parser import (_TOKEN_RE, Program, desugar, format_program,
-                           parse_program, program_alpha_eq, tokenize)
+from pichan.parser import _TOKEN_RE, Program, desugar, parse_program, tokenize
 from pichan.typecheck import INT, check_sorts
 from pichan.xir import to_xml
 
 import reference_frontend
 from golden_traces import corpus
+from printer import format_program, program_alpha_eq
 from randgen import gen_program
 from terms import free_names
 

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (Fusion, FusionClash, FusionEnv, In, IntLit, NameRef,
-                         NameSupply, New, Nil, Out, Par, Repeat, congruent,
-                         name_scan)
+                         NameSupply, New, Nil, Out, Par, Repeat, name_scan)
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
 from pichan.parser import Program, desugar, parse_program
 from pichan.vm import (DEFAULT_MAX_STEPS, Machine, NotStuck, Xorshift64Star,
-                       detect_stuck, explore_runs, run, step)
+                       detect_stuck, run, step)
 from pichan.xir import SchemaError, from_xml, to_xml
 
 import golden_traces
 import reference_scheduler
+from congruence import congruent
+from explore import explore_runs
 from randgen import gen_host_source, gen_program
 from substitution import soup
 from terms import free_names
