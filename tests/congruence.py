@@ -6,7 +6,6 @@ the axiom oracle in axiom_oracle.py; no pichan command needs it.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from pichan.core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil,
@@ -47,10 +46,11 @@ def _subst_value(v: Value, src: Name, dst: Name) -> Value:
 #     substitution, reflexive fusions drop,
 #   * Repeat bodies are normalized but never unfolded.
 # Two terms are congruent iff their normal forms serialize identically; the
-# serialization numbers binders by nesting level so it is alpha-insensitive,
-# sorts threads, and picks the lexicographically least binder-block order.
-
-_MAX_PERMUTED_BINDERS = 7
+# serialization numbers binders by nesting level so it is alpha-insensitive
+# and sorts threads.  A binder block's order comes from colour refinement and
+# individualization (McKay & Piperno, "Practical graph isomorphism, II",
+# J. Symb. Comput. 2014): the key is the least serialization over the leaves
+# of the search tree, which depends on the term alone.
 
 
 def _nf(p: Process):
@@ -206,29 +206,65 @@ def _ser_comp(c, env: dict, depth: int) -> str:
 
 def _ser_scope(scope, env: dict, depth: int) -> str:
     binders, comps = scope
+    # a hand-built term may list one binder twice; the search takes it once
+    unique = list({b.id: b for b in binders}.values())
+    inner = depth + len(unique)
 
     def body(order) -> str:
         env2 = dict(env)
         for i, b in enumerate(order):
             env2[b.id] = f"b{depth + i}"
-        parts = sorted(_ser_comp(c, env2, depth + len(order)) for c in comps)
+        parts = sorted(_ser_comp(c, env2, inner) for c in comps)
         return "{" + "|".join(parts) + "}"
 
     if not binders:
         return body(())
-    if len(binders) <= _MAX_PERMUTED_BINDERS:
-        best = min(body(perm) for perm in itertools.permutations(binders))
-    else:
-        # too many entangled binders for exact canonicalization: order by a
-        # coarse signature (binders anonymized), exact within practical use
-        sig_env = dict(env)
-        for b in binders:
-            sig_env[b.id] = "b?"
-        keyed = sorted(binders, key=lambda b: (
-            sorted(_ser_comp(c, sig_env, depth) for c in comps
-                   if b.id in _comp_names(c)), b.id))
-        best = body(tuple(keyed))
-    return f"n{len(binders)}{best}"
+    uses = {b.id: [c for c in comps if b.id in _comp_names(c)] for b in unique}
+
+    def refine(colour: dict) -> dict:
+        """Split colour classes until none splits.  A binder's signature is
+        its colour and the sorted serializations of its components, with
+        itself marked and every other binder shown by its colour."""
+        while len(set(colour.values())) < len(unique):
+            shown = dict(env)
+            shown.update((i, f"c{depth}.{k}") for i, k in colour.items())
+            sigs = {}
+            for b in unique:
+                shown[b.id] = f"*{depth}"
+                sigs[b.id] = (colour[b.id], tuple(sorted(
+                    _ser_comp(c, shown, inner) for c in uses[b.id])))
+                shown[b.id] = f"c{depth}.{colour[b.id]}"
+            ranks = {sig: k for k, sig in enumerate(sorted(set(sigs.values())))}
+            if len(ranks) == len(set(colour.values())):
+                break
+            colour = {i: ranks[sig] for i, sig in sigs.items()}
+        return colour
+
+    leaves = []
+
+    def search(colour: dict) -> None:
+        """Individualize each binder of the first smallest non-singleton
+        cell in turn, then refine again; a leaf orders binders by colour."""
+        colour = refine(colour)
+        cells = {}
+        for b in sorted(unique, key=lambda b: colour[b.id]):
+            cells.setdefault(colour[b.id], []).append(b)
+        if len(cells) == len(unique):
+            leaves.append(body(sorted(unique, key=lambda b: colour[b.id])))
+            return
+        cell = min((c for c in cells.values() if len(c) > 1), key=len)
+        here, tried = body(unique), []
+        for b in cell:
+            # a transposition with a binder already tried that leaves the
+            # scope as it is maps that binder's subtree onto b's
+            if any(body([b if x is a else a if x is b else x
+                         for x in unique]) == here for a in tried):
+                continue
+            tried.append(b)
+            search({i: 2 * k + (i != b.id) for i, k in colour.items()})
+
+    search({b.id: 0 for b in unique})
+    return f"n{len(binders)}{min(leaves)}"
 
 
 def canonical_key(p: Process) -> str:

@@ -358,6 +358,58 @@ def test_congruent_par_laws_generated(seed):
     assert congruent(Par(p, Nil()), p)
 
 
+def _shuffled_scopes(n, thread, seed):
+    """Six terms new a0..a{n-1} in (thread(a, 0) | ... | thread(a, n-1)),
+    each with the binders given ids, declared and their threads listed in a
+    shuffled order."""
+    rng = random.Random(seed)
+    terms = []
+    for _ in range(6):
+        order = rng.sample(range(n), n)
+        ids = dict(zip(order, _names(*(f"a{i}" for i in order))))
+        a = [ids[i] for i in range(n)]
+        threads = [thread(a, i) for i in range(n)]
+        rng.shuffle(threads)
+        p = par_all(threads)
+        for b in rng.sample(a, n):
+            p = New(b, p)
+        terms.append(p)
+    return terms
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_canonical_key_ring_one_key_for_every_order(n):
+    # new a0..a{n-1} in (a0!(a1) | a1!(a2) | ... | a{n-1}!(a0))
+    ring = _shuffled_scopes(
+        n, lambda a, i: Out(a[i], (NameRef(a[(i + 1) % n]),), Nil()), n)
+    assert len({canonical_key(p) for p in ring}) == 1
+    # reversing one edge gives a term that is not congruent
+    a = _names(*(f"a{i}" for i in range(n)))
+    edges = [Out(a[i], (NameRef(a[(i + 1) % n]),), Nil()) for i in range(n)]
+    edges[0] = Out(a[1], (NameRef(a[0]),), Nil())
+    p = par_all(edges)
+    for b in a:
+        p = New(b, p)
+    assert not congruent(p, ring[0])
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_canonical_key_interchangeable_binders_one_key(n):
+    # new a0..a{n-1} in (a0!() | ... | a{n-1}!())
+    terms = _shuffled_scopes(n, lambda a, i: Out(a[i], (), Nil()), n)
+    assert len({canonical_key(p) for p in terms}) == 1
+
+
+def test_canonical_key_scope_listing_one_binder_twice():
+    # both threads bind the one id x, so the hoisted scope lists it twice
+    x, y, z = _names("x", "y", "z")
+    p = New(x, Out(x, (NameRef(y),), Nil()))
+    q = New(x, In(x, (z,), False, Nil()))
+    assert congruent(Par(p, q), Par(q, p))
+    assert canonical_key(Par(p, q)).startswith("n2{")
+    assert not congruent(Par(p, q), Par(p, p))
+
+
 # ---------------------------------------------------------------------------
 # misc helpers
 
