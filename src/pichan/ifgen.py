@@ -124,11 +124,3 @@ def generate_interface(manifest: ClassManifest, alias: str) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-ACCOUNT_MANIFEST = {
-    "class": "Account",
-    "methods": [
-        {"name": "readn", "params": [], "returns": "void"},
-        {"name": "read", "params": [], "returns": "int"},
-    ],
-}

@@ -297,13 +297,12 @@ class Machine:
 
     # -- redex enumeration
 
-    def enumerate_redexes(self, strict: bool = True) -> "Redexes":
+    def enumerate_redexes(self) -> "Redexes":
         """All enabled redexes in a deterministic order: by thread position,
         then kind (comm < fusion < unfold < host-call < host-return), then
-        partner position.  strict=True offers a host call only while its
-        endpoint has no staged return (the normal scheduler); strict=False
-        offers every call attempt so an adversarial scheduler can expose
-        protocol violations.
+        partner position.  A host call is offered only while its endpoint
+        has no staged return; that test is the only read of an endpoint's
+        pending.
 
         The result is a Redexes sequence: one sorted entry per redex, the
         sequence number of the thread it is ordered by, and a redex tuple is
@@ -323,7 +322,7 @@ class Machine:
         heads += [seq for seq, actions in self._repeats.items()
                   if self._unfold_wanted(actions)]
         for r in self._callable:
-            if not strict or self.endpoints[self._calls[r][1]].pending is None:
+            if self.endpoints[self._calls[r][1]].pending is None:
                 for bucket in outs[r].values():
                     heads += bucket
         for r, waiting in self._returns.items():
@@ -586,10 +585,9 @@ def _has_pending(m: Machine) -> bool:
     return bool(m._returns)  # every staged return has an entry there
 
 
-def step(machine: Machine, rng: Xorshift64Star,
-         strict: bool = True) -> Optional[TraceEvent]:
+def step(machine: Machine, rng: Xorshift64Star) -> Optional[TraceEvent]:
     """One scheduled reduction; None when the machine is stuck."""
-    redexes = machine.enumerate_redexes(strict=strict)
+    redexes = machine.enumerate_redexes()
     if not redexes:
         return None
     redex = redexes[rng.below(len(redexes))]

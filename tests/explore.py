@@ -1,5 +1,6 @@
 """Exhaustive exploration of every schedulable interleaving of small
-programs, for the golden explore_runs table and the congruence tests.
+programs, for the golden explore_runs table and the congruence tests, and
+the loose enumeration an adversarial scheduler draws from.
 """
 
 from __future__ import annotations
@@ -7,7 +8,23 @@ from __future__ import annotations
 from pichan.core import FusionClash
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
-from pichan.vm import Machine, _has_pending
+from pichan.vm import Machine, Redexes, _has_pending
+
+
+def loose_redexes(m: Machine) -> Redexes:
+    """m's redexes with every host call offered, even on an endpoint with a
+    staged return, so that a scheduler can expose protocol violations.
+    Exact because enumerate_redexes reads an endpoint's pending only to
+    hold such calls back, and each redex decodes from the host tables."""
+    endpoints = list(m.endpoints.values())
+    saved = [ep.pending for ep in endpoints]
+    try:
+        for ep in endpoints:
+            ep.pending = None
+        return m.enumerate_redexes()
+    finally:
+        for ep, pending in zip(endpoints, saved):
+            ep.pending = pending
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +50,8 @@ def explore_runs(program, registry_builder, max_depth: int = 20,
         return machine
 
     def rec(machine: Machine, path: tuple, kinds: tuple, depth: int) -> None:
-        redexes = list(machine.enumerate_redexes(strict=strict))
+        redexes = list(machine.enumerate_redexes() if strict
+                       else loose_redexes(machine))
         if not redexes:
             if machine.threads or _has_pending(machine):
                 results.append((kinds, "stuck-with-residuals"))

@@ -15,7 +15,7 @@ from pichan.typecheck import (check_extern_usage, check_protocol_schema,
                               check_sorts)
 from pichan.vm import run
 from pichan.xir import from_xml, to_xml
-from pichan.ifgen import ACCOUNT_MANIFEST, generate_interface, parse_manifest
+from pichan.ifgen import generate_interface, parse_manifest
 
 from axiom_oracle import alpha_key, closure_components
 from congruence import canonical_key
@@ -23,6 +23,7 @@ from explore import explore_runs
 from printer import _extern_eq, format_program, program_alpha_eq
 from randgen import gen_program
 from term_enum import enumerate_terms
+from test_ifgen import ACCOUNT_MANIFEST
 from test_parser import ACCOUNT_EXTERN
 
 

@@ -10,10 +10,10 @@ import pytest
 
 from pichan.cli import (EXIT_FAULT, EXIT_IO, EXIT_OK, EXIT_STEP_LIMIT,
                         EXIT_STUCK, EXIT_SYNTAX, EXIT_TYPE, main)
-from pichan.ifgen import ACCOUNT_MANIFEST
 from pichan.xir import from_xml, validate
 
 from printer import format_program
+from test_ifgen import ACCOUNT_MANIFEST
 from test_parser import ACCOUNT_EXTERN
 
 ACCOUNT_PROGRAM = ACCOUNT_EXTERN + "read!() | Ret2?(v).nil\n"

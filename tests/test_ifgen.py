@@ -2,18 +2,22 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.ifgen import (ACCOUNT_MANIFEST, AliasClash, ClassManifest,
-                          DuplicateMethod, ManifestMethod, ManifestParseError,
-                          UnknownSort, generate_interface, load_manifest,
-                          parse_manifest)
+from pichan.ifgen import (AliasClash, ClassManifest, DuplicateMethod,
+                          ManifestMethod, ManifestParseError, UnknownSort,
+                          generate_interface, load_manifest, parse_manifest)
 from pichan.interop import build_std_registry, resolve_externs
 from pichan.parser import parse_program
 from pichan.typecheck import check_protocol_schema
+
+ACCOUNT_MANIFEST = json.loads((Path(__file__).resolve().parent.parent
+                               / "samples" / "account.manifest.json")
+                              .read_text())
 
 
 def test_parse_account_manifest():

@@ -19,13 +19,18 @@ from pichan.xir import SchemaError, from_xml, to_xml
 import golden_traces
 import reference_scheduler
 from congruence import congruent
-from explore import explore_runs
+from explore import explore_runs, loose_redexes
 from randgen import gen_host_source, gen_program
 from substitution import soup
 from terms import free_names
 from test_parser import ACCOUNT_EXTERN
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _enumerate(m, strict):
+    """The scheduler's redexes when strict, else every call attempt too."""
+    return m.enumerate_redexes() if strict else loose_redexes(m)
 
 
 def _machine(src):
@@ -105,8 +110,8 @@ def test_enumerate_host_call_gated_by_monitor():
 def test_enumerate_adversarial_offers_violating_call():
     m = _machine(ACCOUNT_EXTERN + "read!() | read!() | Ret2?(v) | Ret2?(w)")
     m.execute(("host-call", 0, "FClass", "read"))
-    strict = m.enumerate_redexes(strict=True)
-    loose = m.enumerate_redexes(strict=False)
+    strict = m.enumerate_redexes()
+    loose = loose_redexes(m)
     assert all(r[0] != "host-call" for r in strict)
     assert any(r[0] == "host-call" for r in loose)
 
@@ -137,7 +142,7 @@ def _check_against_reference(m, seed, steps, strict):
     reference before every step."""
     rng = Xorshift64Star(seed)
     for _ in range(steps):
-        redexes = m.enumerate_redexes(strict=strict)
+        redexes = _enumerate(m, strict)
         assert redexes == reference_scheduler.enumerate_redexes(m, strict)
         if not redexes:
             return
@@ -189,7 +194,7 @@ extern K2 -> class Counter {
 def test_enumerate_fused_call_channels_first_endpoint_wins(strict):
     m = _machine(COUNTER_PAIR + "inc1 = inc2 | inc2!().R1?(a).inc1!().R1?(b)")
     m.execute(("fusion", 0))
-    assert m.enumerate_redexes(strict) == [("host-call", 0, "K1", "inc")]
+    assert _enumerate(m, strict) == [("host-call", 0, "K1", "inc")]
     for seed in range(4):
         m = _machine(COUNTER_PAIR
                      + "inc1 = inc2 | inc2!().R1?(a) | inc1!().R1?(b)")
@@ -209,10 +214,10 @@ def test_host_tables_two_pending_on_fused_return_channels(strict):
     m.execute(("fusion", 0))
     m.execute(("host-call", 0, "K1", "inc"))
     m.execute(("host-call", 0, "K2", "inc"))
-    assert m.enumerate_redexes(strict) == [("host-return", 0, "K1"),
-                                           ("host-return", 1, "K1")]
+    assert _enumerate(m, strict) == [("host-return", 0, "K1"),
+                                     ("host-return", 1, "K1")]
     m.execute(("host-return", 1, "K1"))
-    assert m.enumerate_redexes(strict) == [("host-return", 0, "K2")]
+    assert _enumerate(m, strict) == [("host-return", 0, "K2")]
     for seed in range(12):
         _check_against_reference(_machine(src), seed, 20, strict)
         assert run(parse_program(src), seed=seed).status == "terminated"
@@ -224,12 +229,12 @@ def test_host_tables_call_channels_fused_mid_run(strict):
     src = (COUNTER_PAIR + "go!() | go?().(inc2 = inc1) | inc2!().R2?(a)"
            " | inc2!().R1?(b) | inc1!().R1?(c)")
     m = _machine(src)
-    assert m.enumerate_redexes(strict)[1:] == [
+    assert _enumerate(m, strict)[1:] == [
         ("host-call", 2, "K2", "inc"), ("host-call", 3, "K2", "inc"),
         ("host-call", 4, "K1", "inc")]
     m.execute(("comm", 0, 1))
     m.execute(("fusion", 3))
-    assert m.enumerate_redexes(strict) == [
+    assert _enumerate(m, strict) == [
         ("host-call", 0, "K1", "inc"), ("host-call", 1, "K1", "inc"),
         ("host-call", 2, "K1", "inc")]
     for seed in range(12):
@@ -245,11 +250,11 @@ def test_host_tables_return_channel_fused_after_call(strict, fusion):
     m = _machine(src)
     m.execute(("host-call", 0, "K1", "inc"))
     m.execute(("host-call", 1, "K2", "inc"))
-    assert m.enumerate_redexes(strict) == [
+    assert _enumerate(m, strict) == [
         ("host-return", 0, "K2"), ("fusion", 1), ("host-return", 2, "K2")]
     m.execute(("fusion", 1))
-    assert m.enumerate_redexes(strict) == [("host-return", 0, "K1"),
-                                           ("host-return", 1, "K1")]
+    assert _enumerate(m, strict) == [("host-return", 0, "K1"),
+                                     ("host-return", 1, "K1")]
     for seed in range(12):
         _check_against_reference(_machine(src), seed, 20, strict)
 
@@ -260,14 +265,14 @@ def test_host_tables_refused_loose_call_changes_nothing():
     src = COUNTER_PAIR + "inc1!() | inc1!().R1?(a) | R1?(b) | R1?(c)"
     m = _machine(src)
     m.execute(("host-call", 0, "K1", "inc"))
-    before = m.enumerate_redexes(strict=False)
+    before = loose_redexes(m)
     assert before == [("host-call", 0, "K1", "inc"), ("host-return", 1, "K1"),
                       ("host-return", 2, "K1")]
     with pytest.raises(ProtocolViolation):
         m.execute(("host-call", 0, "K1", "inc"))
-    assert m.enumerate_redexes(strict=False) == before
+    assert loose_redexes(m) == before
     m.execute(("host-return", 1, "K1"))
-    assert m.enumerate_redexes(strict=False) == [("host-call", 0, "K1", "inc")]
+    assert loose_redexes(m) == [("host-call", 0, "K1", "inc")]
     _check_against_reference(m, 0, 10, False)
 
 
@@ -307,7 +312,7 @@ def test_enumerate_cost_does_not_grow_with_idle_externs(monkeypatch, strict):
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(FusionEnv, "representative", counted)
-            redexes.append(m.enumerate_redexes(strict))
+            redexes.append(_enumerate(m, strict))
         counts.append(len(calls))
     assert redexes[0] == redexes[1]
     assert counts[0] == counts[1]
@@ -360,7 +365,7 @@ def _check_redexes_sequence(m, seed, steps, strict):
     list does, and after the step a read raises."""
     rng = Xorshift64Star(seed)
     for _ in range(steps):
-        r = m.enumerate_redexes(strict)
+        r = _enumerate(m, strict)
         ref = reference_scheduler.enumerate_redexes(m, strict)
         n = len(r)
         assert n == len(list(r)) == len(ref)
@@ -425,8 +430,8 @@ def test_copy_mid_run_then_diverge(name, program, max_steps, strict):
                for _ in range(2))
     _check_against_reference(m, 0, 6, strict)
     _check_against_reference(twin, 0, 6, strict)
-    redexes = list(m.enumerate_redexes(strict))  # read after m executes
-    assert twin.enumerate_redexes(strict) == redexes
+    redexes = list(_enumerate(m, strict))  # read after m executes
+    assert _enumerate(twin, strict) == redexes
     assert len(redexes) > 1
     m.execute(redexes[0])
     twin.execute(redexes[-1])
