@@ -14,7 +14,8 @@ same program.
 
 Each extern method is one empty element that names its channels and
 their sorts: ``<method name="read" call="read#0" params="" ret="Ret2#1"
-result="int"/>``.  Its protocol is not written: ``check`` accepts only the
+result="int"/>``; ``result`` holds at most one sort, as a return delivers
+one value.  Its protocol is not written: ``check`` accepts only the
 canonical call-then-return cycle, which the VM assumes.
 
 Serialization is deterministic: one element per line with no indentation,
@@ -191,7 +192,11 @@ def _parse_name(text: str, what: str, names: dict) -> Name:
     return n
 
 
-def _parse_value(kind: str, val: str, what: str, names: dict) -> Value:
+def _split_value(text: str, what: str, names: dict) -> Value:
+    """A value in the kind:value grammar of arguments and fusion sides."""
+    kind, sep, val = text.partition(":")
+    if not sep and kind != "unit":
+        raise SchemaError(f"bad {what} value {text!r}")
     if kind == "name":
         return NameRef(_parse_name(val, what, names))
     if kind == "int":
@@ -344,14 +349,6 @@ def _free_input(subject: Name, args: tuple, cont: Process) -> In:
     return In(subject, tuple(v.name for v in args), False, cont)
 
 
-def _split_value(text: str, what: str, names: dict) -> Value:
-    """A value in the kind:value grammar of arguments and fusion sides."""
-    kind, sep, val = text.partition(":")
-    if not sep and kind != "unit":
-        raise SchemaError(f"bad {what} value {text!r}")
-    return _parse_value(kind, val, what, names)
-
-
 def _read_extern(elem, names: dict) -> ExternDecl:
     alias, cls = _attrs(elem, ("alias", "class"), "extern")
     methods = []
@@ -366,9 +363,13 @@ def _read_extern(elem, names: dict) -> ExternDecl:
         if mname in seen:
             raise SchemaError(f"extern method {mname} declared twice")
         seen.add(mname)
-        methods.append(MethodDecl(
+        method = MethodDecl(
             mname, _parse_name(call, "call", names), _parse_sorts(params, "call"),
-            _parse_name(ret, "ret", names), _parse_sorts(result, "ret")))
+            _parse_name(ret, "ret", names), _parse_sorts(result, "ret"))
+        if len(method.return_payload) > 1:  # a return delivers one value
+            raise SchemaError(f"method {mname}: result {result!r} holds more "
+                              f"than one sort")
+        methods.append(method)
     return ExternDecl(alias, cls, tuple(methods))
 
 

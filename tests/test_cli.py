@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +333,25 @@ def test_duplicate_extern_method_in_xir_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: E-SCHEMA extern method read declared "
                             "twice\n")
+
+
+def test_run_two_sort_result_exit_2(tmp_path, capsys):
+    # no source can declare it, and a return delivers one host value, so a
+    # document whose receivers take two would run on a wrong payload
+    doc = _compile(SAMPLES_DIR / "counter.pi", tmp_path)
+    text = doc.read_text(encoding="utf-8")
+    assert text.count('result="int"') == 1
+    text = text.replace('result="int"', 'result="int,int"')
+    text = re.sub(r'(<in subject="IncRet#1" a0="(name:[^"]*)")',
+                  r'\1 a1="\2"', text)
+    assert text.count(' a1="name:') == 2
+    doc.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", str(doc)]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: E-SCHEMA method inc: result 'int,int' "
+                            "holds more than one sort\n")
 
 
 def test_gen_iface_then_check_and_compile(tmp_path):

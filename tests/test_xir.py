@@ -258,8 +258,10 @@ _READ = '<method name="read" call="read#2" params="" ret="Ret2#3" result="int"/>
     ("/>", ' states="2"/>', "expected attributes"),
     ('result="int"', 'result="float"', "unknown sort 'float' in ret"),
     ('ret="Ret2#3"', 'ret="Ret2"', "bad name reference 'Ret2' in ret"),
+    ('result="int"', 'result="int,int"',
+     "method read: result 'int,int' holds more than one sort"),
 ], ids=["child", "missing-attribute", "unknown-attribute", "bad-sort",
-        "bad-channel-name"])
+        "bad-channel-name", "two-result-sorts"])
 def test_bad_method_element_is_e_schema(old, new, error):
     doc = _account_document()
     assert doc.count(_READ) == 1
