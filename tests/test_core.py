@@ -377,20 +377,28 @@ def _shuffled_scopes(n, thread, seed):
     return terms
 
 
-@pytest.mark.parametrize("n", [8, 12])
-def test_canonical_key_ring_one_key_for_every_order(n):
-    # new a0..a{n-1} in (a0!(a1) | a1!(a2) | ... | a{n-1}!(a0))
-    ring = _shuffled_scopes(
-        n, lambda a, i: Out(a[i], (NameRef(a[(i + 1) % n]),), Nil()), n)
-    assert len({canonical_key(p) for p in ring}) == 1
+def _ring_edges(lengths):
+    """thread(a, i) for disjoint rings of the given lengths: a_i!(a_j), a_j
+    next after a_i on its ring."""
+    succ = []
+    for k in lengths:
+        succ += [len(succ) + (j + 1) % k for j in range(k)]
+    return lambda a, i: Out(a[i], (NameRef(a[succ[i]]),), Nil())
+
+
+@pytest.mark.parametrize("lengths", [(8,), (12,), (3, 6)],
+                         ids=["ring8", "ring12", "rings3+6"])
+def test_canonical_key_rings_one_key_for_every_order(lengths):
+    # (8,) is new a0..a7 in (a0!(a1) | a1!(a2) | ... | a7!(a0)); in (3, 6)
+    # refinement alone cannot tell a binder of one ring from the other's
+    n = sum(lengths)
+    edge = _ring_edges(lengths)
+    terms = _shuffled_scopes(n, edge, n)
+    assert len({canonical_key(p) for p in terms}) == 1
     # reversing one edge gives a term that is not congruent
-    a = _names(*(f"a{i}" for i in range(n)))
-    edges = [Out(a[i], (NameRef(a[(i + 1) % n]),), Nil()) for i in range(n)]
-    edges[0] = Out(a[1], (NameRef(a[0]),), Nil())
-    p = par_all(edges)
-    for b in a:
-        p = New(b, p)
-    assert not congruent(p, ring[0])
+    flipped = _shuffled_scopes(n, lambda a, i: (
+        Out(a[1], (NameRef(a[0]),), Nil()) if i == 0 else edge(a, i)), 0)
+    assert not congruent(flipped[0], terms[0])
 
 
 @pytest.mark.parametrize("n", [10, 20])
