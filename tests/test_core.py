@@ -401,6 +401,16 @@ def test_canonical_key_rings_one_key_for_every_order(lengths):
     assert not congruent(flipped[0], terms[0])
 
 
+def test_canonical_key_equal_cells_one_key_for_every_order():
+    # a0?<a2> | a1?<a4> | a2?<a3> | a3?<a4> | a4?<a5> | a5?<a2>: refinement
+    # leaves three cells of two, {a0, a1}, {a2, a4} and {a3, a5}, so the
+    # cell to split must be picked by colour, not by the scope's list order
+    succ = [2, 4, 3, 4, 5, 2]
+    terms = _shuffled_scopes(
+        6, lambda a, i: In(a[i], (a[succ[i]],), False, Nil()), 2847)
+    assert len({canonical_key(p) for p in terms}) == 1
+
+
 @pytest.mark.parametrize("n", [10, 20])
 def test_canonical_key_interchangeable_binders_one_key(n):
     # new a0..a{n-1} in (a0!() | ... | a{n-1}!())
