@@ -246,11 +246,12 @@ def _ser_scope(scope, env: dict, depth: int) -> str:
         """Individualize each binder of the first smallest non-singleton
         cell in turn, then refine again; a leaf orders binders by colour."""
         colour = refine(colour)
+        order = sorted(unique, key=lambda b: colour[b.id])
         cells = {}
-        for b in sorted(unique, key=lambda b: colour[b.id]):
+        for b in order:
             cells.setdefault(colour[b.id], []).append(b)
         if len(cells) == len(unique):
-            leaves.append(body(sorted(unique, key=lambda b: colour[b.id])))
+            leaves.append(body(order))
             return
         cell = min((c for c in cells.values() if len(c) > 1), key=len)
         here, tried = body(unique), []
