@@ -1,8 +1,12 @@
 """Command-line pipeline: compile, check, run, gen-iface.
 
-Exit codes: 0 ok, 1 syntax/manifest error, 2 type/protocol/schema error,
-3 I/O or UTF-8 error (a stdout pipe closed by its reader included), 4 stuck,
-5 clash or protocol violation, 6 step limit.
+Exit codes: 0 ok, 1 syntax/manifest/usage error, 2 type/protocol/schema
+error, 3 I/O or UTF-8 error (a stdout pipe closed by its reader included),
+4 stuck, 5 clash or protocol violation, 6 step limit.
+
+A command imports only what it runs: xir for compile and run, vm for run,
+ifgen for gen-iface.  Parser and checkers stay at module level, where the
+benchmark's tracer patches them.
 """
 
 from __future__ import annotations
@@ -12,10 +16,8 @@ import os
 import sys
 from functools import cache
 
-from . import ifgen, vm, xir
 from .diag import ParseError, has_errors
-from .interop import (HostFault, ProtocolViolation, SignatureMismatch,
-                      UngroundArgument, UnknownClass, build_registry)
+from .interop import SignatureMismatch, UnknownClass, build_registry
 from .parser import desugar, parse_program
 from .typecheck import check_extern_usage, check_protocol_schema, check_sorts
 
@@ -61,6 +63,8 @@ def _check_pipeline(path, out=None):
 
 
 def cmd_compile(args) -> int:
+    from . import xir
+
     program, code = _check_pipeline(args.input)
     if program is None:
         return code
@@ -79,6 +83,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import vm, xir
+
     try:
         text = _read_file(args.input)
     except (OSError, UnicodeDecodeError) as exc:
@@ -91,7 +97,9 @@ def cmd_run(args) -> int:
         return EXIT_TYPE
     try:
         registry = build_registry(args.registry)
-        trace = vm.run(program, seed=args.seed, max_steps=args.max_steps,
+        max_steps = (vm.DEFAULT_MAX_STEPS if args.max_steps is None
+                     else args.max_steps)
+        trace = vm.run(program, seed=args.seed, max_steps=max_steps,
                        registry=registry)
     except (UnknownClass, SignatureMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -116,6 +124,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_geniface(args) -> int:
+    from . import ifgen
+
     try:
         manifest = ifgen.load_manifest(args.input)
         source = ifgen.generate_interface(manifest, args.alias)
@@ -151,7 +161,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a .xir.xml program")
     p.add_argument("input")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=vm.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=int, default=None)  # None: vm.DEFAULT_MAX_STEPS
     p.add_argument("--trace", choices=["lines", "json"], default="lines")
     p.add_argument("--registry", default="std")
     p.set_defaults(fn=cmd_run)
@@ -165,7 +175,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help, or a usage error
+        return EXIT_SYNTAX if exc.code else EXIT_OK
     if getattr(args, "seed", None) is None and args.command == "run":
         text = os.environ.get("PIC_SEED", "0")
         try:
@@ -177,7 +190,7 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is not None and args.seed < 0:
         print("error: seed must be non-negative", file=sys.stderr)
         return EXIT_SYNTAX
-    if getattr(args, "max_steps", 0) < 0:
+    if getattr(args, "max_steps", None) is not None and args.max_steps < 0:
         print("error: max-steps must be non-negative", file=sys.stderr)
         return EXIT_SYNTAX
     try:

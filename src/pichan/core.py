@@ -8,7 +8,7 @@ humans only and never affects semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 
@@ -18,6 +18,33 @@ class SurfaceFormError(Exception):
 
 class FusionClash(Exception):
     """Two distinct literals were forced into the same fusion class."""
+
+
+class Record:
+    """Equality, hash and repr from per-class field names, by a
+    dataclass's rules: repr shows the fields of _fields in order, equality
+    and hash read those of _compared (by default all of them), and an
+    object equals only objects of its own class."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        names = cls.__dict__.get("_compared", cls._fields)
+        cls._key = staticmethod(attrgetter(*names) if names
+                                else lambda self: ())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -55,29 +82,36 @@ class NameSupply:
         return n
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class NameRef:
-    name: Name
+class NameRef(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: Name):
+        self.name = name
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class IntLit:
-    value: int
+class IntLit(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class StrLit:
-    value: str
+class StrLit(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str):
+        self.value = value
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class BoolLit:
-    value: bool
+class BoolLit(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class UnitLit:
-    pass
+class UnitLit(Record):
+    __slots__ = ()
 
 
 Value = NameRef | IntLit | StrLit | BoolLit | UnitLit
@@ -86,56 +120,67 @@ UNIT = UnitLit()
 
 
 # ---------------------------------------------------------------------------
-# Process AST
+# Process AST; a node's span (see parser) takes no part in equality or hash
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Nil:
-    span: object = field(compare=False, default=None)
+class Nil(Record):
+    __slots__ = _fields = ("span",)
+    _compared = ()
+
+    def __init__(self, span=None):
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Par:
-    left: "Process"
-    right: "Process"
-    span: object = field(compare=False, default=None)
+class Par(Record):
+    __slots__ = _fields = ("left", "right", "span")
+    _compared = _fields[:-1]
+
+    def __init__(self, left: Process, right: Process, span=None):
+        self.left, self.right, self.span = left, right, span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class New:
-    name: Name
-    body: "Process"
-    span: object = field(compare=False, default=None)
+class New(Record):
+    __slots__ = _fields = ("name", "body", "span")
+    _compared = _fields[:-1]
+
+    def __init__(self, name: Name, body: Process, span=None):
+        self.name, self.body, self.span = name, body, span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Out:
-    subject: Name
-    objects: tuple  # tuple[Value, ...]
-    cont: "Process"
-    span: object = field(compare=False, default=None)
+class Out(Record):
+    __slots__ = _fields = ("subject", "objects", "cont", "span")
+    _compared = _fields[:-1]
+
+    def __init__(self, subject: Name, objects: tuple, cont: Process,
+                 span=None):  # objects: tuple[Value, ...]
+        self.subject, self.objects, self.cont = subject, objects, cont
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class In:
-    subject: Name
-    objects: tuple  # tuple[Name, ...]
-    binding: bool
-    cont: "Process"
-    span: object = field(compare=False, default=None)
+class In(Record):
+    __slots__ = _fields = ("subject", "objects", "binding", "cont", "span")
+    _compared = _fields[:-1]
+
+    def __init__(self, subject: Name, objects: tuple, binding: bool,
+                 cont: Process, span=None):  # objects: tuple[Name, ...]
+        self.subject, self.objects, self.binding = subject, objects, binding
+        self.cont, self.span = cont, span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Repeat:
-    body: "Process"
-    span: object = field(compare=False, default=None)
+class Repeat(Record):
+    __slots__ = _fields = ("body", "span")
+    _compared = _fields[:-1]
+
+    def __init__(self, body: Process, span=None):
+        self.body, self.span = body, span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Fusion:
-    left: Value
-    right: Value
-    span: object = field(compare=False, default=None)
+class Fusion(Record):
+    __slots__ = _fields = ("left", "right", "span")
+    _compared = _fields[:-1]
+
+    def __init__(self, left: Value, right: Value, span=None):
+        self.left, self.right, self.span = left, right, span
 
 
 Process = Nil | Par | New | Out | In | Repeat | Fusion

@@ -6,9 +6,10 @@ Line and column are worked out from it only when a Diagnostic is made."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Optional
+
+from .core import Record
 
 
 class SourceSpan(NamedTuple):
@@ -40,17 +41,18 @@ class Source:
         return SourceSpan(self.file, line, offset - self._starts[line - 1] + 1)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    code: str  # E-SYNTAX, E-SORT, E-PROTO, E-USE, W-PAR, ...
-    message: str
-    span: Optional[SourceSpan] = None  # a (Source, offset) pair is resolved
+class Diagnostic(Record):
+    _fields = ("severity", "code", "message", "span")
 
-    def __post_init__(self):
-        if type(self.span) is tuple:
-            source, offset = self.span
-            object.__setattr__(self, "span", source.span(offset))
+    def __init__(self, severity: str, code: str, message: str,
+                 span: Optional[SourceSpan] = None):
+        self.severity = severity  # "error" | "warning"
+        self.code = code  # E-SYNTAX, E-SORT, E-PROTO, E-USE, W-PAR, ...
+        self.message = message
+        if type(span) is tuple:  # a (Source, offset) pair is resolved
+            source, offset = span
+            span = source.span(offset)
+        self.span = span
 
     def __str__(self):
         span = self.span or SourceSpan("<input>", 1, 1)

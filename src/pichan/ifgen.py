@@ -9,8 +9,8 @@ in declaration order, each with the canonical call-then-return protocol.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from .core import Record
 from .parser import KEYWORDS
 
 
@@ -37,17 +37,21 @@ class AliasClash(ManifestError):
 SORT_NAMES = {"void", "int", "string", "bool"}
 
 
-@dataclass(frozen=True)
-class ManifestMethod:
-    name: str
-    params: tuple  # tuple of sort names, never void
-    returns: str  # a sort name, possibly void
+class ManifestMethod(Record):
+    _fields = ("name", "params", "returns")
+
+    def __init__(self, name: str, params: tuple, returns: str):
+        self.name = name
+        self.params = params  # tuple of sort names, never void
+        self.returns = returns  # a sort name, possibly void
 
 
-@dataclass(frozen=True)
-class ClassManifest:
-    class_name: str
-    methods: tuple  # tuple[ManifestMethod, ...]
+class ClassManifest(Record):
+    _fields = ("class_name", "methods")
+
+    def __init__(self, class_name: str, methods: tuple):
+        self.class_name = class_name
+        self.methods = methods  # tuple[ManifestMethod, ...]
 
 
 def load_manifest(path) -> ClassManifest:

@@ -11,10 +11,9 @@ call-then-return protocol.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import Name
+from .core import Name, Record
 from .typecheck import INT
 
 
@@ -46,28 +45,35 @@ class ProtocolViolation(Exception):
 # Extern declarations (the parsed `extern A -> class C { ... }` block)
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+class MethodDecl(Record):
     """One method: its call and return channels and their sorts.  protocol
     is the declared `acceded as` body as (channel display, payload) steps,
     or None when the clause is omitted; `check` tests it, and XIR does not
     carry it, so it takes no part in equality."""
 
-    name: str
-    call_channel: Name
-    param_sorts: tuple  # tuple[BaseSort, ...], empty for void
-    return_channel: Name
-    return_payload: tuple  # () for void, else a 1-tuple
-    protocol: Optional[tuple] = field(compare=False, default=None)
-    span: object = field(compare=False, default=None)
+    _fields = ("name", "call_channel", "param_sorts", "return_channel",
+               "return_payload", "protocol", "span")
+    _compared = _fields[:-2]
+
+    def __init__(self, name: str, call_channel: Name, param_sorts: tuple,
+                 return_channel: Name, return_payload: tuple,
+                 protocol: Optional[tuple] = None, span=None):
+        self.name = name
+        self.call_channel = call_channel
+        self.param_sorts = param_sorts  # tuple[BaseSort, ...], () for void
+        self.return_channel = return_channel
+        self.return_payload = return_payload  # () for void, else a 1-tuple
+        self.protocol, self.span = protocol, span
 
 
-@dataclass(frozen=True)
-class ExternDecl:
-    alias: str
-    class_name: str
-    methods: tuple  # tuple[MethodDecl, ...]
-    span: object = field(compare=False, default=None)
+class ExternDecl(Record):
+    _fields = ("alias", "class_name", "methods", "span")
+    _compared = _fields[:-1]
+
+    def __init__(self, alias: str, class_name: str, methods: tuple,
+                 span=None):  # methods: tuple[MethodDecl, ...]
+        self.alias, self.class_name, self.methods = alias, class_name, methods
+        self.span = span
 
     def channels(self) -> list:
         out = []
@@ -81,11 +87,15 @@ class ExternDecl:
 # Host side
 
 
-@dataclass
-class HostClass:
-    class_name: str
-    signatures: dict  # method -> (param sorts tuple, return sort BaseSort | None)
-    constructor: Callable  # (log: Callable[[str], None]) -> instance object
+class HostClass(Record):
+    _fields = ("class_name", "signatures", "constructor")
+    __hash__ = None  # compared by value but mutable: no hash
+
+    def __init__(self, class_name: str, signatures: dict,
+                 constructor: Callable):
+        self.class_name = class_name
+        self.signatures = signatures  # method -> (param sorts tuple, return sort BaseSort | None)
+        self.constructor = constructor  # (log: Callable[[str], None]) -> instance object
 
     # instance objects expose one callable per method plus optionally use log
 

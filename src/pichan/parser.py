@@ -23,11 +23,10 @@ A node's span is (diag.Source, offset of its token).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, NameSupply,
-                   New, Nil, Out, Par, Process, Repeat, StrLit, UnitLit,
-                   Value, name_scan)
+                   New, Nil, Out, Par, Process, Record, Repeat, StrLit,
+                   UnitLit, Value, name_scan)
 from .diag import Diagnostic, ParseError, Source
 from .interop import ExternDecl, MethodDecl
 from .typecheck import base_sort
@@ -51,10 +50,12 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPES = {"n": "\n", "t": "\t"}  # others stand for themselves
 
 
-@dataclass(frozen=True)
-class Program:
-    externs: tuple  # tuple[ExternDecl, ...]
-    main: Process
+class Program(Record):
+    _fields = ("externs", "main")
+
+    def __init__(self, externs: tuple, main: Process):
+        self.externs = externs  # tuple[ExternDecl, ...]
+        self.main = main
 
 
 def tokenize(text: str, filename: str = "<input>") -> list:

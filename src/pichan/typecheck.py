@@ -12,20 +12,21 @@ but is rejected here, so no later stage sees a protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (BoolLit, Fusion, In, IntLit, NameRef, New, Out, Par,
-                   Repeat, StrLit, UnitLit, nodes)
+                   Record, Repeat, StrLit, UnitLit, nodes)
 from .diag import Diagnostic
 
 # ---------------------------------------------------------------------------
 # Sorts
 
 
-@dataclass(frozen=True)
-class BaseSort:
-    name: str
+class BaseSort(Record):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self):
         return self.name

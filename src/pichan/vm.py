@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
 from .core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
-                   NameRef, NameSupply, New, Nil, Out, Par, Process, Repeat,
-                   StrLit, UnitLit, Value)
+                   NameRef, NameSupply, New, Nil, Out, Par, Process, Record,
+                   Repeat, StrLit, UnitLit, Value)
 from .interop import (Endpoint, HostFault, HostRegistry, ProtocolViolation,
                       UngroundArgument, build_std_registry, complete_return,
                       dispatch_call, resolve_externs)
@@ -59,22 +58,27 @@ class NotStuck(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    step: int
-    kind: str  # comm | fusion-applied | repeat-unfold | host-call | host-return | clash | violation
-    details: str
-    data: tuple = field(compare=False, default=())
+class TraceEvent(Record):
+    _fields = ("step", "kind", "details", "data")
+    _compared = _fields[:-1]
+
+    def __init__(self, step: int, kind: str, details: str, data: tuple = ()):
+        self.step = step
+        self.kind = kind  # comm | fusion-applied | repeat-unfold | host-call | host-return | clash | violation
+        self.details, self.data = details, data
 
     def line(self) -> str:
         return f"{self.step}|{self.kind}|{self.details}"
 
 
-@dataclass
-class Trace:
-    events: list
-    status: str  # terminated | stuck-with-residuals | clash | violation | step-limit
-    machine: "Machine"
+class Trace(Record):
+    _fields = ("events", "status", "machine")
+    __hash__ = None  # compared by value but mutable: no hash
+
+    def __init__(self, events: list, status: str, machine: Machine):
+        self.events = events
+        self.status = status  # terminated | stuck-with-residuals | clash | violation | step-limit
+        self.machine = machine
 
     def lines(self) -> str:
         return "\n".join(ev.line() for ev in self.events)
@@ -85,9 +89,11 @@ class Trace:
                           indent=2)
 
 
-@dataclass(frozen=True)
-class StuckReport:
-    residuals: tuple  # tuple of (polarity 'output'|'input', subject display, arity)
+class StuckReport(Record):
+    _fields = ("residuals",)
+
+    def __init__(self, residuals: tuple):
+        self.residuals = residuals  # tuple of (polarity 'output'|'input', subject display, arity)
 
     def lines(self) -> str:
         return "\n".join(f"blocked {pol} on {subj}/{arity}"

@@ -34,7 +34,6 @@ import re
 import xml.etree.ElementTree as ET
 from functools import cache
 from typing import Optional
-from xml.sax.saxutils import quoteattr
 
 from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil, Out,
                    Par, Process, Repeat, StrLit, SurfaceFormError, UnitLit,
@@ -59,13 +58,24 @@ class VersionError(SchemaError):
 # Writing
 
 
-# what quoteattr replaces; a value without any of these it only wraps in '"'
+# what xml.sax.saxutils.quoteattr replaces, and the character it may quote
 _NEEDS_QUOTING = re.compile('[&<>"\n\r\t]').search
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                          "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
 
 
 def _quoted(val: str) -> str:
-    """val as an attribute value, written as quoteattr writes it."""
-    return quoteattr(val) if _NEEDS_QUOTING(val) else f'"{val}"'
+    """val as an attribute value, written as xml.sax.saxutils.quoteattr
+    writes it: escaped, then wrapped in '"', or in "'" when val holds '"'
+    but no "'", or else in '"' with each '"' written as &quot;."""
+    if not _NEEDS_QUOTING(val):
+        return f'"{val}"'
+    val = val.translate(_ESCAPES)
+    if '"' not in val:
+        return f'"{val}"'
+    if "'" not in val:
+        return f"'{val}'"
+    return '"' + val.replace('"', "&quot;") + '"'
 
 
 def _element(tag: str, attrs=(), close: bool = False) -> str:

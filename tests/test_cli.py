@@ -179,6 +179,20 @@ def test_run_clash_exit_5(tmp_path, capsys):
     assert main(["run", str(out), "--seed", "0"]) == EXIT_FAULT
 
 
+def test_run_clash_trace_line(tmp_path, capsys):
+    # the clash event's details are str(FusionClash), which shows the
+    # literals by their repr
+    src = tmp_path / "clash.pi"
+    src.write_text("new x in (x = 1 | x = 2)\n")
+    out = _compile(src, tmp_path)
+    capsys.readouterr()
+    assert main(["run", str(out), "--seed", "0"]) == EXIT_FAULT
+    assert capsys.readouterr() == (
+        "0|fusion-applied|x=1\n"
+        "1|clash|cannot fuse literals IntLit(value=1) and IntLit(value=2)\n",
+        "")
+
+
 def test_run_step_limit_exit_6(tmp_path):
     src = tmp_path / "loop.pi"
     src.write_text("repeat x!() | repeat x?()\n")
@@ -256,6 +270,43 @@ def test_malformed_pic_seed_rejected(account_src, tmp_path, capsys,
                             f"found {value!r}\n")
     # --seed overrides the environment, which is then not read
     assert main(["run", str(out), "--seed", "0"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["run", "x.xir.xml", "--seed", "abc"],
+     "pichan run: error: argument --seed: invalid int value: 'abc'"),
+    (["run", "x.xir.xml", "--trace", "xml"],
+     "pichan run: error: argument --trace: invalid choice: 'xml' "
+     "(choose from 'lines', 'json')"),
+    (["compile", "x.pi"],
+     "pichan compile: error: the following arguments are required: -o"),
+    (["frobnicate"], "pichan: error: argument command: invalid choice: "
+                     "'frobnicate'"),
+    ([], "pichan: error: the following arguments are required: command"),
+], ids=["seed-not-int", "bad-trace-choice", "missing-output", "unknown-command",
+        "no-command"])
+def test_usage_error_exit_1(capsys, argv, error):
+    assert main(argv) == EXIT_SYNTAX
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pichan")
+    assert error in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exit_0(capsys, argv):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: pichan")
+
+
+def test_usage_error_process_exit_1(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pichan.cli", "run", "x.xir.xml", "--seed",
+         "abc"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_SYNTAX
+    assert "invalid int value: 'abc'" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -538,3 +589,34 @@ def test_run_into_closed_pipe_exits_3_without_traceback(tmp_path):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == EXIT_IO
     assert err == ""
+
+
+# modules that no command needs; importing xml.sax.saxutils loads the next
+# four
+_HEAVY_MODULES = ("xml.sax", "urllib.request", "http.client", "ssl", "email",
+                  "dataclasses")
+_CHECK_COMPILE_AND_RUN = f"""
+import sys
+src, source, doc = sys.argv[1:]
+sys.path.insert(0, src)
+import pichan.cli
+codes = [pichan.cli.main(["check", source])]
+print(codes, [m for m in ("pichan.vm", "pichan.xir") if m in sys.modules])
+codes += [pichan.cli.main(["compile", source, "-o", doc]),
+          pichan.cli.main(["run", doc])]
+print(codes, [m for m in {_HEAVY_MODULES!r} if m in sys.modules])
+"""
+
+
+def test_commands_import_no_heavy_modules(tmp_path):
+    # -S: no site hook loads modules before pichan does
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _CHECK_COMPILE_AND_RUN, str(src),
+         str(SAMPLES_DIR / "counter.pi"), str(tmp_path / "counter.xir.xml")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # check runs without the VM or the XIR reader and writer
+    assert lines[0] == "[0] []"
+    assert lines[-1] == "[0, 0, 0] []"

@@ -484,6 +484,34 @@ def test_node_equality_and_hash_ignore_the_span():
     assert In(x, (y,), True, Nil()) != In(x, (y,), False, Nil())
 
 
+def test_values_and_nodes_repr_every_field():
+    # a clash trace line shows the literals this way
+    x, y = Name(0, "x"), Name(1, "y")
+    assert [repr(v) for v in (NameRef(x), IntLit(1), StrLit("s"),
+                              BoolLit(True), UnitLit())] == [
+        "NameRef(name=x#0)", "IntLit(value=1)", "StrLit(value='s')",
+        "BoolLit(value=True)", "UnitLit()"]
+    assert [repr(p) for p in _one_of_each_node(None)] == [
+        "Nil(span=None)",
+        "Par(left=Nil(span=None), right=Nil(span=None), span=None)",
+        "New(name=x#0, body=Nil(span=None), span=None)",
+        "Out(subject=x#0, objects=(NameRef(name=y#1),), "
+        "cont=Nil(span=None), span=None)",
+        "In(subject=x#0, objects=(y#1,), binding=True, cont=Nil(span=None), "
+        "span=None)",
+        "Repeat(body=Nil(span=None), span=None)",
+        "Fusion(left=NameRef(name=x#0), right=IntLit(value=1), span=None)"]
+    assert repr(Nil(span=("f.pi", 3))) == "Nil(span=('f.pi', 3))"
+    assert str(IntLit(-2)) == "IntLit(value=-2)"
+
+
+def test_values_equal_only_their_own_class():
+    assert IntLit(1) == IntLit(1) and hash(IntLit(1)) == hash(IntLit(1))
+    assert IntLit(1) != IntLit(2) and IntLit(1) != BoolLit(True)
+    assert IntLit(1) != 1 and UnitLit() == UnitLit()
+    assert len({StrLit("a"), StrLit("a"), StrLit("b")}) == 2
+
+
 def test_names_values_and_nodes_have_no_dict():
     x, = _names("x")
     for obj in [x, NameRef(x), IntLit(1), StrLit("s"), BoolLit(True),

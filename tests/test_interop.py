@@ -1,11 +1,12 @@
 """Tests for host class registry, endpoint binding and call dispatch."""
 
 import re
+from collections.abc import Hashable
 
 import pytest
 
-from pichan.interop import (DuplicateClass, HostClass, HostFault,
-                            HostRegistry, ProtocolViolation,
+from pichan.interop import (DuplicateClass, ExternDecl, HostClass, HostFault,
+                            HostRegistry, MethodDecl, ProtocolViolation,
                             SignatureMismatch, UnknownClass,
                             build_registry, build_std_registry,
                             complete_return, dispatch_call, resolve_externs)
@@ -27,7 +28,31 @@ def _bind():
 
 
 # ---------------------------------------------------------------------------
-# registry
+# declarations and registry
+
+
+def test_decl_equality_and_hash_ignore_span_and_protocol():
+    decl = _account_decl()
+    assert decl.span is not None and decl.methods[0].span is not None
+    assert decl.methods[0].protocol is not None
+    methods = tuple(MethodDecl(m.name, m.call_channel, m.param_sorts,
+                               m.return_channel, m.return_payload)
+                    for m in decl.methods)
+    plain = ExternDecl(decl.alias, decl.class_name, methods)
+    assert plain == decl and hash(plain) == hash(decl)
+    assert methods[0] == decl.methods[0]
+    assert hash(methods[0]) == hash(decl.methods[0])
+    assert ExternDecl("Other", decl.class_name, methods) != decl
+    assert repr(plain).startswith("ExternDecl(alias='FClass', "
+                                  "class_name='Account', methods=(MethodDecl(")
+    assert repr(plain).endswith("protocol=None, span=None)), span=None)")
+
+
+def test_host_class_compares_by_value_and_has_no_hash():
+    ctor = lambda log: object()  # noqa: E731
+    assert HostClass("C", {}, ctor) == HostClass("C", {}, ctor)
+    assert HostClass("C", {}, ctor) != HostClass("D", {}, ctor)
+    assert not isinstance(HostClass("C", {}, ctor), Hashable)
 
 
 def test_register_and_duplicate():

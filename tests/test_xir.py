@@ -1,6 +1,5 @@
 """Tests for the XML execution format: round trips, determinism, schema."""
 
-import dataclasses
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -12,9 +11,10 @@ from hypothesis import strategies as st
 
 from pichan.core import (Fusion, Name, NameRef, New, Nil, Out, StrLit,
                          SurfaceFormError)
+from pichan.interop import ExternDecl
 from pichan.parser import Program, desugar, parse_program
-from pichan.xir import (SchemaError, VersionError, XIR_VERSION, from_xml,
-                        to_xml, validate)
+from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _quoted,
+                        from_xml, to_xml, validate)
 
 from golden_traces import SAMPLES, echo_source
 from randgen import gen_program
@@ -50,6 +50,12 @@ def test_attribute_values_are_written_as_quoteattr_writes_them(text):
     assert (f'<out subject="x#0" a0={quoteattr("str:" + text)}/>'
             in doc.splitlines())
     assert from_xml(doc).main.objects == (StrLit(text),)
+
+
+@given(st.text(st.sampled_from(list("a&<>\"'\n\r\t\u00e9"))))
+@settings(max_examples=500, deadline=None)
+def test_quoted_is_quoteattr(text):
+    assert _quoted(text) == quoteattr(text)
 
 
 @pytest.mark.parametrize("sample", sorted(SAMPLES.glob("*.pi")),
@@ -273,8 +279,8 @@ def test_bad_method_element_is_e_schema(old, new, error):
 
 def test_duplicate_extern_alias_is_schema_error():
     decl = parse_program(ACCOUNT_EXTERN + "nil").externs[0]
-    doc = to_xml(Program((decl, dataclasses.replace(decl, alias="Other")),
-                         Nil()))
+    other = ExternDecl("Other", decl.class_name, decl.methods, decl.span)
+    doc = to_xml(Program((decl, other), Nil()))
     assert [d.alias for d in from_xml(doc).externs] == ["FClass", "Other"]
     doc = doc.replace('alias="Other"', 'alias="FClass"')
     with pytest.raises(SchemaError, match="extern alias FClass declared twice"):
