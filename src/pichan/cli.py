@@ -35,10 +35,9 @@ def _read_file(path) -> str:
         return fh.read()
 
 
-def _check_pipeline(path, out=None):
+def _check_pipeline(path):
     """Parse + desugar + all static checks.  Returns (program, exit_code);
     program is None on failure.  Diagnostics are printed either way."""
-    out = out if out is not None else sys.stdout
     try:
         text = _read_file(path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -48,7 +47,7 @@ def _check_pipeline(path, out=None):
         program = parse_program(text, filename=str(path))
     except ParseError as exc:
         for d in exc.diagnostics:
-            print(d, file=out)
+            print(d)
         return None, EXIT_SYNTAX
     program = desugar(program)
     diags = list(check_sorts(program))
@@ -56,7 +55,7 @@ def _check_pipeline(path, out=None):
         diags.extend(check_protocol_schema(decl))
     diags.extend(check_extern_usage(program))
     for d in diags:
-        print(d, file=out)
+        print(d)
     if has_errors(diags):
         return None, EXIT_TYPE
     return program, EXIT_OK

@@ -1,15 +1,17 @@
-"""Names, values, process terms and explicit fusions.
+"""The program model: sorts, names, values, process terms, extern
+declarations and programs, and explicit fusions.
 
 Process terms form a small pi-calculus with explicit fusions: communication
 does not substitute, it fuses argument pairs, and a fusion ``x=y`` is itself
 a process.  Name identity is the integer ``id``; the ``display`` text is for
-humans only and never affects semantics.
+humans only and never affects semantics.  The front end (parser,
+typecheck) and the back end (xir, interop, vm) build on this module and on
+diag, never on each other.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional
 
 
 class SurfaceFormError(Exception):
@@ -48,7 +50,34 @@ class Record:
 
 
 # ---------------------------------------------------------------------------
-# Names and values
+# Sorts
+
+
+class BaseSort(Record):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __str__(self):
+        return self.name
+
+
+INT = BaseSort("int")
+STR = BaseSort("string")
+BOOL = BaseSort("bool")
+UNIT = BaseSort("unit")
+
+_BASE_BY_NAME = {"int": INT, "string": STR, "bool": BOOL, "unit": UNIT}
+
+
+def base_sort(name: str) -> BaseSort | None:
+    return _BASE_BY_NAME.get(name)
+
+
+# ---------------------------------------------------------------------------
+# Names and values; a literal's class gives its sort, and its value is the
+# host value it stands for
 
 
 class Name:
@@ -91,6 +120,7 @@ class NameRef(Record):
 
 class IntLit(Record):
     __slots__ = _fields = ("value",)
+    sort = INT
 
     def __init__(self, value: int):
         self.value = value
@@ -98,6 +128,7 @@ class IntLit(Record):
 
 class StrLit(Record):
     __slots__ = _fields = ("value",)
+    sort = STR
 
     def __init__(self, value: str):
         self.value = value
@@ -105,6 +136,7 @@ class StrLit(Record):
 
 class BoolLit(Record):
     __slots__ = _fields = ("value",)
+    sort = BOOL
 
     def __init__(self, value: bool):
         self.value = value
@@ -112,11 +144,16 @@ class BoolLit(Record):
 
 class UnitLit(Record):
     __slots__ = ()
+    sort, value = UNIT, None
+
+    def __init__(self, value: None = None):  # None is unit's host value
+        pass
 
 
 Value = NameRef | IntLit | StrLit | BoolLit | UnitLit
 
-UNIT = UnitLit()
+# the literal class of a host value, by its exact Python type
+HOST_LITERALS = {int: IntLit, str: StrLit, bool: BoolLit, type(None): UnitLit}
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +243,7 @@ def nodes(p: Process) -> list:
     return found
 
 
-def name_scan(p: Process, names: Optional[dict] = None) -> tuple[int, bool]:
+def name_scan(p: Process, names: dict | None = None) -> tuple[int, bool]:
     """The largest name id in p, binders included (at least -1), and
     whether p is in core form (no binding input remains).  When given,
     names receives every name in p, keyed by id."""
@@ -242,12 +279,69 @@ def process_size(p: Process) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Extern declarations (the parsed `extern A -> class C { ... }` block) and
+# programs
+
+
+class MethodDecl(Record):
+    """One method: its call and return channels and their sorts.  protocol
+    is the declared `acceded as` body as (channel display, payload) steps,
+    or None when the clause is omitted; `check` tests it, and XIR does not
+    carry it, so it takes no part in equality."""
+
+    _fields = ("name", "call_channel", "param_sorts", "return_channel",
+               "return_payload", "protocol", "span")
+    _compared = _fields[:-2]
+
+    def __init__(self, name: str, call_channel: Name, param_sorts: tuple,
+                 return_channel: Name, return_payload: tuple,
+                 protocol: tuple | None = None, span=None):
+        self.name = name
+        self.call_channel = call_channel
+        self.param_sorts = param_sorts  # tuple[BaseSort, ...], () for void
+        self.return_channel = return_channel
+        self.return_payload = return_payload  # () for void, else a 1-tuple
+        self.protocol, self.span = protocol, span
+
+
+class ExternDecl(Record):
+    _fields = ("alias", "class_name", "methods", "span")
+    _compared = _fields[:-1]
+
+    def __init__(self, alias: str, class_name: str, methods: tuple,
+                 span=None):  # methods: tuple[MethodDecl, ...]
+        self.alias, self.class_name, self.methods = alias, class_name, methods
+        self.span = span
+
+    def channels(self) -> list:
+        return [n for m in self.methods
+                for n in (m.call_channel, m.return_channel)]
+
+
+class Program(Record):
+    _fields = ("externs", "main")
+
+    def __init__(self, externs: tuple, main: Process):
+        self.externs = externs  # tuple[ExternDecl, ...]
+        self.main = main
+
+
+def program_scan(program: Program) -> tuple[int, bool]:
+    """The largest name id in program, extern channels included (at least
+    -1), and whether its main process is in core form: one name_scan."""
+    top, core = name_scan(program.main)
+    return max([top] + [n.id for d in program.externs
+                        for n in d.channels()]), core
+
+
+# ---------------------------------------------------------------------------
 # Fusion environment: union-find over name ids with literal attachments
 
 
 class FusionEnv:
     """Equivalence classes of names, each class optionally pinned to one
-    literal value.  Mutates only through merge; confine to one VM."""
+    literal value; literals are equal only within one class (Record
+    equality).  Mutates only through merge; confine to one VM."""
 
     def __init__(self):
         self._parent: dict[int, int] = {}
@@ -270,7 +364,7 @@ class FusionEnv:
     def representative(self, n: Name) -> int:
         return self._find(n.id)
 
-    def attached_literal(self, n: Name) -> Optional[Value]:
+    def attached_literal(self, n: Name) -> Value | None:
         return self._attach.get(self._find(n.id))
 
     def class_display(self, n: Name) -> str:
@@ -278,19 +372,16 @@ class FusionEnv:
         rep = self._names.get(root, n)
         return rep.display
 
-    def _literals_equal(self, a: Value, b: Value) -> bool:
-        return type(a) is type(b) and a == b
-
     def fused_equal(self, a: Value, b: Value) -> bool:
         if isinstance(a, NameRef) and isinstance(b, NameRef):
             return self._find(a.name.id) == self._find(b.name.id)
         if isinstance(a, NameRef):
             lit = self.attached_literal(a.name)
-            return lit is not None and self._literals_equal(lit, b)
+            return lit is not None and lit == b
         if isinstance(b, NameRef):
             lit = self.attached_literal(b.name)
-            return lit is not None and self._literals_equal(lit, a)
-        return self._literals_equal(a, b)
+            return lit is not None and lit == a
+        return a == b
 
     def merge(self, a: Value, b: Value) -> "FusionEnv":
         """Identify a and b.  Raises FusionClash when that would equate two
@@ -304,7 +395,7 @@ class FusionEnv:
         if isinstance(b, NameRef):
             self._attach_literal(b.name, a)
             return self
-        if not self._literals_equal(a, b):
+        if a != b:
             raise FusionClash(f"cannot fuse literals {a} and {b}")
         return self
 
@@ -319,7 +410,7 @@ class FusionEnv:
         if rx == ry:
             return
         ax, ay = self._attach.get(rx), self._attach.get(ry)
-        if ax is not None and ay is not None and not self._literals_equal(ax, ay):
+        if ax is not None and ay is not None and ax != ay:
             raise FusionClash(f"cannot fuse literals {ax} and {ay}")
         if self._rank.get(rx, 0) < self._rank.get(ry, 0):
             rx, ry = ry, rx
@@ -336,6 +427,6 @@ class FusionEnv:
         self._register(n)
         root = self._find(n.id)
         prev = self._attach.get(root)
-        if prev is not None and not self._literals_equal(prev, lit):
+        if prev is not None and prev != lit:
             raise FusionClash(f"cannot fuse literals {prev} and {lit}")
         self._attach[root] = lit

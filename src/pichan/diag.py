@@ -6,17 +6,14 @@ Line and column are worked out from it only when a Diagnostic is made."""
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple, Optional
 
 from .core import Record
 
-
-class SourceSpan(NamedTuple):
-    file: str
-    line: int  # 1-based
-    column: int  # 1-based
-    length: int = 1
+# line and column are 1-based
+SourceSpan = namedtuple("SourceSpan", ("file", "line", "column", "length"),
+                        defaults=(1,))
 
 
 class Source:
@@ -45,7 +42,7 @@ class Diagnostic(Record):
     _fields = ("severity", "code", "message", "span")
 
     def __init__(self, severity: str, code: str, message: str,
-                 span: Optional[SourceSpan] = None):
+                 span: SourceSpan | None = None):
         self.severity = severity  # "error" | "warning"
         self.code = code  # E-SYNTAX, E-SORT, E-PROTO, E-USE, W-PAR, ...
         self.message = message

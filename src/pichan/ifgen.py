@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .core import Record
-from .parser import KEYWORDS
+from .parser import SORT_NAMES, is_identifier
 
 
 class ManifestError(Exception):
@@ -32,9 +32,6 @@ class DuplicateMethod(ManifestError):
 
 class AliasClash(ManifestError):
     pass
-
-
-SORT_NAMES = {"void", "int", "string", "bool"}
 
 
 class ManifestMethod(Record):
@@ -67,6 +64,9 @@ def load_manifest(path) -> ClassManifest:
 def parse_manifest(raw, source: str = "<manifest>") -> ClassManifest:
     if not isinstance(raw, dict) or not isinstance(raw.get("class"), str):
         raise ManifestParseError(f"{source}: expected an object with a 'class' name")
+    if not is_identifier(raw["class"]):
+        raise ManifestParseError(
+            f"{source}: class name {raw['class']!r} is not a valid identifier")
     methods = []
     seen = set()
     if not isinstance(raw.get("methods", []), list):
@@ -75,8 +75,7 @@ def parse_manifest(raw, source: str = "<manifest>") -> ClassManifest:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ManifestParseError(f"{source}: method entries need a 'name'")
         name = entry["name"]
-        if (not name or name in KEYWORDS or not name[0].isalpha()
-                or not all(c.isalnum() or c == "_" for c in name)):
+        if not is_identifier(name):
             raise ManifestParseError(
                 f"{source}: method name {name!r} is not a valid identifier")
         if name in seen:
@@ -101,6 +100,8 @@ def parse_manifest(raw, source: str = "<manifest>") -> ClassManifest:
 def generate_interface(manifest: ClassManifest, alias: str) -> str:
     """Extern-block source for the manifest; parses cleanly and passes the
     protocol schema check by construction."""
+    if not is_identifier(alias):
+        raise ManifestError(f"alias {alias!r} is not a valid identifier")
     taken = {m.name for m in manifest.methods}
     if alias in taken:
         raise AliasClash(f"alias {alias} collides with a method name")

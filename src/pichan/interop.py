@@ -11,10 +11,9 @@ call-then-return protocol.
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from collections.abc import Callable
 
-from .core import Name, Record
-from .typecheck import INT
+from .core import HOST_LITERALS, INT, UNIT, ExternDecl, MethodDecl, Record
 
 
 class DuplicateClass(Exception):
@@ -39,48 +38,6 @@ class HostFault(Exception):
 
 class ProtocolViolation(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Extern declarations (the parsed `extern A -> class C { ... }` block)
-
-
-class MethodDecl(Record):
-    """One method: its call and return channels and their sorts.  protocol
-    is the declared `acceded as` body as (channel display, payload) steps,
-    or None when the clause is omitted; `check` tests it, and XIR does not
-    carry it, so it takes no part in equality."""
-
-    _fields = ("name", "call_channel", "param_sorts", "return_channel",
-               "return_payload", "protocol", "span")
-    _compared = _fields[:-2]
-
-    def __init__(self, name: str, call_channel: Name, param_sorts: tuple,
-                 return_channel: Name, return_payload: tuple,
-                 protocol: Optional[tuple] = None, span=None):
-        self.name = name
-        self.call_channel = call_channel
-        self.param_sorts = param_sorts  # tuple[BaseSort, ...], () for void
-        self.return_channel = return_channel
-        self.return_payload = return_payload  # () for void, else a 1-tuple
-        self.protocol, self.span = protocol, span
-
-
-class ExternDecl(Record):
-    _fields = ("alias", "class_name", "methods", "span")
-    _compared = _fields[:-1]
-
-    def __init__(self, alias: str, class_name: str, methods: tuple,
-                 span=None):  # methods: tuple[MethodDecl, ...]
-        self.alias, self.class_name, self.methods = alias, class_name, methods
-        self.span = span
-
-    def channels(self) -> list:
-        out = []
-        for m in self.methods:
-            out.append(m.call_channel)
-            out.append(m.return_channel)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +92,7 @@ class Endpoint:
         self.decl = decl
         self.host = host
         self.instance = None  # Uninstantiated until first call
-        self.pending: Optional[tuple[str, object]] = None  # (method, value)
+        self.pending: tuple[str, object] | None = None  # (method, value)
         # by name; the first declared method wins a repeated name
         self._methods = {m.name: m for m in reversed(decl.methods)}
 
@@ -168,11 +125,6 @@ def resolve_externs(decls, registry: HostRegistry) -> dict:
     return bindings
 
 
-# the Python type a host value of each declared return sort must have
-_RETURN_TYPES = {"void": type(None), "unit": type(None), "int": int,
-                 "string": str, "bool": bool}
-
-
 def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
                   registry: HostRegistry, step: int) -> None:
     """Run one host call: refuse it while a return is staged, instantiate on
@@ -192,10 +144,12 @@ def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
         value = fn(*args)
     except Exception as exc:  # host code is foreign; wrap everything
         raise HostFault(f"{endpoint.decl.alias}.{method_name}: {exc}") from exc
-    sort = m.return_payload[0].name if m.return_payload else "void"
-    if type(value) is not _RETURN_TYPES[sort]:
+    sort = m.return_payload[0] if m.return_payload else None
+    literal = HOST_LITERALS.get(type(value))
+    # a void method returns None, unit's host value; names compare fastest
+    if literal is None or literal.sort.name != (sort or UNIT).name:
         raise HostFault(f"{endpoint.decl.alias}.{method_name}: declared to "
-                        f"return {sort}, host returned {value!r}")
+                        f"return {sort or 'void'}, host returned {value!r}")
     endpoint.pending = (method_name, value)
 
 

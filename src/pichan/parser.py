@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import re
 
-from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, NameSupply,
-                   New, Nil, Out, Par, Process, Record, Repeat, StrLit,
-                   UnitLit, Value, name_scan)
+from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
+                   NameRef, NameSupply, New, Nil, Out, Par, Process, Program,
+                   Repeat, StrLit, UnitLit, Value, base_sort, program_scan)
 from .diag import Diagnostic, ParseError, Source
-from .interop import ExternDecl, MethodDecl
-from .typecheck import base_sort
 
 KEYWORDS = {
     "nil", "new", "in", "repeat", "extern", "class", "call", "return",
@@ -48,14 +46,6 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPES = {"n": "\n", "t": "\t"}  # others stand for themselves
-
-
-class Program(Record):
-    _fields = ("externs", "main")
-
-    def __init__(self, externs: tuple, main: Process):
-        self.externs = externs  # tuple[ExternDecl, ...]
-        self.main = main
 
 
 def tokenize(text: str, filename: str = "<input>") -> list:
@@ -89,7 +79,16 @@ def tokenize(text: str, filename: str = "<input>") -> list:
     return tokens
 
 
-_SORT_TOKENS = {"void", "int", "string", "bool"}
+# the sorts that an extern block names
+SORT_NAMES = {"void", "int", "string", "bool"}
+
+
+def is_identifier(text: str) -> bool:
+    """Whether tokenize reads text as one identifier: a word of _TOKEN_RE
+    that starts with a letter or '_' and is no keyword."""
+    m = _TOKEN_RE.fullmatch(text)
+    return (m is not None and m.lastgroup == "word" and text not in KEYWORDS
+            and (text[0].isalpha() or text[0] == "_"))
 
 
 class _Parser:
@@ -149,7 +148,7 @@ class _Parser:
 
     def _sort_name(self):
         t = self.next()
-        if t[0] not in _SORT_TOKENS:
+        if t[0] not in SORT_NAMES:
             self.fail(f"expected a sort, found {t[1]!r}", t)
         return t[1]
 
@@ -478,11 +477,3 @@ def _rename_value(v: Value, env: dict) -> Value:
     if type(v) is NameRef and env.get(v.name.id):
         return NameRef(env[v.name.id])
     return v
-
-
-def program_scan(program: Program) -> tuple[int, bool]:
-    """The largest name id in program, extern channels included (at least
-    -1), and whether its main process is in core form: one name_scan."""
-    top, core = name_scan(program.main)
-    return max([top] + [n.id for d in program.externs
-                        for n in d.channels()]), core

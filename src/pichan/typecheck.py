@@ -12,42 +12,12 @@ but is rejected here, so no later stage sees a protocol.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .core import (BoolLit, Fusion, In, IntLit, NameRef, New, Out, Par,
-                   Record, Repeat, StrLit, UnitLit, nodes)
+from .core import Fusion, In, NameRef, New, Out, Par, Repeat, nodes
 from .diag import Diagnostic
-
-# ---------------------------------------------------------------------------
-# Sorts
-
-
-class BaseSort(Record):
-    _fields = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __str__(self):
-        return self.name
-
-
-INT = BaseSort("int")
-STR = BaseSort("string")
-BOOL = BaseSort("bool")
-UNIT = BaseSort("unit")
-
-_BASE_BY_NAME = {"int": INT, "string": STR, "bool": BOOL, "unit": UNIT}
-
-
-def base_sort(name: str) -> Optional[BaseSort]:
-    return _BASE_BY_NAME.get(name)
-
 
 # ---------------------------------------------------------------------------
 # Sort checking (unification from use)
 
-_LITERAL_SORT = {IntLit: INT, StrLit: STR, BoolLit: BOOL, UnitLit: UNIT}
 SHOW_LIMIT = 200  # characters of a sort that a message shows, then "..."
 
 
@@ -187,7 +157,7 @@ def check_sorts(program) -> list:
     find, sort = uni.find, uni.sort
 
     def term(v):
-        return v.name.id if type(v) is NameRef else _LITERAL_SORT[type(v)]
+        return v.name.id if type(v) is NameRef else v.sort
 
     for p in nodes(program.main):  # pre-order: the order of the diagnostics
         kind = type(p)

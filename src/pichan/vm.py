@@ -13,15 +13,13 @@ import json
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from operator import itemgetter
-from typing import Optional
 
-from .core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
-                   NameRef, NameSupply, New, Nil, Out, Par, Process, Record,
-                   Repeat, StrLit, UnitLit, Value)
+from .core import (HOST_LITERALS, Fusion, FusionClash, FusionEnv, In, NameRef,
+                   NameSupply, New, Nil, Out, Par, Process, Record, Repeat,
+                   SurfaceFormError, Value, program_scan)
 from .interop import (Endpoint, HostFault, HostRegistry, ProtocolViolation,
                       UngroundArgument, build_std_registry, complete_return,
                       dispatch_call, resolve_externs)
-from .parser import desugar, program_scan
 
 DEFAULT_MAX_STEPS = 10000
 
@@ -154,10 +152,11 @@ class Machine:
 
     @classmethod
     def initialize(cls, program, registry: HostRegistry) -> "Machine":
+        """A machine for a core program (parser.desugar makes one); a
+        binding input raises SurfaceFormError."""
         top, core = program_scan(program)
         if not core:
-            program = desugar(program)
-            top, _ = program_scan(program)
+            raise SurfaceFormError("binding input cannot be run; desugar first")
         m = cls(registry)
         m.endpoints = resolve_externs(program.externs, registry)
         m._ranks = {alias: k for k, alias in enumerate(m.endpoints)}
@@ -395,7 +394,7 @@ class Machine:
                     raise UngroundArgument(
                         f"argument {v.name.display} has no attached literal")
                 v = lit
-            args.append(_host_value(v))
+            args.append(v.value)
         return args
 
     def execute(self, redex) -> TraceEvent:
@@ -451,7 +450,7 @@ class Machine:
             self._remove(i)
             if inp.objects:
                 n = inp.objects[0]
-                self.env.merge(_value_of_host(value),
+                self.env.merge(HOST_LITERALS[type(value)](value),
                                NameRef(env.get(n.id, n)))
             self.add_thread(inp.cont, env)
             details = f"{alias}.{method} -> {value!r}"
@@ -558,40 +557,15 @@ def _resolve(v: Value, env: dict) -> Value:
     return v
 
 
-def _host_value(v: Value):
-    if isinstance(v, IntLit):
-        return v.value
-    if isinstance(v, StrLit):
-        return v.value
-    if isinstance(v, BoolLit):
-        return v.value
-    if isinstance(v, UnitLit):
-        return None
-    raise TypeError(v)
-
-
-def _value_of_host(value) -> Value:
-    """The literal for a host value; dispatch_call has checked its sort."""
-    if value is None:
-        return UnitLit()
-    if isinstance(value, bool):
-        return BoolLit(value)
-    if isinstance(value, int):
-        return IntLit(value)
-    return StrLit(value)
-
-
 def _value_text(v: Value) -> str:
-    if isinstance(v, NameRef):
-        return v.name.display
-    return repr(_host_value(v))
+    return v.name.display if type(v) is NameRef else repr(v.value)
 
 
 def _has_pending(m: Machine) -> bool:
     return bool(m._returns)  # every staged return has an entry there
 
 
-def step(machine: Machine, rng: Xorshift64Star) -> Optional[TraceEvent]:
+def step(machine: Machine, rng: Xorshift64Star) -> TraceEvent | None:
     """One scheduled reduction; None when the machine is stuck."""
     redexes = machine.enumerate_redexes()
     if not redexes:
@@ -603,7 +577,7 @@ def step(machine: Machine, rng: Xorshift64Star) -> Optional[TraceEvent]:
 
 
 def run(program, seed: int = 0, max_steps: int = DEFAULT_MAX_STEPS,
-        registry: Optional[HostRegistry] = None) -> Trace:
+        registry: HostRegistry | None = None) -> Trace:
     """Reduce until stuck, clash, violation or the step limit."""
     registry = registry if registry is not None else build_std_registry()
     machine = Machine.initialize(program, registry)

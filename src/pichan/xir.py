@@ -33,15 +33,11 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from functools import cache
-from typing import Optional
 
-from .core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil, Out,
-                   Par, Process, Repeat, StrLit, SurfaceFormError, UnitLit,
-                   Value)
+from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
+                   NameRef, New, Nil, Out, Par, Process, Program, Repeat,
+                   StrLit, SurfaceFormError, UnitLit, Value, base_sort)
 from .diag import Diagnostic
-from .interop import ExternDecl, MethodDecl
-from .parser import Program
-from .typecheck import base_sort
 
 XIR_VERSION = "3"
 
@@ -179,7 +175,7 @@ def to_xml(program: Program) -> str:
 # Reading
 
 
-def _decimal(text: str) -> Optional[int]:
+def _decimal(text: str) -> int | None:
     """int(text) for decimal digits after at most one '-' (int() alone also
     takes "+1" or "1_0"); else, or past int()'s limit, None."""
     if text.removeprefix("-").isdecimal():
@@ -384,15 +380,12 @@ def _read_extern(elem, names: dict) -> ExternDecl:
 
 
 def from_xml(document) -> Program:
-    """Parse an XIR document (text or ElementTree element) back into the
-    exact Program it serialized, name ids included."""
-    if isinstance(document, (str, bytes)):
-        try:
-            root = ET.fromstring(document)
-        except ET.ParseError as exc:
-            raise SchemaError(f"not well-formed XML: {exc}")
-    else:
-        root = document
+    """Parse an XIR document (str or bytes) back into the exact Program it
+    serialized, name ids included."""
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        raise SchemaError(f"not well-formed XML: {exc}")
     if root.tag != "pic":
         raise SchemaError(f"root element must be pic, found {root.tag!r}")
     (version,) = _attrs(root, ("version",), "pic")
@@ -411,8 +404,7 @@ def from_xml(document) -> Program:
         aliases.add(d.alias)
     if len(root[1]) != 1:
         raise SchemaError("process takes exactly 1 child")
-    channels = {n.id for d in externs for m in d.methods
-                for n in (m.call_channel, m.return_channel)}
+    channels = {n.id for d in externs for n in d.channels()}
     return Program(externs, _read_proc(root[1][0], names, channels))
 
 

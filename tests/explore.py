@@ -8,6 +8,7 @@ from __future__ import annotations
 from pichan.core import FusionClash
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
+from pichan.parser import desugar
 from pichan.vm import Machine, Redexes, _has_pending
 
 
@@ -38,7 +39,9 @@ def explore_runs(program, registry_builder, max_depth: int = 20,
     (event kind tuple, status) per maximal run (depth-capped runs get
     status 'depth-limit').  A machine follows its first redex; each other
     one replays its path of redexes on a fresh Machine.initialize, so
-    registry_builder must build equal fresh registries."""
+    registry_builder must build equal fresh registries.  program may be
+    surface: it is desugared first."""
+    program = desugar(program)
     registry_builder = registry_builder or build_std_registry
     results = []
 

@@ -29,7 +29,7 @@ import random
 from pathlib import Path
 
 from pichan.interop import build_std_registry
-from pichan.parser import parse_program
+from pichan.parser import desugar, parse_program
 from pichan.vm import DEFAULT_MAX_STEPS, run
 
 from explore import explore_runs
@@ -178,7 +178,7 @@ def explore_digest(program, max_depth: int, strict: bool) -> str:
 
 
 def digest(program, seed: int, max_steps: int) -> str:
-    trace = run(program, seed=seed, max_steps=max_steps)
+    trace = run(desugar(program), seed=seed, max_steps=max_steps)
     text = json.dumps([trace.lines(), trace.status])
     return hashlib.sha256(text.encode()).hexdigest()
 

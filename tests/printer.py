@@ -5,10 +5,10 @@ alpha-equivalent Program.
 
 from __future__ import annotations
 
-from pichan.core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil,
-                         Out, Par, Process, Repeat, StrLit, Value, name_scan)
-from pichan.interop import ExternDecl
-from pichan.parser import KEYWORDS, Program
+from pichan.core import (BoolLit, ExternDecl, Fusion, In, IntLit, Name,
+                         NameRef, New, Nil, Out, Par, Process, Program, Repeat,
+                         StrLit, Value, name_scan)
+from pichan.parser import KEYWORDS
 
 
 # ---------------------------------------------------------------------------

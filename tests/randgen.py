@@ -5,11 +5,9 @@ from __future__ import annotations
 import random
 import string
 
-from pichan.core import (BoolLit, Fusion, In, IntLit, NameRef, NameSupply,
-                         New, Nil, Out, Par, Repeat, StrLit, UnitLit)
-from pichan.interop import ExternDecl, MethodDecl
-from pichan.parser import Program
-from pichan.typecheck import BOOL, INT, STR
+from pichan.core import (BOOL, INT, STR, BoolLit, ExternDecl, Fusion, In,
+                         IntLit, MethodDecl, NameRef, NameSupply, New, Nil,
+                         Out, Par, Program, Repeat, StrLit, UnitLit)
 
 _SORTS = [INT, STR, BOOL]
 

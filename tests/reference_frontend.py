@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from pichan.core import (Fusion, In, Nil, New, Out, Par, Process, Repeat,
-                         NameSupply)
+from pichan.core import (Fusion, In, Nil, New, Out, Par, Process, Program,
+                         Repeat, NameSupply, program_scan)
 from pichan.diag import Diagnostic, ParseError, SourceSpan
-from pichan.parser import KEYWORDS, Program, program_scan
+from pichan.parser import KEYWORDS
 
 from substitution import substitute
 

@@ -21,13 +21,13 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from xml.sax.saxutils import quoteattr
 
-from pichan.core import (BoolLit, Fusion, In, IntLit, Name, NameRef,
-                         NameSupply, New, Nil, Out, Par, Process, Repeat,
-                         StrLit, SurfaceFormError, UnitLit, name_scan)
+from pichan.core import (BOOL, INT, STR, UNIT, BaseSort, BoolLit, Fusion, In,
+                         IntLit, Name, NameRef, NameSupply, New, Nil, Out, Par,
+                         Process, Program, Repeat, StrLit, SurfaceFormError,
+                         UnitLit, name_scan)
 from pichan.diag import Diagnostic, Source
-from pichan.parser import Program, _Parser, tokenize
-from pichan.typecheck import (BOOL, INT, SHOW_LIMIT, STR, UNIT, BaseSort,
-                              extern_channel_table)
+from pichan.parser import _Parser, tokenize
+from pichan.typecheck import SHOW_LIMIT, extern_channel_table
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _attrs,
                         _name_text, _parse_name, _read_extern, _sorts_attr,
                         _split_value, _value_text)

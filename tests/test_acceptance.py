@@ -8,9 +8,9 @@ import random
 import time
 from contextlib import contextmanager
 
-from pichan.core import In, IntLit, NameRef, NameSupply, Out, Par
+from pichan.core import In, IntLit, NameRef, NameSupply, Out, Par, Program
 from pichan.interop import build_std_registry, resolve_externs
-from pichan.parser import Program, desugar, parse_program
+from pichan.parser import desugar, parse_program
 from pichan.typecheck import (check_extern_usage, check_protocol_schema,
                               check_sorts)
 from pichan.vm import run
@@ -86,8 +86,8 @@ SWAP_MAIN = "(poke!().PR?().nil) | (inc!().IR?(v).nil)\n"
 def test_criterion_2_lazy_instantiation_congruence():
     with criterion(2, "swapped extern decls, identical effect logs seeds 0..99"):
         start = time.monotonic()
-        prog_a = parse_program(SWAP_BLOCK_L + SWAP_BLOCK_K + SWAP_MAIN)
-        prog_b = parse_program(SWAP_BLOCK_K + SWAP_BLOCK_L + SWAP_MAIN)
+        prog_a = desugar(parse_program(SWAP_BLOCK_L + SWAP_BLOCK_K + SWAP_MAIN))
+        prog_b = desugar(parse_program(SWAP_BLOCK_K + SWAP_BLOCK_L + SWAP_MAIN))
         distinct_logs = set()
         for seed in range(100):
             reg_a, reg_b = build_std_registry(), build_std_registry()
@@ -189,7 +189,7 @@ def test_criterion_7_determinism_replay():
     with criterion(7, "50 random programs x 3 replays, identical traces"):
         rng = random.Random(7)
         for i in range(50):
-            program = gen_program(rng, with_externs=False)
+            program = desugar(gen_program(rng, with_externs=False))
             seed = rng.randrange(2**32)
             outs = set()
             for _ in range(3):

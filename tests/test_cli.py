@@ -416,6 +416,33 @@ def test_gen_iface_then_check_and_compile(tmp_path):
                  str(tmp_path / "gen.xir.xml")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("alias,manifest", [
+    ("1A", ACCOUNT_MANIFEST), ("nil", ACCOUNT_MANIFEST),
+    ("a b", ACCOUNT_MANIFEST), ("A", {"class": "1x"}),
+    ("A", {"class": "Counter Two"}), ("A", {"class": ""})],
+    ids=["alias-1A", "alias-nil", "alias-a b", "class-1x",
+         "class-Counter Two", "class-empty"])
+def test_gen_iface_bad_name_exits_1_and_writes_nothing(tmp_path, capsys, alias,
+                                                       manifest):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "o.pi"
+    assert main(["gen-iface", str(path), "--alias", alias,
+                 "-o", str(out)]) == EXIT_SYNTAX
+    assert "is not a valid identifier" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_iface_underscore_method_checks(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"class": "Counter", "methods": [
+        {"name": "_inc", "params": [], "returns": "int"}]}))
+    gen = tmp_path / "gen.pi"
+    assert main(["gen-iface", str(path), "--alias", "K",
+                 "-o", str(gen)]) == EXIT_OK
+    assert main(["check", str(gen)]) == EXIT_OK
+
+
 def test_gen_iface_bad_manifest(tmp_path):
     manifest = tmp_path / "bad.json"
     manifest.write_text('{"class": 7}')
@@ -592,9 +619,9 @@ def test_run_into_closed_pipe_exits_3_without_traceback(tmp_path):
 
 
 # modules that no command needs; importing xml.sax.saxutils loads the next
-# four
+# four, and pichan writes its annotations without typing
 _HEAVY_MODULES = ("xml.sax", "urllib.request", "http.client", "ssl", "email",
-                  "dataclasses")
+                  "dataclasses", "typing")
 _CHECK_COMPILE_AND_RUN = f"""
 import sys
 src, source, doc = sys.argv[1:]

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (BoolLit, Fusion, FusionClash, FusionEnv, In, IntLit,
-                         Name, NameRef, NameSupply, New, Nil, Out, Par, Repeat,
-                         StrLit, SurfaceFormError, UnitLit, name_scan,
-                         process_size)
+from pichan.core import (BOOL, HOST_LITERALS, INT, STR, UNIT, BoolLit, Fusion,
+                         FusionClash, FusionEnv, In, IntLit, Name, NameRef,
+                         NameSupply, New, Nil, Out, Par, Repeat, StrLit,
+                         SurfaceFormError, UnitLit, name_scan, process_size)
 
 from congruence import canonical_key, congruent
 from randgen import gen_process
@@ -207,6 +207,46 @@ def test_bool_and_int_literals_never_fuse():
     env.merge(NameRef(x), IntLit(1))
     with pytest.raises(FusionClash):
         env.merge(NameRef(x), BoolLit(True))
+
+
+def test_literals_of_different_kinds_are_unequal():
+    # Record equality compares within one class only
+    assert IntLit(1) != BoolLit(True) and IntLit(0) != BoolLit(False)
+    x = _names("x")[0]
+    env = FusionEnv().merge(NameRef(x), IntLit(1))
+    assert env.fused_equal(NameRef(x), IntLit(1))
+    assert not env.fused_equal(NameRef(x), BoolLit(True))
+    assert not env.fused_equal(BoolLit(True), NameRef(x))
+    assert not env.fused_equal(IntLit(1), BoolLit(True))
+    with pytest.raises(FusionClash):
+        env.merge(IntLit(1), BoolLit(True))
+
+
+# ---------------------------------------------------------------------------
+# literals: sort, host value and the host-type table
+
+LITERALS = [(IntLit(-7), INT, int, -7), (StrLit("s t"), STR, str, "s t"),
+            (BoolLit(False), BOOL, bool, False), (UnitLit(), UNIT, type(None),
+                                                  None)]
+
+
+@pytest.mark.parametrize("literal,sort,host_type,value", LITERALS)
+def test_literal_sort_and_value(literal, sort, host_type, value):
+    assert literal.sort is sort and type(literal).sort is sort
+    assert type(literal.value) is host_type and literal.value == value
+
+
+@pytest.mark.parametrize("literal,sort,host_type,value", LITERALS)
+def test_literal_round_trips_through_host_table(literal, sort, host_type,
+                                                value):
+    back = HOST_LITERALS[type(literal.value)](literal.value)
+    assert type(back) is type(literal) and back == literal
+    assert HOST_LITERALS[host_type] is type(literal)
+
+
+def test_host_table_covers_every_literal_class_once():
+    assert sorted(c.__name__ for c in HOST_LITERALS.values()) == [
+        "BoolLit", "IntLit", "StrLit", "UnitLit"]
 
 
 @given(st.integers(0, 10**6))

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pichan.diag import ParseError
 from pichan.ifgen import (AliasClash, ClassManifest, DuplicateMethod,
-                          ManifestMethod, ManifestParseError, UnknownSort,
-                          generate_interface, load_manifest, parse_manifest)
+                          ManifestError, ManifestMethod, ManifestParseError,
+                          UnknownSort, generate_interface, load_manifest,
+                          parse_manifest)
 from pichan.interop import build_std_registry, resolve_externs
-from pichan.parser import parse_program
+from pichan.parser import is_identifier, parse_program, tokenize
 from pichan.typecheck import check_protocol_schema
 
 ACCOUNT_MANIFEST = json.loads((Path(__file__).resolve().parent.parent
@@ -55,6 +57,40 @@ def test_duplicate_method():
 def test_bad_method_name():
     with pytest.raises(ManifestParseError):
         parse_manifest({"class": "C", "methods": [{"name": "new"}]})
+
+
+@pytest.mark.parametrize("alias", ["1A", "nil", "a b", "", "A;"])
+def test_bad_alias(alias):
+    # each would make a block that check rejects with E-SYNTAX
+    with pytest.raises(ManifestError, match="not a valid identifier"):
+        generate_interface(parse_manifest(ACCOUNT_MANIFEST), alias)
+
+
+@pytest.mark.parametrize("name", ["1x", "Counter Two", "", "class"])
+def test_bad_class_name(name):
+    with pytest.raises(ManifestParseError, match="not a valid identifier"):
+        parse_manifest({"class": name})
+
+
+def test_underscore_names_accepted():
+    # the tokenizer reads _inc, _C and _A as identifiers
+    m = parse_manifest({"class": "_C", "methods": [
+        {"name": "_inc", "params": [], "returns": "int"}]})
+    d = parse_program(generate_interface(m, "_A") + "nil").externs[0]
+    assert (d.alias, d.class_name) == ("_A", "_C")
+    assert d.methods[0].name == "_inc"
+    assert check_protocol_schema(d) == []
+
+
+@given(st.text(alphabet="aZ_09 ²é-!(/\"", max_size=4)
+       | st.sampled_from(["nil", "unit", "class", "_", "a_1"]))
+@settings(max_examples=300, deadline=None)
+def test_is_identifier_agrees_with_tokenize(text):
+    try:
+        tokens = [t[:2] for t in tokenize(text)]
+    except ParseError:
+        tokens = None
+    assert is_identifier(text) == (tokens == [("ident", text), ("eof", "")])
 
 
 def test_load_manifest_file(tmp_path):

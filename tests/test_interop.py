@@ -5,13 +5,13 @@ from collections.abc import Hashable
 
 import pytest
 
-from pichan.interop import (DuplicateClass, ExternDecl, HostClass, HostFault,
-                            HostRegistry, MethodDecl, ProtocolViolation,
+from pichan.core import INT, STR, ExternDecl, MethodDecl, base_sort
+from pichan.interop import (DuplicateClass, HostClass, HostFault,
+                            HostRegistry, ProtocolViolation,
                             SignatureMismatch, UnknownClass,
                             build_registry, build_std_registry,
                             complete_return, dispatch_call, resolve_externs)
 from pichan.parser import parse_program
-from pichan.typecheck import INT, STR, base_sort
 
 from test_parser import ACCOUNT_EXTERN
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (Fusion, In, IntLit, NameRef, NameSupply, New, Nil,
-                         Out, Par, Repeat, StrLit, name_scan)
+from pichan.core import (INT, Fusion, In, IntLit, NameRef, NameSupply, New,
+                         Nil, Out, Par, Program, Repeat, StrLit, name_scan)
 from pichan.diag import ParseError, Source
-from pichan.parser import _TOKEN_RE, Program, desugar, parse_program, tokenize
-from pichan.typecheck import INT, check_sorts
+from pichan.parser import _TOKEN_RE, desugar, parse_program, tokenize
+from pichan.typecheck import check_sorts
 from pichan.xir import to_xml
 
 import reference_frontend

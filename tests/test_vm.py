@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (Fusion, FusionClash, FusionEnv, In, IntLit, NameRef,
-                         NameSupply, New, Nil, Out, Par, Repeat, name_scan)
+                         NameSupply, New, Nil, Out, Par, Program, Repeat,
+                         SurfaceFormError, name_scan)
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
-from pichan.parser import Program, desugar, parse_program
+from pichan.parser import desugar, parse_program
 from pichan.vm import (DEFAULT_MAX_STEPS, Machine, NotStuck, Xorshift64Star,
                        detect_stuck, run, step)
 from pichan.xir import SchemaError, from_xml, to_xml
@@ -34,7 +35,7 @@ def _enumerate(m, strict):
 
 
 def _machine(src):
-    program = parse_program(src)
+    program = desugar(parse_program(src))
     return Machine.initialize(program, build_std_registry())
 
 
@@ -157,8 +158,8 @@ def _check_against_reference(m, seed, steps, strict):
 @given(st.integers(0, 10**6))
 @settings(max_examples=100, deadline=None)
 def test_enumerate_matches_reference_randgen(strict, seed):
-    program = gen_program(random.Random(seed), with_externs=False,
-                          max_nodes=60)
+    program = desugar(gen_program(random.Random(seed), with_externs=False,
+                                  max_nodes=60))
     m = Machine.initialize(program, build_std_registry())
     _check_against_reference(m, seed, 60, strict)
 
@@ -220,7 +221,7 @@ def test_host_tables_two_pending_on_fused_return_channels(strict):
     assert _enumerate(m, strict) == [("host-return", 0, "K2")]
     for seed in range(12):
         _check_against_reference(_machine(src), seed, 20, strict)
-        assert run(parse_program(src), seed=seed).status == "terminated"
+        assert run(desugar(parse_program(src)), seed=seed).status == "terminated"
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -318,7 +319,8 @@ def test_enumerate_cost_does_not_grow_with_idle_externs(monkeypatch, strict):
     assert counts[0] == counts[1]
 
 
-BENCH_FAMILIES = list(golden_traces.bench_families())
+BENCH_FAMILIES = [(name, desugar(program), max_steps) for name, program,
+                  max_steps in golden_traces.bench_families()]
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -331,7 +333,8 @@ def test_enumerate_matches_reference_bench_families(name, program, max_steps,
         _check_against_reference(m, seed, max_steps, strict)
 
 
-ENV_FAMILIES = list(golden_traces.env_families())
+ENV_FAMILIES = [(name, desugar(program), max_steps) for name, program,
+                max_steps in golden_traces.env_families()]
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -582,7 +585,8 @@ def test_comm_literal_attaches():
 
 def test_fusion_on_bound_name_fuses_its_run_time_name():
     # the fusion thread's a is the fresh name the New bound, not a's binder
-    trace = run(parse_program("new a in (a = b | a!()) | b?()"), seed=0)
+    trace = run(desugar(parse_program("new a in (a = b | a!()) | b?()")),
+                seed=0)
     assert [ev.line() for ev in trace.events] == ["0|fusion-applied|a=b",
                                                   "1|comm|a/0"]
     assert trace.status == "terminated"
@@ -659,9 +663,19 @@ def test_run_nil_terminates_empty():
     assert trace.events == [] and trace.status == "terminated"
 
 
+def test_run_and_initialize_refuse_a_surface_program():
+    # the VM runs core programs only: desugar comes first
+    program = parse_program("x?(v).nil")
+    with pytest.raises(SurfaceFormError):
+        run(program)
+    with pytest.raises(SurfaceFormError):
+        Machine.initialize(program, build_std_registry())
+    assert run(desugar(program)).status == "stuck-with-residuals"
+
+
 def test_run_account_program():
     src = ACCOUNT_EXTERN + "read!() | Ret2?(v).nil"
-    trace = run(parse_program(src), seed=0)
+    trace = run(desugar(parse_program(src)), seed=0)
     kinds = [ev.kind for ev in trace.events]
     assert kinds == ["host-call", "host-return"]
     assert "1976528" in trace.events[1].details
@@ -670,7 +684,7 @@ def test_run_account_program():
 
 
 def test_run_fusion_semantics_two_comms():
-    trace = run(parse_program("x!(a) | x?(v).v!(1) | a?(w)"), seed=0)
+    trace = run(desugar(parse_program("x!(a) | x?(v).v!(1) | a?(w)")), seed=0)
     kinds = [ev.kind for ev in trace.events]
     assert kinds == ["comm", "comm"]
     assert trace.status == "terminated"
@@ -768,7 +782,7 @@ def test_step_indices_strictly_increasing():
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_run_replay_identical(seed):
-    program = gen_program(random.Random(seed), with_externs=False)
+    program = desugar(gen_program(random.Random(seed), with_externs=False))
     t1 = run(program, seed=seed, max_steps=60)
     t2 = run(program, seed=seed, max_steps=60)
     assert t1.lines() == t2.lines()
@@ -780,7 +794,7 @@ def test_run_replay_identical(seed):
 def test_thread_count_law(seed):
     # comm removes 2 adds <=2 (as thread-level terms, before flattening its
     # continuations); unfold adds exactly 1; fusion removes exactly 1
-    program = gen_program(random.Random(seed), with_externs=False)
+    program = desugar(gen_program(random.Random(seed), with_externs=False))
     m = Machine.initialize(program, build_std_registry())
     rng = Xorshift64Star(seed)
     for _ in range(30):

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (Fusion, Name, NameRef, New, Nil, Out, StrLit,
-                         SurfaceFormError)
-from pichan.interop import ExternDecl
-from pichan.parser import Program, desugar, parse_program
+from pichan.core import (ExternDecl, Fusion, Name, NameRef, New, Nil, Out,
+                         Program, StrLit, SurfaceFormError)
+from pichan.parser import desugar, parse_program
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _quoted,
                         from_xml, to_xml, validate)
 
