@@ -100,8 +100,11 @@ def parse_manifest(raw, source: str = "<manifest>") -> ClassManifest:
 def generate_interface(manifest: ClassManifest, alias: str) -> str:
     """Extern-block source for the manifest; parses cleanly and passes the
     protocol schema check by construction."""
-    if not is_identifier(alias):
-        raise ManifestError(f"alias {alias!r} is not a valid identifier")
+    named = [("alias", alias), ("class name", manifest.class_name)]
+    for what, name in named + [("method name", m.name)
+                               for m in manifest.methods]:
+        if not is_identifier(name):
+            raise ManifestError(f"{what} {name!r} is not a valid identifier")
     taken = {m.name for m in manifest.methods}
     if alias in taken:
         raise AliasClash(f"alias {alias} collides with a method name")

@@ -26,7 +26,7 @@ import re
 
 from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
                    NameRef, NameSupply, New, Nil, Out, Par, Process, Program,
-                   Repeat, StrLit, UnitLit, Value, base_sort, program_scan)
+                   Repeat, StrLit, UnitLit, Value, base_sort)
 from .diag import Diagnostic, ParseError, Source
 
 KEYWORDS = {
@@ -92,11 +92,11 @@ def is_identifier(text: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, tokens: list, source: Source, supply: NameSupply):
+    def __init__(self, tokens: list, source: Source):
         self.tokens = tokens  # (kind, text, offset) tuples
         self.source = source  # of the tokens' offsets
         self.pos = 0
-        self.supply = supply
+        self.supply = NameSupply()
         self.globals: dict[str, Name] = {}  # extern channels
         self.aliases: set[str] = set()  # extern aliases
         self.free: dict[str, Name] = {}  # free names of main
@@ -361,12 +361,10 @@ class _Parser:
                               span=self.at(eq))
 
 
-def parse_program(text: str, filename: str = "<input>",
-                  supply: NameSupply = None) -> Program:
+def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse source text into a surface Program (binding inputs allowed).
     Raises ParseError carrying diagnostics with source spans."""
-    supply = supply or NameSupply()
-    parser = _Parser(tokenize(text, filename), Source(filename, text), supply)
+    parser = _Parser(tokenize(text, filename), Source(filename, text))
     externs = []
     while parser.peek()[0] == "extern":
         externs.append(parser.parse_extern())
@@ -383,49 +381,21 @@ def parse_program(text: str, filename: str = "<input>",
 
 def desugar(program: Program) -> Program:
     """Every binding input x?(v).P becomes new v' in x?<v'>.P{v'/v}, with v'
-    fresh.  Two explicit-stack passes, so chain depth cannot overflow the
-    Python stack: fresh names are allocated first, then the tree is rebuilt
-    once under a scoped renaming.  Spans are kept."""
-    supply = NameSupply(program_scan(program)[0] + 1)
-    fresh = _fresh_binders(program.main, supply)
-    return Program(program.externs, _rename(program.main, fresh))
-
-
-def _fresh_binders(p: Process, supply: NameSupply) -> list:
-    """The fresh names of each binding input, listed in pre-order.  Ids are
-    allocated in post-order: a continuation before its own binders, the
-    left of a Par before its right."""
+    fresh, in one explicit-stack walk, so chain depth cannot overflow the
+    Python stack.  A New of a renamed id shadows the renaming.  Spans are
+    kept.  Fresh ids start above every id of the program, extern channels
+    included, in the order the inputs are built: a continuation before its
+    own binders, the left of a Par before its right."""
+    ids = [-1] + [n.id for d in program.externs for n in d.channels()]
+    # the fresh names in that order, made with id None and numbered once
+    # every id is read: Name hashes and compares by id, so until then they
+    # are only stored, never hashed or compared
     fresh = []
-    stack = [p]
-    while stack:
-        p = stack.pop()
-        kind = type(p)
-        if kind is tuple:  # (slot, objects) once the continuation is done
-            fresh[p[0]] = tuple(supply.fresh(o.display) for o in p[1])
-        elif kind is Par:
-            stack += (p.right, p.left)
-        elif kind is In:
-            if p.binding:
-                stack.append((len(fresh), p.objects))
-                fresh.append(None)
-            stack.append(p.cont)
-        elif kind is Out:
-            stack.append(p.cont)
-        elif kind is New or kind is Repeat:
-            stack.append(p.body)
-    return fresh
-
-
-def _rename(p: Process, fresh: list) -> Process:
-    """p with each binding input replaced by restrictions of its fresh
-    names (taken from fresh in pre-order) over a free input, and each bound
-    occurrence renamed.  A New of a renamed id shadows the renaming."""
-    binders = iter(fresh)
     env = {}  # bound id -> fresh name (None: not renamed), changed in place
     built = []
     # a node to visit, (node, fields) to build once its children are, or
     # the env entries to restore
-    stack = [p]
+    stack = [program.main]
     while stack:
         p = stack.pop()
         kind = type(p)
@@ -438,29 +408,34 @@ def _rename(p: Process, fresh: list) -> Process:
             q = kind(*fields, *built[-n:], span=p.span)
             del built[-n:]
             if kind is In and p.binding:
+                fresh += fields[1]
                 for f in reversed(fields[1]):
                     q = New(f, q, span=p.span)
             built.append(q)
         elif kind is Nil:
             built.append(p)
         elif kind is Fusion:
-            built.append(Fusion(_rename_value(p.left, env),
-                                _rename_value(p.right, env), span=p.span))
+            built.append(Fusion(_rename_value(p.left, env, ids),
+                                _rename_value(p.right, env, ids), span=p.span))
         elif kind is Par:
             stack += ((p, ()), p.right, p.left)
         elif kind is New:  # shadows a renaming of its id
+            ids.append(p.name.id)
             stack += ((p, (p.name,)), {p.name.id: env.get(p.name.id)}, p.body)
             env[p.name.id] = None
         elif kind is Repeat:
             stack += ((p, ()), p.body)
         elif kind is Out:
-            objects = tuple(_rename_value(v, env) for v in p.objects)
+            ids.append(p.subject.id)
+            objects = tuple(_rename_value(v, env, ids) for v in p.objects)
             stack += ((p, (env.get(p.subject.id) or p.subject, objects)),
                       p.cont)
         elif kind is In:
+            ids.append(p.subject.id)
+            ids += [o.id for o in p.objects]
             subject = env.get(p.subject.id) or p.subject
             if p.binding:
-                objects = next(binders)
+                objects = tuple(Name(None, o.display) for o in p.objects)
                 stack.append({o.id: env.get(o.id) for o in p.objects})
                 # the first of repeated parameters wins, as in substitution
                 env.update(zip([o.id for o in reversed(p.objects)],
@@ -470,10 +445,15 @@ def _rename(p: Process, fresh: list) -> Process:
             stack += ((p, (subject, objects, False)), p.cont)
         else:
             raise TypeError(p)
-    return built[0]
+    for i, n in enumerate(fresh, max(ids) + 1):
+        n.id = i
+    return Program(program.externs, built[0])
 
 
-def _rename_value(v: Value, env: dict) -> Value:
-    if type(v) is NameRef and env.get(v.name.id):
-        return NameRef(env[v.name.id])
+def _rename_value(v: Value, env: dict, ids: list) -> Value:
+    """v renamed under env; ids gets v's id when v is a name."""
+    if type(v) is NameRef:
+        ids.append(v.name.id)
+        if env.get(v.name.id):
+            return NameRef(env[v.name.id])
     return v

@@ -602,8 +602,6 @@ def run(program, seed: int = 0, max_steps: int = DEFAULT_MAX_STEPS,
                 status = "terminated"
             break
         events.append(ev)
-    else:
-        status = "step-limit"
     if status == "step-limit" and not machine.threads and not _has_pending(machine):
         status = "terminated"
     return Trace(events, status, machine)

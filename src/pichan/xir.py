@@ -222,7 +222,7 @@ def _split_value(text: str, what: str, names: dict) -> Value:
 
 
 def _parse_sorts(text: str, what: str) -> tuple:
-    if text == "" or text == "void":
+    if text == "":
         return ()
     sorts = []
     for part in text.split(","):

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from xml.sax.saxutils import quoteattr
 
 from pichan.core import (BOOL, INT, STR, UNIT, BaseSort, BoolLit, Fusion, In,
-                         IntLit, Name, NameRef, NameSupply, New, Nil, Out, Par,
-                         Process, Program, Repeat, StrLit, SurfaceFormError,
-                         UnitLit, name_scan)
+                         IntLit, Name, NameRef, New, Nil, Out, Par, Process,
+                         Program, Repeat, StrLit, SurfaceFormError, UnitLit,
+                         name_scan)
 from pichan.diag import Diagnostic, Source
 from pichan.parser import _Parser, tokenize
 from pichan.typecheck import SHOW_LIMIT, extern_channel_table
@@ -117,8 +117,7 @@ class _RecursiveParser(_Parser):
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
-    parser = _RecursiveParser(tokenize(text, filename), Source(filename, text),
-                              NameSupply())
+    parser = _RecursiveParser(tokenize(text, filename), Source(filename, text))
     externs = []
     while parser.peek()[0] == "extern":
         externs.append(parser.parse_extern())

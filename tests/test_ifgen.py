@@ -72,6 +72,18 @@ def test_bad_class_name(name):
         parse_manifest({"class": name})
 
 
+@pytest.mark.parametrize("manifest, error", [
+    (ClassManifest("1x", (ManifestMethod("inc", (), "void"),)),
+     "class name '1x' is not a valid identifier"),
+    (ClassManifest("C", (ManifestMethod("nil", (), "void"),)),
+     "method name 'nil' is not a valid identifier"),
+], ids=["class-1x", "method-nil"])
+def test_generate_interface_refuses_bad_names(manifest, error):
+    # a manifest built in code has not been through parse_manifest's checks
+    with pytest.raises(ManifestError, match=error):
+        generate_interface(manifest, "A")
+
+
 def test_underscore_names_accepted():
     # the tokenizer reads _inc, _C and _A as identifiers
     m = parse_manifest({"class": "_C", "methods": [

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (INT, Fusion, In, IntLit, NameRef, NameSupply, New,
-                         Nil, Out, Par, Program, Repeat, StrLit, name_scan)
+from pichan.core import (INT, ExternDecl, Fusion, In, IntLit, MethodDecl,
+                         NameRef, NameSupply, New, Nil, Out, Par, Program,
+                         Repeat, StrLit, name_scan)
 from pichan.diag import ParseError, Source
 from pichan.parser import _TOKEN_RE, desugar, parse_program, tokenize
 from pichan.typecheck import check_sorts
@@ -359,6 +360,17 @@ def test_desugar_matches_reference_on_hand_built_terms():
               In(x, (v, w), True, In(w, (v,), False, Fusion(NameRef(v),
                                                             NameRef(w))))]:
         _same_core(Program((), p))
+    # the largest id is an extern channel's: fresh ids must start above it
+    call, ret = supply.fresh("inc"), supply.fresh("Ret1")
+    decl = ExternDecl("A", "C", (MethodDecl("inc", call, (), ret, (INT,)),))
+    _same_core(Program((decl,), shared))
+
+
+def test_desugar_fresh_ids_start_above_renamed_binders():
+    # v#1 is renamed away, yet it still bounds the fresh id
+    assert to_xml(desugar(parse_program("x?(v).nil"))) == (
+        '<pic version="3">\n<externs/>\n<process>\n<new name="v#2">\n'
+        '<in subject="x#0" a0="name:v#2"/>\n</new>\n</process>\n</pic>\n')
 
 
 def test_desugar_keeps_spans_under_binding_input():

@@ -265,8 +265,10 @@ _READ = '<method name="read" call="read#2" params="" ret="Ret2#3" result="int"/>
     ('ret="Ret2#3"', 'ret="Ret2"', "bad name reference 'Ret2' in ret"),
     ('result="int"', 'result="int,int"',
      "method read: result 'int,int' holds more than one sort"),
+    ('params=""', 'params="void"', "unknown sort 'void' in call"),
+    ('result="int"', 'result="void"', "unknown sort 'void' in ret"),
 ], ids=["child", "missing-attribute", "unknown-attribute", "bad-sort",
-        "bad-channel-name", "two-result-sorts"])
+        "bad-channel-name", "two-result-sorts", "void-params", "void-result"])
 def test_bad_method_element_is_e_schema(old, new, error):
     doc = _account_document()
     assert doc.count(_READ) == 1
