@@ -320,6 +320,7 @@ class ExternDecl(Record):
 
 class Program(Record):
     _fields = ("externs", "main")
+    _scan = None
 
     def __init__(self, externs: tuple, main: Process):
         self.externs = externs  # tuple[ExternDecl, ...]
@@ -328,7 +329,10 @@ class Program(Record):
 
 def program_scan(program: Program) -> tuple[int, bool]:
     """The largest name id in program, extern channels included (at least
-    -1), and whether its main process is in core form: one name_scan."""
+    -1), and whether its main process is in core form: one name_scan, or
+    the _scan that xir.from_xml set."""
+    if program._scan:
+        return program._scan
     top, core = name_scan(program.main)
     return max([top] + [n.id for d in program.externs
                         for n in d.channels()]), core

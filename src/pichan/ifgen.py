@@ -61,12 +61,38 @@ def load_manifest(path) -> ClassManifest:
     return parse_manifest(raw, source=str(path))
 
 
+def _check_name(what: str, name: str, source: str) -> None:
+    if not is_identifier(name):
+        raise ManifestParseError(
+            f"{source}: {what} {name!r} is not a valid identifier")
+
+
+def _check_method(name: str, params, returns, seen: set,
+                  source: str) -> ManifestMethod:
+    """The method, if its name is an identifier not in seen and its
+    sorts parse."""
+    _check_name("method name", name, source)
+    if name in seen:
+        raise DuplicateMethod(f"{source}: duplicate method {name}")
+    seen.add(name)
+    if (not isinstance(params, (list, tuple)) or not isinstance(returns, str)
+            or not all(isinstance(s, str) for s in params)):
+        raise ManifestParseError(f"{source}: {name} needs 'params', a "
+                                 f"list of sort names, and a 'returns' sort")
+    for s in params:
+        if s not in SORT_NAMES:
+            raise UnknownSort(f"{source}: unknown sort {s!r} in {name}")
+        if s == "void":
+            raise UnknownSort(f"{source}: void cannot be a parameter of {name}")
+    if returns not in SORT_NAMES:
+        raise UnknownSort(f"{source}: unknown sort {returns!r} in {name}")
+    return ManifestMethod(name, tuple(params), returns)
+
+
 def parse_manifest(raw, source: str = "<manifest>") -> ClassManifest:
     if not isinstance(raw, dict) or not isinstance(raw.get("class"), str):
         raise ManifestParseError(f"{source}: expected an object with a 'class' name")
-    if not is_identifier(raw["class"]):
-        raise ManifestParseError(
-            f"{source}: class name {raw['class']!r} is not a valid identifier")
+    _check_name("class name", raw["class"], source)
     methods = []
     seen = set()
     if not isinstance(raw.get("methods", []), list):
@@ -74,61 +100,37 @@ def parse_manifest(raw, source: str = "<manifest>") -> ClassManifest:
     for entry in raw.get("methods", []):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ManifestParseError(f"{source}: method entries need a 'name'")
-        name = entry["name"]
-        if not is_identifier(name):
-            raise ManifestParseError(
-                f"{source}: method name {name!r} is not a valid identifier")
-        if name in seen:
-            raise DuplicateMethod(f"{source}: duplicate method {name}")
-        seen.add(name)
-        params, returns = entry.get("params", []), entry.get("returns", "void")
-        if (not isinstance(params, list) or not isinstance(returns, str)
-                or not all(isinstance(s, str) for s in params)):
-            raise ManifestParseError(f"{source}: {name} needs 'params', a "
-                                     f"list of sort names, and a 'returns' sort")
-        for s in params:
-            if s not in SORT_NAMES:
-                raise UnknownSort(f"{source}: unknown sort {s!r} in {name}")
-            if s == "void":
-                raise UnknownSort(f"{source}: void cannot be a parameter of {name}")
-        if returns not in SORT_NAMES:
-            raise UnknownSort(f"{source}: unknown sort {returns!r} in {name}")
-        methods.append(ManifestMethod(name, tuple(params), returns))
+        methods.append(_check_method(entry["name"], entry.get("params", []),
+                                     entry.get("returns", "void"), seen, source))
     return ClassManifest(raw["class"], tuple(methods))
 
 
 def generate_interface(manifest: ClassManifest, alias: str) -> str:
     """Extern-block source for the manifest; parses cleanly and passes the
     protocol schema check by construction."""
-    named = [("alias", alias), ("class name", manifest.class_name)]
-    for what, name in named + [("method name", m.name)
-                               for m in manifest.methods]:
-        if not is_identifier(name):
-            raise ManifestError(f"{what} {name!r} is not a valid identifier")
-    taken = {m.name for m in manifest.methods}
+    if not is_identifier(alias):
+        raise ManifestError(f"alias {alias!r} is not a valid identifier")
+    _check_name("class name", manifest.class_name, "<manifest>")
+    taken = set()  # method names, then return channels
+    for m in manifest.methods:
+        _check_method(m.name, m.params, m.returns, taken, "<manifest>")
     if alias in taken:
         raise AliasClash(f"alias {alias} collides with a method name")
     lines = [f"extern {alias} -> class {manifest.class_name} {{"]
-    ret_channels = []
     for i, m in enumerate(manifest.methods, start=1):
         ret_chan = f"Ret{i}"
         while ret_chan in taken:
             ret_chan += "_"
         taken.add(ret_chan)
-        ret_channels.append(ret_chan)
+        params = ", ".join(m.params)
+        result = m.returns if m.returns != "void" else ""
+        lines += (f"  {m.returns} {m.name}({params}) {{",
+                  f"    call {m.name}: {params or 'void'};",
+                  f"    return {ret_chan}: {m.returns};",
+                  f"  }} acceded as {{rec S {{{m.name}({params})."
+                  f"{ret_chan}({result}).S}}}}")
     if alias in taken:
         raise AliasClash(f"alias {alias} collides with a channel name")
-    for m, ret_chan in zip(manifest.methods, ret_channels):
-        params = ", ".join(m.params)
-        payload = ", ".join(m.params) if m.params else "void"
-        result = m.returns
-        proto_args = ", ".join(m.params)
-        proto_ret = result if result != "void" else ""
-        lines.append(f"  {result} {m.name}({params}) {{")
-        lines.append(f"    call {m.name}: {payload};")
-        lines.append(f"    return {ret_chan}: {result};")
-        lines.append(f"  }} acceded as {{rec S {{{m.name}({proto_args})."
-                     f"{ret_chan}({proto_ret}).S}}}}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,41 +1,35 @@
 """XML execution format: the interchange representation between the
 compiler and the virtual machine.
 
-The element set follows the core AST, one element per action.  An
-``<out>``, ``<in>``, ``<new>`` or ``<repeat>`` holds its continuation as its
-one child element, and no child means nil, so ``<nil/>`` appears only as a
-``<par>`` child or as the whole process.  An action's arguments are the
-attributes ``a0``, ``a1``, ... in the ``kind:value`` grammar of ``<fusion>``
-(``name:x#3``, ``str:...``, ``unit:``), which XML quoting covers.  One
-``<par>`` holds the right spine of a ``|`` chain, two or more children:
-``Par(a, Par(b, c))`` is ``<par>a b c</par>``, while a Par in left position
-nests; the reader folds children to the right, so binary pars read to the
-same program.
+One element per action: an ``<out>``, ``<in>``, ``<new>`` or ``<repeat>``
+holds its continuation as its one child, and no child means nil.  Action
+arguments are the attributes ``a0``, ``a1``, ... in the ``kind:value``
+grammar of ``<fusion>`` sides (``name:x#3``, ``unit:``).  One ``<par>``
+holds the right spine of a ``|`` chain; the reader folds children to the
+right, so binary pars read to the same program.  An extern method is one
+empty ``<method/>`` naming its channels and sorts, and no protocol:
+``check`` accepts only the canonical one.
 
-Each extern method is one empty element that names its channels and
-their sorts: ``<method name="read" call="read#0" params="" ret="Ret2#1"
-result="int"/>``; ``result`` holds at most one sort, as a return delivers
-one value.  Its protocol is not written: ``check`` accepts only the
-canonical call-then-return cycle, which the VM assumes.
-
-Serialization is deterministic: one element per line with no indentation,
+Serialization is deterministic: one element per line, no indentation,
 fixed attribute order, names written as ``display#id``.  Equal programs
-produce byte-identical documents and ``from_xml(to_xml(p)) == p`` exactly,
-ids included.  Whitespace between elements is ignored, so indented
-documents load too.  This is version "3"; an earlier version (2 wrote each
-method's protocol automaton, 1 also wrapped continuations in ``<cont>`` and
-arguments in ``<arg>``) is a VersionError.  Writer and reader use explicit
-stacks, so nesting depth is bounded by memory alone.
+give byte-identical documents and ``from_xml(to_xml(p)) == p``, ids
+included; indented documents load too.  This is version "3"; an earlier
+one is a VersionError.  Writer and reader use explicit stacks, so depth is
+bounded by memory alone, but ``==`` on programs recurses (a 400-wide ``|``
+raises RecursionError): deep programs compare by ``to_xml``.  The reader
+records on the Program what ``program_scan`` finds: the top id of its
+names table (extern channels included), and core form, as it reads only
+free inputs.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from functools import cache
+from operator import itemgetter
 
 from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
-                   NameRef, New, Nil, Out, Par, Process, Program, Repeat,
+                   NameRef, New, NIL, Nil, Out, Par, Process, Program, Repeat,
                    StrLit, SurfaceFormError, UnitLit, Value, base_sort)
 from .diag import Diagnostic
 
@@ -178,12 +172,10 @@ def to_xml(program: Program) -> str:
 def _decimal(text: str) -> int | None:
     """int(text) for decimal digits after at most one '-' (int() alone also
     takes "+1" or "1_0"); else, or past int()'s limit, None."""
-    if text.removeprefix("-").isdecimal():
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's int-conversion limit
-            pass
-    return None
+    try:
+        return int(text) if text.removeprefix("-").isdecimal() else None
+    except ValueError:  # past the interpreter's int-conversion limit
+        return None
 
 
 def _parse_name(text: str, what: str, names: dict) -> Name:
@@ -222,67 +214,36 @@ def _split_value(text: str, what: str, names: dict) -> Value:
 
 
 def _parse_sorts(text: str, what: str) -> tuple:
-    if text == "":
-        return ()
-    sorts = []
-    for part in text.split(","):
-        s = base_sort(part)
-        if s is None:
+    parts = text.split(",") if text else []
+    for part in parts:
+        if base_sort(part) is None:
             raise SchemaError(f"unknown sort {part!r} in {what}")
-        sorts.append(s)
-    return tuple(sorts)
+    return tuple(map(base_sort, parts))
 
 
 def _attrs(elem, required: tuple, what: str) -> list:
     attrib = elem.attrib
-    if len(attrib) == len(required):
-        try:
-            return [attrib[a] for a in required]
-        except KeyError:
-            pass
+    if len(attrib) == len(required) and all(a in attrib for a in required):
+        return [attrib[a] for a in required]
     raise SchemaError(f"{what}: expected attributes {sorted(required)}, "
                       f"found {sorted(attrib)}")
 
 
-def _check_use(n: Name, seen: set, closed: set) -> None:
-    """A name used must not be a binder id whose new has closed."""
-    if n.id in closed:
-        raise SchemaError(f"name {_name_text(n)} occurs outside its new")
-    seen.add(n.id)
-
-
-def _check_binder(n: Name, channels: set, seen: set, bound: set) -> None:
-    """A new's id is bound once, is no extern channel's and does not occur
-    before its new."""
-    if n.id in bound:
-        raise SchemaError(f"binder id {n.id} of new {_name_text(n)} is "
-                          f"already bound")
-    if n.id in channels:
-        raise SchemaError(f"binder id {n.id} of new {_name_text(n)} is an "
-                          f"extern channel id")
-    if n.id in seen:
-        raise SchemaError(f"name {_name_text(n)} occurs outside its new")
-    bound.add(n.id)
-
-
-@cache
-def _action_keys(count: int) -> tuple:
-    """The count attributes of an out or in: subject, a0, a1, ..."""
-    return ("subject", *(f"a{i}" for i in range(count - 1)))
+def _outside(n: Name) -> SchemaError:
+    return SchemaError(f"name {_name_text(n)} occurs outside its new")
 
 
 def _read_proc(elem, names: dict, channels: set) -> Process:
-    """The process of elem, from a stack: each element is checked when it
-    is reached, in document order, and its node is built from the top of
-    built once its children are; a par's children fold to the right, and an
-    action with no child continues as nil.
-
-    Binder ids are checked on the way (_check_binder, _check_use): the VM
-    binds a new's id in a shared environment, which is sound only when no
-    id is bound twice and none occurs outside its new."""
+    """The process of elem, from a stack, in document order: each element
+    is checked when reached and built once its child is (an action with
+    none at once on NIL); par children fold to the right.  The VM binds a
+    new's id in a shared environment, sound only if no id is bound twice
+    or occurs outside its new, as checked here."""
     built = []
     stack = [elem]
     seen, bound, closed = set(), set(), set()  # ids: used, bound, out of scope
+    values = {}  # argument text -> Value, read once
+    getters = {}  # out/in attribute count -> (getter, keys)
     while stack:
         elem = stack.pop()
         if type(elem) is tuple:  # (constructor, fields): the children are built
@@ -292,67 +253,95 @@ def _read_proc(elem, names: dict, channels: set) -> Process:
                 for _ in range(fields - 1):
                     p = Par(built.pop(), p)
                 built.append(p)
-            else:
-                if make is New:
-                    closed.add(fields[0].id)
-                built.append(make(*fields, built.pop()))
-            continue
-        tag = elem.tag
-        if tag == "out" or tag == "in":
-            # the subject and its arguments, read and used in one place
-            subject, *args = _attrs(elem, _action_keys(len(elem.attrib)), tag)
-            args = tuple(_split_value(a, tag, names) for a in args)
-            subj = _parse_name(subject, tag, names)
-            _check_use(subj, seen, closed)
+                continue
+        elif (tag := elem.tag) == "out" or tag == "in":
+            attrib = elem.attrib
+            if len(attrib) not in getters:
+                keys = ("subject", *(f"a{i}" for i in range(len(attrib) - 1)))
+                get = (itemgetter(*keys) if keys[1:]
+                       else lambda a: (a["subject"],))
+                getters[len(attrib)] = get, keys
+            get, keys = getters[len(attrib)]
+            try:
+                subject, *texts = get(attrib)
+            except KeyError:
+                _attrs(elem, keys, tag)  # raises
+            args = tuple([values.get(text) or values.setdefault(
+                text, _split_value(text, tag, names)) for text in texts])
+            subj = names.get(subject) or _parse_name(subject, tag, names)
+            if subj.id in closed:
+                raise _outside(subj)
+            seen.add(subj.id)
+            objects = []
             for v in args:
                 if type(v) is NameRef:
-                    _check_use(v.name, seen, closed)
-            make, fields = (Out if tag == "out" else _free_input), (subj, args)
+                    if v.name.id in closed:
+                        raise _outside(v.name)
+                    seen.add(v.name.id)
+                    objects.append(v.name)
+            if tag == "out":
+                make, fields = Out, (subj, args)
+            else:  # None: not all names, raised after the child
+                objects = tuple(objects) if len(objects) == len(args) else None
+                make, fields = In, (subj, objects, False)
         elif tag == "new":
-            (name,) = _attrs(elem, ("name",), "new")
-            n = _parse_name(name, "new", names)
-            _check_binder(n, channels, seen, bound)
+            attrib = elem.attrib
+            if len(attrib) != 1 or "name" not in attrib:
+                _attrs(elem, ("name",), "new")  # raises
+            text = attrib["name"]
+            n = names.get(text) or _parse_name(text, "new", names)
+            if n.id in bound or n.id in channels:
+                raise SchemaError(f"binder id {n.id} of new {_name_text(n)} "
+                                  + ("is already bound" if n.id in bound
+                                     else "is an extern channel id"))
+            if n.id in seen:
+                raise _outside(n)
+            bound.add(n.id)
             make, fields = New, (n,)
-        elif tag == "repeat":
-            _attrs(elem, (), "repeat")
-            make, fields = Repeat, ()
-        elif tag == "nil":
-            _attrs(elem, (), "nil")
-            if len(elem) != 0:
-                raise SchemaError("nil takes no children")
-            built.append(Nil())
-            continue
-        elif tag == "par":
-            _attrs(elem, (), "par")
-            if len(elem) < 2:
-                raise SchemaError("par takes at least 2 children")
-            stack += ((Par, len(elem)), *reversed(elem))
-            continue
         elif tag == "fusion":
-            left, right = _attrs(elem, ("left", "right"), "fusion")
+            sides = _attrs(elem, ("left", "right"), "fusion")
             if len(elem) != 0:
                 raise SchemaError("fusion takes no children")
-            left, right = (_split_value(v, "fusion", names) for v in (left, right))
-            for v in (left, right):
+            sides = [_split_value(v, "fusion", names) for v in sides]
+            for v in sides:
                 if type(v) is NameRef:
-                    _check_use(v.name, seen, closed)
-            built.append(Fusion(left, right))
+                    if v.name.id in closed:
+                        raise _outside(v.name)
+                    seen.add(v.name.id)
+            built.append(Fusion(*sides))
             continue
+        elif tag in ("repeat", "nil", "par"):
+            if elem.attrib:
+                _attrs(elem, (), tag)  # raises
+            if tag == "repeat":
+                make, fields = Repeat, ()
+            elif tag == "nil":
+                if len(elem) != 0:
+                    raise SchemaError("nil takes no children")
+                built.append(NIL)
+                continue
+            else:
+                if len(elem) < 2:
+                    raise SchemaError("par takes at least 2 children")
+                stack += ((Par, len(elem)), *reversed(elem))
+                continue
         else:
             raise SchemaError(f"unknown element {tag!r}")
-        if len(elem) > 1:  # an action: its one child, or none for nil
+        if type(elem) is tuple:
+            cont = built.pop()
+        elif len(elem) > 1:  # an action: its one child, or none for nil
             raise SchemaError(f"{tag} takes at most 1 child")
-        if not len(elem):
-            built.append(Nil())
-        stack += ((make, fields), *elem)
+        elif len(elem):
+            stack += ((make, fields), elem[0])
+            continue
+        else:
+            cont = NIL
+        if make is New:
+            closed.add(fields[0].id)
+        elif make is In and fields[1] is None:
+            raise SchemaError("in arguments must be names")
+        built.append(make(*fields, cont))
     return built[0]
-
-
-def _free_input(subject: Name, args: tuple, cont: Process) -> In:
-    # runs once the continuation is read, so its errors come first
-    if not all(type(v) is NameRef for v in args):
-        raise SchemaError("in arguments must be names")
-    return In(subject, tuple(v.name for v in args), False, cont)
 
 
 def _read_extern(elem, names: dict) -> ExternDecl:
@@ -405,7 +394,9 @@ def from_xml(document) -> Program:
     if len(root[1]) != 1:
         raise SchemaError("process takes exactly 1 child")
     channels = {n.id for d in externs for n in d.channels()}
-    return Program(externs, _read_proc(root[1][0], names, channels))
+    program = Program(externs, _read_proc(root[1][0], names, channels))
+    program._scan = max((n.id for n in names.values()), default=-1), True
+    return program
 
 
 def validate(document) -> list:

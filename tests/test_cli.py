@@ -1,19 +1,28 @@
 """End-to-end tests for the command-line pipeline and its exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pichan import core
 from pichan.cli import (EXIT_FAULT, EXIT_IO, EXIT_OK, EXIT_STEP_LIMIT,
                         EXIT_STUCK, EXIT_SYNTAX, EXIT_TYPE, main)
-from pichan.xir import from_xml, validate
+from pichan.parser import desugar, parse_program
+from pichan.xir import from_xml, to_xml, validate
 
 from printer import format_program
+from test_deep_inputs import _mutants
 from test_ifgen import ACCOUNT_MANIFEST
 from test_parser import ACCOUNT_EXTERN
 
@@ -647,3 +656,51 @@ def test_commands_import_no_heavy_modules(tmp_path):
     # check runs without the VM or the XIR reader and writer
     assert lines[0] == "[0] []"
     assert lines[-1] == "[0, 0, 0] []"
+
+
+# ---------------------------------------------------------------------------
+# run on loaded programs: no second walk, and mutated documents
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
+def test_run_does_not_scan_a_loaded_program_again(sample, tmp_path, capsys,
+                                                  monkeypatch):
+    # the reader records the top id, so Machine.initialize needs no walk
+    out = tmp_path / (sample.stem + ".xir.xml")
+    assert main(["compile", str(sample), "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    before = main(["run", str(out), "--seed", "0"]), capsys.readouterr()
+
+    def walk(*args):
+        raise AssertionError("a loaded program was walked again")
+
+    monkeypatch.setattr(core, "name_scan", walk)
+    assert (main(["run", str(out), "--seed", "0"]),
+            capsys.readouterr()) == before
+
+
+_SAMPLE_DOCUMENTS = [to_xml(desugar(parse_program(path.read_text(), path.name)))
+                     for path in SAMPLES]
+
+
+def _run_captured(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(path), "--seed", "0", "--max-steps", "200"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.integers(0, len(SAMPLES) - 1), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_run_on_mutated_sample_xir_ends_in_a_run_exit_code(index, seed):
+    # ROADMAP item 6, compiled-XIR slice: one of the single or paired edits
+    # of test_deep_inputs._mutants, run twice
+    rng = random.Random(seed)
+    mutants = list(_mutants(_SAMPLE_DOCUMENTS[index], rng))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.xir.xml"
+        path.write_text(rng.choice(mutants), encoding="utf-8")
+        first = _run_captured(path)
+        assert _run_captured(path) == first
+    assert first[0] in {EXIT_OK, EXIT_TYPE, EXIT_STUCK, EXIT_FAULT,
+                        EXIT_STEP_LIMIT}

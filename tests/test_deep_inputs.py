@@ -45,7 +45,7 @@ def _left_nested_par_document(depth):
 
 def test_run_100000_deep_left_nested_par(tmp_path, capsys):
     doc = _left_nested_par_document(100_000)
-    assert to_xml(from_xml(doc)) == doc  # not ==: dataclass __eq__ recurses
+    assert to_xml(from_xml(doc)) == doc  # not ==: Record __eq__ recurses
     path = tmp_path / "deep.xir.xml"
     path.write_text(doc)
     assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STUCK

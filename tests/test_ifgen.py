@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,45 @@ def test_generate_interface_refuses_bad_names(manifest, error):
     # a manifest built in code has not been through parse_manifest's checks
     with pytest.raises(ManifestError, match=error):
         generate_interface(manifest, "A")
+
+
+@pytest.mark.parametrize("methods, error", [
+    ((ManifestMethod("m", ("float",), "void"),), "unknown sort 'float' in m"),
+    ((ManifestMethod("m", (), "float"),), "unknown sort 'float' in m"),
+    ((ManifestMethod("m", ("void",), "void"),),
+     "void cannot be a parameter of m"),
+    ((ManifestMethod("m", (), "void"), ManifestMethod("m", ("int",), "int")),
+     "duplicate method m"),
+], ids=["float-param", "float-result", "void-param", "two-m"])
+def test_generate_interface_refuses_what_parse_manifest_refuses(methods,
+                                                                error):
+    # each block would fail to parse: E-SYNTAX expected a sort, or extern
+    # method m declared twice
+    with pytest.raises(ManifestError, match=re.escape(error)) as by_code:
+        generate_interface(ClassManifest("C", methods), "A")
+    raw = {"class": "C", "methods": [
+        {"name": m.name, "params": list(m.params), "returns": m.returns}
+        for m in methods]}
+    with pytest.raises(type(by_code.value), match=re.escape(error)):
+        parse_manifest(raw)
+
+
+_NAMES = st.sampled_from(["m", "n", "nil", "1x", "Ret1", "A", "_k"])
+_SORTS = st.sampled_from(["int", "string", "bool", "void", "float", ""])
+
+
+@given(st.lists(st.builds(ManifestMethod, _NAMES,
+                          st.lists(_SORTS, max_size=2).map(tuple), _SORTS),
+                max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_generate_interface_output_always_parses(methods):
+    # a manifest built in code: the block parses, or ManifestError
+    try:
+        text = generate_interface(ClassManifest("C", tuple(methods)), "A")
+    except ManifestError:
+        return
+    d = parse_program(text + "nil").externs[0]
+    assert [m.name for m in d.methods] == [m.name for m in methods]
 
 
 def test_underscore_names_accepted():

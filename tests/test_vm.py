@@ -609,13 +609,15 @@ def test_unfold_adds_one_thread():
 
 
 def test_new_eliminated_on_insert():
-    program = parse_program("new a in a!(1)")
-    m = Machine.initialize(program, build_std_registry())
-    assert len(soup(m)) == 1
-    assert isinstance(soup(m)[0], Out)
-    # the binder became a fresh name, above every id in the program
-    a = soup(m)[0].subject
-    assert a.display == "a" and a.id > name_scan(program.main)[0]
+    built = parse_program("new a in a!(1)")
+    # as built, and as run loads it: through XIR, with the reader's scan
+    for program in (built, from_xml(to_xml(built))):
+        m = Machine.initialize(program, build_std_registry())
+        assert len(soup(m)) == 1
+        assert isinstance(soup(m)[0], Out)
+        # the binder became a fresh name, above every id in the program
+        a = soup(m)[0].subject
+        assert a.display == "a" and a.id > name_scan(program.main)[0]
 
 
 def test_thread_is_code_node_plus_environment():

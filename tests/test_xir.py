@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (ExternDecl, Fusion, Name, NameRef, New, Nil, Out,
-                         Program, StrLit, SurfaceFormError)
+                         Program, StrLit, SurfaceFormError, program_scan)
 from pichan.parser import desugar, parse_program
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _quoted,
                         from_xml, to_xml, validate)
@@ -308,21 +308,30 @@ def _process_doc(process):
     return f'<pic version="3"><externs/><process>{process}</process></pic>'
 
 
-@pytest.mark.parametrize("element,found", [
-    ('<out subject="x#0" a1="int:1"/>', "['a1', 'subject']"),
-    ('<out subject="x#0" a0="int:1" a2="int:2"/>', "['a0', 'a2', 'subject']"),
+@pytest.mark.parametrize("element,message", [
+    ('<out subject="x#0" a1="int:1"/>',
+     "out: expected attributes ['a0', 'subject'], found ['a1', 'subject']"),
+    ('<out subject="x#0" a0="int:1" a2="int:2"/>',
+     "out: expected attributes ['a0', 'a1', 'subject'], "
+     "found ['a0', 'a2', 'subject']"),
     ('<in subject="x#0" a0="name:y#1" bogus="1"/>',
-     "['a0', 'bogus', 'subject']"),
-    ('<out a0="int:1"/>', "['a0']"),
-    ('<new name="a#0" a0="int:1"/>', "['a0', 'name']"),
-    ('<repeat a0="int:1"/>', "['a0']"),
-], ids=["a1-without-a0", "a2-without-a1", "unknown", "no-subject", "new",
-        "repeat"])
-def test_bad_action_attributes_are_e_schema(element, found):
+     "in: expected attributes ['a0', 'a1', 'subject'], "
+     "found ['a0', 'bogus', 'subject']"),
+    ('<out a0="int:1"/>', "out: expected attributes ['subject'], found ['a0']"),
+    ("<in/>", "in: expected attributes ['subject'], found []"),
+    ('<new name="a#0" a0="int:1"/>',
+     "new: expected attributes ['name'], found ['a0', 'name']"),
+    ("<new/>", "new: expected attributes ['name'], found []"),
+    ('<repeat a0="int:1"/>', "repeat: expected attributes [], found ['a0']"),
+], ids=["a1-without-a0", "a2-without-a1", "unknown", "no-subject",
+        "no-attributes", "new", "new-no-name", "repeat"])
+def test_bad_action_attributes_are_e_schema(element, message):
+    # a missing or extra attribute, whichever getter the walk used
     doc = _process_doc(element)
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
-    with pytest.raises(SchemaError, match=re.escape(f"found {found}")):
+    with pytest.raises(SchemaError) as caught:
         from_xml(doc)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("start,tag", [('out subject="x#0"', "out"),
@@ -399,3 +408,32 @@ def test_compiled_random_programs_have_one_element_per_action():
         nil_parents.update(parents)
         methods += _self_closing_methods(text, program)
     assert nil_parents == {"par", "process"} and methods > 0
+
+
+# ---------------------------------------------------------------------------
+# the reader's one walk: attributes by key, and the scan it records
+
+
+def test_action_attributes_load_in_any_order():
+    canonical = _process_doc('<out subject="c#0" a0="int:1" a1="name:c#0"/>')
+    for element in ('<out a0="int:1" a1="name:c#0" subject="c#0"/>',
+                    '<out a1="name:c#0" subject="c#0" a0="int:1"/>'):
+        assert from_xml(_process_doc(element)) == from_xml(canonical)
+    assert (from_xml(_process_doc('<in a0="name:v#1" subject="c#0"/>'))
+            == from_xml(_process_doc('<in subject="c#0" a0="name:v#1"/>')))
+
+
+def _loaded_programs():
+    for sample in sorted(SAMPLES.glob("*.pi")):
+        yield desugar(parse_program(sample.read_text(), sample.name))
+    for seed in range(100):
+        yield desugar(gen_program(random.Random(seed)))
+
+
+def test_reader_records_what_program_scan_finds():
+    for program in _loaded_programs():
+        loaded = from_xml(to_xml(program))
+        # a program built by hand is walked: name_scan and the channels
+        assert program_scan(loaded) == program_scan(Program(loaded.externs,
+                                                            loaded.main))
+        assert loaded == program  # the record takes no part in equality
