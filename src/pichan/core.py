@@ -100,7 +100,7 @@ class Name:
 
 
 class NameSupply:
-    """Hands out names with globally unique ids (per supply)."""
+    """Hands out names with ids counting up from start."""
 
     def __init__(self, start: int = 0):
         self._next = start
@@ -243,33 +243,6 @@ def nodes(p: Process) -> list:
     return found
 
 
-def name_scan(p: Process, names: dict | None = None) -> tuple[int, bool]:
-    """The largest name id in p, binders included (at least -1), and
-    whether p is in core form (no binding input remains).  When given,
-    names receives every name in p, keyed by id."""
-    names = {} if names is None else names
-    core = True
-    for p in nodes(p):
-        kind = type(p)
-        if kind is Out:
-            names[p.subject.id] = p.subject
-            for v in p.objects:
-                if type(v) is NameRef:
-                    names[v.name.id] = v.name
-        elif kind is In:
-            names[p.subject.id] = p.subject
-            for n in p.objects:
-                names[n.id] = n
-            core = core and not p.binding
-        elif kind is New:
-            names[p.name.id] = p.name
-        elif kind is Fusion:
-            for v in (p.left, p.right):
-                if type(v) is NameRef:
-                    names[v.name.id] = v.name
-    return max([-1, *names]), core
-
-
 _SIZES = {Nil: 1, Par: 1, New: 2, Repeat: 1, Fusion: 3}
 
 
@@ -320,22 +293,10 @@ class ExternDecl(Record):
 
 class Program(Record):
     _fields = ("externs", "main")
-    _scan = None
 
     def __init__(self, externs: tuple, main: Process):
         self.externs = externs  # tuple[ExternDecl, ...]
         self.main = main
-
-
-def program_scan(program: Program) -> tuple[int, bool]:
-    """The largest name id in program, extern channels included (at least
-    -1), and whether its main process is in core form: one name_scan, or
-    the _scan that xir.from_xml set."""
-    if program._scan:
-        return program._scan
-    top, core = name_scan(program.main)
-    return max([top] + [n.id for d in program.externs
-                        for n in d.channels()]), core
 
 
 # ---------------------------------------------------------------------------

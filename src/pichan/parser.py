@@ -96,7 +96,7 @@ class _Parser:
         self.tokens = tokens  # (kind, text, offset) tuples
         self.source = source  # of the tokens' offsets
         self.pos = 0
-        self.supply = NameSupply()
+        self.fresh = NameSupply().fresh
         self.globals: dict[str, Name] = {}  # extern channels
         self.aliases: set[str] = set()  # extern aliases
         self.free: dict[str, Name] = {}  # free names of main
@@ -218,7 +218,7 @@ class _Parser:
             raise ParseError([Diagnostic(
                 "error", "E-SYNTAX",
                 f"extern channel {tok[1]} declared twice", self.at(tok))])
-        name = self.supply.fresh(tok[1])
+        name = self.fresh(tok[1])
         self.globals[tok[1]] = name
         return name
 
@@ -249,14 +249,14 @@ class _Parser:
         if name is not None:
             return name
         if tok[1] not in self.free:
-            self.free[tok[1]] = self.supply.fresh(tok[1])
+            self.free[tok[1]] = self.fresh(tok[1])
         return self.free[tok[1]]
 
     def _bind(self, toks: list, scope: dict, frames: list) -> list:
         """Fresh names for toks, bound in scope in place; frames gets the
         entries to restore."""
         frames.append({t[1]: scope.get(t[1]) for t in toks})
-        names = [self.supply.fresh(tok[1]) for tok in toks]
+        names = [self.fresh(tok[1]) for tok in toks]
         scope.update((t[1], n) for t, n in zip(toks, names))
         return names
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from collections.abc import Sequence
+from itertools import count
 from operator import itemgetter
 
-from .core import (HOST_LITERALS, Fusion, FusionClash, FusionEnv, In, NameRef,
-                   NameSupply, New, Nil, Out, Par, Process, Record, Repeat,
-                   SurfaceFormError, Value, program_scan)
+from .core import (HOST_LITERALS, Fusion, FusionClash, FusionEnv, In, Name,
+                   NameRef, New, Nil, Out, Par, Process, Record, Repeat,
+                   SurfaceFormError, Value)
 from .interop import (Endpoint, HostFault, HostRegistry, ProtocolViolation,
                       UngroundArgument, build_std_registry, complete_return,
                       dispatch_call, resolve_externs)
@@ -99,8 +100,8 @@ class StuckReport(Record):
 
 
 class Machine:
-    """One VM instance: flattened thread soup, fusion environment, extern
-    endpoints and a fresh-name supply.  Single-threaded by design.
+    """One VM instance: flattened thread soup, fusion environment and
+    extern endpoints.  Single-threaded by design.
 
     A thread is a code node of the program, never rewritten, and an
     environment (envs, parallel to threads) from the ids of the binders
@@ -108,6 +109,9 @@ class Machine:
     and objects are resolved through it when a thread is indexed or run.
     The threads of one | share their environment, and an unfolded repeat
     body gets the part of its repeat's environment that the body names.
+    Run-time names take the ids -1, -2, ... in the order the news are
+    bound; program ids are never negative (xir.from_xml checks this), so
+    the two kinds cannot meet and the machine needs no scan of the program.
 
     The soup index is kept across steps and changes only where the soup
     does.  Every thread has a sequence number; threads are only appended,
@@ -135,17 +139,16 @@ class Machine:
         self._live: set[tuple[int, int]] = set()
         self._fusions: set[int] = set()
         self._repeats: dict[int, tuple] = {}  # seq -> body's top-level actions
-        # id(Repeat node) -> (node, its body's top-level actions, unresolved)
-        self._actions: dict[int, tuple] = {}
-        # id(Repeat node) -> (node, the ids named in its body)
-        self._named: dict[int, tuple] = {}
+        # id(Repeat node) -> (node, its body's top-level actions, unresolved,
+        # the ids named in its body); see _walk_repeat
+        self._bodies: dict[int, tuple] = {}
         self.env = FusionEnv()
         self.endpoints: dict[str, Endpoint] = {}
         self._calls: dict[int, tuple] = {}
         self._callable: set[int] = set()
         self._returns: dict[int, dict[int, list]] = {}
         self._ranks: dict[str, int] = {}  # alias -> declaration index
-        self.supply = NameSupply()
+        self._ids = count(-1, -1)  # run-time name ids
         self.registry = registry
         self.step_index = 0
         self._changes = 0  # bumped by each change to the soup or host tables
@@ -153,10 +156,7 @@ class Machine:
     @classmethod
     def initialize(cls, program, registry: HostRegistry) -> "Machine":
         """A machine for a core program (parser.desugar makes one); a
-        binding input raises SurfaceFormError."""
-        top, core = program_scan(program)
-        if not core:
-            raise SurfaceFormError("binding input cannot be run; desugar first")
+        binding input raises SurfaceFormError when it would join the soup."""
         m = cls(registry)
         m.endpoints = resolve_externs(program.externs, registry)
         m._ranks = {alias: k for k, alias in enumerate(m.endpoints)}
@@ -164,7 +164,6 @@ class Machine:
                    for meth in ep.decl.methods)
         for rank, (alias, meth) in enumerate(methods):
             m._calls.setdefault(meth.call_channel.id, (rank, alias, meth))
-        m.supply = NameSupply(top + 1)
         m.add_thread(program.main, {})
         return m
 
@@ -188,18 +187,20 @@ class Machine:
             if kind is Par:
                 stack += (p.right, p.left)
             elif kind is New:
-                env[p.name.id] = self.supply.fresh(p.name.display)
+                env[p.name.id] = Name(next(self._ids), p.name.display)
                 stack.append(p.body)
             elif kind is not Nil:
                 self._insert(p, env)
 
     def _insert(self, p: Process, env: dict) -> None:
+        kind = type(p)
+        if kind is In and p.binding:
+            raise SurfaceFormError("binding input cannot be run; desugar first")
         # above every live thread's number; a removed one's may be reused
         seq = self._seqs[-1] + 1 if self._seqs else 0
         self.threads.append(p)
         self.envs.append(env)
         self._seqs.append(seq)
-        kind = type(p)
         if kind is Out or kind is In:
             root = self.env.representative(env.get(p.subject.id, p.subject))
             arity = len(p.objects)
@@ -213,14 +214,10 @@ class Machine:
         elif kind is Fusion:
             self._fusions.add(seq)
         elif kind is Repeat:
-            entry = self._actions.get(id(p))
-            if entry is None:  # the node is kept so that its id stays its own
-                entry = self._actions[id(p)] = (p, tuple(
-                    (type(a) is Out, a.subject, inner, len(a.objects))
-                    for a, inner in _top_actions(p.body)))
-            self._repeats[seq] = tuple(
-                (is_out, s if inner else env.get(s.id, s), arity)
-                for is_out, s, inner, arity in entry[1])
+            # a subject bound in the body is not in env: binder ids are unique
+            entry = self._bodies.get(id(p)) or _walk_repeat(p, self._bodies)
+            self._repeats[seq] = tuple((is_out, env.get(s.id, s), arity)
+                                       for is_out, s, arity in entry[1])
 
     def _unindex(self, seq: int, t: Process, env: dict) -> None:
         """Drop a removed thread: an output, an input or a fusion (execute
@@ -427,7 +424,7 @@ class Machine:
             i = redex[1]
             rep, env = self.threads[i], self.envs[i]
             self.add_thread(rep.body, {k: env[k] for k in
-                                       _named_ids(rep, self._named) if k in env})
+                                       self._bodies[id(rep)][2] if k in env})
             return TraceEvent(step, "repeat-unfold", f"thread {i}")
         if kind == "host-call":
             i, alias, method = redex[1], redex[2], redex[3]
@@ -499,56 +496,45 @@ class Redexes(Sequence):
         return f"Redexes({list(self)!r})"
 
 
-def _top_actions(p: Process) -> list:
-    """Out/In prefixes at the top level of a term (through Par and New), left
-    to right, each paired with whether a New on the way binds its subject."""
-    found = []
-    stack = [(p, frozenset())]
+def _walk_repeat(rep: Repeat, cache: dict) -> tuple:
+    """Fill cache[id(rep)] with (rep, its body's top-level actions, the ids
+    named in its body) and return it.  The actions are the Out/In prefixes
+    reached through Par and New, left to right, as (is output, subject,
+    arity).  The named ids are all that an unfold keeps of the repeat's
+    environment: sibling threads bind their own New ids in it too.  The
+    node is kept so that its id stays its own.  One walk fills the entries
+    of rep and of each repeat inside it, inner ones first, so each node is
+    visited once however deep repeats nest."""
+    # (repeat, its actions, its named ids, those of the repeat around it)
+    repeats = []
+    # (node, the actions and named ids of its repeat, at its top level)
+    stack = [(rep, None, None, True)]
     while stack:
-        p, bound = stack.pop()
+        p, acts, named, top = stack.pop()
         kind = type(p)
         if kind is Par:
-            stack += ((p.right, bound), (p.left, bound))
+            stack += ((p.right, acts, named, top), (p.left, acts, named, top))
         elif kind is New:
-            stack.append((p.body, bound | {p.name.id}))
+            stack.append((p.body, acts, named, top))
+        elif kind is Repeat:
+            inner = (p, [], set(), named)
+            repeats.append(inner)
+            stack.append((p.body, inner[1], inner[2], True))
+        elif kind is Fusion:
+            named.update(v.name.id for v in (p.left, p.right)
+                         if type(v) is NameRef)
         elif kind is Out or kind is In:
-            found.append((p, p.subject.id in bound))
-    return found
-
-
-def _named_ids(rep: Repeat, cache: dict) -> frozenset:
-    """The ids named in rep's body, all that an unfold keeps of the
-    repeat's environment: sibling threads bind their own New ids in it too.
-    One walk fills cache for rep and each repeat inside it, inner ones
-    first, so each node is visited once however deep repeats nest."""
-    if id(rep) not in cache:
-        own = {id(rep): set()}  # ids named outside any inner repeat
-        inner = []  # (repeat, the repeat around it), in pre-order
-        stack = [(rep.body, rep)]
-        while stack:
-            p, r = stack.pop()
-            kind = type(p)
-            if kind is Par:
-                stack += ((p.right, r), (p.left, r))
-            elif kind is New:
-                stack.append((p.body, r))
-            elif kind is Repeat:
-                own[id(p)] = set()
-                inner.append((p, r))
-                stack.append((p.body, p))
-            elif kind is Fusion:
-                own[id(r)].update(v.name.id for v in (p.left, p.right)
-                                  if type(v) is NameRef)
-            elif kind is Out or kind is In:
-                names = (p.objects if kind is In else
-                         [v.name for v in p.objects if type(v) is NameRef])
-                own[id(r)].update(n.id for n in (p.subject, *names))
-                stack.append((p.cont, r))
-        for p, r in reversed(inner):
-            cache[id(p)] = (p, frozenset(own[id(p)]))
-            own[id(r)] |= cache[id(p)][1]
-        cache[id(rep)] = (rep, frozenset(own[id(rep)]))
-    return cache[id(rep)][1]
+            if top:
+                acts.append((kind is Out, p.subject, len(p.objects)))
+            named.add(p.subject.id)
+            named.update([n.id for n in p.objects] if kind is In else
+                         [v.name.id for v in p.objects if type(v) is NameRef])
+            stack.append((p.cont, acts, named, False))
+    for p, acts, named, outer in reversed(repeats):  # inner ones first
+        cache[id(p)] = (p, tuple(acts), frozenset(named))
+        if outer is not None:
+            outer |= named
+    return cache[id(rep)]
 
 
 def _resolve(v: Value, env: dict) -> Value:

@@ -16,10 +16,9 @@ give byte-identical documents and ``from_xml(to_xml(p)) == p``, ids
 included; indented documents load too.  This is version "3"; an earlier
 one is a VersionError.  Writer and reader use explicit stacks, so depth is
 bounded by memory alone, but ``==`` on programs recurses (a 400-wide ``|``
-raises RecursionError): deep programs compare by ``to_xml``.  The reader
-records on the Program what ``program_scan`` finds: the top id of its
-names table (extern channels included), and core form, as it reads only
-free inputs.
+raises RecursionError): deep programs compare by ``to_xml``.  Name ids
+are non-negative decimals: the VM gives the names that ``<new>`` creates
+at run time the ids -1, -2, ..., apart from the program's.
 """
 
 from __future__ import annotations
@@ -179,11 +178,12 @@ def _decimal(text: str) -> int | None:
 
 
 def _parse_name(text: str, what: str, names: dict) -> Name:
-    """names is the document's table: one Name per distinct text."""
+    """names is the document's table: one Name per distinct text.  An id
+    with a '-' is refused, as run-time names take the negative ids."""
     n = names.get(text)
     if n is None:
         display, sep, nid = text.rpartition("#")
-        nid = _decimal(nid) if sep else None
+        nid = _decimal(nid) if sep and nid[:1] != "-" else None
         if nid is None:
             raise SchemaError(f"bad name reference {text!r} in {what}")
         n = names[text] = Name(nid, display)
@@ -394,9 +394,7 @@ def from_xml(document) -> Program:
     if len(root[1]) != 1:
         raise SchemaError("process takes exactly 1 child")
     channels = {n.id for d in externs for n in d.channels()}
-    program = Program(externs, _read_proc(root[1][0], names, channels))
-    program._scan = max((n.id for n in names.values()), default=-1), True
-    return program
+    return Program(externs, _read_proc(root[1][0], names, channels))
 
 
 def validate(document) -> list:

@@ -16,12 +16,12 @@ design) keeps apart.
 
 from __future__ import annotations
 
-from pichan.core import (Fusion, In, Name, NameRef, NameSupply, New, Nil,
-                         Out, Par, Process, Repeat, name_scan, process_size)
+from pichan.core import (Fusion, In, NameRef, NameSupply, New, Nil, Out, Par,
+                         Process, Repeat, process_size)
 
 from congruence import value_token
 from substitution import substitute
-from terms import free_names
+from terms import free_names, name_scan
 
 NIL = Nil()
 

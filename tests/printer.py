@@ -7,8 +7,10 @@ from __future__ import annotations
 
 from pichan.core import (BoolLit, ExternDecl, Fusion, In, IntLit, Name,
                          NameRef, New, Nil, Out, Par, Process, Program, Repeat,
-                         StrLit, Value, name_scan)
+                         StrLit, Value)
 from pichan.parser import KEYWORDS
+
+from terms import name_scan
 
 
 # ---------------------------------------------------------------------------

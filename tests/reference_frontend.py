@@ -15,11 +15,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from pichan.core import (Fusion, In, Nil, New, Out, Par, Process, Program,
-                         Repeat, NameSupply, program_scan)
+                         Repeat, NameSupply)
 from pichan.diag import Diagnostic, ParseError, SourceSpan
 from pichan.parser import KEYWORDS
 
 from substitution import substitute
+from terms import program_scan
 
 class Token(NamedTuple):
     kind: str  # "ident" | "intlit" | "strlit" | keyword/punct text | "eof"

@@ -23,14 +23,15 @@ from xml.sax.saxutils import quoteattr
 
 from pichan.core import (BOOL, INT, STR, UNIT, BaseSort, BoolLit, Fusion, In,
                          IntLit, Name, NameRef, New, Nil, Out, Par, Process,
-                         Program, Repeat, StrLit, SurfaceFormError, UnitLit,
-                         name_scan)
+                         Program, Repeat, StrLit, SurfaceFormError, UnitLit)
 from pichan.diag import Diagnostic, Source
 from pichan.parser import _Parser, tokenize
 from pichan.typecheck import SHOW_LIMIT, extern_channel_table
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _attrs,
                         _name_text, _parse_name, _read_extern, _sorts_attr,
                         _split_value, _value_text)
+
+from terms import name_scan
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -43,11 +44,11 @@ class _RecursiveParser(_Parser):
         if tok[1] in self.globals:
             return self.globals[tok[1]]
         if tok[1] not in self.free:
-            self.free[tok[1]] = self.supply.fresh(tok[1])
+            self.free[tok[1]] = self.fresh(tok[1])
         return self.free[tok[1]]
 
     def _bind_copy(self, toks: list, scope: dict) -> tuple:
-        names = [self.supply.fresh(tok[1]) for tok in toks]
+        names = [self.fresh(tok[1]) for tok in toks]
         return names, {**scope, **{t[1]: n for t, n in zip(toks, names)}}
 
     def parse_proc(self, scope: dict) -> Process:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from pichan.core import Fusion, In, NameRef, Out, Repeat
-from pichan.vm import Machine, _top_actions
+from pichan.core import Fusion, In, NameRef, New, Out, Par, Repeat
+from pichan.vm import Machine
 
 from substitution import soup
 
@@ -36,8 +36,18 @@ def _pending_return_match(m: Machine, thread: In) -> Optional[str]:
     return None
 
 
+def _top_actions(p) -> list:
+    """The Out/In prefixes at the top level of a term, through Par and
+    New, left to right."""
+    if isinstance(p, Par):
+        return _top_actions(p.left) + _top_actions(p.right)
+    if isinstance(p, New):
+        return _top_actions(p.body)
+    return [p] if isinstance(p, (Out, In)) else []
+
+
 def _unfold_wanted(m: Machine, threads: list, body) -> bool:
-    actions = [a for a, _ in _top_actions(body)]
+    actions = _top_actions(body)
     if not actions:
         return False
     soup_actions = [t for t in threads if isinstance(t, (Out, In))]

@@ -10,9 +10,10 @@ from __future__ import annotations
 from typing import Optional
 
 from pichan.core import (Fusion, In, Name, NameSupply, New, Nil, Out, Par,
-                         Process, Repeat, name_scan)
+                         Process, Repeat)
 
 from congruence import _subst_value
+from terms import name_scan
 
 
 def substitute(p: Process, src: Name, dst: Name,

@@ -11,7 +11,7 @@ inspect payloads, so this loses no coverage.
 from __future__ import annotations
 
 from pichan.core import (Fusion, In, NameRef, NameSupply, New, Nil, Out,
-                         Par, Process, Repeat)
+                         Par, Repeat)
 
 
 def enumerate_terms(free: list, max_size: int) -> list:

@@ -1,13 +1,15 @@
-"""Term helpers that only the tests use: the free names of a process and a
-right-nested Par of a list of threads.  free_names recurses, so keep its
-inputs shallow."""
+"""Term helpers that only the tests use: the free names of a process, the
+largest name id of a process or program, a program with its ids renumbered
+and a right-nested Par of a list of threads.  free_names and renumbered
+recurse, so keep their inputs shallow."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from pichan.core import (NIL, Fusion, In, NameRef, New, Nil, Out, Par,
-                         Process, Repeat)
+from pichan.core import (NIL, ExternDecl, Fusion, In, MethodDecl, Name,
+                         NameRef, New, Nil, Out, Par, Process, Program, Repeat,
+                         nodes)
 
 
 def free_names(p: Process) -> set:
@@ -41,6 +43,74 @@ def free_names(p: Process) -> set:
                 names.add(v.name)
         return names
     raise TypeError(p)
+
+
+def name_scan(p: Process, names: dict | None = None) -> tuple[int, bool]:
+    """The largest name id in p, binders included (at least -1), and
+    whether p is in core form (no binding input remains).  When given,
+    names receives every name in p, keyed by id."""
+    names = {} if names is None else names
+    core = True
+    for p in nodes(p):
+        kind = type(p)
+        if kind is Out:
+            names[p.subject.id] = p.subject
+            for v in p.objects:
+                if type(v) is NameRef:
+                    names[v.name.id] = v.name
+        elif kind is In:
+            names[p.subject.id] = p.subject
+            for n in p.objects:
+                names[n.id] = n
+            core = core and not p.binding
+        elif kind is New:
+            names[p.name.id] = p.name
+        elif kind is Fusion:
+            for v in (p.left, p.right):
+                if type(v) is NameRef:
+                    names[v.name.id] = v.name
+    return max([-1, *names]), core
+
+
+def program_scan(program: Program) -> tuple[int, bool]:
+    """The largest name id in program, extern channels included (at least
+    -1), and whether its main process is in core form."""
+    top, core = name_scan(program.main)
+    return max([top] + [n.id for d in program.externs
+                        for n in d.channels()]), core
+
+
+def renumbered(program: Program, new_id: dict) -> Program:
+    """program with each name's id n, extern channels included, replaced
+    by new_id[n]; displays, sorts and shape are kept."""
+    def name(n: Name) -> Name:
+        return Name(new_id[n.id], n.display)
+
+    def value(v):
+        return NameRef(name(v.name)) if isinstance(v, NameRef) else v
+
+    def proc(p: Process) -> Process:
+        if isinstance(p, Par):
+            return Par(proc(p.left), proc(p.right))
+        if isinstance(p, New):
+            return New(name(p.name), proc(p.body))
+        if isinstance(p, Out):
+            return Out(name(p.subject), tuple(map(value, p.objects)),
+                       proc(p.cont))
+        if isinstance(p, In):
+            return In(name(p.subject), tuple(map(name, p.objects)), p.binding,
+                      proc(p.cont))
+        if isinstance(p, Repeat):
+            return Repeat(proc(p.body))
+        if isinstance(p, Fusion):
+            return Fusion(value(p.left), value(p.right))
+        return p
+
+    externs = tuple(ExternDecl(d.alias, d.class_name, tuple(
+        MethodDecl(m.name, name(m.call_channel), m.param_sorts,
+                   name(m.return_channel), m.return_payload, m.protocol)
+        for m in d.methods)) for d in program.externs)
+    return Program(externs, proc(program.main))
 
 
 def par_all(threads: Iterable[Process]) -> Process:

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan import core
 from pichan.cli import (EXIT_FAULT, EXIT_IO, EXIT_OK, EXIT_STEP_LIMIT,
                         EXIT_STUCK, EXIT_SYNTAX, EXIT_TYPE, main)
 from pichan.parser import desugar, parse_program
@@ -136,6 +135,23 @@ def test_check_sort_keyword_and_literal_kinds_differ(tmp_path, capsys, text,
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("method,where,message", [
+    ("void print(int) { call print: int, void; return R: void; }", "2:42",
+     "'void' cannot appear in a payload list"),
+    ("void print(int) { call print: string; return R: void; }", "2:3",
+     "method print: header parameters do not match the call clause"),
+    ("void print(int) { call print: int; return R: void; }\n"
+     "  acceded as {rec S {S}}", "3:24", "empty protocol body"),
+], ids=["void-in-list", "header-params", "empty-protocol"])
+def test_check_extern_method_syntax_error(tmp_path, capsys, method, where,
+                                          message):
+    src = tmp_path / "extern.pi"
+    src.write_text(f"extern A -> class Console {{\n  {method}\n}}\nnil\n")
+    assert main(["check", str(src)]) == EXIT_SYNTAX
+    assert capsys.readouterr().out == (
+        f"{src}:{where}: error E-SYNTAX {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -202,6 +218,28 @@ def test_run_clash_trace_line(tmp_path, capsys):
         "")
 
 
+CONSOLE = """extern C -> class Console {
+  void print(int) { call print: int; return Ret1: void; }
+}
+"""
+
+
+@pytest.mark.parametrize("source,argv,out,code", [
+    # a host call whose argument has no literal is a violation
+    (CONSOLE + "print!(x).Ret1?()\n", [],
+     "0|violation|argument x has no attached literal\n", EXIT_FAULT),
+    # a soup that empties at the last allowed step has terminated
+    ("x!() | x?()\n", ["--max-steps", "1"], "0|comm|x/0\n", EXIT_OK),
+], ids=["unground-argument", "terminated-at-the-limit"])
+def test_run_trace_and_exit_code(tmp_path, capsys, source, argv, out, code):
+    src = tmp_path / "prog.pi"
+    src.write_text(source)
+    xir = _compile(src, tmp_path)
+    capsys.readouterr()
+    assert main(["run", str(xir), "--seed", "0", *argv]) == code
+    assert capsys.readouterr() == (out, "")
+
+
 def test_run_step_limit_exit_6(tmp_path):
     src = tmp_path / "loop.pi"
     src.write_text("repeat x!() | repeat x?()\n")
@@ -264,6 +302,14 @@ def test_run_pic_seed_env(account_src, tmp_path, capsys, monkeypatch):
 def test_negative_seed_rejected(account_src, tmp_path):
     out = _compile(account_src, tmp_path)
     assert main(["run", str(out), "--seed", "-1"]) == EXIT_SYNTAX
+
+
+def test_negative_max_steps_rejected(account_src, tmp_path, capsys):
+    out = _compile(account_src, tmp_path)
+    capsys.readouterr()
+    assert main(["run", str(out), "--max-steps", "-1"]) == EXIT_SYNTAX
+    assert capsys.readouterr() == (
+        "", "error: max-steps must be non-negative\n")
 
 
 @pytest.mark.parametrize("value", ["abc", "", "1.5", "0x10"])
@@ -494,7 +540,8 @@ def _document(process):
 @pytest.mark.parametrize("bad", [
     _document('<out subject="x#--5"/>'),
     _document('<out subject="x#²"/>'),
-], ids=["double-minus", "superscript-digit"])
+    _document('<out subject="x#-5"/>'),  # run-time names take these ids
+], ids=["double-minus", "superscript-digit", "negative"])
 def test_run_bad_name_id_exit_2(tmp_path, capsys, bad):
     path = tmp_path / "bad.xir.xml"
     path.write_text(bad, encoding="utf-8")
@@ -659,24 +706,7 @@ def test_commands_import_no_heavy_modules(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# run on loaded programs: no second walk, and mutated documents
-
-
-@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
-def test_run_does_not_scan_a_loaded_program_again(sample, tmp_path, capsys,
-                                                  monkeypatch):
-    # the reader records the top id, so Machine.initialize needs no walk
-    out = tmp_path / (sample.stem + ".xir.xml")
-    assert main(["compile", str(sample), "-o", str(out)]) == EXIT_OK
-    capsys.readouterr()
-    before = main(["run", str(out), "--seed", "0"]), capsys.readouterr()
-
-    def walk(*args):
-        raise AssertionError("a loaded program was walked again")
-
-    monkeypatch.setattr(core, "name_scan", walk)
-    assert (main(["run", str(out), "--seed", "0"]),
-            capsys.readouterr()) == before
+# run on mutated documents
 
 
 _SAMPLE_DOCUMENTS = [to_xml(desugar(parse_program(path.read_text(), path.name)))

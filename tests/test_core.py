@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from pichan.core import (BOOL, HOST_LITERALS, INT, STR, UNIT, BoolLit, Fusion,
                          FusionClash, FusionEnv, In, IntLit, Name, NameRef,
                          NameSupply, New, Nil, Out, Par, Repeat, StrLit,
-                         SurfaceFormError, UnitLit, name_scan, process_size)
+                         SurfaceFormError, UnitLit, process_size)
 
 from congruence import canonical_key, congruent
 from randgen import gen_process
 from substitution import substitute
-from terms import free_names, par_all
+from terms import free_names, name_scan, par_all
 
 
 def _names(*displays):

@@ -263,10 +263,12 @@ def test_check_on_20000_reversed_outputs_takes_under_10_s(tmp_path):
 
 
 def _core_programs():
-    seen = set()
+    # corpus() yields a program once per seed; keeping each one alive keeps
+    # its id() from passing to a later program
+    seen = {}
     for _, program, _, _ in corpus():
         if id(program) not in seen:
-            seen.add(id(program))
+            seen[id(program)] = program
             yield desugar(program)
     for seed in range(60):
         yield desugar(gen_program(random.Random(seed), max_nodes=40))
@@ -363,6 +365,15 @@ def _process_document(process):
      "unknown element 'widget'"),
     ('<par><nil/><par><gadget/><nil/></par><par/></par>',
      "unknown element 'gadget'"),
+    # values, childless elements and a fusion side out of its new's scope
+    ('<out subject="x#0" a0="bool:maybe"/>', "bad bool literal 'maybe' in out"),
+    ('<out subject="x#0" a0="foo:1"/>', "unknown value kind 'foo' in out"),
+    ('<fusion left="name:x#0" right="int:1"><nil/></fusion>',
+     "fusion takes no children"),
+    ("<nil><nil/></nil>", "nil takes no children"),
+    ('<par><new name="a#0"><out subject="a#0"/></new>'
+     '<fusion left="int:1" right="name:a#0"/></par>',
+     "name a#0 occurs outside its new"),
 ])
 def test_reader_reports_the_first_error_the_reference_does(process, message):
     doc = _process_document(process)

@@ -5,7 +5,7 @@ from collections.abc import Hashable
 
 import pytest
 
-from pichan.core import INT, STR, ExternDecl, MethodDecl, base_sort
+from pichan.core import INT, ExternDecl, MethodDecl, base_sort
 from pichan.interop import (DuplicateClass, HostClass, HostFault,
                             HostRegistry, ProtocolViolation,
                             SignatureMismatch, UnknownClass,

@@ -1,5 +1,5 @@
 """The shape of src/pichan: which modules each module loads, and no import
-that the module does not use.
+that a module of src/pichan or tests does not use.
 
 core holds the program model.  The front end (parser, typecheck) and the
 back end (xir, interop, vm) each build on core and diag, never on each
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 FRONT_END = {"pichan.parser", "pichan.typecheck"}
 BACK_END = {"pichan.xir", "pichan.interop", "pichan.vm"}
 
@@ -56,8 +57,9 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", sorted((SRC / "pichan").glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted((SRC / "pichan").glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent != TESTS else f"tests/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pichan.core import (INT, ExternDecl, Fusion, In, IntLit, MethodDecl,
                          NameRef, NameSupply, New, Nil, Out, Par, Program,
-                         Repeat, StrLit, name_scan)
+                         Repeat, StrLit)
 from pichan.diag import ParseError, Source
 from pichan.parser import _TOKEN_RE, desugar, parse_program, tokenize
 from pichan.typecheck import check_sorts
@@ -18,7 +18,7 @@ import reference_frontend
 from golden_traces import corpus
 from printer import format_program, program_alpha_eq
 from randgen import gen_program
-from terms import free_names
+from terms import free_names, name_scan
 
 ACCOUNT_EXTERN = """
 extern FClass -> class Account {

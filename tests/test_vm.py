@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (Fusion, FusionClash, FusionEnv, In, IntLit, NameRef,
-                         NameSupply, New, Nil, Out, Par, Program, Repeat,
-                         SurfaceFormError, name_scan)
+from pichan.core import (FusionClash, FusionEnv, IntLit, NameRef, New, Nil,
+                         Out, Par, Program, Repeat, SurfaceFormError)
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
 from pichan.parser import desugar, parse_program
@@ -23,7 +22,7 @@ from congruence import congruent
 from explore import explore_runs, loose_redexes
 from randgen import gen_host_source, gen_program
 from substitution import soup
-from terms import free_names
+from terms import free_names, name_scan, renumbered
 from test_parser import ACCOUNT_EXTERN
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -466,11 +465,10 @@ def test_unfold_keeps_a_name_bound_outside_the_repeat(body):
 def test_unfold_of_nested_repeats_walks_each_body_once():
     depth = 300
     m = _machine("new a in " + "repeat " * depth + "a!()")
+    assert len(m._bodies) == depth  # inserting the outer one walks them all
     for level in range(depth):  # the soup grows by one repeat a level
         m.execute(("unfold", level))
-        if level == 0:  # the first unfold names every inner repeat's ids
-            assert len(m._named) == depth
-    assert len(m._named) == depth and len(m.threads) == depth + 1
+    assert len(m._bodies) == depth and len(m.threads) == depth + 1
     assert all(env == m.envs[0] for env in m.envs)
 
 
@@ -610,14 +608,14 @@ def test_unfold_adds_one_thread():
 
 def test_new_eliminated_on_insert():
     built = parse_program("new a in a!(1)")
-    # as built, and as run loads it: through XIR, with the reader's scan
+    # as built, and as run loads it: through XIR
     for program in (built, from_xml(to_xml(built))):
         m = Machine.initialize(program, build_std_registry())
         assert len(soup(m)) == 1
         assert isinstance(soup(m)[0], Out)
-        # the binder became a fresh name, above every id in the program
+        # the binder became a fresh name, with the first run-time id
         a = soup(m)[0].subject
-        assert a.display == "a" and a.id > name_scan(program.main)[0]
+        assert a.display == "a" and a.id == -1
 
 
 def test_thread_is_code_node_plus_environment():
@@ -627,28 +625,39 @@ def test_thread_is_code_node_plus_environment():
     code = program.main.body
     assert m.threads[0] is code.left and m.threads[1] is code.right
     a = m.envs[0][program.main.name.id]
-    assert a.display == "a" and a.id > name_scan(program.main)[0]
+    assert a.display == "a" and a.id == -1
     assert m.envs[0] is m.envs[1]
     m.execute(("unfold", 1))
     out = m.threads[2]
     assert out is code.right.body.body
     assert m.envs[2][out.subject.id] == a
     b = m.envs[2][code.right.body.name.id]
-    assert b.display == "b" and b.id == a.id + 1
+    assert b.display == "b" and b.id == -2  # run-time ids count down
     assert soup(m)[2] == Out(a, (NameRef(b),), Nil())
 
 
-def test_fresh_names_above_extern_channel_ids():
-    # every id in main lies below the extern channels' ids, so a fresh name
-    # counted from main alone would take the first call channel's id
-    text = to_xml(desugar(parse_program(ACCOUNT_EXTERN + "nil")))
-    text = text.replace("<nil/>", '<new name="z#-1"><out subject="z#-1"/>'
-                        "</new>")
-    program = from_xml(text)
+def test_fresh_names_apart_from_extern_channel_ids():
+    # the extern channels take ids 0-3; a fresh name counted up from 0 would
+    # take the first call channel's id, and z!() would call readn
+    program = from_xml(to_xml(desugar(parse_program(
+        ACCOUNT_EXTERN + "new z in z!()"))))
     channels = {n.id for d in program.externs for n in d.channels()}
+    assert min(channels) == 0
     m = Machine.initialize(program, build_std_registry())
-    assert soup(m)[0].subject.id > max(channels)
+    assert soup(m)[0].subject.id == -1
     assert run(program).status == "stuck-with-residuals"
+
+
+def test_binding_input_raises_where_it_would_run():
+    # the core-form check sits where a thread joins the soup: a binding
+    # input in a continuation loads, and the comm that releases it raises
+    program = parse_program("x!(a) | x?<a>.y?(v).nil")
+    m = Machine.initialize(program, build_std_registry())
+    assert m.enumerate_redexes() == [("comm", 0, 1)]
+    with pytest.raises(SurfaceFormError):
+        m.execute(("comm", 0, 1))
+    with pytest.raises(SurfaceFormError):
+        run(program)
 
 
 def test_step_none_when_stuck():
@@ -789,6 +798,24 @@ def test_run_replay_identical(seed):
     t2 = run(program, seed=seed, max_steps=60)
     assert t1.lines() == t2.lines()
     assert t1.status == t2.status
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_trace_does_not_depend_on_name_ids(seed, host):
+    # renumber every id, extern channels included, injectively onto other
+    # ids >= 0: the same seed gives the same trace lines and status
+    rng = random.Random(seed)
+    program = desugar(parse_program(gen_host_source(rng)) if host
+                      else gen_program(rng, with_externs=False))
+    names = {}
+    name_scan(program.main, names)
+    ids = sorted({*names, *(n.id for d in program.externs
+                            for n in d.channels())})
+    new_id = dict(zip(ids, rng.sample(range(10 * len(ids) + 10), len(ids))))
+    before = run(program, seed=seed, max_steps=60)
+    after = run(renumbered(program, new_id), seed=seed, max_steps=60)
+    assert (after.lines(), after.status) == (before.lines(), before.status)
 
 
 @given(st.integers(0, 10**6))
