@@ -23,26 +23,11 @@ class FusionClash(Exception):
 
 
 class Record:
-    """Equality, hash and repr from per-class field names, by a
-    dataclass's rules: repr shows the fields of _fields in order, equality
-    and hash read those of _compared (by default all of them), and an
-    object equals only objects of its own class."""
+    """A repr from per-class field names, by a dataclass's rule: it shows
+    the fields of _fields in order.  A record compares by identity."""
 
     __slots__ = ()
     _fields = ()
-
-    def __init_subclass__(cls):
-        names = cls.__dict__.get("_compared", cls._fields)
-        cls._key = staticmethod(attrgetter(*names) if names
-                                else lambda self: ())
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == other._key(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key(self))
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
@@ -54,6 +39,9 @@ class Record:
 
 
 class BaseSort(Record):
+    """A base sort.  INT, STR, BOOL and UNIT are the only instances, so
+    sorts compare by identity."""
+
     _fields = ("name",)
 
     def __init__(self, name: str):
@@ -111,14 +99,32 @@ class NameSupply:
         return n
 
 
-class NameRef(Record):
+class Value(Record):
+    """Base of the five value classes.  A value equals only a value of its
+    own class whose field is equal, so IntLit(1) != BoolLit(True); its hash
+    is its field's."""
+
+    __slots__ = ()
+    _key = attrgetter("value")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+
+class NameRef(Value):
     __slots__ = _fields = ("name",)
+    _key = attrgetter("name")
 
     def __init__(self, name: Name):
         self.name = name
 
 
-class IntLit(Record):
+class IntLit(Value):
     __slots__ = _fields = ("value",)
     sort = INT
 
@@ -126,7 +132,7 @@ class IntLit(Record):
         self.value = value
 
 
-class StrLit(Record):
+class StrLit(Value):
     __slots__ = _fields = ("value",)
     sort = STR
 
@@ -134,7 +140,7 @@ class StrLit(Record):
         self.value = value
 
 
-class BoolLit(Record):
+class BoolLit(Value):
     __slots__ = _fields = ("value",)
     sort = BOOL
 
@@ -142,7 +148,7 @@ class BoolLit(Record):
         self.value = value
 
 
-class UnitLit(Record):
+class UnitLit(Value):
     __slots__ = ()
     sort, value = UNIT, None
 
@@ -150,19 +156,16 @@ class UnitLit(Record):
         pass
 
 
-Value = NameRef | IntLit | StrLit | BoolLit | UnitLit
-
 # the literal class of a host value, by its exact Python type
 HOST_LITERALS = {int: IntLit, str: StrLit, bool: BoolLit, type(None): UnitLit}
 
 
 # ---------------------------------------------------------------------------
-# Process AST; a node's span (see parser) takes no part in equality or hash
+# Process AST; a node carries its span (see parser)
 
 
 class Nil(Record):
     __slots__ = _fields = ("span",)
-    _compared = ()
 
     def __init__(self, span=None):
         self.span = span
@@ -170,7 +173,6 @@ class Nil(Record):
 
 class Par(Record):
     __slots__ = _fields = ("left", "right", "span")
-    _compared = _fields[:-1]
 
     def __init__(self, left: Process, right: Process, span=None):
         self.left, self.right, self.span = left, right, span
@@ -178,7 +180,6 @@ class Par(Record):
 
 class New(Record):
     __slots__ = _fields = ("name", "body", "span")
-    _compared = _fields[:-1]
 
     def __init__(self, name: Name, body: Process, span=None):
         self.name, self.body, self.span = name, body, span
@@ -186,7 +187,6 @@ class New(Record):
 
 class Out(Record):
     __slots__ = _fields = ("subject", "objects", "cont", "span")
-    _compared = _fields[:-1]
 
     def __init__(self, subject: Name, objects: tuple, cont: Process,
                  span=None):  # objects: tuple[Value, ...]
@@ -196,7 +196,6 @@ class Out(Record):
 
 class In(Record):
     __slots__ = _fields = ("subject", "objects", "binding", "cont", "span")
-    _compared = _fields[:-1]
 
     def __init__(self, subject: Name, objects: tuple, binding: bool,
                  cont: Process, span=None):  # objects: tuple[Name, ...]
@@ -206,7 +205,6 @@ class In(Record):
 
 class Repeat(Record):
     __slots__ = _fields = ("body", "span")
-    _compared = _fields[:-1]
 
     def __init__(self, body: Process, span=None):
         self.body, self.span = body, span
@@ -214,7 +212,6 @@ class Repeat(Record):
 
 class Fusion(Record):
     __slots__ = _fields = ("left", "right", "span")
-    _compared = _fields[:-1]
 
     def __init__(self, left: Value, right: Value, span=None):
         self.left, self.right, self.span = left, right, span
@@ -260,11 +257,10 @@ class MethodDecl(Record):
     """One method: its call and return channels and their sorts.  protocol
     is the declared `acceded as` body as (channel display, payload) steps,
     or None when the clause is omitted; `check` tests it, and XIR does not
-    carry it, so it takes no part in equality."""
+    carry it."""
 
     _fields = ("name", "call_channel", "param_sorts", "return_channel",
                "return_payload", "protocol", "span")
-    _compared = _fields[:-2]
 
     def __init__(self, name: str, call_channel: Name, param_sorts: tuple,
                  return_channel: Name, return_payload: tuple,
@@ -279,7 +275,6 @@ class MethodDecl(Record):
 
 class ExternDecl(Record):
     _fields = ("alias", "class_name", "methods", "span")
-    _compared = _fields[:-1]
 
     def __init__(self, alias: str, class_name: str, methods: tuple,
                  span=None):  # methods: tuple[MethodDecl, ...]
@@ -305,7 +300,7 @@ class Program(Record):
 
 class FusionEnv:
     """Equivalence classes of names, each class optionally pinned to one
-    literal value; literals are equal only within one class (Record
+    literal value; literals are equal only within one class (Value
     equality).  Mutates only through merge; confine to one VM."""
 
     def __init__(self):

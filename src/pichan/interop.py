@@ -33,7 +33,8 @@ class UngroundArgument(Exception):
 
 
 class HostFault(Exception):
-    """The host function raised, or returned a value of the wrong sort."""
+    """A host call's arguments are not of the declared sorts, or the host
+    function raised, or returned a value of the wrong sort."""
 
 
 class ProtocolViolation(Exception):
@@ -46,7 +47,6 @@ class ProtocolViolation(Exception):
 
 class HostClass(Record):
     _fields = ("class_name", "signatures", "constructor")
-    __hash__ = None  # compared by value but mutable: no hash
 
     def __init__(self, class_name: str, signatures: dict,
                  constructor: Callable):
@@ -127,7 +127,8 @@ def resolve_externs(decls, registry: HostRegistry) -> dict:
 
 def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
                   registry: HostRegistry, step: int) -> None:
-    """Run one host call: refuse it while a return is staged, instantiate on
+    """Run one host call: refuse it while a return is staged or when the
+    arguments' sorts are not the declared parameter sorts, instantiate on
     first use, invoke the host function, check its result against the
     declared return sort and stage it for return delivery."""
     m = endpoint.method(method_name)
@@ -135,6 +136,10 @@ def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
         raise ProtocolViolation(
             f"call to {method_name} on {endpoint.decl.alias} while a return "
             f"is pending")
+    if tuple(HOST_LITERALS[type(a)].sort for a in args) != m.param_sorts:
+        raise HostFault(f"{endpoint.decl.alias}.{method_name}: declared to "
+                        f"take ({','.join(map(str, m.param_sorts))}), called "
+                        f"with ({','.join(map(repr, args))})")
     log = lambda event: registry.log(endpoint.host.class_name, event, step)
     if endpoint.instance is None:
         endpoint.instance = endpoint.host.constructor(log)
@@ -146,8 +151,8 @@ def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
         raise HostFault(f"{endpoint.decl.alias}.{method_name}: {exc}") from exc
     sort = m.return_payload[0] if m.return_payload else None
     literal = HOST_LITERALS.get(type(value))
-    # a void method returns None, unit's host value; names compare fastest
-    if literal is None or literal.sort.name != (sort or UNIT).name:
+    # a void method returns None, unit's host value
+    if literal is None or literal.sort is not (sort or UNIT):
         raise HostFault(f"{endpoint.decl.alias}.{method_name}: declared to "
                         f"return {sort or 'void'}, host returned {value!r}")
     endpoint.pending = (method_name, value)

@@ -59,7 +59,6 @@ class NotStuck(Exception):
 
 class TraceEvent(Record):
     _fields = ("step", "kind", "details", "data")
-    _compared = _fields[:-1]
 
     def __init__(self, step: int, kind: str, details: str, data: tuple = ()):
         self.step = step
@@ -72,7 +71,6 @@ class TraceEvent(Record):
 
 class Trace(Record):
     _fields = ("events", "status", "machine")
-    __hash__ = None  # compared by value but mutable: no hash
 
     def __init__(self, events: list, status: str, machine: Machine):
         self.events = events
@@ -459,8 +457,9 @@ class Machine:
 class Redexes(Sequence):
     """What enumerate_redexes returns: a read-only sequence of redex tuples
     over a sorted list of head sequence numbers, one per redex.  len() is
-    the redex count; [k] decodes entry k alone, the thread by bisection and
-    its partner by k's offset in the run of equal entries.  A read after
+    the redex count; [k], for 0 <= k < len(), decodes entry k alone, the
+    thread by bisection and its partner by k's offset in the run of equal
+    entries; there are no slices or negative indices.  A read after
     the machine has changed raises RuntimeError; a caller that executes
     between reads takes list() first."""
 
@@ -473,27 +472,13 @@ class Redexes(Sequence):
     def __len__(self) -> int:
         return len(self._heads)
 
-    def __getitem__(self, k):
-        heads = self._heads
-        if type(k) is slice:
-            return [self[i] for i in range(*k.indices(len(heads)))]
+    def __getitem__(self, k: int) -> tuple:
         m = self._machine
         if m._changes != self._changes or m.env.union_log:
             raise RuntimeError("redexes read after the machine changed")
-        if k < 0:
-            k += len(heads)
-            if k < 0:
-                raise IndexError("redex index out of range")
+        heads = self._heads
         seq = heads[k]
         return m._redex(seq, k - bisect_left(heads, seq))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, Redexes)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Redexes({list(self)!r})"
 
 
 def _walk_repeat(rep: Repeat, cache: dict) -> tuple:

@@ -11,14 +11,13 @@ empty ``<method/>`` naming its channels and sorts, and no protocol:
 ``check`` accepts only the canonical one.
 
 Serialization is deterministic: one element per line, no indentation,
-fixed attribute order, names written as ``display#id``.  Equal programs
-give byte-identical documents and ``from_xml(to_xml(p)) == p``, ids
-included; indented documents load too.  This is version "3"; an earlier
-one is a VersionError.  Writer and reader use explicit stacks, so depth is
-bounded by memory alone, but ``==`` on programs recurses (a 400-wide ``|``
-raises RecursionError): deep programs compare by ``to_xml``.  Name ids
-are non-negative decimals: the VM gives the names that ``<new>`` creates
-at run time the ids -1, -2, ..., apart from the program's.
+fixed attribute order, names written as ``display#id``.  Programs of the
+same structure give byte-identical documents, and ``from_xml(to_xml(p))``
+has p's structure, ids included; indented documents load too.  This is
+version "3"; an earlier one is a VersionError.  Writer and reader use
+explicit stacks, so depth is bounded by memory alone.  Name ids are
+non-negative decimals: the VM gives the names that ``<new>`` creates at
+run time the ids -1, -2, ..., apart from the program's.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from operator import itemgetter
 from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
                    NameRef, New, NIL, Nil, Out, Par, Process, Program, Repeat,
                    StrLit, SurfaceFormError, UnitLit, Value, base_sort)
-from .diag import Diagnostic
 
 XIR_VERSION = "3"
 
@@ -395,12 +393,3 @@ def from_xml(document) -> Program:
         raise SchemaError("process takes exactly 1 child")
     channels = {n.id for d in externs for n in d.channels()}
     return Program(externs, _read_proc(root[1][0], names, channels))
-
-
-def validate(document) -> list:
-    """Diagnostics instead of exceptions; empty iff from_xml succeeds."""
-    try:
-        from_xml(document)
-    except SchemaError as exc:
-        return [Diagnostic("error", exc.code, str(exc))]
-    return []

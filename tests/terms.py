@@ -1,6 +1,7 @@
 """Term helpers that only the tests use: the free names of a process, the
-largest name id of a process or program, a program with its ids renumbered
-and a right-nested Par of a list of threads.  free_names and renumbered
+largest name id of a process or program, a program with its ids renumbered,
+a right-nested Par of a list of threads, the structural comparison of two
+programs and XIR validation as diagnostics.  free_names and renumbered
 recurse, so keep their inputs shallow."""
 
 from __future__ import annotations
@@ -8,8 +9,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from pichan.core import (NIL, ExternDecl, Fusion, In, MethodDecl, Name,
-                         NameRef, New, Nil, Out, Par, Process, Program, Repeat,
-                         nodes)
+                         NameRef, New, Nil, Out, Par, Process, Program, Record,
+                         Repeat, Value, nodes)
+from pichan.diag import Diagnostic
+from pichan.xir import SchemaError, from_xml
 
 
 def free_names(p: Process) -> set:
@@ -122,3 +125,37 @@ def par_all(threads: Iterable[Process]) -> Process:
     for t in reversed(threads[:-1]):
         acc = Par(t, acc)
     return acc
+
+
+_UNCOMPARED = {"span", "protocol"}  # MethodDecl.protocol: XIR drops it
+
+
+def same_program(p, q) -> bool:
+    """Whether p and q, two programs or two parts of programs, have the
+    same classes and equal fields, spans and MethodDecl.protocol aside:
+    names compare by id, values and sorts by their own equality.  An
+    explicit stack, so width and depth are bounded by memory alone."""
+    stack = [(p, q)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Record) and not isinstance(a, Value):
+            if type(a) is not type(b):
+                return False
+            stack += ((getattr(a, f), getattr(b, f)) for f in a._fields
+                      if f not in _UNCOMPARED)
+        elif type(a) is tuple and type(b) is tuple:
+            if len(a) != len(b):
+                return False
+            stack += zip(a, b)
+        elif a != b:
+            return False
+    return True
+
+
+def validate(document) -> list:
+    """Diagnostics instead of exceptions; empty iff from_xml succeeds."""
+    try:
+        from_xml(document)
+    except SchemaError as exc:
+        return [Diagnostic("error", exc.code, str(exc))]
+    return []

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pichan import cli
 from pichan.cli import (EXIT_FAULT, EXIT_IO, EXIT_OK, EXIT_STEP_LIMIT,
                         EXIT_STUCK, EXIT_SYNTAX, EXIT_TYPE, main)
+from pichan.interop import build_std_registry
 from pichan.parser import desugar, parse_program
-from pichan.xir import from_xml, to_xml, validate
+from pichan.xir import from_xml, to_xml
 
 from printer import format_program
+from terms import validate
 from test_deep_inputs import _mutants
 from test_ifgen import ACCOUNT_MANIFEST
 from test_parser import ACCOUNT_EXTERN
@@ -238,6 +241,31 @@ def test_run_trace_and_exit_code(tmp_path, capsys, source, argv, out, code):
     capsys.readouterr()
     assert main(["run", str(xir), "--seed", "0", *argv]) == code
     assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("args,shown", [
+    (' a0="str:oops"', "('oops')"),
+    (' a0="int:1" a1="int:2"', "(1,2)"),
+    ("", "()"),
+], ids=["wrong-sort", "one-too-many", "one-too-few"])
+def test_run_refuses_host_arguments_off_the_declared_sorts(
+        tmp_path, capsys, monkeypatch, args, shown):
+    # an edit of the compiled document that check_sorts never saw: the
+    # call ends the run as a violation before the Console is constructed
+    src = tmp_path / "print.pi"
+    src.write_text(CONSOLE + "print!(1).Ret1?()\n")
+    xir = _compile(src, tmp_path)
+    text = xir.read_text(encoding="utf-8")
+    assert text.count(' a0="int:1"') == 1
+    xir.write_text(text.replace(' a0="int:1"', args), encoding="utf-8")
+    registry = build_std_registry()
+    monkeypatch.setattr(cli, "build_registry", lambda name: registry)
+    capsys.readouterr()
+    assert main(["run", str(xir)]) == EXIT_FAULT
+    assert capsys.readouterr() == (
+        f"0|violation|C.print: declared to take (int), called with {shown}\n",
+        "")
+    assert registry.effect_log == []
 
 
 def test_run_step_limit_exit_6(tmp_path):

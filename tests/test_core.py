@@ -14,7 +14,7 @@ from pichan.core import (BOOL, HOST_LITERALS, INT, STR, UNIT, BoolLit, Fusion,
 from congruence import canonical_key, congruent
 from randgen import gen_process
 from substitution import substitute
-from terms import free_names, name_scan, par_all
+from terms import free_names, name_scan, par_all, same_program
 
 
 def _names(*displays):
@@ -85,7 +85,7 @@ def test_substitute_subject_and_object():
     x, y = _names("x", "y")
     p = Out(x, (NameRef(x),), Nil())
     q = substitute(p, x, y)
-    assert q == Out(y, (NameRef(y),), Nil())
+    assert same_program(q, Out(y, (NameRef(y),), Nil()))
 
 
 def test_substitute_shadowed_by_binder():
@@ -210,7 +210,7 @@ def test_bool_and_int_literals_never_fuse():
 
 
 def test_literals_of_different_kinds_are_unequal():
-    # Record equality compares within one class only
+    # Value equality compares within one class only
     assert IntLit(1) != BoolLit(True) and IntLit(0) != BoolLit(False)
     x = _names("x")[0]
     env = FusionEnv().merge(NameRef(x), IntLit(1))
@@ -490,9 +490,9 @@ def test_process_size_counts_occurrences():
 def test_par_all():
     x, y = _names("x", "y")
     a, b = Out(x, (), Nil()), Out(y, (), Nil())
-    assert par_all([]) == Nil()
-    assert par_all([a]) == a
-    assert par_all([a, b]) == Par(a, b)
+    assert same_program(par_all([]), Nil())
+    assert par_all([a]) is a
+    assert same_program(par_all([a, b]), Par(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +515,18 @@ def _one_of_each_node(span):
             Fusion(NameRef(x), IntLit(1), span=span)]
 
 
-def test_node_equality_and_hash_ignore_the_span():
+def test_nodes_compare_by_identity_and_same_program_ignores_the_span():
     for plain, placed in zip(_one_of_each_node(None),
                              _one_of_each_node(("f.pi", 3))):
-        assert plain == placed and hash(plain) == hash(placed)
+        assert plain != placed and plain == plain
+        assert same_program(plain, placed)
     x, y = _names("x", "y")
-    assert Out(x, (), Nil()) != Out(y, (), Nil())
-    assert In(x, (y,), True, Nil()) != In(x, (y,), False, Nil())
+    assert not same_program(Out(x, (), Nil()), Out(y, (), Nil()))
+    assert not same_program(In(x, (y,), True, Nil()),
+                            In(x, (y,), False, Nil()))
+    assert not same_program(Fusion(NameRef(x), IntLit(1)),
+                            Fusion(NameRef(x), BoolLit(True)))
+    assert not same_program(Par(Nil(), Nil()), New(x, Nil()))
 
 
 def test_values_and_nodes_repr_every_field():

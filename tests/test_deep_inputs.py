@@ -19,10 +19,11 @@ from pichan.typecheck import (SHOW_LIMIT, check_extern_usage,
 from pichan.xir import SchemaError, from_xml, to_xml
 
 import reference_recursive as ref
-from deep_inputs import SHAPES, reversed_outputs, run_shape
+from deep_inputs import SHAPES, flat_par, reversed_outputs, run_shape
 from golden_traces import corpus
 from printer import format_program
 from randgen import gen_program
+from terms import same_program
 from test_parser import ACCOUNT_EXTERN
 
 # ---------------------------------------------------------------------------
@@ -45,12 +46,26 @@ def _left_nested_par_document(depth):
 
 def test_run_100000_deep_left_nested_par(tmp_path, capsys):
     doc = _left_nested_par_document(100_000)
-    assert to_xml(from_xml(doc)) == doc  # not ==: Record __eq__ recurses
+    assert to_xml(from_xml(doc)) == doc
     path = tmp_path / "deep.xir.xml"
     path.write_text(doc)
     assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STUCK
     err = capsys.readouterr().err
     assert err.count("blocked output on a/0") == 100_001
+
+
+def test_same_program_on_100000_wide_par():
+    # a program and its XIR copy, then a copy whose last output differs
+    program = desugar(parse_program(flat_par(100_000)))
+    doc = to_xml(program)
+    out = '<out subject="a#0"/>'
+    last = doc.rindex(out)
+    other = doc[:last] + '<out subject="b#1"/>' + doc[last + len(out):]
+    copies = from_xml(doc), from_xml(other)
+    start = time.perf_counter()
+    assert same_program(program, copies[0])
+    assert not same_program(program, copies[1])
+    assert time.perf_counter() - start < 10
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 from pichan.cli import EXIT_IO, EXIT_SYNTAX, EXIT_TYPE, main
 from pichan.ifgen import ManifestParseError, load_manifest
 from pichan.parser import desugar, parse_program
-from pichan.xir import SchemaError, from_xml, to_xml, validate
+from pichan.xir import SchemaError, from_xml, to_xml
 
+from terms import validate
 from test_parser import ACCOUNT_EXTERN
 
 # more digits than int() converts from text under the default limit

@@ -1,7 +1,6 @@
 """Tests for host class registry, endpoint binding and call dispatch."""
 
 import re
-from collections.abc import Hashable
 
 import pytest
 
@@ -13,6 +12,7 @@ from pichan.interop import (DuplicateClass, HostClass, HostFault,
                             complete_return, dispatch_call, resolve_externs)
 from pichan.parser import parse_program
 
+from terms import same_program
 from test_parser import ACCOUNT_EXTERN
 
 
@@ -31,7 +31,7 @@ def _bind():
 # declarations and registry
 
 
-def test_decl_equality_and_hash_ignore_span_and_protocol():
+def test_same_program_ignores_decl_span_and_protocol():
     decl = _account_decl()
     assert decl.span is not None and decl.methods[0].span is not None
     assert decl.methods[0].protocol is not None
@@ -39,20 +39,13 @@ def test_decl_equality_and_hash_ignore_span_and_protocol():
                                m.return_channel, m.return_payload)
                     for m in decl.methods)
     plain = ExternDecl(decl.alias, decl.class_name, methods)
-    assert plain == decl and hash(plain) == hash(decl)
-    assert methods[0] == decl.methods[0]
-    assert hash(methods[0]) == hash(decl.methods[0])
-    assert ExternDecl("Other", decl.class_name, methods) != decl
+    assert plain != decl and same_program(plain, decl)
+    assert same_program(methods[0], decl.methods[0])
+    assert not same_program(ExternDecl("Other", decl.class_name, methods),
+                            decl)
     assert repr(plain).startswith("ExternDecl(alias='FClass', "
                                   "class_name='Account', methods=(MethodDecl(")
     assert repr(plain).endswith("protocol=None, span=None)), span=None)")
-
-
-def test_host_class_compares_by_value_and_has_no_hash():
-    ctor = lambda log: object()  # noqa: E731
-    assert HostClass("C", {}, ctor) == HostClass("C", {}, ctor)
-    assert HostClass("C", {}, ctor) != HostClass("D", {}, ctor)
-    assert not isinstance(HostClass("C", {}, ctor), Hashable)
 
 
 def test_register_and_duplicate():
