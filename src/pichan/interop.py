@@ -54,16 +54,18 @@ class HostClass(Record):
         self.signatures = signatures  # method -> (param sorts tuple, return sort BaseSort | None)
         self.constructor = constructor  # (log: Callable[[str], None]) -> instance object
 
-    # instance objects expose one callable per method plus optionally use log
+    # instance objects expose one callable per method and may keep log,
+    # which records an event at the step of the call under way
 
 
 class HostRegistry:
     """Host classes by name plus an append-only effect log.  Read-only after
-    VM start except the log."""
+    VM start except the log and the step of the host call under way."""
 
     def __init__(self):
         self.classes: dict[str, HostClass] = {}
         self.effect_log: list[tuple[str, str, int]] = []  # (class, event, step)
+        self.step = 0
 
     def register(self, c: HostClass) -> "HostRegistry":
         if c.class_name in self.classes:
@@ -130,7 +132,8 @@ def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
     """Run one host call: refuse it while a return is staged or when the
     arguments' sorts are not the declared parameter sorts, instantiate on
     first use, invoke the host function, check its result against the
-    declared return sort and stage it for return delivery."""
+    declared return sort and stage it for return delivery.  Host code is
+    foreign: whatever constructor or method raises is a HostFault."""
     m = endpoint.method(method_name)
     if endpoint.pending is not None:
         raise ProtocolViolation(
@@ -140,14 +143,14 @@ def dispatch_call(endpoint: Endpoint, method_name: str, args: list,
         raise HostFault(f"{endpoint.decl.alias}.{method_name}: declared to "
                         f"take ({','.join(map(str, m.param_sorts))}), called "
                         f"with ({','.join(map(repr, args))})")
-    log = lambda event: registry.log(endpoint.host.class_name, event, step)
-    if endpoint.instance is None:
-        endpoint.instance = endpoint.host.constructor(log)
-    endpoint.instance._pichan_log = log
-    fn = getattr(endpoint.instance, method_name)
+    registry.step = step
     try:
-        value = fn(*args)
-    except Exception as exc:  # host code is foreign; wrap everything
+        if endpoint.instance is None:
+            name = endpoint.host.class_name
+            endpoint.instance = endpoint.host.constructor(
+                lambda event: registry.log(name, event, registry.step))
+        value = getattr(endpoint.instance, method_name)(*args)
+    except Exception as exc:
         raise HostFault(f"{endpoint.decl.alias}.{method_name}: {exc}") from exc
     sort = m.return_payload[0] if m.return_payload else None
     literal = HOST_LITERALS.get(type(value))
@@ -187,19 +190,21 @@ class _Account:
 
 class _Console:
     def __init__(self, log):
+        self.log = log
         log("ctor")
 
     def print(self, value):
-        self._pichan_log(f"print:{value}")
+        self.log(f"print:{value}")
         return None
 
 
 class _LoggingCtor:
     def __init__(self, log):
+        self.log = log
         log("ctor")
 
     def poke(self):
-        self._pichan_log("poke")
+        self.log("poke")
         return None
 
 

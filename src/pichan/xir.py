@@ -1,22 +1,25 @@
 """XML execution format: the interchange representation between the
 compiler and the virtual machine.
 
-One element per action: an ``<out>``, ``<in>``, ``<new>`` or ``<repeat>``
-holds its continuation as its one child, and no child means nil.  Action
-arguments are the attributes ``a0``, ``a1``, ... in the ``kind:value``
-grammar of ``<fusion>`` sides (``name:x#3``, ``unit:``).  One ``<par>``
-holds the right spine of a ``|`` chain; the reader folds children to the
-right, so binary pars read to the same program.  An extern method is one
-empty ``<method/>`` naming its channels and sorts, and no protocol:
-``check`` accepts only the canonical one.
+One element per action: an ``<out>``, ``<in>`` or ``<repeat>`` holds its
+continuation as its one child, and no child means nil.  Action arguments
+are the attributes ``a0``, ``a1``, ... in the ``kind:value`` grammar of
+``<fusion>`` sides (``name:x#3``, ``unit:``).  One ``<par>`` holds the
+right spine of a ``|`` chain; the reader folds children to the right, so
+binary pars read to the same program.  A chain of restrictions is no
+element of its own: ``new="r#4 s#5"``, first in attribute order, lists
+its binders outermost first, separated by white space, on the element of
+the process they scope (``<out new="r#4" subject="s#0" a0="name:r#4">``).
+An extern method is one empty ``<method/>`` naming its channels and
+sorts, and no protocol: ``check`` accepts only the canonical one.
 
 Serialization is deterministic: one element per line, no indentation,
 fixed attribute order, names written as ``display#id``.  Programs of the
 same structure give byte-identical documents, and ``from_xml(to_xml(p))``
 has p's structure, ids included; indented documents load too.  This is
-version "3"; an earlier one is a VersionError.  Writer and reader use
+version "4"; an earlier one is a VersionError.  Writer and reader use
 explicit stacks, so depth is bounded by memory alone.  Name ids are
-non-negative decimals: the VM gives the names that ``<new>`` creates at
+non-negative decimals: the VM gives the names that a ``new`` creates at
 run time the ids -1, -2, ..., apart from the program's.
 """
 
@@ -30,7 +33,7 @@ from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
                    NameRef, New, NIL, Nil, Out, Par, Process, Program, Repeat,
                    StrLit, SurfaceFormError, UnitLit, Value, base_sort)
 
-XIR_VERSION = "3"
+XIR_VERSION = "4"
 
 
 class SchemaError(Exception):
@@ -103,6 +106,11 @@ def _write_extern(lines: list, d: ExternDecl) -> None:
     lines.append("</extern>")
 
 
+_TAGS = {Nil: "nil", Par: "par", Fusion: "fusion", Out: "out", In: "in",
+         Repeat: "repeat"}
+_HAS_SPACE = re.compile(r"\s").search
+
+
 def _write_proc(lines: list, p: Process) -> None:
     """Elements of p in order, from a stack of nodes and closing tags."""
     stack = [p]
@@ -111,35 +119,45 @@ def _write_proc(lines: list, p: Process) -> None:
         kind = type(p)
         if kind is str:
             lines.append(p)
-        elif kind is Nil:
-            lines.append("<nil/>")
+            continue
+        line = ""
+        if kind is New:  # the chain is one attribute of the node it scopes
+            texts = []
+            while kind is New:  # white space separates the list's items
+                if _HAS_SPACE(p.name.display):
+                    raise ValueError(f"binder display {p.name.display!r} "
+                                     f"holds white space")
+                texts.append(_name_text(p.name))
+                p = p.body
+                kind = type(p)
+            line = " new=" + _quoted(" ".join(texts))
+        tag = _TAGS.get(kind)
+        if tag is None:
+            raise TypeError(p)
+        line = "<" + tag + line
+        if kind is Nil:
+            lines.append(line + "/>")
         elif kind is Par:
             spine = []
             while type(p) is Par:  # the right spine is one element
                 spine.append(p.left)
                 p = p.right
-            lines.append("<par>")
+            lines.append(line + ">")
             stack += ("</par>", p, *reversed(spine))
         elif kind is Fusion:
-            lines.append(_element("fusion", [("left", _value_text(p.left)),
-                                             ("right", _value_text(p.right))],
-                                  True))
+            lines.append(f"{line} left={_quoted(_value_text(p.left))} "
+                         f"right={_quoted(_value_text(p.right))}/>")
         else:  # an action: its continuation is its one child, none for nil
-            if kind is New:
-                tag, line = "new", f"<new name={_quoted(_name_text(p.name))}"
-            elif kind is Repeat:
-                tag, line = "repeat", "<repeat"
+            if kind is Repeat:
+                cont = p.body
             elif kind is In and p.binding:
                 raise SurfaceFormError("binding input cannot be serialized")
-            elif kind is Out or kind is In:
-                tag = "out" if kind is Out else "in"
-                line = f"<{tag} subject={_quoted(_name_text(p.subject))}"
+            else:
+                cont = p.cont
+                line += f" subject={_quoted(_name_text(p.subject))}"
                 for i, v in enumerate(p.objects):
                     text = _value_text(v) if kind is Out else "name:" + _name_text(v)
                     line += f" a{i}={_quoted(text)}"
-            else:
-                raise TypeError(p)
-            cont = p.body if kind is New or kind is Repeat else p.cont
             if type(cont) is Nil:
                 lines.append(line + "/>")
             else:
@@ -149,7 +167,8 @@ def _write_proc(lines: list, p: Process) -> None:
 
 def to_xml(program: Program) -> str:
     """Serialize a core program, one element per line; deterministic byte
-    for byte.  A binding input raises SurfaceFormError."""
+    for byte.  A binding input raises SurfaceFormError, and a binder whose
+    display holds white space ValueError."""
     lines = [_element("pic", [("version", XIR_VERSION)]),
              "<externs>" if program.externs else "<externs/>"]
     for d in program.externs:
@@ -233,8 +252,9 @@ def _outside(n: Name) -> SchemaError:
 
 def _read_proc(elem, names: dict, channels: set) -> Process:
     """The process of elem, from a stack, in document order: each element
-    is checked when reached and built once its child is (an action with
-    none at once on NIL); par children fold to the right.  The VM binds a
+    is checked when reached, its new list first, and built once its child
+    is (an action with none at once on NIL), then wrapped in a New per
+    binder of the list; par children fold to the right.  The VM binds a
     new's id in a shared environment, sound only if no id is bound twice
     or occurs outside its new, as checked here."""
     built = []
@@ -252,6 +272,11 @@ def _read_proc(elem, names: dict, channels: set) -> Process:
                     p = Par(built.pop(), p)
                 built.append(p)
                 continue
+        elif "new" in elem.attrib:  # its binders, then elem inside them
+            stack += [(New, (n,)) for n in _bind(
+                elem.attrib.pop("new"), names, channels, bound, seen)]
+            stack.append(elem)
+            continue
         elif (tag := elem.tag) == "out" or tag == "in":
             attrib = elem.attrib
             if len(attrib) not in getters:
@@ -282,20 +307,6 @@ def _read_proc(elem, names: dict, channels: set) -> Process:
             else:  # None: not all names, raised after the child
                 objects = tuple(objects) if len(objects) == len(args) else None
                 make, fields = In, (subj, objects, False)
-        elif tag == "new":
-            attrib = elem.attrib
-            if len(attrib) != 1 or "name" not in attrib:
-                _attrs(elem, ("name",), "new")  # raises
-            text = attrib["name"]
-            n = names.get(text) or _parse_name(text, "new", names)
-            if n.id in bound or n.id in channels:
-                raise SchemaError(f"binder id {n.id} of new {_name_text(n)} "
-                                  + ("is already bound" if n.id in bound
-                                     else "is an extern channel id"))
-            if n.id in seen:
-                raise _outside(n)
-            bound.add(n.id)
-            make, fields = New, (n,)
         elif tag == "fusion":
             sides = _attrs(elem, ("left", "right"), "fusion")
             if len(elem) != 0:
@@ -340,6 +351,27 @@ def _read_proc(elem, names: dict, channels: set) -> Process:
             raise SchemaError("in arguments must be names")
         built.append(make(*fields, cont))
     return built[0]
+
+
+def _bind(text: str, names: dict, channels: set, bound: set,
+          seen: set) -> list:
+    """The binders of a new list, outermost first, each checked in turn: a
+    new binds an id no earlier new bound and no extern channel has, and
+    that no earlier element used."""
+    news = []
+    for item in text.split():
+        n = names.get(item) or _parse_name(item, "new", names)
+        if n.id in bound or n.id in channels:
+            raise SchemaError(f"binder id {n.id} of new {_name_text(n)} "
+                              + ("is already bound" if n.id in bound
+                                 else "is an extern channel id"))
+        if n.id in seen:
+            raise _outside(n)
+        bound.add(n.id)
+        news.append(n)
+    if not news:
+        raise SchemaError("new lists no binder")
+    return news
 
 
 def _read_extern(elem, names: dict) -> ExternDecl:

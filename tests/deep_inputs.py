@@ -1,4 +1,4 @@
-"""Deep and wide `.pi` programs: ten shapes whose depth or width grows with
+"""Deep and wide `.pi` programs: twelve shapes whose depth or width grows with
 one parameter n, and the exit code each of `pichan check`, `compile` and
 `run --max-steps 10` documents for it.
 
@@ -63,6 +63,16 @@ def new_under_par(n: int) -> str:
             + f"new a{n - 1} in a{n - 1}!()" + ")" * (n - 1))
 
 
+def new_list(n: int) -> str:
+    """new a0, a1, ... in nil: n restrictions in one list"""
+    return "new " + ", ".join(f"a{i}" for i in range(n)) + " in nil"
+
+
+def new_over_par(n: int) -> str:
+    """new a in (a!() | a!() | ...): one restriction over n outputs"""
+    return "new a in (" + flat_par(n) + ")"
+
+
 def right_nested_par(n: int) -> str:
     """(a!() | (a!() | (...))): n outputs, every | parenthesized"""
     return "(a!() | " * (n - 1) + "a!()" + ")" * (n - 1)
@@ -90,6 +100,8 @@ SHAPES = {
     repeat_chain: (0, 0, 6),
     new_chain: (0, 0, 4),
     new_under_par: (0, 0, 4),
+    new_list: (0, 0, 0),
+    new_over_par: (0, 0, 4),
     right_nested_par: (0, 0, 4),
     left_nested_par: (0, 0, 4),
     reversed_outputs: (0, 0, 4),

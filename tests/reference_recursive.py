@@ -9,10 +9,11 @@ What they share with pichan did not change with the walks: the tokenizer,
 extern blocks, the value and item rules of the parser, and the XIR
 reader's attribute, name, value and extern helpers.  The XIR writer here
 indents by two spaces per level, as it did; writer and reader follow
-version 3 of the format, as pichan's do.  The sort checker here keeps sorts as
-terms (ChanSort, literal_sort), binds variables in a dict and walks the
-whole sort for its occurs check; pichan's is a union-find over sort
-classes, and must report the same diagnostics in the same order.
+version 4 of the format, as pichan's do: a chain of news is one ``new``
+list on the element of the process it scopes.  The sort checker here keeps
+sorts as terms (ChanSort, literal_sort), binds variables in a dict and
+walks the whole sort for its occurs check; pichan's is a union-find over
+sort classes, and must report the same diagnostics in the same order.
 """
 
 from __future__ import annotations
@@ -412,32 +413,40 @@ def _write_action(w: _Writer, depth: int, tag: str, attrs: list,
 
 
 def _write_proc(w: _Writer, p: Process, depth: int) -> None:
+    texts = []
+    while isinstance(p, New):
+        if any(c.isspace() for c in p.name.display):
+            raise ValueError(f"binder display {p.name.display!r} holds "
+                             f"white space")
+        texts.append(_name_text(p.name))
+        p = p.body
+    news = [("new", " ".join(texts))] if texts else []
     if isinstance(p, Nil):
-        w.emit(depth, "nil", close=True)
+        w.emit(depth, "nil", news, close=True)
     elif isinstance(p, Par):
-        w.emit(depth, "par")
+        w.emit(depth, "par", news)
         while isinstance(p, Par):
             _write_proc(w, p.left, depth + 1)
             p = p.right
         _write_proc(w, p, depth + 1)
         w.end(depth, "par")
-    elif isinstance(p, New):
-        _write_action(w, depth, "new", [("name", _name_text(p.name))], p.body)
     elif isinstance(p, Out):
         args = [(f"a{i}", _value_text(v)) for i, v in enumerate(p.objects)]
         _write_action(w, depth, "out",
-                      [("subject", _name_text(p.subject)), *args], p.cont)
+                      [*news, ("subject", _name_text(p.subject)), *args],
+                      p.cont)
     elif isinstance(p, In):
         if p.binding:
             raise SurfaceFormError("binding input cannot be serialized")
         args = [(f"a{i}", "name:" + _name_text(n))
                 for i, n in enumerate(p.objects)]
         _write_action(w, depth, "in",
-                      [("subject", _name_text(p.subject)), *args], p.cont)
+                      [*news, ("subject", _name_text(p.subject)), *args],
+                      p.cont)
     elif isinstance(p, Repeat):
-        _write_action(w, depth, "repeat", [], p.body)
+        _write_action(w, depth, "repeat", news, p.body)
     elif isinstance(p, Fusion):
-        w.emit(depth, "fusion", [("left", _value_text(p.left)),
+        w.emit(depth, "fusion", [*news, ("left", _value_text(p.left)),
                                  ("right", _value_text(p.right))], close=True)
     else:
         raise TypeError(p)
@@ -505,6 +514,27 @@ def _read_child(elem, names: dict, binders: _Binders,
 
 def _read_proc(elem, names: dict, binders: _Binders,
                scope: frozenset = frozenset()) -> Process:
+    """elem's process: its new list, if any, binds each name in turn and
+    wraps in a New per binder what the rest of elem reads to."""
+    text = elem.attrib.pop("new", None)
+    if text is None:
+        return _read_bare(elem, names, binders, scope)
+    items = text.split()
+    if not items:
+        raise SchemaError("new lists no binder")
+    news = []
+    for item in items:
+        n = _parse_name(item, "new", names)
+        binders.bind(n)
+        news.append(n)
+    p = _read_bare(elem, names, binders, scope | {n.id for n in news})
+    for n in reversed(news):
+        p = New(n, p)
+    return p
+
+
+def _read_bare(elem, names: dict, binders: _Binders,
+               scope: frozenset) -> Process:
     tag = elem.tag
     if tag == "nil":
         _attrs(elem, (), "nil")
@@ -513,7 +543,8 @@ def _read_proc(elem, names: dict, binders: _Binders,
         return Nil()
     if tag == "par":
         left = []
-        while elem.tag == "par":
+        # a par with a new list of its own is a child, not the spine
+        while elem.tag == "par" and "new" not in elem.attrib:
             _attrs(elem, (), "par")
             if len(elem) < 2:
                 raise SchemaError("par takes at least 2 children")
@@ -524,11 +555,6 @@ def _read_proc(elem, names: dict, binders: _Binders,
         for q in reversed(left):
             p = Par(q, p)
         return p
-    if tag == "new":
-        (name,) = _attrs(elem, ("name",), "new")
-        n = _parse_name(name, "new", names)
-        binders.bind(n)
-        return New(n, _read_child(elem, names, binders, scope | {n.id}))
     if tag in ("out", "in"):
         # a subject, then one attribute a<i> per argument
         count = max(len(elem.attrib) - 1, 0)

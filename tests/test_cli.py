@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline and its exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from pichan.cli import (EXIT_FAULT, EXIT_IO, EXIT_OK, EXIT_STEP_LIMIT,
                         EXIT_STUCK, EXIT_SYNTAX, EXIT_TYPE, main)
 from pichan.interop import build_std_registry
 from pichan.parser import desugar, parse_program
-from pichan.xir import from_xml, to_xml
+from pichan.xir import XIR_VERSION, from_xml, to_xml
 
 from printer import format_program
 from terms import validate
@@ -277,7 +278,7 @@ def test_run_step_limit_exit_6(tmp_path):
 
 def test_run_schema_error_exit_2(tmp_path):
     bad = tmp_path / "bad.xir.xml"
-    bad.write_text('<pic version="4"><externs/><process><nil/></process></pic>')
+    bad.write_text('<pic version="5"><externs/><process><nil/></process></pic>')
     assert main(["run", str(bad)]) == EXIT_TYPE
 
 
@@ -296,13 +297,26 @@ def test_run_version_1_document_exit_2(tmp_path, capsys):
     assert [d.code for d in validate(doc)] == ["E-VERSION"]
 
 
+def test_run_version_3_document_exit_2(tmp_path, capsys):
+    # version 3 wrote each restriction as a <new> element around its scope
+    doc = ('<pic version="3"><externs/><process><new name="a#0">'
+           '<out subject="a#0"/></new></process></pic>')
+    bad = tmp_path / "v3.xir.xml"
+    bad.write_text(doc)
+    assert main(["run", str(bad)]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: E-VERSION unsupported "
+                                                "version '3'\n")
+
+
 def test_run_version_2_document_exit_2(tmp_path, capsys):
     # version 2 wrote each method as call, ret and a protocol automaton
     doc = _compile(SAMPLES_DIR / "counter.pi", tmp_path)
     text = doc.read_text(encoding="utf-8")
     old = '<method name="inc" call="inc#0" params="" ret="IncRet#1" result="int"/>'
     assert text.count(old) == 1
-    doc.write_text(text.replace('version="3"', 'version="2"').replace(old, (
+    text = text.replace(f'version="{XIR_VERSION}"', 'version="2"')
+    doc.write_text(text.replace(old, (
         '<method name="inc">\n<call channel="inc#0" params=""/>\n'
         '<ret channel="IncRet#1" result="int"/>\n<protocol states="2">\n'
         '<t from="0" chan="inc" payload="" to="1"/>\n'
@@ -476,8 +490,8 @@ def test_run_two_sort_result_exit_2(tmp_path, capsys):
     text = doc.read_text(encoding="utf-8")
     assert text.count('result="int"') == 1
     text = text.replace('result="int"', 'result="int,int"')
-    text = re.sub(r'(<in subject="IncRet#1" a0="(name:[^"]*)")',
-                  r'\1 a1="\2"', text)
+    text = re.sub(r'(<in (?:new="[^"]*" )?subject="IncRet#1" '
+                  r'a0="(name:[^"]*)")', r'\1 a1="\2"', text)
     assert text.count(' a1="name:') == 2
     doc.write_text(text, encoding="utf-8")
     capsys.readouterr()
@@ -562,7 +576,8 @@ def _pair(k):
 
 
 def _document(process):
-    return f'<pic version="3"><externs/><process>{process}</process></pic>'
+    return (f'<pic version="{XIR_VERSION}"><externs/><process>{process}'
+            '</process></pic>')
 
 
 @pytest.mark.parametrize("bad", [
@@ -603,7 +618,7 @@ def test_run_new_over_2000_thread_par_step_limit(tmp_path, capsys):
     threads = [t for k in range(1000) for t in _pair(k)]
     threads[0] = '<out subject="z#5000"/>'
     threads[-1] = '<in subject="z#5000"/>'
-    process = f'<new name="z#5000"><par>{"".join(threads)}</par></new>'
+    process = f'<par new="z#5000">{"".join(threads)}</par>'
     path = tmp_path / "widenew.xir.xml"
     path.write_text(_document(process), encoding="utf-8")
     assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STEP_LIMIT
@@ -616,14 +631,12 @@ def _thread(tag, subject):
 
 @pytest.mark.parametrize("process,error", [
     # the VM would rebind a#0 in the environment a!() shares with it
-    ('<new name="a#0"><par>' + _thread("out", "a#0")
-     + '<new name="a#0">' + _thread("in", "a#0") + "</new></par></new>",
+    ('<par new="a#0">' + _thread("out", "a#0")
+     + '<in new="a#0" subject="a#0"/></par>',
      "binder id 0 of new a#0 is already bound"),
-    ("<par>" + _thread("in", "a#0") + '<new name="a#0">'
-     + _thread("out", "a#0") + "</new></par>",
+    ("<par>" + _thread("in", "a#0") + '<out new="a#0" subject="a#0"/></par>',
      "name a#0 occurs outside its new"),
-    ('<par><new name="a#0">' + _thread("out", "a#0") + "</new>"
-     + _thread("in", "a#0") + "</par>",
+    ('<par><out new="a#0" subject="a#0"/>' + _thread("in", "a#0") + "</par>",
      "name a#0 occurs outside its new"),
 ], ids=["bound-twice", "used-before-its-new", "used-after-its-new"])
 def test_run_binder_id_error_exit_2(tmp_path, capsys, process, error):
@@ -639,7 +652,7 @@ def test_run_binder_id_is_extern_channel_exit_2(account_src, tmp_path, capsys):
     out = _compile(account_src, tmp_path)
     text = out.read_text(encoding="utf-8")
     assert 'ret="Ret2#3" result="int"/>' in text
-    assert '<new name="v#5">' in text
+    assert '<in new="v#5" subject="Ret2#3" a0="name:v#5"/>' in text
     out.write_text(text.replace("v#5", "v#3"), encoding="utf-8")
     capsys.readouterr()
     assert main(["run", str(out)]) == EXIT_TYPE
@@ -762,3 +775,14 @@ def test_run_on_mutated_sample_xir_ends_in_a_run_exit_code(index, seed):
         assert _run_captured(path) == first
     assert first[0] in {EXIT_OK, EXIT_TYPE, EXIT_STUCK, EXIT_FAULT,
                         EXIT_STEP_LIMIT}
+
+
+@pytest.mark.parametrize("sample", ["counter.pi", "account.pi"])
+def test_warm_host_run_leaves_no_cyclic_garbage(sample, tmp_path, capsys):
+    # the host constructor's log holds the registry, not the endpoint, so a
+    # run's objects are freed by reference counting alone
+    doc = _compile(SAMPLES_DIR / sample, tmp_path)
+    main(["run", str(doc)])
+    gc.collect()
+    assert main(["run", str(doc)]) == EXIT_OK
+    assert gc.collect() == 0

@@ -16,10 +16,11 @@ from pichan.diag import ParseError
 from pichan.parser import desugar, parse_program
 from pichan.typecheck import (SHOW_LIMIT, check_extern_usage,
                               check_sorts)
-from pichan.xir import SchemaError, from_xml, to_xml
+from pichan.xir import XIR_VERSION, SchemaError, from_xml, to_xml
 
 import reference_recursive as ref
-from deep_inputs import SHAPES, flat_par, reversed_outputs, run_shape
+from deep_inputs import (SHAPES, flat_par, new_list, new_over_par,
+                         reversed_outputs, run_shape)
 from golden_traces import corpus
 from printer import format_program
 from randgen import gen_program
@@ -40,7 +41,8 @@ def _left_nested_par_document(depth):
     """A <par> nested depth deep in left position, each with an output on
     its right: one element per line, as to_xml writes it."""
     out = '<out subject="a#0"/>\n'
-    return ('<pic version="3">\n<externs/>\n<process>\n' + "<par>\n" * depth
+    return (f'<pic version="{XIR_VERSION}">\n<externs/>\n<process>\n'
+            + "<par>\n" * depth
             + out + (out + "</par>\n") * depth + "</process>\n</pic>\n")
 
 
@@ -364,7 +366,8 @@ def test_reader_matches_reference_on_binder_mutants():
 
 
 def _process_document(process):
-    return f'<pic version="3"><externs/><process>{process}</process></pic>'
+    return (f'<pic version="{XIR_VERSION}"><externs/><process>{process}'
+            '</process></pic>')
 
 
 @pytest.mark.parametrize("process,message", [
@@ -372,8 +375,10 @@ def _process_document(process):
     # names
     ('<in subject="x#0" a0="int:1"><widget/></in>',
      "unknown element 'widget'"),
-    # a new's name before its child, an out's arguments before its subject
-    ('<new name="a"><widget/></new>', "bad name reference 'a' in new"),
+    # a new list before its element, an out's arguments before its subject;
+    # version 3's <new> element is no longer one
+    ('<widget new="a"/>', "bad name reference 'a' in new"),
+    ('<new name="a"><widget/></new>', "unknown element 'new'"),
     ('<out subject="x" a0="int:x"/>', "bad int literal 'x' in out"),
     # a par's children in order, each one whole before the next
     ('<par><par><widget/><nil/></par><gadget/></par>',
@@ -386,11 +391,45 @@ def _process_document(process):
     ('<fusion left="name:x#0" right="int:1"><nil/></fusion>',
      "fusion takes no children"),
     ("<nil><nil/></nil>", "nil takes no children"),
-    ('<par><new name="a#0"><out subject="a#0"/></new>'
+    ('<par><out new="a#0" subject="a#0"/>'
      '<fusion left="int:1" right="name:a#0"/></par>',
      "name a#0 occurs outside its new"),
+    # a new list item by item, each read and checked before the next
+    ('<nil new=""/>', "new lists no binder"),
+    ('<nil new="a b"/>', "bad name reference 'a' in new"),
+    ('<nil new="x#-1"/>', "bad name reference 'x#-1' in new"),
+    ('<nil new="a#5 a#5"/>', "binder id 5 of new a#5 is already bound"),
+    ('<nil new="a#5 a#5 b"/>', "binder id 5 of new a#5 is already bound"),
+    ('<repeat new="a#5"><out new="b#6 a#5" subject="b#6"/></repeat>',
+     "binder id 5 of new a#5 is already bound"),
+    ('<par><out subject="a#5"/><nil new="a#5"/></par>',
+     "name a#5 occurs outside its new"),
+    ('<nil new="a#5" bogus="1"/>',
+     "nil: expected attributes [], found ['bogus']"),
+    ('<out new="" subject="x"/>', "new lists no binder"),
+    ('<par new="a#5 a"><widget/><nil/></par>',
+     "bad name reference 'a' in new"),
 ])
 def test_reader_reports_the_first_error_the_reference_does(process, message):
     doc = _process_document(process)
     assert _read(from_xml, doc) == _read(ref.from_xml, doc)
     assert _read(from_xml, doc) == ("SchemaError", message)
+
+
+def test_new_list_item_with_an_extern_channel_id_gets_the_reference_error():
+    # Ret2 is channel id 3 of the Account extern
+    doc = to_xml(desugar(parse_program(ACCOUNT_EXTERN + "Ret2?(v).nil")))
+    mutant = doc.replace(' new="v#', ' new="r#3 v#')
+    assert mutant != doc
+    assert _read(from_xml, mutant) == _read(ref.from_xml, mutant) == (
+        "SchemaError", "binder id 3 of new r#3 is an extern channel id")
+
+
+@pytest.mark.parametrize("shape", [new_list, new_over_par],
+                         ids=lambda s: s.__name__)
+def test_restriction_shape_at_100000_takes_under_20_s(shape, tmp_path):
+    # one 100,000-item new list, and one new over a 100,000-wide |: a walk
+    # that rescans the list or the spine per item takes hours here
+    got = run_shape(shape, 100_000, tmp_path)
+    assert tuple(code for _, code, _ in got) == SHAPES[shape]
+    assert all(seconds < 20 for _, _, seconds in got), got

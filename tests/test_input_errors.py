@@ -8,7 +8,7 @@ import pytest
 from pichan.cli import EXIT_IO, EXIT_SYNTAX, EXIT_TYPE, main
 from pichan.ifgen import ManifestParseError, load_manifest
 from pichan.parser import desugar, parse_program
-from pichan.xir import SchemaError, from_xml, to_xml
+from pichan.xir import XIR_VERSION, SchemaError, from_xml, to_xml
 
 from terms import validate
 from test_parser import ACCOUNT_EXTERN
@@ -81,7 +81,7 @@ def test_long_int_in_source_is_e_syntax(tmp_path, capsys):
 
 
 def _out_document(subject, arg):
-    return ('<pic version="3"><externs/><process>'
+    return (f'<pic version="{XIR_VERSION}"><externs/><process>'
             f'<out subject="{subject}"{arg}/>'
             '</process></pic>')
 

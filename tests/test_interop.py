@@ -179,6 +179,70 @@ def test_host_exception_wrapped():
         dispatch_call(ep, "go", [], reg, step=0)
 
 
+class _Refuses:
+    def __init__(self, log):
+        raise RuntimeError("no connection")
+
+    def go(self):
+        return None
+
+
+class _Slotted:
+    # keeps nothing on the instance, so nothing can be set on it either
+    __slots__ = ()
+
+    def __init__(self, log):
+        log("ctor")
+
+    def go(self):
+        return None
+
+
+_GO_SOURCE = ("extern B -> class {} {{ void go() {{ call go: void; "
+              "return R: void; }} }}\n")
+
+
+def _go_registry(cls):
+    return HostRegistry().register(HostClass(cls.__name__, {"go": ((), None)},
+                                             cls))
+
+
+def test_raising_constructor_is_host_fault():
+    reg = _go_registry(_Refuses)
+    decl = parse_program(_GO_SOURCE.format("_Refuses") + "nil").externs[0]
+    ep = resolve_externs([decl], reg)["B"]
+    with pytest.raises(HostFault, match="^B.go: no connection$"):
+        dispatch_call(ep, "go", [], reg, step=0)
+    assert ep.instance is None and ep.pending is None
+
+
+def test_instance_with_empty_slots_is_called():
+    reg = _go_registry(_Slotted)
+    decl = parse_program(_GO_SOURCE.format("_Slotted") + "nil").externs[0]
+    ep = resolve_externs([decl], reg)["B"]
+    dispatch_call(ep, "go", [], reg, step=3)
+    assert complete_return(ep) == ("go", None)
+    assert reg.effect_log == [("_Slotted", "ctor", 3)]
+
+
+@pytest.mark.parametrize("cls,code,out", [
+    (_Refuses, 5, "0|violation|B.go: no connection\n"),
+    (_Slotted, 0, "0|host-call|B.go()\n1|host-return|B.go -> None\n"),
+], ids=["raising-constructor", "empty-slots"])
+def test_cli_run_of_foreign_construction(monkeypatch, tmp_path, capsys, cls,
+                                         code, out):
+    from pichan import interop
+    from pichan.cli import EXIT_OK, main
+    monkeypatch.setitem(interop.REGISTRY_BUILDERS, "go",
+                        lambda: _go_registry(cls))
+    src, xir = tmp_path / "go.pi", tmp_path / "go.xir.xml"
+    src.write_text(_GO_SOURCE.format(cls.__name__) + "go!().R?()\n")
+    assert main(["compile", str(src), "-o", str(xir)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", str(xir), "--registry", "go"]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_console_logs_printed_value():
     reg = build_std_registry()
     src = ("extern Con -> class Console {\n"

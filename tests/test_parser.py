@@ -12,7 +12,7 @@ from pichan.core import (INT, ExternDecl, Fusion, In, IntLit, MethodDecl,
 from pichan.diag import ParseError, Source
 from pichan.parser import _TOKEN_RE, desugar, parse_program, tokenize
 from pichan.typecheck import check_sorts
-from pichan.xir import to_xml
+from pichan.xir import XIR_VERSION, to_xml
 
 import reference_frontend
 from golden_traces import corpus
@@ -369,8 +369,8 @@ def test_desugar_matches_reference_on_hand_built_terms():
 def test_desugar_fresh_ids_start_above_renamed_binders():
     # v#1 is renamed away, yet it still bounds the fresh id
     assert to_xml(desugar(parse_program("x?(v).nil"))) == (
-        '<pic version="3">\n<externs/>\n<process>\n<new name="v#2">\n'
-        '<in subject="x#0" a0="name:v#2"/>\n</new>\n</process>\n</pic>\n')
+        f'<pic version="{XIR_VERSION}">\n<externs/>\n<process>\n'
+        '<in new="v#2" subject="x#0" a0="name:v#2"/>\n</process>\n</pic>\n')
 
 
 def test_desugar_keeps_spans_under_binding_input():

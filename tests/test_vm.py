@@ -350,7 +350,7 @@ def test_from_xml_rejects_rebound_binder_id():
     # may not reuse a binder id, not even under an inner New
     doc = to_xml(desugar(parse_program("new a in (repeat new b in b!() "
                                        "| a?() | a!())")))
-    assert '<new name="a#0">' in doc and '<new name="b#1">' in doc
+    assert '<par new="a#0">' in doc and '<out new="b#1" ' in doc
     with pytest.raises(SchemaError, match="binder id 0 of new a#0 is "
                                           "already bound"):
         from_xml(doc.replace("b#1", "a#0"))

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (ExternDecl, Fusion, IntLit, Name, NameRef, Nil, Out,
-                         Program, StrLit, SurfaceFormError)
+from pichan.core import (ExternDecl, Fusion, In, IntLit, Name, NameRef, New,
+                         Nil, Out, Par, Program, Repeat, StrLit,
+                         SurfaceFormError, nodes)
 from pichan.parser import desugar, parse_program
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _quoted,
                         from_xml, to_xml)
@@ -75,7 +76,7 @@ def test_determinism_byte_identical():
 
 def test_free_name_accepted():
     # a subject that is never bound and not extern is fine: it is free
-    doc = ('<pic version="3"><externs/><process>'
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process>'
            '<out subject="x#3"/>'
            '</process></pic>')
     program = from_xml(doc)
@@ -91,7 +92,7 @@ def test_version_error():
 
 
 def test_par_arity_diagnostic():
-    doc = ('<pic version="3"><externs/><process>'
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process>'
            '<par><nil/></par></process></pic>')
     diags = validate(doc)
     assert len(diags) == 1 and diags[0].code == "E-SCHEMA"
@@ -99,14 +100,14 @@ def test_par_arity_diagnostic():
 
 
 def test_unknown_element_rejected():
-    doc = ('<pic version="3"><externs/><process>'
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process>'
            '<widget/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
 
 
 def test_unknown_attribute_rejected():
-    doc = ('<pic version="3"><externs/><process>'
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process>'
            '<nil bogus="1"/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
@@ -123,7 +124,7 @@ def test_surface_form_rejected():
 
 
 def test_in_argument_must_be_name():
-    doc = ('<pic version="3"><externs/><process>'
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process>'
            '<in subject="x#0" a0="int:3"/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
@@ -163,6 +164,52 @@ def test_round_trip_random_programs(seed):
     text = to_xml(program)
     assert same_program(from_xml(text), program)
     assert to_xml(from_xml(text)) == text
+    # every New is one item of a new list, and none is an element
+    assert "<new" not in text
+    lists = re.findall(r'<\w+ new="([^"]*)"', text)
+    assert (sum(len(items.split()) for items in lists)
+            == sum(type(n) is New for n in nodes(program.main)))
+
+
+# ---------------------------------------------------------------------------
+# new lists: a chain of restrictions is an attribute of the node it scopes
+
+
+def test_a_chain_of_news_is_one_list_on_the_element_it_scopes():
+    a, b, x, y = Name(0, "a"), Name(1, "b"), Name(2, "x"), Name(3, "y")
+    out = Out(x, (), Nil())
+    for body, line in [
+            (Nil(), '<nil new="a#0 b#1"/>'),
+            (out, '<out new="a#0 b#1" subject="x#2"/>'),
+            (In(x, (a,), False, out),
+             '<in new="a#0 b#1" subject="x#2" a0="name:a#0">'),
+            (Repeat(out), '<repeat new="a#0 b#1">'),
+            (Par(out, Par(out, New(y, Par(out, out)))), '<par new="a#0 b#1">'),
+            (Fusion(NameRef(a), NameRef(b)),
+             '<fusion new="a#0 b#1" left="name:a#0" right="name:b#1"/>')]:
+        program = Program((), New(a, New(b, body)))
+        text = to_xml(program)
+        assert text.splitlines()[3] == line
+        assert same_program(from_xml(text), program)
+        assert to_xml(from_xml(text)) == text
+    # a new on a par's spine ends it: the par it scopes is a child
+    text = to_xml(Program((), New(a, Par(out, Par(out, New(b, Par(out,
+                                                                 out)))))))
+    assert _par_children(text) == [3, 2]
+    assert '<par new="a#0">' in text and '<par new="b#1">' in text
+
+
+@pytest.mark.parametrize("display", ["a b", "a\tb", "\n", "a\u00a0"])
+def test_binder_display_with_white_space_is_refused(display):
+    with pytest.raises(ValueError, match="holds white space"):
+        to_xml(Program((), New(Name(0, display), Nil())))
+
+
+def test_new_list_takes_any_white_space_between_binders():
+    doc = _process_doc('<nil new=" a#0\n\tb#1  "/>')
+    program = from_xml(doc)
+    assert same_program(program, Program((), New(Name(0, "a"),
+                                                 New(Name(1, "b"), Nil()))))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +246,7 @@ def _out(subject):
 def test_binary_par_document_loads_to_the_same_program():
     # the form earlier writers produced: every par has exactly two
     # children and a chain nests to the right
-    binary = ('<pic version="3"><externs/><process><par>'
+    binary = (f'<pic version="{XIR_VERSION}"><externs/><process><par>'
               + _out("a#0") + "<par>" + _out("b#1") + "<par>" + _out("c#2")
               + _out("d#3") + "</par></par></par></process></pic>")
     program = desugar(parse_program("a!() | b!() | c!() | d!()"))
@@ -209,18 +256,18 @@ def test_binary_par_document_loads_to_the_same_program():
 
 @pytest.mark.parametrize("children", ["", "<nil/>"])
 def test_par_needs_two_children(children):
-    doc = (f'<pic version="3"><externs/><process><par>{children}</par>'
-           '</process></pic>')
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process><par>'
+           f'{children}</par></process></pic>')
     diags = validate(doc)
     assert len(diags) == 1 and diags[0].code == "E-SCHEMA"
     # a short par at the end of a spine is caught too
-    doc = (f'<pic version="3"><externs/><process><par>{_out("a#0")}'
-           f'<par>{children}</par></par></process></pic>')
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process><par>'
+           f'{_out("a#0")}<par>{children}</par></par></process></pic>')
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
 
 
 def test_names_shared_within_a_document():
-    program = from_xml('<pic version="3"><externs/><process><par>'
+    program = from_xml(f'<pic version="{XIR_VERSION}"><externs/><process><par>'
                        + _out("a#0") + _out("a#0") + "</par></process></pic>")
     assert program.main.left.subject is program.main.right.subject
 
@@ -238,7 +285,7 @@ def test_bytes_grow_linearly_in_echo_clients():
 @pytest.mark.parametrize("name", ["x#--5", "x#²", "x#+5", "x# 5", "x#",
                                   "x#-5", "x#-0"])
 def test_bad_name_id_is_schema_error(name):
-    doc = (f'<pic version="3"><externs/><process>{_out(name)}'
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process>{_out(name)}'
            '</process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
@@ -248,7 +295,7 @@ def test_bad_name_id_is_schema_error(name):
 def test_negative_and_decimal_name_ids_accepted():
     # a negative int literal loads, and so does a name id in any decimal
     # digits; only a name id may not be negative (run-time names are)
-    doc = ('<pic version="3"><externs/><process><par>'
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process><par>'
            '<out subject="x#0" a0="int:-5"/>' + _out("y#١٢")
            + "</par></process></pic>")
     main = from_xml(doc).main
@@ -310,7 +357,8 @@ def test_duplicate_extern_method_is_schema_error():
 
 
 def _process_doc(process):
-    return f'<pic version="3"><externs/><process>{process}</process></pic>'
+    return (f'<pic version="{XIR_VERSION}"><externs/><process>{process}'
+            '</process></pic>')
 
 
 @pytest.mark.parametrize("element,message", [
@@ -324,9 +372,10 @@ def _process_doc(process):
      "found ['a0', 'bogus', 'subject']"),
     ('<out a0="int:1"/>', "out: expected attributes ['subject'], found ['a0']"),
     ("<in/>", "in: expected attributes ['subject'], found []"),
-    ('<new name="a#0" a0="int:1"/>',
-     "new: expected attributes ['name'], found ['a0', 'name']"),
-    ("<new/>", "new: expected attributes ['name'], found []"),
+    # the new list is read first and is no attribute of the element
+    ('<nil new="a#0" a0="int:1"/>',
+     "nil: expected attributes [], found ['a0']"),
+    ('<nil new=""/>', "new lists no binder"),
     ('<repeat a0="int:1"/>', "repeat: expected attributes [], found ['a0']"),
 ], ids=["a1-without-a0", "a2-without-a1", "unknown", "no-subject",
         "no-attributes", "new", "new-no-name", "repeat"])
@@ -341,7 +390,7 @@ def test_bad_action_attributes_are_e_schema(element, message):
 
 @pytest.mark.parametrize("start,tag", [('out subject="x#0"', "out"),
                                        ('in subject="x#0"', "in"),
-                                       ('new name="a#0"', "new"),
+                                       ('out new="a#0" subject="a#0"', "out"),
                                        ("repeat", "repeat")])
 def test_action_with_two_children_is_e_schema(start, tag):
     child = '<out subject="y#1"/>'
@@ -373,13 +422,13 @@ def test_string_literals_round_trip(texts, fused):
 
 def _nil_and_wrappers(text):
     """Tags of the elements that earlier versions wrote (<cont>, <arg>,
-    <call>, <ret>, <protocol>, <t>), and the parent tag of every <nil/>,
-    in the document."""
+    <call>, <ret>, <protocol>, <t>), and the parent tag of every <nil/>
+    with no new list, in the document."""
     root = ET.fromstring(text)
     wrappers = [e.tag for e in root.iter()
                 if e.tag in ("cont", "arg", "call", "ret", "protocol", "t")]
     nil_parents = [parent.tag for parent in root.iter() for child in parent
-                   if child.tag == "nil"]
+                   if child.tag == "nil" and "new" not in child.attrib]
     return wrappers, nil_parents
 
 
