@@ -99,6 +99,12 @@ class NameSupply:
         return n
 
 
+# what XML 1.0's Char production leaves out, as the body of a regular
+# expression character class: no string literal may hold one, since XIR
+# has no form for it, not even a character reference
+NOT_XML_CHARS = r"\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+
+
 class Value(Record):
     """Base of the five value classes.  A value equals only a value of its
     own class whose field is equal, so IntLit(1) != BoolLit(True); its hash

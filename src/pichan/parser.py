@@ -25,8 +25,8 @@ from __future__ import annotations
 import re
 
 from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
-                   NameRef, NameSupply, New, Nil, Out, Par, Process, Program,
-                   Repeat, StrLit, UnitLit, Value, base_sort)
+                   NameRef, NameSupply, New, Nil, NOT_XML_CHARS, Out, Par,
+                   Process, Program, Repeat, StrLit, UnitLit, Value, base_sort)
 from .diag import Diagnostic, ParseError, Source
 
 KEYWORDS = {
@@ -46,6 +46,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPES = {"n": "\n", "t": "\t"}  # others stand for themselves
+_NOT_XML = re.compile(f"[{NOT_XML_CHARS}]").search
 
 
 def tokenize(text: str, filename: str = "<input>") -> list:
@@ -64,12 +65,18 @@ def tokenize(text: str, filename: str = "<input>") -> list:
             kind = word if word in KEYWORDS else "ident"
         elif kind == "punct":
             kind = word
-        elif kind == "strlit":
+        elif kind == "strlit" and not _NOT_XML(word):
             word = _ESCAPE_RE.sub(lambda e: _UNESCAPES.get(e[1], e[1]),
                                   word[1:-1])
-        elif kind != "intlit":  # bad, or a word such as '²' that isalpha rejects
-            msg = ("unterminated string" if word == '"'
-                   else f"unexpected character {word[0]!r}")
+        elif kind != "intlit":  # bad, a string XIR cannot carry, or a word
+            # such as '²' that isalpha rejects
+            if kind == "strlit":
+                msg = (f"string holds {_NOT_XML(word)[0]!r}, which XML 1.0 "
+                       f"cannot carry")
+            elif word == '"':
+                msg = "unterminated string"
+            else:
+                msg = f"unexpected character {word[0]!r}"
             raise ParseError([Diagnostic("error", "E-SYNTAX", msg,
                                          (Source(filename, text), m.start()))])
         append((kind, word, m.start()))

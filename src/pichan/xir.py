@@ -1,26 +1,35 @@
 """XML execution format: the interchange representation between the
 compiler and the virtual machine.
 
+Each name is declared once and every use is its id.  An extern
+channel is declared in its ``<method call="inc#0" ret="Ret1#1" .../>``, a
+free name in the ``free="s#2 x#4"`` list of ``<process>`` (in id order)
+and a binder in a ``new`` list; a declaration writes ``display#id``, and
+no id is declared twice.  A chain of restrictions is no element of its
+own: ``new="r#4 s#5"``, first in attribute order, lists its binders
+outermost first on the element of the process they scope, and they are
+in scope inside that element only.  Lists separate their items by white
+space.  A use writes the id as its declaration did:
+``<out new="r#4" subject="2" a0="name:4">`` sends the new name r on the
+free name s.
+
 One element per action: an ``<out>``, ``<in>`` or ``<repeat>`` holds its
 continuation as its one child, and no child means nil.  Action arguments
 are the attributes ``a0``, ``a1``, ... in the ``kind:value`` grammar of
-``<fusion>`` sides (``name:x#3``, ``unit:``).  One ``<par>`` holds the
-right spine of a ``|`` chain; the reader folds children to the right, so
-binary pars read to the same program.  A chain of restrictions is no
-element of its own: ``new="r#4 s#5"``, first in attribute order, lists
-its binders outermost first, separated by white space, on the element of
-the process they scope (``<out new="r#4" subject="s#0" a0="name:r#4">``).
-An extern method is one empty ``<method/>`` naming its channels and
-sorts, and no protocol: ``check`` accepts only the canonical one.
+``<fusion>`` sides (``name:4``, ``int:-1``, ``unit:``).  One ``<par>``
+holds the right spine of a ``|`` chain; the reader folds children to the
+right, so binary pars read to the same program.  An extern method is one
+empty ``<method/>`` naming its channels and sorts, and no protocol:
+``check`` accepts only the canonical one.
 
 Serialization is deterministic: one element per line, no indentation,
-fixed attribute order, names written as ``display#id``.  Programs of the
-same structure give byte-identical documents, and ``from_xml(to_xml(p))``
-has p's structure, ids included; indented documents load too.  This is
-version "4"; an earlier one is a VersionError.  Writer and reader use
-explicit stacks, so depth is bounded by memory alone.  Name ids are
-non-negative decimals: the VM gives the names that a ``new`` creates at
-run time the ids -1, -2, ..., apart from the program's.
+fixed attribute order.  Programs of the same structure give byte-identical
+documents, and ``from_xml(to_xml(p))`` has p's structure, ids included;
+indented documents load too.  This is version "5"; an earlier one is a
+VersionError.  Writer and reader use explicit stacks, so depth is bounded
+by memory alone.  Name ids are non-negative decimals: the VM gives the
+names that a ``new`` creates at run time the ids -1, -2, ..., apart from
+the program's.
 """
 
 from __future__ import annotations
@@ -31,9 +40,10 @@ from operator import itemgetter
 
 from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
                    NameRef, New, NIL, Nil, Out, Par, Process, Program, Repeat,
-                   StrLit, SurfaceFormError, UnitLit, Value, base_sort)
+                   NOT_XML_CHARS, StrLit, SurfaceFormError, UnitLit, Value,
+                   base_sort)
 
-XIR_VERSION = "4"
+XIR_VERSION = "5"
 
 
 class SchemaError(Exception):
@@ -48,18 +58,27 @@ class VersionError(SchemaError):
 # Writing
 
 
-# what xml.sax.saxutils.quoteattr replaces, and the character it may quote
-_NEEDS_QUOTING = re.compile('[&<>"\n\r\t]').search
+# what xml.sax.saxutils.quoteattr replaces, the character it may quote, and
+# what XML 1.0 cannot carry at all
+_NEEDS_QUOTING = re.compile(f'[&<>"\n\r\t{NOT_XML_CHARS}]').search
+_NOT_XML = re.compile(f"[{NOT_XML_CHARS}]").search
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
                           "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+_HAS_SPACE = re.compile(r"\s").search  # what str.split splits a list on
 
 
 def _quoted(val: str) -> str:
     """val as an attribute value, written as xml.sax.saxutils.quoteattr
     writes it: escaped, then wrapped in '"', or in "'" when val holds '"'
-    but no "'", or else in '"' with each '"' written as &quot;."""
+    but no "'", or else in '"' with each '"' written as &quot;.  A
+    character that XML 1.0 has no form for, not even as a reference,
+    raises ValueError."""
     if not _NEEDS_QUOTING(val):
         return f'"{val}"'
+    bad = _NOT_XML(val)
+    if bad:
+        raise ValueError(f"{val!r} holds {bad[0]!r}, which XML 1.0 cannot "
+                         f"carry")
     val = val.translate(_ESCAPES)
     if '"' not in val:
         return f'"{val}"'
@@ -75,13 +94,22 @@ def _element(tag: str, attrs=(), close: bool = False) -> str:
 
 
 def _name_text(n: Name) -> str:
+    """n as it is declared: display#id."""
     return f"{n.display}#{n.id}"
 
 
-def _value_text(v: Value) -> str:
-    """v in the kind:value grammar of arguments and fusion sides."""
+def _list_item(n: Name, what: str) -> str:
+    """n as an item of a white-space separated free or new list."""
+    if _HAS_SPACE(n.display):
+        raise ValueError(f"{what} display {n.display!r} holds white space")
+    return _name_text(n)
+
+
+def _value_text(v: Value, use) -> str:
+    """v in the kind:value grammar of arguments and fusion sides; use(n)
+    is the text of a name n."""
     if isinstance(v, NameRef):
-        return "name:" + _name_text(v.name)
+        return "name:" + use(v.name)
     if isinstance(v, IntLit):
         return f"int:{v.value}"
     if isinstance(v, StrLit):
@@ -95,24 +123,39 @@ def _sorts_attr(sorts: tuple) -> str:
     return ",".join(str(s) for s in sorts)
 
 
-def _write_extern(lines: list, d: ExternDecl) -> None:
+def _write_extern(lines: list, d: ExternDecl, displays: dict) -> None:
+    """d's element; displays receives the display of each channel id, and
+    an id declared before raises ValueError."""
     lines.append(_element("extern", [("alias", d.alias), ("class", d.class_name)]))
-    lines += (_element("method", [("name", m.name),
-                                  ("call", _name_text(m.call_channel)),
-                                  ("params", _sorts_attr(m.param_sorts)),
-                                  ("ret", _name_text(m.return_channel)),
-                                  ("result", _sorts_attr(m.return_payload))],
-                       True) for m in d.methods)
+    for m in d.methods:
+        for n in (m.call_channel, m.return_channel):
+            if n.id in displays:
+                raise ValueError(f"extern channel id {n.id} is declared twice")
+            displays[n.id] = n.display
+        lines.append(_element("method", [
+            ("name", m.name), ("call", _name_text(m.call_channel)),
+            ("params", _sorts_attr(m.param_sorts)),
+            ("ret", _name_text(m.return_channel)),
+            ("result", _sorts_attr(m.return_payload))], True))
     lines.append("</extern>")
 
 
 _TAGS = {Nil: "nil", Par: "par", Fusion: "fusion", Out: "out", In: "in",
          Repeat: "repeat"}
-_HAS_SPACE = re.compile(r"\s").search
 
 
-def _write_proc(lines: list, p: Process) -> None:
-    """Elements of p in order, from a stack of nodes and closing tags."""
+def _write_proc(lines: list, p: Process, displays: dict,
+                bound: set) -> None:
+    """Elements of p in order, from a stack of nodes and closing tags.
+    displays receives the display of every id p names, and one id with two
+    displays raises ValueError; bound receives the binders' ids."""
+
+    def use(n: Name) -> str:
+        if displays.setdefault(n.id, n.display) != n.display:
+            raise ValueError(f"name id {n.id} has two displays, "
+                             f"{displays[n.id]!r} and {n.display!r}")
+        return str(n.id)
+
     stack = [p]
     while stack:
         p = stack.pop()
@@ -123,11 +166,10 @@ def _write_proc(lines: list, p: Process) -> None:
         line = ""
         if kind is New:  # the chain is one attribute of the node it scopes
             texts = []
-            while kind is New:  # white space separates the list's items
-                if _HAS_SPACE(p.name.display):
-                    raise ValueError(f"binder display {p.name.display!r} "
-                                     f"holds white space")
-                texts.append(_name_text(p.name))
+            while kind is New:
+                use(p.name)
+                bound.add(p.name.id)
+                texts.append(_list_item(p.name, "binder"))
                 p = p.body
                 kind = type(p)
             line = " new=" + _quoted(" ".join(texts))
@@ -145,8 +187,8 @@ def _write_proc(lines: list, p: Process) -> None:
             lines.append(line + ">")
             stack += ("</par>", p, *reversed(spine))
         elif kind is Fusion:
-            lines.append(f"{line} left={_quoted(_value_text(p.left))} "
-                         f"right={_quoted(_value_text(p.right))}/>")
+            lines.append(f"{line} left={_quoted(_value_text(p.left, use))} "
+                         f"right={_quoted(_value_text(p.right, use))}/>")
         else:  # an action: its continuation is its one child, none for nil
             if kind is Repeat:
                 cont = p.body
@@ -154,9 +196,10 @@ def _write_proc(lines: list, p: Process) -> None:
                 raise SurfaceFormError("binding input cannot be serialized")
             else:
                 cont = p.cont
-                line += f" subject={_quoted(_name_text(p.subject))}"
+                line += f' subject="{use(p.subject)}"'
                 for i, v in enumerate(p.objects):
-                    text = _value_text(v) if kind is Out else "name:" + _name_text(v)
+                    text = (_value_text(v, use) if kind is Out
+                            else "name:" + use(v))
                     line += f" a{i}={_quoted(text)}"
             if type(cont) is Nil:
                 lines.append(line + "/>")
@@ -167,16 +210,27 @@ def _write_proc(lines: list, p: Process) -> None:
 
 def to_xml(program: Program) -> str:
     """Serialize a core program, one element per line; deterministic byte
-    for byte.  A binding input raises SurfaceFormError, and a binder whose
-    display holds white space ValueError."""
+    for byte.  Each name is declared once, as an extern channel, in the
+    free list or in a new list, and each use is its id.  A binding input
+    raises SurfaceFormError; a program the document could not carry
+    faithfully raises ValueError: one id with two displays, an extern
+    channel id declared twice, a listed name whose display holds white
+    space, or a character XML 1.0 has no form for."""
+    displays = {}  # id -> display, of every name declared or used
     lines = [_element("pic", [("version", XIR_VERSION)]),
              "<externs>" if program.externs else "<externs/>"]
     for d in program.externs:
-        _write_extern(lines, d)
+        _write_extern(lines, d, displays)
     if program.externs:
         lines.append("</externs>")
+    declared = set(displays)
+    at = len(lines)
     lines.append("<process>")
-    _write_proc(lines, program.main)
+    _write_proc(lines, program.main, displays, declared)
+    free = [_list_item(Name(i, displays[i]), "free name")
+            for i in sorted(displays) if i not in declared]
+    if free:
+        lines[at] = "<process free=" + _quoted(" ".join(free)) + ">"
     lines += ("</process>", "</pic>")
     return "\n".join(lines) + "\n"
 
@@ -194,26 +248,59 @@ def _decimal(text: str) -> int | None:
         return None
 
 
-def _parse_name(text: str, what: str, names: dict) -> Name:
-    """names is the document's table: one Name per distinct text.  An id
-    with a '-' is refused, as run-time names take the negative ids."""
-    n = names.get(text)
-    if n is None:
-        display, sep, nid = text.rpartition("#")
-        nid = _decimal(nid) if sep and nid[:1] != "-" else None
-        if nid is None:
-            raise SchemaError(f"bad name reference {text!r} in {what}")
-        n = names[text] = Name(nid, display)
-    return n
+# what declared an id, as a reason a binder may not take it
+_TAKEN = {"new": "is already bound", "free": "is a free name",
+          "call": "is an extern channel id", "ret": "is an extern channel id"}
 
 
-def _split_value(text: str, what: str, names: dict) -> Value:
+def _declare(text: str, what: str, decls: dict, kinds: dict) -> str:
+    """Declare the name display#id that text gives in a call, ret, free or
+    new: decls maps the id's text to a new Name, which uses then share, and
+    kinds its id to what.  An id declared before is refused, and so is an
+    id with a '-', as run-time names take the negative ids.  Returns the
+    id's text."""
+    display, sep, key = text.rpartition("#")
+    nid = _decimal(key) if sep and key[:1] != "-" else None
+    if nid is None:
+        raise SchemaError(f"bad name reference {text!r} in {what}")
+    earlier = kinds.get(nid)
+    if earlier is not None:
+        if what == "new":
+            raise SchemaError(f"binder id {nid} of new {text} {_TAKEN[earlier]}")
+        raise SchemaError(f"name id {nid} of {what} {text} is already declared")
+    kinds[nid] = what
+    decls[key] = Name(nid, display)
+    return key
+
+
+def _declare_list(text: str, what: str, decls: dict, kinds: dict) -> list:
+    """The id texts of a free or new list, each item declared in turn."""
+    keys = [_declare(item, what, decls, kinds) for item in text.split()]
+    if not keys:
+        raise SchemaError(f"{what} lists no " + ("binder" if what == "new"
+                                                  else "name"))
+    return keys
+
+
+def _undeclared(text: str, what: str, outside: dict) -> SchemaError:
+    """The error for a use whose id text is not in scope: outside maps the
+    ids of the news already closed to their names."""
+    n = outside.get(text)
+    if n is not None:
+        return SchemaError(f"name {_name_text(n)} occurs outside its new")
+    return SchemaError(f"undeclared name {text!r} in {what}")
+
+
+def _split_value(text: str, what: str, decls: dict, outside: dict) -> Value:
     """A value in the kind:value grammar of arguments and fusion sides."""
     kind, sep, val = text.partition(":")
     if not sep and kind != "unit":
         raise SchemaError(f"bad {what} value {text!r}")
     if kind == "name":
-        return NameRef(_parse_name(val, what, names))
+        n = decls.get(val)
+        if n is None:
+            raise _undeclared(val, what, outside)
+        return NameRef(n)
     if kind == "int":
         n = _decimal(val)
         if n is None:
@@ -246,21 +333,19 @@ def _attrs(elem, required: tuple, what: str) -> list:
                       f"found {sorted(attrib)}")
 
 
-def _outside(n: Name) -> SchemaError:
-    return SchemaError(f"name {_name_text(n)} occurs outside its new")
-
-
-def _read_proc(elem, names: dict, channels: set) -> Process:
+def _read_proc(elem, decls: dict, kinds: dict) -> Process:
     """The process of elem, from a stack, in document order: each element
     is checked when reached, its new list first, and built once its child
     is (an action with none at once on NIL), then wrapped in a New per
-    binder of the list; par children fold to the right.  The VM binds a
-    new's id in a shared environment, sound only if no id is bound twice
-    or occurs outside its new, as checked here."""
+    binder of the list; par children fold to the right.  A use resolves
+    with one lookup in decls, which holds the names in scope: a new's
+    binders from its list until the element it scopes is built.  The VM
+    binds a new's id in a shared environment, sound only if no id is bound
+    twice or occurs outside its new, as this ensures."""
     built = []
     stack = [elem]
-    seen, bound, closed = set(), set(), set()  # ids: used, bound, out of scope
-    values = {}  # argument text -> Value, read once
+    outside = {}  # id text -> name, of the binders whose new has closed
+    values = {}  # argument text -> Value, read once while in scope
     getters = {}  # out/in attribute count -> (getter, keys)
     while stack:
         elem = stack.pop()
@@ -273,8 +358,8 @@ def _read_proc(elem, names: dict, channels: set) -> Process:
                 built.append(p)
                 continue
         elif "new" in elem.attrib:  # its binders, then elem inside them
-            stack += [(New, (n,)) for n in _bind(
-                elem.attrib.pop("new"), names, channels, bound, seen)]
+            stack += [(New, key) for key in _declare_list(
+                elem.attrib.pop("new"), "new", decls, kinds)]
             stack.append(elem)
             continue
         elif (tag := elem.tag) == "out" or tag == "in":
@@ -290,34 +375,23 @@ def _read_proc(elem, names: dict, channels: set) -> Process:
             except KeyError:
                 _attrs(elem, keys, tag)  # raises
             args = tuple([values.get(text) or values.setdefault(
-                text, _split_value(text, tag, names)) for text in texts])
-            subj = names.get(subject) or _parse_name(subject, tag, names)
-            if subj.id in closed:
-                raise _outside(subj)
-            seen.add(subj.id)
-            objects = []
-            for v in args:
-                if type(v) is NameRef:
-                    if v.name.id in closed:
-                        raise _outside(v.name)
-                    seen.add(v.name.id)
-                    objects.append(v.name)
+                text, _split_value(text, tag, decls, outside))
+                for text in texts])
+            subj = decls.get(subject)
+            if subj is None:
+                raise _undeclared(subject, tag, outside)
             if tag == "out":
                 make, fields = Out, (subj, args)
             else:  # None: not all names, raised after the child
-                objects = tuple(objects) if len(objects) == len(args) else None
-                make, fields = In, (subj, objects, False)
+                objects = tuple([v.name for v in args if type(v) is NameRef])
+                make, fields = In, (subj, objects if len(objects) == len(args)
+                                    else None, False)
         elif tag == "fusion":
             sides = _attrs(elem, ("left", "right"), "fusion")
             if len(elem) != 0:
                 raise SchemaError("fusion takes no children")
-            sides = [_split_value(v, "fusion", names) for v in sides]
-            for v in sides:
-                if type(v) is NameRef:
-                    if v.name.id in closed:
-                        raise _outside(v.name)
-                    seen.add(v.name.id)
-            built.append(Fusion(*sides))
+            built.append(Fusion(*[_split_value(v, "fusion", decls, outside)
+                                  for v in sides]))
             continue
         elif tag in ("repeat", "nil", "par"):
             if elem.attrib:
@@ -345,36 +419,18 @@ def _read_proc(elem, names: dict, channels: set) -> Process:
             continue
         else:
             cont = NIL
-        if make is New:
-            closed.add(fields[0].id)
-        elif make is In and fields[1] is None:
+        if make is New:  # fields is the binder's id text: its scope ends
+            n = outside[fields] = decls.pop(fields)
+            values.pop("name:" + fields, None)
+            built.append(New(n, cont))
+            continue
+        if make is In and fields[1] is None:
             raise SchemaError("in arguments must be names")
         built.append(make(*fields, cont))
     return built[0]
 
 
-def _bind(text: str, names: dict, channels: set, bound: set,
-          seen: set) -> list:
-    """The binders of a new list, outermost first, each checked in turn: a
-    new binds an id no earlier new bound and no extern channel has, and
-    that no earlier element used."""
-    news = []
-    for item in text.split():
-        n = names.get(item) or _parse_name(item, "new", names)
-        if n.id in bound or n.id in channels:
-            raise SchemaError(f"binder id {n.id} of new {_name_text(n)} "
-                              + ("is already bound" if n.id in bound
-                                 else "is an extern channel id"))
-        if n.id in seen:
-            raise _outside(n)
-        bound.add(n.id)
-        news.append(n)
-    if not news:
-        raise SchemaError("new lists no binder")
-    return news
-
-
-def _read_extern(elem, names: dict) -> ExternDecl:
+def _read_extern(elem, decls: dict, kinds: dict) -> ExternDecl:
     alias, cls = _attrs(elem, ("alias", "class"), "extern")
     methods = []
     seen = set()
@@ -389,8 +445,10 @@ def _read_extern(elem, names: dict) -> ExternDecl:
             raise SchemaError(f"extern method {mname} declared twice")
         seen.add(mname)
         method = MethodDecl(
-            mname, _parse_name(call, "call", names), _parse_sorts(params, "call"),
-            _parse_name(ret, "ret", names), _parse_sorts(result, "ret"))
+            mname, decls[_declare(call, "call", decls, kinds)],
+            _parse_sorts(params, "call"),
+            decls[_declare(ret, "ret", decls, kinds)],
+            _parse_sorts(result, "ret"))
         if len(method.return_payload) > 1:  # a return delivers one value
             raise SchemaError(f"method {mname}: result {result!r} holds more "
                               f"than one sort")
@@ -412,16 +470,19 @@ def from_xml(document) -> Program:
         raise VersionError(f"unsupported version {version!r}")
     if len(root) != 2 or root[0].tag != "externs" or root[1].tag != "process":
         raise SchemaError("pic must contain externs then process")
+    process = root[1]
+    free = process.attrib.get("free")
     _attrs(root[0], (), "externs")
-    _attrs(root[1], (), "process")
-    names = {}
-    externs = tuple(_read_extern(e, names) for e in root[0])
+    _attrs(process, () if free is None else ("free",), "process")
+    decls, kinds = {}, {}  # id text -> Name, id -> what declared it
+    externs = tuple(_read_extern(e, decls, kinds) for e in root[0])
     aliases = set()
     for d in externs:
         if d.alias in aliases:
             raise SchemaError(f"extern alias {d.alias} declared twice")
         aliases.add(d.alias)
-    if len(root[1]) != 1:
+    if free is not None:
+        _declare_list(free, "free", decls, kinds)
+    if len(process) != 1:
         raise SchemaError("process takes exactly 1 child")
-    channels = {n.id for d in externs for n in d.channels()}
-    return Program(externs, _read_proc(root[1][0], names, channels))
+    return Program(externs, _read_proc(process[0], decls, kinds))

@@ -1,4 +1,4 @@
-"""Deep and wide `.pi` programs: twelve shapes whose depth or width grows with
+"""Deep and wide `.pi` programs: thirteen shapes whose depth or width grows with
 one parameter n, and the exit code each of `pichan check`, `compile` and
 `run --max-steps 10` documents for it.
 
@@ -73,6 +73,11 @@ def new_over_par(n: int) -> str:
     return "new a in (" + flat_par(n) + ")"
 
 
+def free_names(n: int) -> str:
+    """x0!() | x1!() | ...: n free names, one free list in XIR"""
+    return " | ".join(f"x{i}!()" for i in range(n))
+
+
 def right_nested_par(n: int) -> str:
     """(a!() | (a!() | (...))): n outputs, every | parenthesized"""
     return "(a!() | " * (n - 1) + "a!()" + ")" * (n - 1)
@@ -102,6 +107,7 @@ SHAPES = {
     new_under_par: (0, 0, 4),
     new_list: (0, 0, 0),
     new_over_par: (0, 0, 4),
+    free_names: (0, 0, 4),
     right_nested_par: (0, 0, 4),
     left_nested_par: (0, 0, 4),
     reversed_outputs: (0, 0, 4),

@@ -1,7 +1,8 @@
 """Golden-trace corpus: the sha256 of (trace lines, status) for every sample
-at seeds 0-4, for 50 randgen programs, and for small echo-server and
+at seeds 0-4, for 50 randgen programs, for small echo-server and
 host-worker programs (the shapes of the vm-echo and vm-host benchmark
-workloads) at seeds 0-4.  test_vm replays it, so any change to the
+workloads) and for small floods, flat `|`s and prefix chains (the wide and
+deep shapes of deep_inputs.py, given partners) at seeds 0-4.  test_vm replays it, so any change to the
 scheduler that alters a trace fails there.
 
 A second table, golden/env_traces.json, holds the families that stress how
@@ -50,6 +51,9 @@ HOST_COUNTERS = 3
 HOST_CONSOLES = 2
 ENV_MAX_STEPS = 60
 WIDE_NEW = 50
+FLOODS = (4, 12, 24)  # the scheduler's cost is cubic in a flood's size
+FLAT_PARS = (10, 40)
+CHAINS = (3, 8)
 EXPLORE_RANDGEN = 30
 EXPLORE_DEPTH = 7  # for the scoping families and the randgen programs
 ACCOUNT = """extern FClass -> class Account {
@@ -95,6 +99,39 @@ def bench_families():
         yield f"echo{n}", parse_program(echo_source(n)), 4 * n + 1 + n // 2
     for w in HOST_WORKERS:
         yield f"host{w}", parse_program(host_source(w)), 10 * w
+
+
+def flood_source(n: int) -> str:
+    """n outputs and n inputs on one channel: each output can meet each
+    input."""
+    return " | ".join([f"x!({i})" for i in range(n)]
+                      + [f"x?(v{i})" for i in range(n)]) + "\n"
+
+
+def flat_par_source(n: int) -> str:
+    """One flat `|` of n threads: an output and an input on each of n/2
+    channels, every pair ready at once."""
+    return " | ".join(f"c{i // 2}!({i})" if i % 2 == 0 else f"c{i // 2}?(v)"
+                      for i in range(n)) + "\n"
+
+
+def chain_source(n: int) -> str:
+    """Two writers and two readers on one channel, each a prefix chain of
+    n actions."""
+    chains = [".".join(f"x!({10 * w + i})" for i in range(n)) for w in (1, 2)]
+    chains += [".".join(f"x?({r}{i})" for i in range(n)) for r in "ab"]
+    return " | ".join(chains) + "\n"
+
+
+def shape_families():
+    """Yield (name, program, max_steps) for the flood, flat-| and
+    prefix-chain families."""
+    for n in FLOODS:
+        yield f"flood{n}", parse_program(flood_source(n)), 2 * n
+    for n in FLAT_PARS:
+        yield f"flatpar{n}", parse_program(flat_par_source(n)), n
+    for n in CHAINS:
+        yield f"chain{n}", parse_program(chain_source(n)), 4 * n
 
 
 def nested_repeat_source() -> str:
@@ -143,7 +180,7 @@ def corpus():
         program = gen_program(random.Random(k), with_externs=False,
                               max_nodes=RANDGEN_MAX_NODES)
         yield f"randgen{k}@{k}", program, k, RANDGEN_MAX_STEPS
-    for name, program, max_steps in bench_families():
+    for name, program, max_steps in (*bench_families(), *shape_families()):
         for seed in SAMPLE_SEEDS:
             yield f"{name}@{seed}", program, seed, max_steps
 

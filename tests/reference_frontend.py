@@ -4,8 +4,9 @@ binding-input chain) but a direct reading of the lexical rules and of the
 desugaring; test_parser checks pichan.parser.tokenize and desugar against
 them.
 
-One deliberate change from the original: a raw newline inside a string
-literal now advances the line count, as it does in pichan.parser.  The
+Two deliberate changes from the original: a raw newline inside a string
+literal now advances the line count, as it does in pichan.parser, and a
+string literal that holds a character XML 1.0 cannot carry is refused.  The
 tokens here carry a SourceSpan each, as pichan's did before its tokens
 carried an offset; test_parser resolves pichan's offsets to compare them.
 """
@@ -30,6 +31,13 @@ class Token(NamedTuple):
 
 _PUNCT = ["->", "!", "?", "(", ")", "<", ">", "{", "}", "|", ".", ",", "=",
           ":", ";"]
+
+
+def _xml_char(c: str) -> bool:
+    """Whether c is in XML 1.0's Char production."""
+    o = ord(c)
+    return (c in "\t\n\r" or 0x20 <= o <= 0xD7FF or 0xE000 <= o <= 0xFFFD
+            or 0x10000 <= o <= 0x10FFFF)
 
 
 def tokenize(text: str, filename: str = "<input>") -> list:
@@ -67,6 +75,13 @@ def tokenize(text: str, filename: str = "<input>") -> list:
             if j >= n:
                 raise ParseError([Diagnostic("error", "E-SYNTAX",
                                              "unterminated string", span)])
+            # a character outside XML 1.0's Char production has no form in
+            # XIR, not even a character reference
+            bad = [c for c in text[i:j] if not _xml_char(c)]
+            if bad:
+                raise ParseError([Diagnostic(
+                    "error", "E-SYNTAX", f"string holds {bad[0]!r}, which "
+                    f"XML 1.0 cannot carry", span)])
             tokens.append(Token("strlit", "".join(buf),
                                 SourceSpan(filename, line, col, j + 1 - i)))
             # the one change from the original: raw newlines start new lines

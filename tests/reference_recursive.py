@@ -7,13 +7,15 @@ enough for recursion.
 
 What they share with pichan did not change with the walks: the tokenizer,
 extern blocks, the value and item rules of the parser, and the XIR
-reader's attribute, name, value and extern helpers.  The XIR writer here
-indents by two spaces per level, as it did; writer and reader follow
-version 4 of the format, as pichan's do: a chain of news is one ``new``
-list on the element of the process it scopes.  The sort checker here keeps
-sorts as terms (ChanSort, literal_sort), binds variables in a dict and
-walks the whole sort for its occurs check; pichan's is a union-find over
-sort classes, and must report the same diagnostics in the same order.
+reader's attribute, declaration, value and extern helpers.  The XIR writer
+here indents by two spaces per level, as it did; writer and reader follow
+version 5 of the format, as pichan's do: a chain of news is one ``new``
+list on the element of the process it scopes, the free names are one
+``free`` list on ``<process>``, and every use of a name is its id.  The
+sort checker here keeps sorts as terms (ChanSort, literal_sort), binds
+variables in a dict and walks the whole sort for its occurs check;
+pichan's is a union-find over sort classes, and must report the same
+diagnostics in the same order.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from xml.sax.saxutils import quoteattr
 
 from pichan.core import (BOOL, INT, STR, UNIT, BaseSort, BoolLit, Fusion, In,
                          IntLit, Name, NameRef, New, Nil, Out, Par, Process,
-                         Program, Repeat, StrLit, SurfaceFormError, UnitLit)
+                         Program, Repeat, StrLit, SurfaceFormError, UnitLit,
+                         nodes)
 from pichan.diag import Diagnostic, Source
 from pichan.parser import _Parser, tokenize
 from pichan.typecheck import SHOW_LIMIT, extern_channel_table
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _attrs,
-                        _name_text, _parse_name, _read_extern, _sorts_attr,
+                        _declare, _name_text, _read_extern, _sorts_attr,
                         _split_value, _value_text)
 
 from terms import name_scan
@@ -401,6 +404,16 @@ def _write_extern(w: _Writer, d, depth: int) -> None:
     w.end(depth, "extern")
 
 
+def _use(n: Name) -> str:
+    return str(n.id)
+
+
+def _listed(n: Name) -> str:
+    if any(c.isspace() for c in n.display):
+        raise ValueError(f"display {n.display!r} holds white space")
+    return _name_text(n)
+
+
 def _write_action(w: _Writer, depth: int, tag: str, attrs: list,
                   cont: Process) -> None:
     """An action whose one child is its continuation, or none for nil."""
@@ -415,10 +428,7 @@ def _write_action(w: _Writer, depth: int, tag: str, attrs: list,
 def _write_proc(w: _Writer, p: Process, depth: int) -> None:
     texts = []
     while isinstance(p, New):
-        if any(c.isspace() for c in p.name.display):
-            raise ValueError(f"binder display {p.name.display!r} holds "
-                             f"white space")
-        texts.append(_name_text(p.name))
+        texts.append(_listed(p.name))
         p = p.body
     news = [("new", " ".join(texts))] if texts else []
     if isinstance(p, Nil):
@@ -431,30 +441,40 @@ def _write_proc(w: _Writer, p: Process, depth: int) -> None:
         _write_proc(w, p, depth + 1)
         w.end(depth, "par")
     elif isinstance(p, Out):
-        args = [(f"a{i}", _value_text(v)) for i, v in enumerate(p.objects)]
+        args = [(f"a{i}", _value_text(v, _use))
+                for i, v in enumerate(p.objects)]
         _write_action(w, depth, "out",
-                      [*news, ("subject", _name_text(p.subject)), *args],
-                      p.cont)
+                      [*news, ("subject", _use(p.subject)), *args], p.cont)
     elif isinstance(p, In):
         if p.binding:
             raise SurfaceFormError("binding input cannot be serialized")
-        args = [(f"a{i}", "name:" + _name_text(n))
-                for i, n in enumerate(p.objects)]
+        args = [(f"a{i}", "name:" + _use(n)) for i, n in enumerate(p.objects)]
         _write_action(w, depth, "in",
-                      [*news, ("subject", _name_text(p.subject)), *args],
-                      p.cont)
+                      [*news, ("subject", _use(p.subject)), *args], p.cont)
     elif isinstance(p, Repeat):
         _write_action(w, depth, "repeat", news, p.body)
     elif isinstance(p, Fusion):
-        w.emit(depth, "fusion", [*news, ("left", _value_text(p.left)),
-                                 ("right", _value_text(p.right))], close=True)
+        w.emit(depth, "fusion", [*news, ("left", _value_text(p.left, _use)),
+                                 ("right", _value_text(p.right, _use))],
+               close=True)
     else:
         raise TypeError(p)
+
+
+def _free_names(program: Program) -> list:
+    """The names of program's process that are neither extern channels nor
+    binders, in id order."""
+    names = {}
+    name_scan(program.main, names)
+    declared = {n.id for d in program.externs for n in d.channels()}
+    declared |= {p.name.id for p in nodes(program.main) if isinstance(p, New)}
+    return [names[i] for i in sorted(names) if i not in declared]
 
 
 def to_xml(program: Program) -> str:
     if not name_scan(program.main)[1]:
         raise SurfaceFormError("program must be desugared before serialization")
+    free = _free_names(program)
     w = _Writer()
     w.emit(0, "pic", [("version", XIR_VERSION)])
     if program.externs:
@@ -464,77 +484,68 @@ def to_xml(program: Program) -> str:
         w.end(1, "externs")
     else:
         w.emit(1, "externs", close=True)
-    w.emit(1, "process")
+    w.emit(1, "process",
+           [("free", " ".join(map(_listed, free)))] if free else [])
     _write_proc(w, program.main, 2)
     w.end(1, "process")
     w.end(0, "pic")
     return "\n".join(w.lines) + "\n"
 
 
-class _Binders:
-    """The binder rule, read directly: a new binds an id no earlier new
-    bound and no extern channel has, and every occurrence of a bound id lies
-    inside its new (scope holds the ids of the news around an element)."""
+class _Decls:
+    """The declaration rule, read directly: each name is declared once, as
+    an extern channel, a free name or a binder in a new list, and a use is
+    the id text of a declaration before it; a binder's use lies inside its
+    new (scope holds the id texts of the news around an element)."""
 
-    def __init__(self, channels: set):
-        self.channels, self.bound, self.seen = channels, set(), set()
+    def __init__(self):
+        self.table, self.kinds = {}, {}  # id text -> Name, id -> what
 
-    def bind(self, n: Name) -> None:
-        text = f"{n.display}#{n.id}"
-        if n.id in self.bound:
-            raise SchemaError(f"binder id {n.id} of new {text} is already "
-                              f"bound")
-        if n.id in self.channels:
-            raise SchemaError(f"binder id {n.id} of new {text} is an extern "
-                              f"channel id")
-        if n.id in self.seen:
-            raise SchemaError(f"name {text} occurs outside its new")
-        self.bound.add(n.id)
+    def declare(self, text: str, what: str) -> str:
+        return _declare(text, what, self.table, self.kinds)
 
-    def use(self, values, scope: frozenset) -> None:
-        for v in values:
-            n = v.name if isinstance(v, NameRef) else v
-            if not isinstance(n, Name):
-                continue
-            if n.id in self.bound and n.id not in scope:
-                raise SchemaError(f"name {n.display}#{n.id} occurs outside "
-                                  f"its new")
-            self.seen.add(n.id)
+    def name(self, text: str, what: str, scope: frozenset) -> Name:
+        n = self.table.get(text)
+        if n is None:
+            raise SchemaError(f"undeclared name {text!r} in {what}")
+        if self.kinds[n.id] == "new" and text not in scope:
+            raise SchemaError(f"name {n.display}#{n.id} occurs outside its "
+                              f"new")
+        return n
+
+    def value(self, text: str, what: str, scope: frozenset):
+        if text.startswith("name:"):
+            return NameRef(self.name(text[5:], what, scope))
+        return _split_value(text, what, self.table, {})
 
 
-def _read_child(elem, names: dict, binders: _Binders,
-                scope: frozenset) -> Process:
+def _read_child(elem, decls: _Decls, scope: frozenset) -> Process:
     """An action's continuation: its one child element, or nil if none."""
     if len(elem) > 1:
         raise SchemaError(f"{elem.tag} takes at most 1 child")
     if len(elem) == 0:
         return Nil()
-    return _read_proc(elem[0], names, binders, scope)
+    return _read_proc(elem[0], decls, scope)
 
 
-def _read_proc(elem, names: dict, binders: _Binders,
+def _read_proc(elem, decls: _Decls,
                scope: frozenset = frozenset()) -> Process:
-    """elem's process: its new list, if any, binds each name in turn and
-    wraps in a New per binder what the rest of elem reads to."""
+    """elem's process: its new list, if any, declares each binder in turn
+    and wraps in a New per binder what the rest of elem reads to."""
     text = elem.attrib.pop("new", None)
     if text is None:
-        return _read_bare(elem, names, binders, scope)
+        return _read_bare(elem, decls, scope)
     items = text.split()
     if not items:
         raise SchemaError("new lists no binder")
-    news = []
-    for item in items:
-        n = _parse_name(item, "new", names)
-        binders.bind(n)
-        news.append(n)
-    p = _read_bare(elem, names, binders, scope | {n.id for n in news})
-    for n in reversed(news):
-        p = New(n, p)
+    keys = [decls.declare(item, "new") for item in items]
+    p = _read_bare(elem, decls, scope | set(keys))
+    for key in reversed(keys):
+        p = New(decls.table[key], p)
     return p
 
 
-def _read_bare(elem, names: dict, binders: _Binders,
-               scope: frozenset) -> Process:
+def _read_bare(elem, decls: _Decls, scope: frozenset) -> Process:
     tag = elem.tag
     if tag == "nil":
         _attrs(elem, (), "nil")
@@ -548,10 +559,9 @@ def _read_bare(elem, names: dict, binders: _Binders,
             _attrs(elem, (), "par")
             if len(elem) < 2:
                 raise SchemaError("par takes at least 2 children")
-            left += [_read_proc(child, names, binders, scope)
-                     for child in elem[:-1]]
+            left += [_read_proc(child, decls, scope) for child in elem[:-1]]
             elem = elem[-1]
-        p = _read_proc(elem, names, binders, scope)
+        p = _read_proc(elem, decls, scope)
         for q in reversed(left):
             p = Par(q, p)
         return p
@@ -560,10 +570,9 @@ def _read_bare(elem, names: dict, binders: _Binders,
         count = max(len(elem.attrib) - 1, 0)
         subject, *texts = _attrs(
             elem, ("subject", *(f"a{i}" for i in range(count))), tag)
-        args = [_split_value(text, tag, names) for text in texts]
-        subj = _parse_name(subject, tag, names)
-        binders.use([subj, *args], scope)
-        cont = _read_child(elem, names, binders, scope)
+        args = [decls.value(text, tag, scope) for text in texts]
+        subj = decls.name(subject, tag, scope)
+        cont = _read_child(elem, decls, scope)
         if tag == "out":
             return Out(subj, tuple(args), cont)
         objects = []
@@ -574,14 +583,13 @@ def _read_bare(elem, names: dict, binders: _Binders,
         return In(subj, tuple(objects), False, cont)
     if tag == "repeat":
         _attrs(elem, (), "repeat")
-        return Repeat(_read_child(elem, names, binders, scope))
+        return Repeat(_read_child(elem, decls, scope))
     if tag == "fusion":
         left, right = _attrs(elem, ("left", "right"), "fusion")
         if len(elem) != 0:
             raise SchemaError("fusion takes no children")
-        left = _split_value(left, "fusion", names)
-        right = _split_value(right, "fusion", names)
-        binders.use([left, right], scope)
+        left = decls.value(left, "fusion", scope)
+        right = decls.value(right, "fusion", scope)
         return Fusion(left, right)
     raise SchemaError(f"unknown element {tag!r}")
 
@@ -599,13 +607,16 @@ def from_xml(document) -> Program:
     if len(root) != 2 or root[0].tag != "externs" or root[1].tag != "process":
         raise SchemaError("pic must contain externs then process")
     _attrs(root[0], (), "externs")
-    _attrs(root[1], (), "process")
-    names = {}
-    externs = tuple(_read_extern(e, names) for e in root[0])
+    free = root[1].attrib.get("free")
+    _attrs(root[1], ("free",) if "free" in root[1].attrib else (), "process")
+    decls = _Decls()
+    externs = tuple(_read_extern(e, decls.table, decls.kinds)
+                    for e in root[0])
+    if free is not None:
+        if not free.split():
+            raise SchemaError("free lists no name")
+        for item in free.split():
+            decls.declare(item, "free")
     if len(root[1]) != 1:
         raise SchemaError("process takes exactly 1 child")
-    channels = set()
-    for d in externs:
-        for m in d.methods:
-            channels |= {m.call_channel.id, m.return_channel.id}
-    return Program(externs, _read_proc(root[1][0], names, _Binders(channels)))
+    return Program(externs, _read_proc(root[1][0], decls))

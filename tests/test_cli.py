@@ -276,9 +276,26 @@ def test_run_step_limit_exit_6(tmp_path):
     assert main(["run", str(out), "--max-steps", "25"]) == EXIT_STEP_LIMIT
 
 
+@pytest.mark.parametrize("char", ["\x01", "\ufffe"], ids=["x01", "ufffe"])
+def test_string_xir_cannot_carry_exits_1_at_check_and_compile(char, tmp_path,
+                                                              capsys):
+    # compile wrote such a string raw, and run then refused the document
+    # as not well-formed XML
+    src = tmp_path / "c.pi"
+    src.write_text(f'x!("a{char}b") | x?(v).nil\n', encoding="utf-8")
+    out = tmp_path / "c.xml"
+    message = (f"{src}:1:4: error E-SYNTAX string holds {char!r}, which "
+               f"XML 1.0 cannot carry\n")
+    assert main(["check", str(src)]) == EXIT_SYNTAX
+    assert capsys.readouterr().out == message
+    assert main(["compile", str(src), "-o", str(out)]) == EXIT_SYNTAX
+    assert capsys.readouterr().out == message
+    assert not out.exists()
+
+
 def test_run_schema_error_exit_2(tmp_path):
     bad = tmp_path / "bad.xir.xml"
-    bad.write_text('<pic version="5"><externs/><process><nil/></process></pic>')
+    bad.write_text('<pic version="6"><externs/><process><nil/></process></pic>')
     assert main(["run", str(bad)]) == EXIT_TYPE
 
 
@@ -307,6 +324,18 @@ def test_run_version_3_document_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: E-VERSION unsupported "
                                                 "version '3'\n")
+
+
+def test_run_version_4_document_exit_2(tmp_path, capsys):
+    # version 4 wrote every use of a name as display#id, and no free list
+    doc = ('<pic version="4"><externs/><process><out new="a#0" '
+           'subject="a#0"/></process></pic>')
+    bad = tmp_path / "v4.xir.xml"
+    bad.write_text(doc)
+    assert main(["run", str(bad)]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: E-VERSION unsupported "
+                                                "version '4'\n")
 
 
 def test_run_version_2_document_exit_2(tmp_path, capsys):
@@ -490,7 +519,7 @@ def test_run_two_sort_result_exit_2(tmp_path, capsys):
     text = doc.read_text(encoding="utf-8")
     assert text.count('result="int"') == 1
     text = text.replace('result="int"', 'result="int,int"')
-    text = re.sub(r'(<in (?:new="[^"]*" )?subject="IncRet#1" '
+    text = re.sub(r'(<in (?:new="[^"]*" )?subject="1" '
                   r'a0="(name:[^"]*)")', r'\1 a1="\2"', text)
     assert text.count(' a1="name:') == 2
     doc.write_text(text, encoding="utf-8")
@@ -572,18 +601,24 @@ def test_gen_iface_empty_class(tmp_path):
 
 def _pair(k):
     """An output and an input on channel c_k, each with a nil continuation."""
-    return [f'<{tag} subject="c{k}#{k}"/>' for tag in ("out", "in")]
+    return [f'<{tag} subject="{k}"/>' for tag in ("out", "in")]
 
 
-def _document(process):
-    return (f'<pic version="{XIR_VERSION}"><externs/><process>{process}'
+def _channels(count):
+    """The free list of the channels c_0, ..., c_count-1."""
+    return " ".join(f"c{k}#{k}" for k in range(count))
+
+
+def _document(process, free=""):
+    free = f' free="{free}"' if free else ""
+    return (f'<pic version="{XIR_VERSION}"><externs/><process{free}>{process}'
             '</process></pic>')
 
 
 @pytest.mark.parametrize("bad", [
-    _document('<out subject="x#--5"/>'),
-    _document('<out subject="x#²"/>'),
-    _document('<out subject="x#-5"/>'),  # run-time names take these ids
+    _document("<nil/>", "x#--5"),
+    _document("<nil/>", "x#²"),
+    _document("<nil/>", "x#-5"),  # run-time names take these ids
 ], ids=["double-minus", "superscript-digit", "negative"])
 def test_run_bad_name_id_exit_2(tmp_path, capsys, bad):
     path = tmp_path / "bad.xir.xml"
@@ -596,7 +631,8 @@ def test_run_5000_child_par_step_limit(tmp_path, capsys):
     # 2500 distinct channels, each with one output and one input
     path = tmp_path / "wide.xir.xml"
     body = "".join(t for k in range(2500) for t in _pair(k))
-    path.write_text(_document(f"<par>{body}</par>"), encoding="utf-8")
+    path.write_text(_document(f"<par>{body}</par>", _channels(2500)),
+                    encoding="utf-8")
     assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STEP_LIMIT
     assert len(capsys.readouterr().out.splitlines()) == 10
 
@@ -608,7 +644,7 @@ def test_run_2000_deep_binary_par_step_limit(tmp_path, capsys):
     process = ("".join(f"<par>{t}" for t in threads[:-1]) + threads[-1]
                + "</par>" * (len(threads) - 1))
     path = tmp_path / "deep.xir.xml"
-    path.write_text(_document(process), encoding="utf-8")
+    path.write_text(_document(process, _channels(1000)), encoding="utf-8")
     assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STEP_LIMIT
     assert len(capsys.readouterr().out.splitlines()) == 10
 
@@ -616,11 +652,11 @@ def test_run_2000_deep_binary_par_step_limit(tmp_path, capsys):
 def test_run_new_over_2000_thread_par_step_limit(tmp_path, capsys):
     # a New's scope is an environment, not a substitution down the spine
     threads = [t for k in range(1000) for t in _pair(k)]
-    threads[0] = '<out subject="z#5000"/>'
-    threads[-1] = '<in subject="z#5000"/>'
+    threads[0] = '<out subject="5000"/>'
+    threads[-1] = '<in subject="5000"/>'
     process = f'<par new="z#5000">{"".join(threads)}</par>'
     path = tmp_path / "widenew.xir.xml"
-    path.write_text(_document(process), encoding="utf-8")
+    path.write_text(_document(process, _channels(1000)), encoding="utf-8")
     assert main(["run", str(path), "--max-steps", "10"]) == EXIT_STEP_LIMIT
     assert len(capsys.readouterr().out.splitlines()) == 10
 
@@ -631,12 +667,13 @@ def _thread(tag, subject):
 
 @pytest.mark.parametrize("process,error", [
     # the VM would rebind a#0 in the environment a!() shares with it
-    ('<par new="a#0">' + _thread("out", "a#0")
-     + '<in new="a#0" subject="a#0"/></par>',
+    ('<par new="a#0">' + _thread("out", "0")
+     + '<in new="a#0" subject="0"/></par>',
      "binder id 0 of new a#0 is already bound"),
-    ("<par>" + _thread("in", "a#0") + '<out new="a#0" subject="a#0"/></par>',
-     "name a#0 occurs outside its new"),
-    ('<par><out new="a#0" subject="a#0"/>' + _thread("in", "a#0") + "</par>",
+    # no use comes before its declaration
+    ("<par>" + _thread("in", "0") + '<out new="a#0" subject="0"/></par>',
+     "undeclared name '0' in in"),
+    ('<par><out new="a#0" subject="0"/>' + _thread("in", "0") + "</par>",
      "name a#0 occurs outside its new"),
 ], ids=["bound-twice", "used-before-its-new", "used-after-its-new"])
 def test_run_binder_id_error_exit_2(tmp_path, capsys, process, error):
@@ -652,8 +689,8 @@ def test_run_binder_id_is_extern_channel_exit_2(account_src, tmp_path, capsys):
     out = _compile(account_src, tmp_path)
     text = out.read_text(encoding="utf-8")
     assert 'ret="Ret2#3" result="int"/>' in text
-    assert '<in new="v#5" subject="Ret2#3" a0="name:v#5"/>' in text
-    out.write_text(text.replace("v#5", "v#3"), encoding="utf-8")
+    assert '<in new="v#5" subject="3" a0="name:5"/>' in text
+    out.write_text(text.replace('new="v#5"', 'new="v#3"'), encoding="utf-8")
     capsys.readouterr()
     assert main(["run", str(out)]) == EXIT_TYPE
     captured = capsys.readouterr()
@@ -663,7 +700,7 @@ def test_run_binder_id_is_extern_channel_exit_2(account_src, tmp_path, capsys):
 
 
 def _int_document(value):
-    return _document(f'<out subject="x#0" a0="int:{value}"/>')
+    return _document(f'<out subject="0" a0="int:{value}"/>', "x#0")
 
 
 @pytest.mark.parametrize("value", [" +1_000", "+1", "1_0", "-", "--5", "1 "])

@@ -19,9 +19,9 @@ from pichan.typecheck import (SHOW_LIMIT, check_extern_usage,
 from pichan.xir import XIR_VERSION, SchemaError, from_xml, to_xml
 
 import reference_recursive as ref
-from deep_inputs import (SHAPES, flat_par, new_list, new_over_par,
-                         reversed_outputs, run_shape)
-from golden_traces import corpus
+from deep_inputs import (SHAPES, flat_par, free_names, new_list,
+                         new_over_par, reversed_outputs, run_shape)
+from golden_traces import SAMPLES, corpus
 from printer import format_program
 from randgen import gen_program
 from terms import same_program
@@ -40,8 +40,8 @@ def test_deep_shape_gets_its_exit_codes(shape, tmp_path):
 def _left_nested_par_document(depth):
     """A <par> nested depth deep in left position, each with an output on
     its right: one element per line, as to_xml writes it."""
-    out = '<out subject="a#0"/>\n'
-    return (f'<pic version="{XIR_VERSION}">\n<externs/>\n<process>\n'
+    out = '<out subject="0"/>\n'
+    return (f'<pic version="{XIR_VERSION}">\n<externs/>\n<process free="a#0">\n'
             + "<par>\n" * depth
             + out + (out + "</par>\n") * depth + "</process>\n</pic>\n")
 
@@ -60,9 +60,10 @@ def test_same_program_on_100000_wide_par():
     # a program and its XIR copy, then a copy whose last output differs
     program = desugar(parse_program(flat_par(100_000)))
     doc = to_xml(program)
-    out = '<out subject="a#0"/>'
+    out = '<out subject="0"/>'
     last = doc.rindex(out)
-    other = doc[:last] + '<out subject="b#1"/>' + doc[last + len(out):]
+    other = (doc[:last] + '<out subject="1"/>' + doc[last + len(out):]).replace(
+        '<process free="a#0">', '<process free="a#0 b#1">')
     copies = from_xml(doc), from_xml(other)
     start = time.perf_counter()
     assert same_program(program, copies[0])
@@ -345,15 +346,20 @@ def test_reader_matches_reference_on_mutants():
     assert count > 1000
 
 
+# a name id where a declaration or a use writes one
+_ID = re.compile(r'(?:#|subject="|name:)(\d+)[" ]')
+
+
 def test_reader_matches_reference_on_binder_mutants():
-    # one name id swapped for another id of the same document: news that
-    # bind an id twice or an extern channel's, names outside their new
+    # one name id, declared or used, swapped for another id of the same
+    # document: news that bind an id twice, an extern channel's or a free
+    # name's, ids declared twice, names outside their new or undeclared
     rng = random.Random(11)
     programs = list(_core_programs())
     errors = set()
     for doc in [to_xml(p) for p in programs[-1:] + rng.sample(programs, 12)]:
-        ids = sorted(set(re.findall(r'#(-?\d+)"', doc)))
-        for m in re.finditer(r'#(-?\d+)"', doc):
+        ids = sorted({m[1] for m in _ID.finditer(doc)})
+        for m in _ID.finditer(doc):
             for other in rng.sample(ids, min(3, len(ids))):
                 mutant = doc[:m.start(1)] + other + doc[m.end(1):]
                 got = _read(from_xml, mutant)
@@ -362,19 +368,25 @@ def test_reader_matches_reference_on_binder_mutants():
                     errors.add(re.sub(r"\S*#\S*|\d+", "_", got[1]))
     assert errors >= {"binder id _ of new _ is already bound",
                       "binder id _ of new _ is an extern channel id",
-                      "name _ occurs outside its new"}
+                      "binder id _ of new _ is a free name",
+                      "name id _ of free _ is already declared",
+                      "name id _ of ret _ is already declared",
+                      "name _ occurs outside its new",
+                      "undeclared name '_' in out"}
 
 
-def _process_document(process):
-    return (f'<pic version="{XIR_VERSION}"><externs/><process>{process}'
+def _process_document(process, free=""):
+    free = f' free="{free}"' if free else ""
+    return (f'<pic version="{XIR_VERSION}"><externs/><process{free}>{process}'
             '</process></pic>')
 
 
 @pytest.mark.parametrize("process,message", [
-    # an in's continuation is read before its arguments are checked to be
-    # names
+    # a use is an id: display#id is no declared one (for an in's
+    # continuation read before its arguments are checked to be names, see
+    # the v5 cases below)
     ('<in subject="x#0" a0="int:1"><widget/></in>',
-     "unknown element 'widget'"),
+     "undeclared name 'x#0' in in"),
     # a new list before its element, an out's arguments before its subject;
     # version 3's <new> element is no longer one
     ('<widget new="a"/>', "bad name reference 'a' in new"),
@@ -385,14 +397,15 @@ def _process_document(process):
      "unknown element 'widget'"),
     ('<par><nil/><par><gadget/><nil/></par><par/></par>',
      "unknown element 'gadget'"),
-    # values, childless elements and a fusion side out of its new's scope
+    # values, childless elements and a fusion side out of its new's scope;
+    # an out's arguments and a fusion's children come before any name
     ('<out subject="x#0" a0="bool:maybe"/>', "bad bool literal 'maybe' in out"),
     ('<out subject="x#0" a0="foo:1"/>', "unknown value kind 'foo' in out"),
     ('<fusion left="name:x#0" right="int:1"><nil/></fusion>',
      "fusion takes no children"),
     ("<nil><nil/></nil>", "nil takes no children"),
-    ('<par><out new="a#0" subject="a#0"/>'
-     '<fusion left="int:1" right="name:a#0"/></par>',
+    ('<par><out new="a#0" subject="0"/>'
+     '<fusion left="int:1" right="name:0"/></par>',
      "name a#0 occurs outside its new"),
     # a new list item by item, each read and checked before the next
     ('<nil new=""/>', "new lists no binder"),
@@ -400,10 +413,11 @@ def _process_document(process):
     ('<nil new="x#-1"/>', "bad name reference 'x#-1' in new"),
     ('<nil new="a#5 a#5"/>', "binder id 5 of new a#5 is already bound"),
     ('<nil new="a#5 a#5 b"/>', "binder id 5 of new a#5 is already bound"),
-    ('<repeat new="a#5"><out new="b#6 a#5" subject="b#6"/></repeat>',
+    ('<repeat new="a#5"><out new="b#6 a#5" subject="6"/></repeat>',
      "binder id 5 of new a#5 is already bound"),
+    # a use comes after its declaration (see the v5 cases below)
     ('<par><out subject="a#5"/><nil new="a#5"/></par>',
-     "name a#5 occurs outside its new"),
+     "undeclared name 'a#5' in out"),
     ('<nil new="a#5" bogus="1"/>',
      "nil: expected attributes [], found ['bogus']"),
     ('<out new="" subject="x"/>', "new lists no binder"),
@@ -412,6 +426,40 @@ def _process_document(process):
 ])
 def test_reader_reports_the_first_error_the_reference_does(process, message):
     doc = _process_document(process)
+    assert _read(from_xml, doc) == _read(ref.from_xml, doc)
+    assert _read(from_xml, doc) == ("SchemaError", message)
+
+
+@pytest.mark.parametrize("free,process,message", [
+    ("x#0", '<in subject="0" a0="int:1"><widget/></in>',
+     "unknown element 'widget'"),
+    # every use names a declaration before it: a binder's comes after its
+    # new list, outside which it is out of scope
+    ("", '<par><out subject="5"/><nil new="a#5"/></par>',
+     "undeclared name '5' in out"),
+    ("", '<out subject="7"/>', "undeclared name '7' in out"),
+    ("x#0", '<out subject="0" a0="name:1"/>', "undeclared name '1' in out"),
+    ("x#0", '<in subject="0" a0="name:0" a1="name:x#0"/>',
+     "undeclared name 'x#0' in in"),
+    ("", '<fusion left="name:1" right="int:1"/>',
+     "undeclared name '1' in fusion"),
+    ("x#0", '<out subject="00"/>', "undeclared name '00' in out"),
+    ("x#0", '<out subject="-0"/>', "undeclared name '-0' in out"),
+    # a free list declares each id once, before the process reads
+    ("a#3 b#3", "<par><out subject='3'/><in subject='3'/></par>",
+     "name id 3 of free b#3 is already declared"),
+    ("a#3 a#3", "<nil/>", "name id 3 of free a#3 is already declared"),
+    (" \t", "<nil/>", "free lists no name"),
+    ("x#-1", "<nil/>", "bad name reference 'x#-1' in free"),
+    ("x", "<widget/>", "bad name reference 'x' in free"),
+    # a binder's id is no free name's
+    ("x#4", '<nil new="x#4"/>', "binder id 4 of new x#4 is a free name"),
+    ("x#4", '<out new="y#5" subject="5"><nil new="x#4"/></out>',
+     "binder id 4 of new x#4 is a free name"),
+])
+def test_reader_reports_the_first_v5_error_the_reference_does(free, process,
+                                                               message):
+    doc = _process_document(process, free)
     assert _read(from_xml, doc) == _read(ref.from_xml, doc)
     assert _read(from_xml, doc) == ("SchemaError", message)
 
@@ -433,3 +481,73 @@ def test_restriction_shape_at_100000_takes_under_20_s(shape, tmp_path):
     got = run_shape(shape, 100_000, tmp_path)
     assert tuple(code for _, code, _ in got) == SHAPES[shape]
     assert all(seconds < 20 for _, _, seconds in got), got
+
+
+def test_free_list_shape_at_100000_takes_under_20_s(tmp_path):
+    # 100,000 free names: one free list, each item declared once
+    got = run_shape(free_names, 100_000, tmp_path)
+    assert tuple(code for _, code, _ in got) == SHAPES[free_names]
+    assert all(seconds < 20 for _, _, seconds in got), got
+
+
+# ---------------------------------------------------------------------------
+# XIR v5: each name declared once; what version 4 let through
+
+
+def _counter_document():
+    return to_xml(desugar(parse_program((SAMPLES / "counter.pi").read_text())))
+
+
+def _two_counters_document():
+    """counter.pi's extern block twice, under aliases K and L, with the
+    second block's channels at ids 0 and 2: both call channels are id 0."""
+    doc = _counter_document()
+    block = re.search(r"<extern .*?</extern>\n", doc, re.S)[0]
+    other = (block.replace('alias="K"', 'alias="L"')
+             .replace('"inc#0"', '"incL#0"').replace('"IncRet#1"', '"RetL#2"'))
+    return doc.replace(block, block + other)
+
+
+@pytest.mark.parametrize("doc,message", [
+    # one id for a method's call and return channel: the VM would take the
+    # call's return for a new call
+    (_counter_document().replace('ret="IncRet#1"', 'ret="inc#0"'),
+     "name id 0 of ret inc#0 is already declared"),
+    # two blocks whose call channels share id 0: the VM sent every call on
+    # it to the first block
+    (_two_counters_document(), "name id 0 of call incL#0 is already declared"),
+    # one id with two displays: the trace printed whichever one the fusion
+    # environment saw first
+    (_process_document("<par><out subject='3'/><in subject='3'/></par>",
+                       "a#3 b#3"),
+     "name id 3 of free b#3 is already declared"),
+    (_process_document("<out subject='3'/>", "a#4"),
+     "undeclared name '3' in out"),
+    (_process_document("<nil/>", "a#3 a#3"),
+     "name id 3 of free a#3 is already declared"),
+    (_process_document('<out new="b#3" subject="3"/>', "a#3"),
+     "binder id 3 of new b#3 is a free name"),
+    (_counter_document().replace('new="a#', 'new="a#0 a#'),
+     "binder id 0 of new a#0 is an extern channel id"),
+    (_process_document("<nil/>", "x#0").replace("<externs/>", (
+        '<externs><extern alias="K" class="Counter"><method name="inc" '
+        'call="inc#0" params="" ret="IncRet#1" result="int"/></extern>'
+        "</externs>")),
+     "name id 0 of free x#0 is already declared"),
+], ids=["call-and-ret-share-an-id", "two-blocks-share-a-call-id",
+        "one-id-two-displays", "undeclared-use", "free-listed-twice",
+        "binder-is-free", "binder-is-extern-channel", "free-is-extern-channel"])
+def test_run_of_a_name_declared_twice_or_never_exits_2(doc, message, tmp_path,
+                                                       capsys):
+    assert _read(ref.from_xml, doc) == ("SchemaError", message)
+    path = tmp_path / "bad.xir.xml"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: E-SCHEMA {message}\n")
+
+
+def test_two_counters_document_loads_with_distinct_call_ids():
+    # the second block of _two_counters_document is sound with its own ids
+    doc = _two_counters_document().replace('"incL#0"', '"incL#3"')
+    assert [d.alias for d in from_xml(doc).externs] == ["K", "L"]

@@ -80,17 +80,17 @@ def test_long_int_in_source_is_e_syntax(tmp_path, capsys):
     assert "long.pi:1:4: error E-SYNTAX integer literal has too many digits" in out
 
 
-def _out_document(subject, arg):
-    return (f'<pic version="{XIR_VERSION}"><externs/><process>'
+def _out_document(free, subject, arg):
+    return (f'<pic version="{XIR_VERSION}"><externs/><process free="{free}">'
             f'<out subject="{subject}"{arg}/>'
             '</process></pic>')
 
 
 @pytest.mark.parametrize("doc", [
-    _out_document(f"x#{LONG}", ""),
-    _out_document("x#0", f' a0="int:{LONG}"'),
-    _out_document("x#0", f' a0="int:-{LONG}"'),
-    _out_document("x#0", f' a0="name:y#{LONG}"'),
+    _out_document(f"x#{LONG}", LONG, ""),
+    _out_document("x#0", "0", f' a0="int:{LONG}"'),
+    _out_document("x#0", "0", f' a0="int:-{LONG}"'),
+    _out_document(f"x#0 y#{LONG}", "0", f' a0="name:{LONG}"'),
 ], ids=["subject-id", "int", "negative-int", "object-id"])
 def test_long_number_in_xir_is_e_schema(tmp_path, capsys, doc):
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]

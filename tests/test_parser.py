@@ -155,6 +155,20 @@ def test_parse_unterminated_string():
         parse_program('x!("oops')
 
 
+@pytest.mark.parametrize("text,bad", [
+    ("a\x01b", "\x01"), ("\ufffe", "\ufffe"), ("\x00", "\x00"),
+    ("\uffff", "\uffff"), ("\ud800", "\ud800"), ("\\\x1f", "\x1f"),
+    ("ok\x0b", "\x0b")])
+def test_string_xir_cannot_carry_is_e_syntax_at_the_literal(text, bad):
+    # XML 1.0 has no form for these, not even &#1;, so compile wrote XIR
+    # that run refused as not well-formed
+    with pytest.raises(ParseError) as exc:
+        parse_program(f'nil | x!("{text}")\n| x?(v).nil', "f.pi")
+    (d,) = exc.value.diagnostics
+    assert str(d) == (f"f.pi:1:10: error E-SYNTAX string holds {bad!r}, "
+                      f"which XML 1.0 cannot carry")
+
+
 def resolved_tokens(text, filename="<input>"):
     """pichan's tokens of text as (kind, text, SourceSpan): each offset
     resolved through the source map, the length that of the lexeme."""
@@ -266,10 +280,11 @@ _LEX_PIECES = st.sampled_from([
     "x", "_y1", "new", "in", "nil", "int", "\u00e9t\u00e9", "\u03a9",
     "x\u00b2", "\u0661\u0662", "12", "-3", "->", "!", "?", "(", ")", "<",
     ">", "{", "}", "|", ".", ",", "=", ":", ";", "// c\n", " ", "\t", "\r",
-    "\n", '"a\\"b"', '"t\\tq\\\\"', '"\n"', '"\\\n"',
+    "\n", '"a\\"b"', '"t\\tq\\\\"', '"\n"', '"\\\n"', '"\r\ufffd\U0001f600"',
 ])
 _LEX_RISKS = st.sampled_from([
     "", '"', "\\", "-", "--", "\u00b2", "/", "//", "#", "\u00a0", '\\"', "\\n",
+    "\x01", "\x00", "\ufffe", "\uffff", "\ud800", "\\\x1f",
 ])
 _LEX_TEXT = st.tuples(st.lists(_LEX_PIECES, max_size=30), _LEX_RISKS,
                       st.lists(_LEX_PIECES, max_size=8)).map(
@@ -369,8 +384,8 @@ def test_desugar_matches_reference_on_hand_built_terms():
 def test_desugar_fresh_ids_start_above_renamed_binders():
     # v#1 is renamed away, yet it still bounds the fresh id
     assert to_xml(desugar(parse_program("x?(v).nil"))) == (
-        f'<pic version="{XIR_VERSION}">\n<externs/>\n<process>\n'
-        '<in new="v#2" subject="x#0" a0="name:v#2"/>\n</process>\n</pic>\n')
+        f'<pic version="{XIR_VERSION}">\n<externs/>\n<process free="x#0">\n'
+        '<in new="v#2" subject="0" a0="name:2"/>\n</process>\n</pic>\n')
 
 
 def test_desugar_keeps_spans_under_binding_input():

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (ExternDecl, Fusion, In, IntLit, Name, NameRef, New,
-                         Nil, Out, Par, Program, Repeat, StrLit,
-                         SurfaceFormError, nodes)
+from pichan.core import (NOT_XML_CHARS, ExternDecl, Fusion, In, IntLit,
+                         MethodDecl, Name, NameRef, New, Nil, Out, Par, Program,
+                         Repeat, StrLit, SurfaceFormError, nodes)
+from pichan.diag import ParseError
 from pichan.parser import desugar, parse_program
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _quoted,
                         from_xml, to_xml)
 
-from golden_traces import SAMPLES, echo_source
+from golden_traces import SAMPLES, echo_source, host_source
 from randgen import gen_program
-from terms import same_program, validate
+from terms import free_names, same_program, validate
 from test_parser import ACCOUNT_EXTERN
 
 
@@ -48,7 +49,7 @@ def test_round_trip_exact_including_ids():
     "cr\rx", "caf\u00e9", ""])
 def test_attribute_values_are_written_as_quoteattr_writes_them(text):
     doc = to_xml(Program((), Out(Name(0, "x"), (StrLit(text),), Nil())))
-    assert (f'<out subject="x#0" a0={quoteattr("str:" + text)}/>'
+    assert (f'<out subject="0" a0={quoteattr("str:" + text)}/>'
             in doc.splitlines())
     assert from_xml(doc).main.objects == (StrLit(text),)
 
@@ -76,8 +77,8 @@ def test_determinism_byte_identical():
 
 def test_free_name_accepted():
     # a subject that is never bound and not extern is fine: it is free
-    doc = (f'<pic version="{XIR_VERSION}"><externs/><process>'
-           '<out subject="x#3"/>'
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process free="x#3">'
+           '<out subject="3"/>'
            '</process></pic>')
     program = from_xml(doc)
     assert same_program(program.main, Out(Name(3, "x"), (), Nil()))
@@ -124,8 +125,8 @@ def test_surface_form_rejected():
 
 
 def test_in_argument_must_be_name():
-    doc = (f'<pic version="{XIR_VERSION}"><externs/><process>'
-           '<in subject="x#0" a0="int:3"/></process></pic>')
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process free="x#0">'
+           '<in subject="0" a0="int:3"/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
 
@@ -169,6 +170,105 @@ def test_round_trip_random_programs(seed):
     lists = re.findall(r'<\w+ new="([^"]*)"', text)
     assert (sum(len(items.split()) for items in lists)
             == sum(type(n) is New for n in nodes(program.main)))
+    # every use is a bare id, and each free name is declared once
+    uses = _USE.findall(text)
+    assert all(use.isdecimal() for use in uses)
+    free = re.findall(r'<process free="([^"]*)">', text)
+    assert [len(items.split()) for items in free] == (
+        [len(free_names(program.main) - {n for d in program.externs
+                                          for n in d.channels()})] if free
+        else [])
+
+
+# the value of every attribute that uses a name: an action's subject or
+# argument, or a fusion side
+_USE = re.compile(r' (?:subject|a\d+|left|right)="(?:name:)?([^":]*)"')
+
+
+def _declarations(program):
+    """The extern channels and binders of program."""
+    return ([n for d in program.externs for n in d.channels()]
+            + [p.name for p in nodes(program.main) if type(p) is New])
+
+
+def _each_declared_once(program, text):
+    """Each extern channel and binder is written once, as display#id, and
+    its id is written with a '#' there alone; no use holds a '#'."""
+    for n in _declarations(program):
+        assert text.count(f"{n.display}#{n.id}") == 1, n
+        assert len(re.findall(rf"#{n.id}[\s\"]", text)) == 1, n
+    assert not [use for use in _USE.findall(text) if "#" in use]
+
+
+@pytest.mark.parametrize("sample", sorted(SAMPLES.glob("*.pi")),
+                         ids=lambda path: path.name)
+def test_compiled_sample_declares_each_name_once(sample):
+    program = desugar(parse_program(sample.read_text(), sample.name))
+    _each_declared_once(program, to_xml(program))
+
+
+def test_host_workers_declare_each_channel_once():
+    # the vm-host shape: many workers call the same few extern methods, and
+    # each call site writes the channel's id alone
+    program = desugar(parse_program(host_source(40)))
+    text = to_xml(program)
+    _each_declared_once(program, text)
+    assert len(_declarations(program)) > 40 and "<process>" in text
+    assert text.count(' subject="0"') == 14  # inc0!() by 14 of 40 workers
+
+
+def test_free_names_are_one_list_on_process_in_id_order():
+    x, y, z = Name(7, "x"), Name(2, "y"), Name(4, "z")
+    program = Program((), Par(Out(x, (NameRef(y),), Nil()),
+                              In(z, (x,), False, Nil())))
+    text = to_xml(program)
+    assert text.splitlines()[2] == '<process free="y#2 z#4 x#7">'
+    assert '<out subject="7" a0="name:2"/>' in text
+    assert same_program(from_xml(text), program)
+
+
+@pytest.mark.parametrize("program,error", [
+    (Program((), Par(Out(Name(3, "a"), (), Nil()), Out(Name(3, "b"), (),
+                                                        Nil()))),
+     "name id 3 has two displays, 'a' and 'b'"),
+    (Program((), New(Name(3, "a"), Out(Name(3, "b"), (), Nil()))),
+     "name id 3 has two displays, 'a' and 'b'"),
+    (Program((ExternDecl("K", "Counter", (MethodDecl(
+        "inc", Name(0, "inc"), (), Name(0, "inc"), ()),)),), Nil()),
+     "extern channel id 0 is declared twice"),
+    (Program((), Out(Name(0, "a b"), (), Nil())),
+     "free name display 'a b' holds white space"),
+    (Program((), Out(Name(0, "x"), (StrLit("a\x01b"),), Nil())),
+     "'str:a\\x01b' holds '\\x01', which XML 1.0 cannot carry"),
+    (Program((), Fusion(NameRef(Name(0, "x")), StrLit("\ufffe"))),
+     "'str:\\ufffe' holds '\\ufffe', which XML 1.0 cannot carry"),
+], ids=["two-displays", "binder-two-displays", "channel-twice",
+        "free-white-space", "control-character", "non-character"])
+def test_program_xir_cannot_carry_faithfully_is_value_error(program, error):
+    with pytest.raises(ValueError) as caught:
+        to_xml(program)
+    assert str(caught.value) == error
+
+
+# strings as the tokenizer may read them: raw control characters, escapes
+# and characters past the BMP among them
+_SOURCE_STRINGS = st.text(
+    st.sampled_from(list("a\t\n\r\ufffd\U0001f600\x01\x1f\ufffe\uffff\\\"&<"))
+    | st.characters(), max_size=10)
+
+
+@given(_SOURCE_STRINGS)
+@settings(max_examples=400, deadline=None)
+def test_every_string_the_tokenizer_accepts_round_trips(text):
+    literal = '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    try:
+        program = desugar(parse_program(f"x!({literal}) | x?(v).nil"))
+    except ParseError as exc:
+        assert "which XML 1.0 cannot carry" in exc.diagnostics[0].message
+        assert re.search(f"[{NOT_XML_CHARS}]", text)
+        return
+    (value,) = program.main.left.objects
+    assert from_xml(to_xml(program)).main.left.objects == (value,)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +280,13 @@ def test_a_chain_of_news_is_one_list_on_the_element_it_scopes():
     out = Out(x, (), Nil())
     for body, line in [
             (Nil(), '<nil new="a#0 b#1"/>'),
-            (out, '<out new="a#0 b#1" subject="x#2"/>'),
+            (out, '<out new="a#0 b#1" subject="2"/>'),
             (In(x, (a,), False, out),
-             '<in new="a#0 b#1" subject="x#2" a0="name:a#0">'),
+             '<in new="a#0 b#1" subject="2" a0="name:0">'),
             (Repeat(out), '<repeat new="a#0 b#1">'),
             (Par(out, Par(out, New(y, Par(out, out)))), '<par new="a#0 b#1">'),
             (Fusion(NameRef(a), NameRef(b)),
-             '<fusion new="a#0 b#1" left="name:a#0" right="name:b#1"/>')]:
+             '<fusion new="a#0 b#1" left="name:0" right="name:1"/>')]:
         program = Program((), New(a, New(b, body)))
         text = to_xml(program)
         assert text.splitlines()[3] == line
@@ -246,9 +346,10 @@ def _out(subject):
 def test_binary_par_document_loads_to_the_same_program():
     # the form earlier writers produced: every par has exactly two
     # children and a chain nests to the right
-    binary = (f'<pic version="{XIR_VERSION}"><externs/><process><par>'
-              + _out("a#0") + "<par>" + _out("b#1") + "<par>" + _out("c#2")
-              + _out("d#3") + "</par></par></par></process></pic>")
+    binary = (f'<pic version="{XIR_VERSION}"><externs/>'
+              '<process free="a#0 b#1 c#2 d#3"><par>'
+              + _out("0") + "<par>" + _out("1") + "<par>" + _out("2")
+              + _out("3") + "</par></par></par></process></pic>")
     program = desugar(parse_program("a!() | b!() | c!() | d!()"))
     assert same_program(from_xml(binary), program)
     assert _par_children(to_xml(from_xml(binary))) == [4]
@@ -261,14 +362,15 @@ def test_par_needs_two_children(children):
     diags = validate(doc)
     assert len(diags) == 1 and diags[0].code == "E-SCHEMA"
     # a short par at the end of a spine is caught too
-    doc = (f'<pic version="{XIR_VERSION}"><externs/><process><par>'
-           f'{_out("a#0")}<par>{children}</par></par></process></pic>')
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process free="a#0"><par>'
+           f'{_out("0")}<par>{children}</par></par></process></pic>')
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
 
 
 def test_names_shared_within_a_document():
-    program = from_xml(f'<pic version="{XIR_VERSION}"><externs/><process><par>'
-                       + _out("a#0") + _out("a#0") + "</par></process></pic>")
+    program = from_xml(f'<pic version="{XIR_VERSION}"><externs/>'
+                       '<process free="a#0"><par>'
+                       + _out("0") + _out("0") + "</par></process></pic>")
     assert program.main.left.subject is program.main.right.subject
 
 
@@ -285,8 +387,8 @@ def test_bytes_grow_linearly_in_echo_clients():
 @pytest.mark.parametrize("name", ["x#--5", "x#²", "x#+5", "x# 5", "x#",
                                   "x#-5", "x#-0"])
 def test_bad_name_id_is_schema_error(name):
-    doc = (f'<pic version="{XIR_VERSION}"><externs/><process>{_out(name)}'
-           '</process></pic>')
+    doc = (f'<pic version="{XIR_VERSION}"><externs/><process free="{name}">'
+           '<nil/></process></pic>')
     with pytest.raises(SchemaError):
         from_xml(doc)
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
@@ -295,8 +397,9 @@ def test_bad_name_id_is_schema_error(name):
 def test_negative_and_decimal_name_ids_accepted():
     # a negative int literal loads, and so does a name id in any decimal
     # digits; only a name id may not be negative (run-time names are)
-    doc = (f'<pic version="{XIR_VERSION}"><externs/><process><par>'
-           '<out subject="x#0" a0="int:-5"/>' + _out("y#١٢")
+    doc = (f'<pic version="{XIR_VERSION}"><externs/>'
+           '<process free="x#0 y#١٢"><par>'
+           '<out subject="0" a0="int:-5"/>' + _out("١٢")
            + "</par></process></pic>")
     main = from_xml(doc).main
     assert main.left.objects == (IntLit(-5),) and main.right.subject.id == 12
@@ -332,7 +435,11 @@ def test_bad_method_element_is_e_schema(old, new, error):
 
 def test_duplicate_extern_alias_is_schema_error():
     decl = parse_program(ACCOUNT_EXTERN + "nil").externs[0]
-    other = ExternDecl("Other", decl.class_name, decl.methods, decl.span)
+    other = ExternDecl("Other", decl.class_name, tuple(
+        MethodDecl(m.name, Name(m.call_channel.id + 10, m.call_channel.display),
+                   m.param_sorts, Name(m.return_channel.id + 10,
+                                       m.return_channel.display),
+                   m.return_payload) for m in decl.methods), decl.span)
     doc = to_xml(Program((decl, other), Nil()))
     assert [d.alias for d in from_xml(doc).externs] == ["FClass", "Other"]
     doc = doc.replace('alias="Other"', 'alias="FClass"')
@@ -356,18 +463,19 @@ def test_duplicate_extern_method_is_schema_error():
 # one element per action, and one per method
 
 
-def _process_doc(process):
-    return (f'<pic version="{XIR_VERSION}"><externs/><process>{process}'
+def _process_doc(process, free=""):
+    free = f' free="{free}"' if free else ""
+    return (f'<pic version="{XIR_VERSION}"><externs/><process{free}>{process}'
             '</process></pic>')
 
 
 @pytest.mark.parametrize("element,message", [
-    ('<out subject="x#0" a1="int:1"/>',
+    ('<out subject="0" a1="int:1"/>',
      "out: expected attributes ['a0', 'subject'], found ['a1', 'subject']"),
-    ('<out subject="x#0" a0="int:1" a2="int:2"/>',
+    ('<out subject="0" a0="int:1" a2="int:2"/>',
      "out: expected attributes ['a0', 'a1', 'subject'], "
      "found ['a0', 'a2', 'subject']"),
-    ('<in subject="x#0" a0="name:y#1" bogus="1"/>',
+    ('<in subject="0" a0="name:1" bogus="1"/>',
      "in: expected attributes ['a0', 'a1', 'subject'], "
      "found ['a0', 'bogus', 'subject']"),
     ('<out a0="int:1"/>', "out: expected attributes ['subject'], found ['a0']"),
@@ -388,19 +496,19 @@ def test_bad_action_attributes_are_e_schema(element, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("start,tag", [('out subject="x#0"', "out"),
-                                       ('in subject="x#0"', "in"),
-                                       ('out new="a#0" subject="a#0"', "out"),
+@pytest.mark.parametrize("start,tag", [('out subject="0"', "out"),
+                                       ('in subject="0"', "in"),
+                                       ('out new="a#2" subject="2"', "out"),
                                        ("repeat", "repeat")])
 def test_action_with_two_children_is_e_schema(start, tag):
-    child = '<out subject="y#1"/>'
-    doc = _process_doc(f"<{start}>{child}{child}</{tag}>")
+    child = '<out subject="1"/>'
+    doc = _process_doc(f"<{start}>{child}{child}</{tag}>", "x#0 y#1")
     assert [d.code for d in validate(doc)] == ["E-SCHEMA"]
     with pytest.raises(SchemaError, match=f"^{tag} takes at most 1 child$"):
         from_xml(doc)
     # one child, or none for nil, is the action's continuation
-    assert validate(_process_doc(f"<{start}>{child}</{tag}>")) == []
-    assert validate(_process_doc(f"<{start}/>")) == []
+    assert validate(_process_doc(f"<{start}>{child}</{tag}>", "x#0 y#1")) == []
+    assert validate(_process_doc(f"<{start}/>", "x#0 y#1")) == []
 
 
 _AWKWARD = st.text(st.sampled_from(list(':#"&<>\n\r\t\' a\u00e9'))
@@ -469,11 +577,12 @@ def test_compiled_random_programs_have_one_element_per_action():
 
 
 def test_action_attributes_load_in_any_order():
-    canonical = _process_doc('<out subject="c#0" a0="int:1" a1="name:c#0"/>')
-    for element in ('<out a0="int:1" a1="name:c#0" subject="c#0"/>',
-                    '<out a1="name:c#0" subject="c#0" a0="int:1"/>'):
-        assert same_program(from_xml(_process_doc(element)),
+    canonical = _process_doc('<out subject="0" a0="int:1" a1="name:0"/>',
+                             "c#0")
+    for element in ('<out a0="int:1" a1="name:0" subject="0"/>',
+                    '<out a1="name:0" subject="0" a0="int:1"/>'):
+        assert same_program(from_xml(_process_doc(element, "c#0")),
                             from_xml(canonical))
     assert same_program(
-        from_xml(_process_doc('<in a0="name:v#1" subject="c#0"/>')),
-        from_xml(_process_doc('<in subject="c#0" a0="name:v#1"/>')))
+        from_xml(_process_doc('<in a0="name:1" subject="0"/>', "c#0 v#1")),
+        from_xml(_process_doc('<in subject="0" a0="name:1"/>', "c#0 v#1")))
