@@ -612,6 +612,10 @@ def from_xml(document) -> Program:
     decls = _Decls()
     externs = tuple(_read_extern(e, decls.table, decls.kinds)
                     for e in root[0])
+    aliases = [d.alias for d in externs]
+    for i, alias in enumerate(aliases):
+        if alias in aliases[:i]:
+            raise SchemaError(f"extern alias {alias} declared twice")
     if free is not None:
         if not free.split():
             raise SchemaError("free lists no name")

@@ -24,8 +24,9 @@ from pichan.parser import desugar, parse_program
 from pichan.xir import XIR_VERSION, from_xml, to_xml
 
 from printer import format_program
+from randgen import gen_host_source, gen_program
 from terms import validate
-from test_deep_inputs import _mutants
+from test_deep_inputs import _mutants, _process_document
 from test_ifgen import ACCOUNT_MANIFEST
 from test_parser import ACCOUNT_EXTERN
 
@@ -814,12 +815,181 @@ def test_run_on_mutated_sample_xir_ends_in_a_run_exit_code(index, seed):
                         EXIT_STEP_LIMIT}
 
 
-@pytest.mark.parametrize("sample", ["counter.pi", "account.pi"])
-def test_warm_host_run_leaves_no_cyclic_garbage(sample, tmp_path, capsys):
-    # the host constructor's log holds the registry, not the endpoint, so a
-    # run's objects are freed by reference counting alone
-    doc = _compile(SAMPLES_DIR / sample, tmp_path)
-    main(["run", str(doc)])
+# ---------------------------------------------------------------------------
+# the cyclic collector: paused while a command runs, and nothing for it to free
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _compiled(tmp_path, text):
+    return str(_compile(Path(_file(tmp_path, "prog.pi", text)), tmp_path))
+
+
+def _randgen(k):
+    return format_program(gen_program(random.Random(k), max_nodes=40))
+
+
+# (argv, exit code, argv whose leftover this one's must equal) from tmp_path;
+# a run's id is its sample's name
+_WARM_CASES = [
+    *(pytest.param(lambda t, s=s: (["check", str(s)], EXIT_OK, None),
+                   id=f"check-{s.name}") for s in SAMPLES),
+    *(pytest.param(lambda t, s=s: (["compile", str(s), "-o", str(t / "o")],
+                                   EXIT_OK, None),
+                   id=f"compile-{s.name}") for s in SAMPLES),
+    *(pytest.param(lambda t, s=s: (["run", str(_compile(s, t))], EXIT_OK, None),
+                   id=s.name) for s in SAMPLES),
+    *(pytest.param(lambda t, k=k, code=code: (
+        ["check", _file(t, "r.pi", _randgen(k))], code, None),
+        id=f"check-randgen-{k}") for k, code in [(0, EXIT_TYPE), (1, EXIT_OK)]),
+    pytest.param(lambda t: (["run", _compiled(t, _randgen(1))], EXIT_TYPE, None),
+                 id="run-randgen-1-unknown-class"),
+    pytest.param(lambda t: (["run", _compiled(t, _randgen(5))], EXIT_STUCK, None),
+                 id="run-randgen-5"),
+    pytest.param(lambda t: (
+        ["run", _compiled(t, gen_host_source(random.Random(2)))], EXIT_OK, None),
+        id="run-randgen-host-2"),
+    pytest.param(lambda t: (["check", _file(t, "s.pi", "x!(")], EXIT_SYNTAX,
+                            None), id="syntax-error"),
+    pytest.param(lambda t: (["check", _file(t, "s.pi", 'x!(1) | x!("s")\n')],
+                            EXIT_TYPE, None), id="sort-error"),
+    pytest.param(lambda t: (["run", _file(t, "d.xml", _process_document(
+        "<widget/>"))], EXIT_TYPE, None), id="schema-error"),
+    pytest.param(lambda t: (["run", _file(t, "d.xml", _process_document(
+        "<nil/>").replace(f'"{XIR_VERSION}"', '"4"'))], EXIT_TYPE, None),
+        id="version-error"),
+    pytest.param(lambda t: (["check", str(t / "missing.pi")], EXIT_IO, None),
+                 id="io-error"),
+    pytest.param(lambda t: (["run", _compiled(t, "x!(a).nil\n")], EXIT_STUCK,
+                            None), id="stuck"),
+    pytest.param(lambda t: (["run", _compiled(t, "new x in (x = 1 | x = 2)\n")],
+                            EXIT_FAULT, None), id="clash"),
+    pytest.param(lambda t: (["run", _compiled(t, CONSOLE + "print!(x).Ret1?()\n")],
+                            EXIT_FAULT, None), id="violation"),
+    pytest.param(lambda t: (["run", _compiled(t, "repeat x!() | repeat x?()\n"),
+                             "--max-steps", "25"], EXIT_STEP_LIMIT, None),
+                 id="step-limit"),
+    # argparse's usage formatter leaves cyclic objects, as many for one
+    # usage error as for another
+    pytest.param(lambda t: (["run"], EXIT_SYNTAX, ["bogus", "a", "--seed"]),
+                 id="usage-error"),
+    pytest.param(lambda t: (["gen-iface", str(SAMPLES_DIR / "account.manifest.json"),
+                             "--alias", "A", "-o", str(t / "i.pi")], EXIT_OK,
+                            None), id="gen-iface"),
+    # the stdlib's indenting JSON encoder leaves cyclic objects, as many for
+    # 1000 events as for one
+    pytest.param(lambda t: (
+        ["run", _compiled(t, "repeat x!() | repeat x?()\n"), "--max-steps",
+         "1000", "--trace", "json"], EXIT_STEP_LIMIT,
+        ["run", _file(t, "one.xml", to_xml(desugar(parse_program("x!() | x?()")))),
+         "--trace", "json"]), id="trace-json"),
+]
+
+
+def _warm_call(argv):
+    """The exit code of a second, warm `main(argv)`, and the number of
+    unreachable objects it left for the cyclic collector."""
+    main(argv)
     gc.collect()
-    assert main(["run", str(doc)]) == EXIT_OK
-    assert gc.collect() == 0
+    code = main(argv)
+    return code, gc.collect()
+
+
+@pytest.mark.parametrize("case", _WARM_CASES)
+def test_warm_host_run_leaves_no_cyclic_garbage(case, tmp_path, capsys):
+    # the host constructor's log holds the registry, not the endpoint, and
+    # no other record points back at its holder, so a command's objects are
+    # freed by reference counting alone
+    argv, code, baseline = case(tmp_path)
+    leftover = 0 if baseline is None else _warm_call(baseline)[1]
+    assert _warm_call(argv) == (code, leftover)
+
+
+@pytest.mark.parametrize("argv,raised,code,enabled", [
+    (["check", "x.pi"], None, EXIT_IO, True),
+    (["check"], None, EXIT_SYNTAX, True),
+    (["check", "x.pi"], BrokenPipeError, EXIT_IO, True),
+    (["check", "x.pi"], RuntimeError, RuntimeError, True),
+    (["check", "x.pi"], None, EXIT_IO, False),
+], ids=["return", "usage-error", "broken-pipe", "exception", "caller-disabled"])
+def test_command_runs_with_the_collector_paused_and_gives_its_state_back(
+        argv, raised, code, enabled, tmp_path, monkeypatch):
+    seen = []
+
+    def pipeline(path):
+        seen.append(gc.isenabled())
+        if raised is not None:
+            raise raised()
+        return None, EXIT_IO
+
+    monkeypatch.setattr(cli, "_check_pipeline", pipeline)
+    try:
+        # the broken-pipe path points stdout's descriptor at devnull
+        with open(tmp_path / "out", "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            (gc.enable if enabled else gc.disable)()
+            if isinstance(code, int):
+                assert main(argv) == code
+            else:
+                with pytest.raises(code):
+                    main(argv)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    # argparse refuses the command line before any command runs
+    assert seen == ([] if argv == ["check"] else [False])
+
+
+# ---------------------------------------------------------------------------
+# check, compile and run on mutated source text
+
+
+_SOURCES = ([path.read_text(encoding="utf-8") for path in SAMPLES]
+            + [_randgen(k) for k in range(4)]
+            + [gen_host_source(random.Random(k)) for k in range(4)])
+
+
+def _source_mutants(text, rng):
+    """_mutants over source text, with a token dropped, doubled or swapped
+    for another token of its kind (word or punctuation) among its edits."""
+    edits = []
+    for kind in (r"\w+", r"[^\w\s]"):
+        spans = [m.span() for m in re.finditer(kind, text)]
+        tokens = [text[start:end] for start, end in spans]
+        for start, end in spans:
+            edits += [(start, end, ""), (start, start, text[start:end]),
+                      (start, end, rng.choice(tokens))]
+    return _mutants(text, rng, edits)
+
+
+def _commands_captured(src, doc):
+    got = []
+    for argv in (["check", src], ["compile", src, "-o", doc],
+                 ["run", doc, "--seed", "0", "--max-steps", "200"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got.append((main(argv), out.getvalue(), err.getvalue()))
+        assert gc.isenabled()
+    return got
+
+
+@given(st.integers(0, len(_SOURCES) - 1), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_commands_on_mutated_source_end_in_documented_exit_codes(index, seed):
+    # ROADMAP item 6, source slice: check, compile, then run what compiled
+    rng = random.Random(seed)
+    mutants = list(_source_mutants(_SOURCES[index], rng))
+    with tempfile.TemporaryDirectory() as tmp:
+        src, doc = str(Path(tmp) / "mutant.pi"), str(Path(tmp) / "mutant.xml")
+        Path(src).write_text(rng.choice(mutants), encoding="utf-8")
+        first = _commands_captured(src, doc)
+        assert _commands_captured(src, doc) == first
+    (check, *_), (compiled, *_), (ran, *_) = first
+    assert check == compiled in {EXIT_OK, EXIT_SYNTAX, EXIT_TYPE}
+    assert ran in ({EXIT_OK, EXIT_TYPE, EXIT_STUCK, EXIT_FAULT, EXIT_STEP_LIMIT}
+                   if compiled == EXIT_OK else {EXIT_IO})
+    assert not any("Traceback" in out + err for _, out, err in first)

@@ -311,9 +311,10 @@ def _read(reader, text):
         return (type(exc).__name__, str(exc))
 
 
-def _mutants(text, rng):
-    """Single edits at every element, then random pairs of them."""
-    edits = []
+def _mutants(text, rng, edits=()):
+    """Single edits at every element, then random pairs of them; `edits`,
+    (start, end, replacement) triples, join them."""
+    edits = list(edits)
     for m in re.finditer(r"<(/?)(\w+)", text):
         edits.append((m.start(2), m.start(2), "zz"))  # rename the tag
     for m in re.finditer(r"<\w+[^<>]*/>\n?", text):
@@ -379,6 +380,20 @@ def _process_document(process, free=""):
     free = f' free="{free}"' if free else ""
     return (f'<pic version="{XIR_VERSION}"><externs/><process{free}>{process}'
             '</process></pic>')
+
+
+def _counter_document():
+    return to_xml(desugar(parse_program((SAMPLES / "counter.pi").read_text())))
+
+
+def _two_counters_document(alias="L", call="incL#0"):
+    """counter.pi's extern block twice, the second under `alias` with its
+    channels at `call` and RetL#2: by default both call channels are id 0."""
+    doc = _counter_document()
+    block = re.search(r"<extern .*?</extern>\n", doc, re.S)[0]
+    other = (block.replace('alias="K"', f'alias="{alias}"')
+             .replace('"inc#0"', f'"{call}"').replace('"IncRet#1"', '"RetL#2"'))
+    return doc.replace(block, block + other)
 
 
 @pytest.mark.parametrize("process,message", [
@@ -456,10 +471,13 @@ def test_reader_reports_the_first_error_the_reference_does(process, message):
     ("x#4", '<nil new="x#4"/>', "binder id 4 of new x#4 is a free name"),
     ("x#4", '<out new="y#5" subject="5"><nil new="x#4"/></out>',
      "binder id 4 of new x#4 is a free name"),
+    # an alias names one extern block (free None: process is the document)
+    pytest.param(None, _two_counters_document("K", "incL#3"),
+                 "extern alias K declared twice", id="alias-declared-twice"),
 ])
 def test_reader_reports_the_first_v5_error_the_reference_does(free, process,
                                                                message):
-    doc = _process_document(process, free)
+    doc = process if free is None else _process_document(process, free)
     assert _read(from_xml, doc) == _read(ref.from_xml, doc)
     assert _read(from_xml, doc) == ("SchemaError", message)
 
@@ -492,20 +510,6 @@ def test_free_list_shape_at_100000_takes_under_20_s(tmp_path):
 
 # ---------------------------------------------------------------------------
 # XIR v5: each name declared once; what version 4 let through
-
-
-def _counter_document():
-    return to_xml(desugar(parse_program((SAMPLES / "counter.pi").read_text())))
-
-
-def _two_counters_document():
-    """counter.pi's extern block twice, under aliases K and L, with the
-    second block's channels at ids 0 and 2: both call channels are id 0."""
-    doc = _counter_document()
-    block = re.search(r"<extern .*?</extern>\n", doc, re.S)[0]
-    other = (block.replace('alias="K"', 'alias="L"')
-             .replace('"inc#0"', '"incL#0"').replace('"IncRet#1"', '"RetL#2"'))
-    return doc.replace(block, block + other)
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -548,6 +552,8 @@ def test_run_of_a_name_declared_twice_or_never_exits_2(doc, message, tmp_path,
 
 
 def test_two_counters_document_loads_with_distinct_call_ids():
-    # the second block of _two_counters_document is sound with its own ids
-    doc = _two_counters_document().replace('"incL#0"', '"incL#3"')
+    # the second block of _two_counters_document is sound with its own ids,
+    # and the reference reads it as the same program
+    doc = _two_counters_document(call="incL#3")
     assert [d.alias for d in from_xml(doc).externs] == ["K", "L"]
+    assert _read(from_xml, doc) == _read(ref.from_xml, doc)
