@@ -51,7 +51,7 @@ HOST_COUNTERS = 3
 HOST_CONSOLES = 2
 ENV_MAX_STEPS = 60
 WIDE_NEW = 50
-FLOODS = (4, 12, 24)  # the scheduler's cost is cubic in a flood's size
+FLOODS = (4, 12, 24, 100, 200)  # the scheduler's cost is cubic in a flood's size
 FLAT_PARS = (10, 40)
 CHAINS = (3, 8)
 EXPLORE_RANDGEN = 30
