@@ -11,9 +11,8 @@ benchmark's tracer patches them.
 `main` pauses the cyclic garbage collector while a command runs and gives
 the caller back its state.  pichan's program model, machine, registry and
 traces hold no reference cycles, so a collection there would free nothing.
-The stdlib leaves a few, freed after the command returns: 33 objects of the
-indenting JSON encoder per `run --trace json`, whatever the trace length,
-and 6 of argparse's usage formatter per usage error.
+The stdlib leaves a few, freed after the command returns: 6 objects of
+argparse's usage formatter per usage error.
 """
 
 from __future__ import annotations

@@ -319,16 +319,22 @@ class FusionEnv:
         self.union_log: list[tuple[int, int]] = []
 
     def _find(self, nid: int) -> int:
-        root = nid
-        while self._parent.get(root, root) != root:
-            root = self._parent[root]
+        # a root has no parent entry, and no entry points at itself
+        parent = self._parent
+        root = parent.get(nid)
+        if root is None:
+            return nid
+        up = parent.get(root)
+        while up is not None:
+            root, up = up, parent.get(up)
         # path compression does not change representatives
-        while self._parent.get(nid, nid) != nid:
-            self._parent[nid], nid = root, self._parent[nid]
+        while nid != root:
+            parent[nid], nid = root, parent[nid]
         return root
 
     def representative(self, n: Name) -> int:
-        return self._find(n.id)
+        nid = n.id
+        return self._find(nid) if nid in self._parent else nid
 
     def attached_literal(self, n: Name) -> Value | None:
         return self._attach.get(self._find(n.id))

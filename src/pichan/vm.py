@@ -9,10 +9,10 @@ traces on any platform.
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
-from itertools import count
+from itertools import accumulate, count, repeat
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .core import (HOST_LITERALS, Fusion, FusionClash, FusionEnv, In, Name,
@@ -81,9 +81,17 @@ class Trace(Record):
         return "\n".join(ev.line() for ev in self.events)
 
     def to_json(self) -> str:
-        return json.dumps([{"step": ev.step, "kind": ev.kind,
-                            "details": ev.details} for ev in self.events],
-                          indent=2)
+        """The events as json.dumps writes them with indent=2, each a
+        {"step", "kind", "details"} object; written by hand, since the
+        indenting encoder builds closures that only the cyclic collector
+        frees."""
+        if not self.events:
+            return "[]"
+        quote = encode_basestring_ascii
+        return "[\n" + ",\n".join(
+            f'  {{\n    "step": {ev.step},\n    "kind": {quote(ev.kind)},\n'
+            f'    "details": {quote(ev.details)}\n  }}'
+            for ev in self.events) + "\n]"
 
 
 class StuckReport(Record):
@@ -119,14 +127,20 @@ class Machine:
     _live holds the (root, arity) keys that have both.
 
     The host tables are kept the same way.  _calls[root] is (rank, alias,
-    method) of the first declared method whose call channel has that root,
-    and _callable holds the roots in both _calls and _outs.
+    method, endpoint) of the first declared method whose call channel has
+    that root, and _callable maps each root in both _calls and _outs to that
+    endpoint.
     _returns[root][arity] lists (rank, alias), in declaration order, of the
     endpoints whose staged return goes to a receiver on (root, arity); the
-    first of them is the one offered.
+    first of them is the one offered, and _takers holds the (root, arity)
+    keys in both _returns and _ins.  _repeats[seq] is [the repeat body's
+    top-level actions, their (is output, root, arity) keys]; the keys are
+    resolved at the first enumeration that needs them and kept until the
+    next union.
 
-    Unions reach the index through FusionEnv.union_log, drained before each
-    enumeration, each removal and each change of the host tables."""
+    Unions reach the index through FusionEnv.union_log, drained, when it is
+    not empty, before each enumeration, each removal and each change of the
+    host tables."""
 
     def __init__(self, registry: HostRegistry):
         self.threads: list[Process] = []
@@ -136,15 +150,16 @@ class Machine:
         self._ins: dict[int, dict[int, set]] = {}
         self._live: set[tuple[int, int]] = set()
         self._fusions: set[int] = set()
-        self._repeats: dict[int, tuple] = {}  # seq -> body's top-level actions
+        self._repeats: dict[int, list] = {}  # seq -> [actions, keys or None]
         # id(Repeat node) -> (node, its body's top-level actions, unresolved,
         # the ids named in its body); see _walk_repeat
         self._bodies: dict[int, tuple] = {}
         self.env = FusionEnv()
         self.endpoints: dict[str, Endpoint] = {}
         self._calls: dict[int, tuple] = {}
-        self._callable: set[int] = set()
+        self._callable: dict[int, Endpoint] = {}
         self._returns: dict[int, dict[int, list]] = {}
+        self._takers: set[tuple[int, int]] = set()
         self._ranks: dict[str, int] = {}  # alias -> declaration index
         self._ids = count(-1, -1)  # run-time name ids
         self.registry = registry
@@ -158,10 +173,10 @@ class Machine:
         m = cls(registry)
         m.endpoints = resolve_externs(program.externs, registry)
         m._ranks = {alias: k for k, alias in enumerate(m.endpoints)}
-        methods = ((alias, meth) for alias, ep in m.endpoints.items()
+        methods = ((alias, meth, ep) for alias, ep in m.endpoints.items()
                    for meth in ep.decl.methods)
-        for rank, (alias, meth) in enumerate(methods):
-            m._calls.setdefault(meth.call_channel.id, (rank, alias, meth))
+        for rank, (alias, meth, ep) in enumerate(methods):
+            m._calls.setdefault(meth.call_channel.id, (rank, alias, meth, ep))
         m.add_thread(program.main, {})
         return m
 
@@ -178,6 +193,11 @@ class Machine:
         Each node runs at most once per environment, since every
         repeat-unfold gets an environment of its own."""
         self._changes += 1
+        kind = type(p)
+        if kind is not Par and kind is not New:  # a single node
+            if kind is not Nil:
+                self._insert(p, env)
+            return
         stack = [p]
         while stack:
             p = stack.pop()
@@ -207,15 +227,19 @@ class Machine:
             mine.setdefault(root, {}).setdefault(arity, set()).add(seq)
             if arity in other.get(root, ()):
                 self._live.add((root, arity))
-            if kind is Out and root in self._calls:
-                self._callable.add(root)
+            if kind is In:
+                if arity in self._returns.get(root, ()):
+                    self._takers.add((root, arity))
+            elif root in self._calls:
+                self._callable[root] = self._calls[root][3]
         elif kind is Fusion:
             self._fusions.add(seq)
         elif kind is Repeat:
             # a subject bound in the body is not in env: binder ids are unique
             entry = self._bodies.get(id(p)) or _walk_repeat(p, self._bodies)
-            self._repeats[seq] = tuple((is_out, env.get(s.id, s), arity)
-                                       for is_out, s, arity in entry[1])
+            self._repeats[seq] = [tuple((is_out, env.get(s.id, s), arity)
+                                        for is_out, s, arity in entry[1]),
+                                  None]
 
     def _unindex(self, seq: int, t: Process, env: dict) -> None:
         """Drop a removed thread: an output, an input or a fusion (execute
@@ -233,14 +257,19 @@ class Machine:
             if not table[root]:
                 del table[root]
                 if table is self._outs:
-                    self._callable.discard(root)
+                    self._callable.pop(root, None)
             self._live.discard((root, arity))
+            if table is self._ins:
+                self._takers.discard((root, arity))
 
     def _drain_unions(self) -> None:
         """Move the buckets and host-table entries of every root absorbed
         since the last drain under its surviving root: the smaller bucket
         merges into the larger, the first declared call method wins and
-        waiting returns stay in declaration order."""
+        waiting returns stay in declaration order.  The repeats' resolved
+        keys are dropped."""
+        for entry in self._repeats.values():
+            entry[1] = None
         calls, returns = self._calls, self._returns
         for absorbed, root in self.env.union_log:
             arities = set()
@@ -256,30 +285,35 @@ class Machine:
                         small, bucket = bucket, small
                     bucket.update(small)
                     into[arity] = bucket
-            for arity in arities:
-                self._live.discard((absorbed, arity))
-                if (arity in self._outs.get(root, ())
-                        and arity in self._ins.get(root, ())):
-                    self._live.add((root, arity))
             call = calls.pop(absorbed, None)
             if call is not None:
                 calls[root] = min(call, calls.get(root, call),
                                   key=itemgetter(0))
-            self._callable.discard(absorbed)
+            self._callable.pop(absorbed, None)
             if root in calls and root in self._outs:
-                self._callable.add(root)
+                self._callable[root] = calls[root][3]
             waiting = returns.pop(absorbed, None)
             if waiting is not None:
                 into = returns.setdefault(root, {})
                 for arity, ranked in waiting.items():
+                    arities.add(arity)
                     into[arity] = sorted(into.get(arity, []) + ranked)
+            for arity in arities:
+                self._live.discard((absorbed, arity))
+                self._takers.discard((absorbed, arity))
+                if arity in self._ins.get(root, ()):
+                    if arity in self._outs.get(root, ()):
+                        self._live.add((root, arity))
+                    if arity in returns.get(root, ()):
+                        self._takers.add((root, arity))
         self.env.union_log.clear()
 
     def _stage(self, alias: str, method: str, staged: bool) -> None:
         """Enter (staged=True) or drop alias's return of method in
         _returns, under the current root of its return channel."""
         self._changes += 1
-        self._drain_unions()
+        if self.env.union_log:
+            self._drain_unions()
         m = self.endpoints[alias].method(method)
         r = self.env.representative(m.return_channel)
         arity = len(m.return_payload)
@@ -287,11 +321,14 @@ class Machine:
         if staged:
             insort(self._returns.setdefault(r, {}).setdefault(arity, []),
                    entry)
+            if arity in self._ins.get(r, ()):
+                self._takers.add((r, arity))
             return
         waiting = self._returns[r]
         waiting[arity].remove(entry)
         if not waiting[arity]:
             del waiting[arity]
+            self._takers.discard((r, arity))
             if not waiting:
                 del self._returns[r]
 
@@ -304,35 +341,51 @@ class Machine:
         has no staged return; that test is the only read of an endpoint's
         pending.
 
-        The result is a Redexes sequence: one sorted entry per redex, the
-        sequence number of the thread it is ordered by, and a redex tuple is
-        built only for the entries read.  An output heads one comm per
-        input in its (root, arity) bucket, then its host call; a fusion, a
-        wanted repeat and an input taking a staged return head one redex.
-        Reads the persistent soup index and host tables, so the cost is
-        O(redexes) plus the repeats, the staged returns and one sort of
-        plain ints; idle threads and idle extern endpoints cost nothing."""
-        self._drain_unions()
+        The result is a Redexes sequence over the sorted sequence numbers
+        of the head threads, each listed once, and a redex tuple is built
+        only for the entries read.  An output heads one comm per input in
+        its (root, arity) bucket, then its host call; a fusion, a wanted
+        repeat and an input taking a staged return head one redex.  A head
+        of more than one redex gets its count as a weight; heads of one
+        redex, the common case, need none.  Reads the persistent soup index
+        and host tables, so the cost is O(heads) plus the repeats, the
+        staged returns and one sort of plain ints; idle threads and idle
+        extern endpoints cost nothing."""
+        if self.env.union_log:
+            self._drain_unions()
         outs, ins = self._outs, self._ins
         heads = []
+        weights = None  # seq -> redex count, for heads of more than one
         for r, arity in self._live:
             senders, n = outs[r][arity], len(ins[r][arity])
-            heads += senders if n == 1 else list(senders) * n
+            heads += senders
+            if n > 1:
+                weights = weights or {}
+                weights.update(dict.fromkeys(senders, n))
         heads += self._fusions
-        heads += [seq for seq, actions in self._repeats.items()
-                  if self._unfold_wanted(actions)]
-        for r in self._callable:
-            if self.endpoints[self._calls[r][1]].pending is None:
-                for bucket in outs[r].values():
-                    heads += bucket
-        for r, waiting in self._returns.items():
-            for arity in waiting:
-                heads += ins.get(r, {}).get(arity, ())
+        if self._repeats:
+            heads += [seq for seq, entry in self._repeats.items()
+                      if self._unfold_wanted(entry)]
+        for r, endpoint in self._callable.items():
+            if endpoint.pending is None:
+                partnered = ins.get(r, ())
+                for arity, bucket in outs[r].items():
+                    if arity in partnered:  # listed with their comms above
+                        weights = weights or {}
+                        weights.update({seq: weights.get(seq, 1) + 1
+                                        for seq in bucket})
+                    else:
+                        heads += bucket
+        for r, arity in self._takers:
+            heads += ins[r][arity]
         if not heads:
             # a repeat may always unfold when nothing else can move
             heads = list(self._repeats)
         heads.sort()
-        return Redexes(self, heads)
+        if weights is None:
+            return Redexes(self, heads, None)
+        return Redexes(self, heads,
+                       list(accumulate(map(weights.get, heads, repeat(1)))))
 
     def _redex(self, seq: int, offset: int) -> tuple:
         """The redex headed by thread seq that is offset-th among the ones
@@ -350,17 +403,23 @@ class Machine:
             return ("host-return", i, self._returns[root][arity][0][1])
         partners = self._ins.get(root, {}).get(arity, ())
         if offset < len(partners):
-            j = sorted(partners)[offset]
+            if len(partners) == 1:
+                (j,) = partners
+            else:
+                j = sorted(partners)[offset]
             return ("comm", i, bisect_left(self._seqs, j))
-        _, alias, m = self._calls[root]
+        _, alias, m, _ = self._calls[root]
         return ("host-call", i, alias, m.name)
 
-    def _unfold_wanted(self, actions) -> bool:
+    def _unfold_wanted(self, entry: list) -> bool:
         """Offer an unfold only when the body's top-level actions could take
-        part in a comm or host redex afterwards, with the soup or each other."""
-        root = self.env.representative
-        keyed = {(is_out, root(subject), arity)
-                 for is_out, subject, arity in actions}
+        part in a comm or host redex afterwards, with the soup or each other.
+        entry is the repeat's _repeats entry, whose keys this resolves."""
+        keyed = entry[1]
+        if keyed is None:
+            root = self.env.representative
+            keyed = entry[1] = {(is_out, root(subject), arity)
+                                for is_out, subject, arity in entry[0]}
         return any((not is_out, r, arity) in keyed
                    or (r in self._calls or arity in self._ins.get(r, ())
                        if is_out
@@ -370,15 +429,14 @@ class Machine:
 
     # -- execution
 
-    def _remove(self, *indices) -> list:
-        """Take threads out of the soup; returns their (code, env) pairs."""
+    def _remove(self, i: int) -> tuple:
+        """Take thread i out of the soup; returns its (code, env) pair."""
         self._changes += 1
-        self._drain_unions()
-        removed = [(self.threads[i], self.envs[i]) for i in indices]
-        for i in sorted(indices, reverse=True):
-            self._unindex(self._seqs.pop(i), self.threads.pop(i),
-                          self.envs.pop(i))
-        return removed
+        if self.env.union_log:
+            self._drain_unions()
+        t, env = self.threads.pop(i), self.envs.pop(i)
+        self._unindex(self._seqs.pop(i), t, env)
+        return t, env
 
     def _ground_args(self, out: Out, env: dict) -> list:
         args = []
@@ -398,13 +456,17 @@ class Machine:
         step = self.step_index
         kind = redex[0]
         if kind == "fusion":
-            ((thread, env),) = self._remove(redex[1])
+            thread, env = self._remove(redex[1])
             left, right = _resolve(thread.left, env), _resolve(thread.right, env)
             self.env.merge(left, right)
             details = f"{_value_text(left)}={_value_text(right)}"
             return TraceEvent(step, "fusion-applied", details)
         if kind == "comm":
-            (out, oenv), (inp, ienv) = self._remove(redex[1], redex[2])
+            i, j = redex[1], redex[2]
+            if i > j:  # the later position first, so the other stays put
+                (out, oenv), (inp, ienv) = self._remove(i), self._remove(j)
+            else:
+                (inp, ienv), (out, oenv) = self._remove(j), self._remove(i)
             subject = oenv.get(out.subject.id, out.subject)
             objects = tuple(_resolve(v, oenv) for v in out.objects)
             fused = []
@@ -456,29 +518,35 @@ class Machine:
 
 class Redexes(Sequence):
     """What enumerate_redexes returns: a read-only sequence of redex tuples
-    over a sorted list of head sequence numbers, one per redex.  len() is
-    the redex count; [k], for 0 <= k < len(), decodes entry k alone, the
-    thread by bisection and its partner by k's offset in the run of equal
-    entries; there are no slices or negative indices.  A read after
-    the machine has changed raises RuntimeError; a caller that executes
-    between reads takes list() first."""
+    over a sorted list of head sequence numbers, one per head thread, and
+    the running totals of their weights (None when every head has weight
+    1).  len() is the redex count; [k], for 0 <= k < len(), decodes entry k
+    alone: its head is the first whose running total exceeds k (entry k
+    itself when there are no weights), found by bisection, and k minus the
+    total before that head is the offset that picks the partner.  There are
+    no slices or negative indices.  A read after the machine has changed
+    raises RuntimeError; a caller that executes between reads takes list()
+    first."""
 
-    __slots__ = ("_machine", "_heads", "_changes")
+    __slots__ = ("_machine", "_heads", "_totals", "_changes")
 
-    def __init__(self, machine: Machine, heads: list):
-        self._machine, self._heads = machine, heads
+    def __init__(self, machine: Machine, heads: list, totals: list | None):
+        self._machine, self._heads, self._totals = machine, heads, totals
         self._changes = machine._changes
 
     def __len__(self) -> int:
-        return len(self._heads)
+        totals = self._totals
+        return len(self._heads) if totals is None else totals[-1]
 
     def __getitem__(self, k: int) -> tuple:
         m = self._machine
         if m._changes != self._changes or m.env.union_log:
             raise RuntimeError("redexes read after the machine changed")
-        heads = self._heads
-        seq = heads[k]
-        return m._redex(seq, k - bisect_left(heads, seq))
+        totals = self._totals
+        if totals is None:
+            return m._redex(self._heads[k], 0)
+        h = bisect_right(totals, k)
+        return m._redex(self._heads[h], k - totals[h - 1] if h else k)
 
 
 def _walk_repeat(rep: Repeat, cache: dict) -> tuple:
@@ -539,9 +607,10 @@ def _has_pending(m: Machine) -> bool:
 def step(machine: Machine, rng: Xorshift64Star) -> TraceEvent | None:
     """One scheduled reduction; None when the machine is stuck."""
     redexes = machine.enumerate_redexes()
-    if not redexes:
+    n = len(redexes)
+    if not n:
         return None
-    redex = redexes[rng.below(len(redexes))]
+    redex = redexes[rng.below(n)]
     ev = machine.execute(redex)
     machine.step_index += 1
     return ev
