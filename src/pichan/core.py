@@ -321,12 +321,9 @@ class FusionEnv:
     def _find(self, nid: int) -> int:
         # a root has no parent entry, and no entry points at itself
         parent = self._parent
-        root = parent.get(nid)
-        if root is None:
-            return nid
-        up = parent.get(root)
-        while up is not None:
-            root, up = up, parent.get(up)
+        root = nid
+        while root in parent:
+            root = parent[root]
         # path compression does not change representatives
         while nid != root:
             parent[nid], nid = root, parent[nid]

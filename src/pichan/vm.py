@@ -523,8 +523,9 @@ class Redexes(Sequence):
     1).  len() is the redex count; [k], for 0 <= k < len(), decodes entry k
     alone: its head is the first whose running total exceeds k (entry k
     itself when there are no weights), found by bisection, and k minus the
-    total before that head is the offset that picks the partner.  There are
-    no slices or negative indices.  A read after the machine has changed
+    total before that head is the offset that picks the partner.  A
+    negative index counts from the end, as in a list; there are no slices.
+    A read after the machine has changed
     raises RuntimeError; a caller that executes between reads takes list()
     first."""
 
@@ -545,6 +546,10 @@ class Redexes(Sequence):
         totals = self._totals
         if totals is None:
             return m._redex(self._heads[k], 0)
+        if k < 0:
+            k += totals[-1]
+            if k < 0:
+                raise IndexError(k)
         h = bisect_right(totals, k)
         return m._redex(self._heads[h], k - totals[h - 1] if h else k)
 

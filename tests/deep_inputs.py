@@ -1,4 +1,4 @@
-"""Deep and wide `.pi` programs: thirteen shapes whose depth or width grows with
+"""Deep and wide `.pi` programs: fourteen shapes whose depth or width grows with
 one parameter n, and the exit code each of `pichan check`, `compile` and
 `run --max-steps 10` documents for it.
 
@@ -94,9 +94,16 @@ def reversed_outputs(n: int) -> str:
     return " | ".join(f"c{i}!(c{i + 1})" for i in reversed(range(n)))
 
 
+def flood(n: int) -> str:
+    """x!() | ... | x?() | ...: n outputs and n inputs on one channel, each
+    output a partner of each input"""
+    return " | ".join(["x!()"] * n + ["x?()"] * n)
+
+
 # shape -> exit codes of (check, compile, run --max-steps 10): a soup of
 # outputs and inputs with no partner is stuck (4); a repeat can always
-# unfold, so the repeat chain meets the step limit (6)
+# unfold, so the repeat chain meets the step limit (6), and so does a flood
+# of more than 10 pairs
 SHAPES = {
     flat_par: (0, 0, 4),
     nested_parens: (0, 0, 4),
@@ -111,6 +118,7 @@ SHAPES = {
     right_nested_par: (0, 0, 4),
     left_nested_par: (0, 0, 4),
     reversed_outputs: (0, 0, 4),
+    flood: (0, 0, 6),
 }
 
 

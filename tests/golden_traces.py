@@ -1,9 +1,9 @@
 """Golden-trace corpus: the sha256 of (trace lines, status) for every sample
 at seeds 0-4, for 50 randgen programs, for small echo-server and
 host-worker programs (the shapes of the vm-echo and vm-host benchmark
-workloads) and for small floods, flat `|`s and prefix chains (the wide and
-deep shapes of deep_inputs.py, given partners) at seeds 0-4.  test_vm replays it, so any change to the
-scheduler that alters a trace fails there.
+workloads) and for floods, flat `|`s and prefix chains (the wide and deep
+shapes of deep_inputs.py, given partners) at seeds 0-4.  test_vm replays
+it, so any change to the scheduler that alters a trace fails there.
 
 A second table, golden/env_traces.json, holds the families that stress how
 the VM scopes `new` at run time: binders under nested `repeat`s, one binder
@@ -51,7 +51,9 @@ HOST_COUNTERS = 3
 HOST_CONSOLES = 2
 ENV_MAX_STEPS = 60
 WIDE_NEW = 50
-FLOODS = (4, 12, 24, 100, 200)  # the scheduler's cost is cubic in a flood's size
+# the floods of 100 and 200 were recorded by the scheduler that listed one
+# entry per redex, cubic in a flood's size, before it listed one per head
+FLOODS = (4, 12, 24, 100, 200)
 FLAT_PARS = (10, 40)
 CHAINS = (3, 8)
 EXPLORE_RANDGEN = 30

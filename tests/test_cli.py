@@ -880,13 +880,9 @@ _WARM_CASES = [
     pytest.param(lambda t: (["gen-iface", str(SAMPLES_DIR / "account.manifest.json"),
                              "--alias", "A", "-o", str(t / "i.pi")], EXIT_OK,
                             None), id="gen-iface"),
-    # the stdlib's indenting JSON encoder leaves cyclic objects, as many for
-    # 1000 events as for one
     pytest.param(lambda t: (
         ["run", _compiled(t, "repeat x!() | repeat x?()\n"), "--max-steps",
-         "1000", "--trace", "json"], EXIT_STEP_LIMIT,
-        ["run", _file(t, "one.xml", to_xml(desugar(parse_program("x!() | x?()")))),
-         "--trace", "json"]), id="trace-json"),
+         "1000", "--trace", "json"], EXIT_STEP_LIMIT, None), id="trace-json"),
 ]
 
 

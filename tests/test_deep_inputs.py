@@ -19,7 +19,7 @@ from pichan.typecheck import (SHOW_LIMIT, check_extern_usage,
 from pichan.xir import XIR_VERSION, SchemaError, from_xml, to_xml
 
 import reference_recursive as ref
-from deep_inputs import (SHAPES, flat_par, free_names, new_list,
+from deep_inputs import (SHAPES, flat_par, flood, free_names, new_list,
                          new_over_par, reversed_outputs, run_shape)
 from golden_traces import SAMPLES, corpus
 from printer import format_program
@@ -35,6 +35,18 @@ from test_parser import ACCOUNT_EXTERN
 def test_deep_shape_gets_its_exit_codes(shape, tmp_path):
     got = run_shape(shape, 10_000, tmp_path)
     assert tuple(code for _, code, _ in got) == SHAPES[shape]
+
+
+def test_run_2000_flood_to_the_end_takes_under_10_s(tmp_path, capsys):
+    # a scheduler that lists one entry per redex holds 4,000,000 at the
+    # first step here, and takes minutes for the run
+    src, xir = tmp_path / "flood.pi", tmp_path / "flood.xir.xml"
+    src.write_text(flood(2000), encoding="utf-8")
+    assert main(["compile", str(src), "-o", str(xir)]) == 0
+    start = time.perf_counter()
+    assert main(["run", str(xir)]) == 0
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out.count("|comm|x/0") == 2000
 
 
 def _left_nested_par_document(depth):

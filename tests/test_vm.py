@@ -1,5 +1,6 @@
 """Tests for redex enumeration, stepping, traces and determinism."""
 
+import json
 import random
 from pathlib import Path
 
@@ -12,8 +13,8 @@ from pichan.core import (FusionClash, FusionEnv, IntLit, NameRef, New, Nil,
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
 from pichan.parser import desugar, parse_program
-from pichan.vm import (DEFAULT_MAX_STEPS, Machine, NotStuck, Xorshift64Star,
-                       detect_stuck, run, step)
+from pichan.vm import (DEFAULT_MAX_STEPS, Machine, NotStuck, Trace,
+                       TraceEvent, Xorshift64Star, detect_stuck, run, step)
 from pichan.xir import SchemaError, from_xml, to_xml
 
 import golden_traces
@@ -123,6 +124,7 @@ def test_output_heads_its_comms_then_its_host_call():
     assert redexes == [("comm", 1, 0), ("comm", 1, 2),
                        ("host-call", 1, "K", "inc")]
     assert redexes == reference_scheduler.enumerate_redexes(m, True)
+    assert m.enumerate_redexes()._heads == [1]  # one entry, of weight 3
 
 
 def test_enumeration_order_is_stable():
@@ -345,6 +347,30 @@ def test_enumerate_matches_reference_env_families(name, program, max_steps,
         _check_against_reference(m, seed, max_steps, strict)
 
 
+SHAPE_FAMILIES = [(name, desugar(program), max_steps) for name, program,
+                  max_steps in golden_traces.shape_families()]
+# the reference scans every ordered pair of threads at every step, so a
+# larger soup is checked for its first steps only, where a flood's buckets
+# hold the most partners
+REFERENCE_MAX_THREADS, REFERENCE_FIRST_STEPS = 50, 2
+
+
+def _reference_steps(m, max_steps):
+    return (max_steps if len(m.threads) <= REFERENCE_MAX_THREADS
+            else REFERENCE_FIRST_STEPS)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name,program,max_steps", SHAPE_FAMILIES,
+                         ids=[entry[0] for entry in SHAPE_FAMILIES])
+def test_enumerate_matches_reference_shape_families(name, program, max_steps,
+                                                    strict):
+    for seed in range(2):
+        m = Machine.initialize(program, build_std_registry())
+        _check_against_reference(m, seed, _reference_steps(m, max_steps),
+                                 strict)
+
+
 def test_from_xml_rejects_rebound_binder_id():
     # the VM binds a new's id in an environment its siblings share, so XIR
     # may not reuse a binder id, not even under an inner New
@@ -362,8 +388,9 @@ def test_from_xml_rejects_rebound_binder_id():
 
 def _check_redexes_sequence(m, seed, steps, strict):
     """Step m with the seeded scheduler; before every step the sequence
-    answers len and each index as the reference list does, and index len
-    raises IndexError; after the step a read raises RuntimeError."""
+    answers len and each index, negative ones too, as the reference list
+    does, and indices len and -len - 1 raise IndexError; after the step a
+    read raises RuntimeError."""
     rng = Xorshift64Star(seed)
     for _ in range(steps):
         r = _enumerate(m, strict)
@@ -371,8 +398,11 @@ def _check_redexes_sequence(m, seed, steps, strict):
         n = len(r)
         assert n == len(list(r)) == len(ref)
         assert [r[k] for k in range(n)] == ref
-        with pytest.raises(IndexError):
-            r[n]
+        stride = max(n // 7, 1)
+        assert [r[k] for k in range(-n, 0, stride)] == ref[::stride]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                r[k]
         if not n:
             return
         try:
@@ -399,6 +429,25 @@ def test_redexes_sequence_host_programs(strict):
     for seed in range(40):
         m = _machine(gen_host_source(random.Random(seed)))
         _check_redexes_sequence(m, seed, 40, strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name,program,max_steps", SHAPE_FAMILIES,
+                         ids=[entry[0] for entry in SHAPE_FAMILIES])
+def test_redexes_sequence_shape_families(name, program, max_steps, strict):
+    # a flood's outputs each head one comm per input: weighted heads
+    m = Machine.initialize(program, build_std_registry())
+    _check_redexes_sequence(m, 0, _reference_steps(m, max_steps), strict)
+
+
+def test_flood_lists_each_head_once():
+    n = 30
+    m = _machine(golden_traces.flood_source(n))
+    redexes = m.enumerate_redexes()
+    assert len(redexes) == n * n and len(redexes._heads) == n
+    assert redexes[n * n - 1] == ("comm", n - 1, 2 * n - 1)
+    with pytest.raises(IndexError):
+        redexes[n * n]
 
 
 def test_redexes_read_after_a_direct_union_raises():
@@ -484,6 +533,22 @@ def test_union_merges_buckets_of_both_roots():
         m = _machine("a!(1) | b?(x) | a = b | a!() | a!() | a!() | b?()"
                      " | b!() | a?()")
         _check_against_reference(m, seed, 20, True)
+
+
+MEMO_SOURCE = "repeat y?().nil | x!() | x = y | w!() | w?()"
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_repeat_keys_are_resolved_again_after_a_union(strict):
+    # the fusion absorbs y into x, so the repeat's input on y now meets x!()
+    # and its unfold is wanted, while the comm on w keeps the lone-repeat
+    # fallback from offering it anyway
+    m = _machine(MEMO_SOURCE)
+    assert list(_enumerate(m, strict)) == [("fusion", 2), ("comm", 3, 4)]
+    m.execute(("fusion", 2))
+    assert list(_enumerate(m, strict)) == [("unfold", 0), ("comm", 2, 3)]
+    for seed in range(8):
+        _check_against_reference(_machine(MEMO_SOURCE), seed, 10, strict)
 
 
 @pytest.mark.parametrize("indexed", [False, True])
@@ -764,11 +829,44 @@ def test_trace_line_format():
     assert trace.lines() == line
 
 
+def _dumped(trace) -> str:
+    return json.dumps([{"step": ev.step, "kind": ev.kind,
+                        "details": ev.details} for ev in trace.events],
+                      indent=2)
+
+
 def test_trace_json():
-    import json
     trace = run(parse_program("x!(1) | x?<v>"), seed=0)
     data = json.loads(trace.to_json())
     assert data[0]["kind"] == "comm" and data[0]["step"] == 0
+    assert trace.to_json() == _dumped(trace)
+    empty = run(parse_program("nil"), seed=0)
+    assert empty.events == [] and empty.to_json() == _dumped(empty) == "[]"
+
+
+@pytest.mark.parametrize("sample", sorted(p.name for p in SAMPLES.glob("*.pi")))
+def test_trace_json_of_every_sample_is_the_stdlib_encoding(sample):
+    program = parse_program((SAMPLES / sample).read_text())
+    for seed in range(3):
+        trace = run(desugar(program), seed=seed)
+        assert trace.events and trace.to_json() == _dumped(trace)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**9), st.text(), st.text()),
+                max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_trace_json_quotes_any_string_as_the_stdlib_does(events):
+    # quotes, backslashes, control, non-ASCII and astral characters
+    trace = Trace([TraceEvent(*ev) for ev in events], "terminated", None)
+    assert trace.to_json() == _dumped(trace)
+
+
+@pytest.mark.parametrize("text", ['"', "\\", "\x00\x1f\x7f", "\n\r\t",
+                                  "\u00e9\u2028", "\U0001f600", "\ud800"])
+def test_trace_json_quotes_each_kind_of_character(text):
+    trace = Trace([TraceEvent(0, "comm", f"x/1 {text}~v")], "terminated",
+                  None)
+    assert trace.to_json() == _dumped(trace)
 
 
 def test_detect_stuck_raises_when_live():
