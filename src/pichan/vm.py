@@ -387,9 +387,11 @@ class Machine:
         return Redexes(self, heads,
                        list(accumulate(map(weights.get, heads, repeat(1)))))
 
-    def _redex(self, seq: int, offset: int) -> tuple:
+    def _redex(self, seq: int, offset: int, ranked: dict) -> tuple:
         """The redex headed by thread seq that is offset-th among the ones
-        it heads, in the order enumerate_redexes documents."""
+        it heads, in the order enumerate_redexes documents.  ranked keeps
+        the sorted partners of each (root, arity) bucket of several that one
+        enumeration decodes, so a bucket is sorted once, not per decode."""
         i = bisect_left(self._seqs, seq)
         t, env = self.threads[i], self.envs[i]
         kind = type(t)
@@ -406,7 +408,10 @@ class Machine:
             if len(partners) == 1:
                 (j,) = partners
             else:
-                j = sorted(partners)[offset]
+                order = ranked.get((root, arity))
+                if order is None:
+                    order = ranked[root, arity] = sorted(partners)
+                j = order[offset]
             return ("comm", i, bisect_left(self._seqs, j))
         _, alias, m, _ = self._calls[root]
         return ("host-call", i, alias, m.name)
@@ -523,17 +528,18 @@ class Redexes(Sequence):
     1).  len() is the redex count; [k], for 0 <= k < len(), decodes entry k
     alone: its head is the first whose running total exceeds k (entry k
     itself when there are no weights), found by bisection, and k minus the
-    total before that head is the offset that picks the partner.  A
-    negative index counts from the end, as in a list; there are no slices.
-    A read after the machine has changed
-    raises RuntimeError; a caller that executes between reads takes list()
-    first."""
+    total before that head is the offset that picks the partner in its
+    bucket, sorted at the first such read.  A negative index counts from
+    the end, as in a list; there are no slices.  A read after the machine
+    has changed raises RuntimeError, so no sorted bucket outlives its
+    soup; a caller that executes between reads takes list() first."""
 
-    __slots__ = ("_machine", "_heads", "_totals", "_changes")
+    __slots__ = ("_machine", "_heads", "_totals", "_changes", "_ranked")
 
     def __init__(self, machine: Machine, heads: list, totals: list | None):
         self._machine, self._heads, self._totals = machine, heads, totals
         self._changes = machine._changes
+        self._ranked = {}  # (root, arity) -> sorted partners, see _redex
 
     def __len__(self) -> int:
         totals = self._totals
@@ -545,13 +551,14 @@ class Redexes(Sequence):
             raise RuntimeError("redexes read after the machine changed")
         totals = self._totals
         if totals is None:
-            return m._redex(self._heads[k], 0)
+            return m._redex(self._heads[k], 0, self._ranked)
         if k < 0:
             k += totals[-1]
             if k < 0:
                 raise IndexError(k)
         h = bisect_right(totals, k)
-        return m._redex(self._heads[h], k - totals[h - 1] if h else k)
+        return m._redex(self._heads[h], k - totals[h - 1] if h else k,
+                        self._ranked)
 
 
 def _walk_repeat(rep: Repeat, cache: dict) -> tuple:

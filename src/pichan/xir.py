@@ -274,8 +274,18 @@ def _declare(text: str, what: str, decls: dict, kinds: dict) -> str:
 
 
 def _declare_list(text: str, what: str, decls: dict, kinds: dict) -> list:
-    """The id texts of a free or new list, each item declared in turn."""
-    keys = [_declare(item, what, decls, kinds) for item in text.split()]
+    """The id texts of a free or new list, each item declared in turn: a
+    plain display#id here, any other by _declare."""
+    keys = []
+    for item in text.split():
+        display, sep, key = item.rpartition("#")
+        if (sep and key.isascii() and key.isdigit() and len(key) < 19
+                and (nid := int(key)) not in kinds):
+            kinds[nid] = what
+            decls[key] = Name(nid, display)
+        else:
+            key = _declare(item, what, decls, kinds)
+        keys.append(key)
     if not keys:
         raise SchemaError(f"{what} lists no " + ("binder" if what == "new"
                                                   else "name"))
@@ -334,100 +344,110 @@ def _attrs(elem, required: tuple, what: str) -> list:
 
 
 def _read_proc(elem, decls: dict, kinds: dict) -> Process:
-    """The process of elem, from a stack, in document order: each element
-    is checked when reached, its new list first, and built once its child
-    is (an action with none at once on NIL), then wrapped in a New per
-    binder of the list; par children fold to the right.  A use resolves
-    with one lookup in decls, which holds the names in scope: a new's
-    binders from its list until the element it scopes is built.  The VM
-    binds a new's id in a shared environment, sound only if no id is bound
-    twice or occurs outside its new, as this ensures."""
-    built = []
-    stack = [elem]
+    """The process of elem, built top-down in document order.  Each element
+    is checked when reached, its new list first; its node, an action on NIL
+    or a par's right spine of Pars, is built at once and set in the slot of
+    its parent that the walk carries: a continuation, a body, or a Par's
+    left or right.  The walk goes straight on to an only child, and a
+    par's children wait on a stack with their slots.  A marker there acts
+    once its element's subtree is read: a new list's id texts end their
+    scope, and an in's error that not all its arguments are names raises.
+    A use resolves with one lookup in decls, which holds the names in
+    scope.  The VM binds a new's id in a shared environment, sound only if
+    no id is bound twice or occurs outside its new, as this ensures."""
+    top = Repeat(NIL)  # its body slot receives the process
+    stack = [(elem, top, "body")]
     outside = {}  # id text -> name, of the binders whose new has closed
-    values = {}  # argument text -> Value, read once while in scope
-    getters = {}  # out/in attribute count -> (getter, keys)
+    values = {}  # literal argument text -> Value, read once
+    getters = {}  # out/in attribute count -> getter of subject, a0, ...
     while stack:
-        elem = stack.pop()
-        if type(elem) is tuple:  # (constructor, fields): the children are built
-            make, fields = elem
-            if make is Par:  # fields is the child count
-                p = built.pop()
-                for _ in range(fields - 1):
-                    p = Par(built.pop(), p)
-                built.append(p)
-                continue
-        elif "new" in elem.attrib:  # its binders, then elem inside them
-            stack += [(New, key) for key in _declare_list(
-                elem.attrib.pop("new"), "new", decls, kinds)]
-            stack.append(elem)
+        entry = stack.pop()
+        if type(entry) is not tuple:  # a new's id texts, or an in's error
+            if type(entry) is str:
+                raise SchemaError(entry)
+            outside.update(zip(entry, map(decls.pop, entry)))
             continue
-        elif (tag := elem.tag) == "out" or tag == "in":
+        elem, parent, slot = entry
+        while True:  # elem, then on down while it has an only child
             attrib = elem.attrib
-            if len(attrib) not in getters:
-                keys = ("subject", *(f"a{i}" for i in range(len(attrib) - 1)))
-                get = (itemgetter(*keys) if keys[1:]
-                       else lambda a: (a["subject"],))
-                getters[len(attrib)] = get, keys
-            get, keys = getters[len(attrib)]
-            try:
-                subject, *texts = get(attrib)
-            except KeyError:
-                _attrs(elem, keys, tag)  # raises
-            args = tuple([values.get(text) or values.setdefault(
-                text, _split_value(text, tag, decls, outside))
-                for text in texts])
-            subj = decls.get(subject)
-            if subj is None:
-                raise _undeclared(subject, tag, outside)
-            if tag == "out":
-                make, fields = Out, (subj, args)
-            else:  # None: not all names, raised after the child
-                objects = tuple([v.name for v in args if type(v) is NameRef])
-                make, fields = In, (subj, objects if len(objects) == len(args)
-                                    else None, False)
-        elif tag == "fusion":
-            sides = _attrs(elem, ("left", "right"), "fusion")
-            if len(elem) != 0:
-                raise SchemaError("fusion takes no children")
-            built.append(Fusion(*[_split_value(v, "fusion", decls, outside)
-                                  for v in sides]))
-            continue
-        elif tag in ("repeat", "nil", "par"):
-            if elem.attrib:
-                _attrs(elem, (), tag)  # raises
-            if tag == "repeat":
-                make, fields = Repeat, ()
-            elif tag == "nil":
+            tag = elem.tag
+            child = None
+            if "new" in attrib:  # its binders, then elem inside them
+                keys = _declare_list(attrib.pop("new"), "new", decls, kinds)
+                stack.append(keys)
+                node = inner = New(decls[keys[0]], NIL)
+                for key in keys[1:]:
+                    inner.body = inner = New(decls[key], NIL)
+                child, into = elem, "body"
+            elif tag == "out" or tag == "in":
+                count = len(attrib)
+                get = getters.get(count) or getters.setdefault(count, itemgetter(
+                    "subject", *(f"a{i}" for i in range(count - 1)), "subject"))
+                try:  # the second "subject" makes a tuple of one key's too
+                    subject, *texts, _ = get(attrib)
+                except KeyError:
+                    _attrs(elem, ("subject", *(
+                        f"a{i}" for i in range(count - 1))), tag)  # raises
+                args = []
+                names = tag == "in"  # and all its arguments are names so far
+                for text in texts:
+                    if text[:5] != "name:":
+                        v = values.get(text) or values.setdefault(
+                            text, _split_value(text, tag, decls, outside))
+                        names = False
+                    elif (v := decls.get(text[5:])) is None:
+                        raise _undeclared(text[5:], tag, outside)
+                    elif not names:
+                        v = NameRef(v)
+                    args.append(v)
+                subj = decls.get(subject)
+                if subj is None:
+                    raise _undeclared(subject, tag, outside)
+                if len(elem) > 1:
+                    raise SchemaError(f"{tag} takes at most 1 child")
+                if tag == "out":
+                    node = inner = Out(subj, tuple(args), NIL)
+                else:
+                    node = inner = In(subj, tuple(args), False, NIL)
+                    if not names:
+                        stack.append("in arguments must be names")
+                if len(elem):
+                    child, into = elem[0], "cont"
+            elif tag == "fusion":
+                left, right = _attrs(elem, ("left", "right"), "fusion")
                 if len(elem) != 0:
-                    raise SchemaError("nil takes no children")
-                built.append(NIL)
-                continue
-            else:
-                if len(elem) < 2:
+                    raise SchemaError("fusion takes no children")
+                node = Fusion(_split_value(left, "fusion", decls, outside),
+                              _split_value(right, "fusion", decls, outside))
+            elif tag in ("repeat", "nil", "par"):
+                if attrib:
+                    _attrs(elem, (), tag)  # raises
+                count = len(elem)
+                if tag == "repeat":
+                    if count > 1:
+                        raise SchemaError("repeat takes at most 1 child")
+                    node = inner = Repeat(NIL)
+                    child, into = elem[0] if count else None, "body"
+                elif tag == "nil":
+                    if count:
+                        raise SchemaError("nil takes no children")
+                    node = NIL
+                elif count < 2:
                     raise SchemaError("par takes at least 2 children")
-                stack += ((Par, len(elem)), *reversed(elem))
-                continue
-        else:
-            raise SchemaError(f"unknown element {tag!r}")
-        if type(elem) is tuple:
-            cont = built.pop()
-        elif len(elem) > 1:  # an action: its one child, or none for nil
-            raise SchemaError(f"{tag} takes at most 1 child")
-        elif len(elem):
-            stack += ((make, fields), elem[0])
-            continue
-        else:
-            cont = NIL
-        if make is New:  # fields is the binder's id text: its scope ends
-            n = outside[fields] = decls.pop(fields)
-            values.pop("name:" + fields, None)
-            built.append(New(n, cont))
-            continue
-        if make is In and fields[1] is None:
-            raise SchemaError("in arguments must be names")
-        built.append(make(*fields, cont))
-    return built[0]
+                else:  # each child in a Par's left, the last in its right
+                    node = Par(None, None)
+                    stack += ((elem[-1], node, "right"),
+                              (elem[-2], node, "left"))
+                    for kid in elem[-3::-1]:
+                        node = Par(None, node)
+                        stack.append((kid, node, "left"))
+            else:
+                raise SchemaError(f"unknown element {tag!r}")
+            setattr(parent, slot, node)
+            if child is None:
+                break
+            elem, parent, slot = child, inner, into
+    return top.body
 
 
 def _read_extern(elem, decls: dict, kinds: dict) -> ExternDecl:
