@@ -389,7 +389,7 @@ def _read_proc(elem, decls: dict, kinds: dict) -> Process:
                     _attrs(elem, ("subject", *(
                         f"a{i}" for i in range(count - 1))), tag)  # raises
                 args = []
-                names = tag == "in"  # and all its arguments are names so far
+                names = tag == "in"  # an in with only names so far
                 for text in texts:
                     if text[:5] != "name:":
                         v = values.get(text) or values.setdefault(

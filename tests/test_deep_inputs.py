@@ -494,6 +494,127 @@ def test_reader_reports_the_first_v5_error_the_reference_does(free, process,
     assert _read(from_xml, doc) == ("SchemaError", message)
 
 
+_LONG_ID = "1" * 4301  # past the interpreter's int-conversion limit
+
+
+@pytest.mark.parametrize("free,process,expected", [
+    # a binder's id is its value, not its text
+    ("", '<nil new="a#07 b#7"/>',
+     ("SchemaError", "binder id 7 of new b#7 is already bound")),
+    ("a#07 b#7", "<nil/>",
+     ("SchemaError", "name id 7 of free b#7 is already declared")),
+    # a non-ASCII decimal id declares, but a use must write the same text
+    ("", '<out new="a#٣" subject="3"/>',
+     ("SchemaError", "undeclared name '3' in out")),
+    ("", f'<nil new="a#{_LONG_ID}"/>',
+     ("SchemaError", f"bad name reference 'a#{_LONG_ID}' in new")),
+    ("", '<nil new="a#+5"/>', ("SchemaError", "bad name reference 'a#+5' in new")),
+    ("", '<nil new="a#5_0"/>',
+     ("SchemaError", "bad name reference 'a#5_0' in new")),
+    ("x#+5", "<nil/>", ("SchemaError", "bad name reference 'x#+5' in free")),
+    # the display is all before the last '#', and may be empty
+    ("#5", '<out subject="5"/>', '<process free="#5">\n<out subject="5"/>'),
+    ("a#b#5", '<out subject="5"/>',
+     '<process free="a#b#5">\n<out subject="5"/>'),
+    # leading zeros: the use writes the declaration's text, the writer the id
+    ("", '<out new="a#007" subject="007"/>', '<out new="a#7" subject="7"/>'),
+], ids=["new-07-and-7", "free-07-and-7", "arabic-indic-digit", "4301-digits",
+        "plus-sign", "underscore", "free-plus-sign", "empty-display",
+        "display-with-hash", "leading-zeros"])
+def test_declaration_edge_cases_read_as_the_reference_reads_them(
+        free, process, expected):
+    doc = _process_document(process, free)
+    got = _read(from_xml, doc)
+    assert got == _read(ref.from_xml, doc)
+    if type(expected) is tuple:
+        assert got == expected
+    else:
+        assert expected in got
+
+
+# the XIR vocabulary: elements, attributes in any order, and values from a
+# small pool of ids, with leading zeros, and kind:value texts.  Each choice
+# takes what a sound tree would (the tag's own attributes and child count,
+# fresh binders, names in scope) or, in a faulty tree, now and then
+# something else: an unknown tag or attribute set, a bad child count, a
+# binder id taken before, a name undeclared or out of its new's scope, a
+# literal where a name goes, a bad value.  So sound trees load, and faulty
+# ones fail at any element, or load too.
+_TAGS = ["out", "out", "in", "in", "par", "par", "nil", "repeat", "fusion"]
+_OWN_ATTRIBUTES = {"out": ["subject", "a0", "a1"], "in": ["subject", "a0"],
+                   "fusion": ["left", "right"]}
+_ATTRIBUTES = ["subject", "a0", "a1", "a2", "new", "left", "right", "bogus"]
+_CHILD_COUNTS = {"par": ([2, 3], [1, 0]), "out": ([1, 1, 0], [2]),
+                 "in": ([1, 1, 0], [2]), "repeat": ([1, 0], [2])}
+_FREE = ["x#0", "y#2", "z#01", "w#007"]
+_IDS = ["0", "1", "2", "3", "01", "007", "x#1", "", "-1"]
+_LITERALS = ["int:5", "int:-1", "str:s", "bool:true", "unit:"]
+_BAD_VALUES = ["int:x", "bool:maybe", "foo:1", "unit", "name"]
+_BINDERS = ["a#1", "b#2", "c#01", "d#007", "e#10", "f#x", "g#-4", ""]
+
+
+def _xir_element(rng, depth, faulty, scope, fresh):
+    """One element and its subtree, drawn with rng.  scope holds the ids a
+    sound choice may use, and fresh the next fresh binder id; a faulty
+    tree makes each choice badly one time in twelve."""
+
+    def pick(sound, faults):
+        return rng.choice(faults if faulty and rng.random() < 1 / 12
+                          else sound)
+
+    tag = pick(_TAGS, ["widget", "process", "new"])
+    keys = list(_OWN_ATTRIBUTES.get(tag, ()))
+    rng.shuffle(keys)
+    if faulty and rng.random() < 1 / 12:
+        keys = rng.sample(_ATTRIBUTES, rng.randrange(4))
+    values = {}
+    if rng.random() < 1 / 3:
+        keys.insert(rng.randrange(len(keys) + 1), "new")
+        items = []
+        for _ in range(rng.randint(1, 2)):
+            items.append(pick([f"n#{fresh[0]}"], _BINDERS))
+            if items[-1] == f"n#{fresh[0]}":  # its id is in scope inside
+                scope = scope + [str(fresh[0])]
+                fresh[0] += 1
+        values["new"] = " ".join(items)
+    # fresh binders out of scope: declared in a subtree already read
+    closed = [str(i) for i in range(10, fresh[0]) if str(i) not in scope]
+    names = [f"name:{i}" for i in scope]
+    for key in keys:
+        if key == "new":  # a faulty attribute list's own
+            values.setdefault(key, rng.choice(_BINDERS))
+        elif key == "subject":
+            values[key] = pick(scope, closed * 4 + _IDS)
+        else:
+            values[key] = pick(names if tag == "in" else names + _LITERALS,
+                               _LITERALS * 2 + _BAD_VALUES
+                               + [f"name:{i}" for i in closed * 4])
+    attrs = "".join(f' {key}="{values[key]}"' for key in keys)
+    sound, faults = _CHILD_COUNTS.get(tag, ([0], [1]))
+    children = [_xir_element(rng, depth - 1, faulty, scope, fresh)
+                if depth > 1 else "<nil/>"  # the deepest level's leaves
+                for _ in range(pick(sound, faults))]
+    return f"<{tag}{attrs}>" + "".join(children) + f"</{tag}>"
+
+
+def _xir_document(seed):
+    rng = random.Random(seed)
+    faulty = rng.random() < 0.75
+    free = rng.sample(_FREE, rng.randint(2, 4)) if faulty else _FREE
+    process = _xir_element(rng, rng.randint(1, 4), faulty,
+                           [i.split("#")[1] for i in free], [10])
+    return _process_document(process, " ".join(free))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_reader_matches_reference_on_random_vocabulary_trees(seed):
+    # shapes the compiler never writes: an in with literal arguments and a
+    # child, a new on a nested par, attributes out of order
+    doc = _xir_document(seed)
+    assert _read(from_xml, doc) == _read(ref.from_xml, doc), doc
+
+
 def test_new_list_item_with_an_extern_channel_id_gets_the_reference_error():
     # Ret2 is channel id 3 of the Account extern
     doc = to_xml(desugar(parse_program(ACCOUNT_EXTERN + "Ret2?(v).nil")))

@@ -453,16 +453,18 @@ def test_flood_lists_each_head_once():
 
 def test_decoding_every_redex_of_a_flood_step_sorts_its_bucket_once():
     # the first step of a flood of 500: 250,000 comms, each output heading
-    # 500 of them over one bucket of 500 inputs.  Sorting the bucket per
-    # decode took 2.2 s here on a 2-vCPU VM; sorting it once per
-    # enumeration takes about 0.4 s
+    # 500 of them over one bucket of 500 inputs.  On a shared 2-vCPU VM,
+    # sorting the bucket per decode took 2.2-2.8 s, and sorting it once per
+    # enumeration takes 0.37-0.44 s; the better of two decodings counts
     m = _machine(golden_traces.flood_source(500))
-    redexes = m.enumerate_redexes()
-    start = time.perf_counter()
-    got = list(redexes)
-    seconds = time.perf_counter() - start
+    seconds = []
+    for _ in range(2):
+        redexes = m.enumerate_redexes()
+        start = time.perf_counter()
+        got = list(redexes)
+        seconds.append(time.perf_counter() - start)
     assert got == reference_scheduler.enumerate_redexes(m, True)
-    assert seconds < 0.8, seconds
+    assert min(seconds) < 0.8, seconds
 
 
 def test_redexes_read_after_a_direct_union_raises():
