@@ -356,25 +356,23 @@ class FusionEnv:
         """Identify a and b.  Raises FusionClash when that would equate two
         distinct literals (directly or through class attachments)."""
         if isinstance(a, NameRef) and isinstance(b, NameRef):
-            self._union(a.name, b.name)
+            self.union(a.name, b.name)
             return self
         if isinstance(a, NameRef):
-            self._attach_literal(a.name, b)
+            self.attach(a.name, b)
             return self
         if isinstance(b, NameRef):
-            self._attach_literal(b.name, a)
+            self.attach(b.name, a)
             return self
         if a != b:
             raise FusionClash(f"cannot fuse literals {a} and {b}")
         return self
 
-    def _register(self, n: Name) -> None:
-        if n.id not in self._names:
-            self._names[n.id] = n
-
-    def _union(self, x: Name, y: Name) -> None:
-        self._register(x)
-        self._register(y)
+    def union(self, x: Name, y: Name) -> None:
+        """merge on two names: on a rank tie x's root survives."""
+        names = self._names
+        names.setdefault(x.id, x)
+        names.setdefault(y.id, y)
         rx, ry = self._find(x.id), self._find(y.id)
         if rx == ry:
             return
@@ -392,8 +390,9 @@ class FusionEnv:
             self._attach[rx] = lit
             self._attach.pop(ry, None)
 
-    def _attach_literal(self, n: Name, lit: Value) -> None:
-        self._register(n)
+    def attach(self, n: Name, lit: Value) -> None:
+        """merge on a name and a literal."""
+        self._names.setdefault(n.id, n)
         root = self._find(n.id)
         prev = self._attach.get(root)
         if prev is not None and prev != lit:

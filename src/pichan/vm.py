@@ -133,10 +133,16 @@ class Machine:
     _returns[root][arity] lists (rank, alias), in declaration order, of the
     endpoints whose staged return goes to a receiver on (root, arity); the
     first of them is the one offered, and _takers holds the (root, arity)
-    keys in both _returns and _ins.  _repeats[seq] is [the repeat body's
-    top-level actions, their (is output, root, arity) keys]; the keys are
-    resolved at the first enumeration that needs them and kept until the
-    next union.
+    keys in both _returns and _ins.
+
+    _repeats[seq] is the set of (is output, root, arity) keys of the repeat
+    body's top-level actions, and _watch[is output][root] the repeats with
+    a key of that kind on root.  _wanted holds the repeats whose unfold is
+    offered, a flag kept from step to step and tested again, at the next
+    enumeration, only for the repeats in _stale: those that saw, on a root
+    they watch, a bucket that can pair a key appear or empty, a staged
+    return for an input key appear or be consumed, or a union absorb that
+    root or another into it.
 
     Unions reach the index through FusionEnv.union_log, drained, when it is
     not empty, before each enumeration, each removal and each change of the
@@ -150,7 +156,10 @@ class Machine:
         self._ins: dict[int, dict[int, set]] = {}
         self._live: set[tuple[int, int]] = set()
         self._fusions: set[int] = set()
-        self._repeats: dict[int, list] = {}  # seq -> [actions, keys or None]
+        self._repeats: dict[int, set] = {}  # seq -> keys
+        self._watch = ({}, {})  # [is output][root] -> seqs of repeats
+        self._wanted: set[int] = set()
+        self._stale: set[int] = set()
         # id(Repeat node) -> (node, its body's top-level actions, unresolved,
         # the ids named in its body); see _walk_repeat
         self._bodies: dict[int, tuple] = {}
@@ -224,7 +233,11 @@ class Machine:
             arity = len(p.objects)
             mine, other = ((self._outs, self._ins) if kind is Out
                            else (self._ins, self._outs))
-            mine.setdefault(root, {}).setdefault(arity, set()).add(seq)
+            bucket = mine.setdefault(root, {}).setdefault(arity, set())
+            # a new bucket: the repeats with keys it can pair go stale
+            if not bucket and root in self._watch[kind is In]:
+                self._stale |= self._watch[kind is In][root]
+            bucket.add(seq)
             if arity in other.get(root, ()):
                 self._live.add((root, arity))
             if kind is In:
@@ -237,16 +250,25 @@ class Machine:
         elif kind is Repeat:
             # a subject bound in the body is not in env: binder ids are unique
             entry = self._bodies.get(id(p)) or _walk_repeat(p, self._bodies)
-            self._repeats[seq] = [tuple((is_out, env.get(s.id, s), arity)
-                                        for is_out, s, arity in entry[1]),
-                                  None]
+            root = self.env.representative
+            keys = self._repeats[seq] = {
+                (is_out, root(env.get(s.id, s)), arity)
+                for is_out, s, arity in entry[1]}
+            for is_out, r, _ in keys:
+                self._watch[is_out].setdefault(r, set()).add(seq)
+            self._stale.add(seq)
 
-    def _unindex(self, seq: int, t: Process, env: dict) -> None:
-        """Drop a removed thread: an output, an input or a fusion (execute
-        never removes a repeat)."""
+    def _remove(self, i: int) -> tuple:
+        """Take thread i, an output, an input or a fusion (execute never
+        removes a repeat), out of the soup; returns its (code, env) pair."""
+        self._changes += 1
+        if self.env.union_log:
+            self._drain_unions()
+        t, env = self.threads.pop(i), self.envs.pop(i)
+        seq = self._seqs.pop(i)
         if type(t) is Fusion:
             self._fusions.discard(seq)
-            return
+            return t, env
         table = self._outs if type(t) is Out else self._ins
         subject = env.get(t.subject.id, t.subject)
         root, arity = self.env.representative(subject), len(t.objects)
@@ -254,6 +276,9 @@ class Machine:
         bucket.discard(seq)
         if not bucket:
             del table[root][arity]
+            watch = self._watch[table is self._ins]
+            if root in watch:
+                self._stale |= watch[root]
             if not table[root]:
                 del table[root]
                 if table is self._outs:
@@ -261,17 +286,27 @@ class Machine:
             self._live.discard((root, arity))
             if table is self._ins:
                 self._takers.discard((root, arity))
+        return t, env
 
     def _drain_unions(self) -> None:
         """Move the buckets and host-table entries of every root absorbed
         since the last drain under its surviving root: the smaller bucket
         merges into the larger, the first declared call method wins and
-        waiting returns stay in declaration order.  The repeats' resolved
-        keys are dropped."""
-        for entry in self._repeats.values():
-            entry[1] = None
+        waiting returns stay in declaration order.  The repeats watching
+        the absorbed root move their keys to the surviving root and watch
+        it; they and the surviving root's watchers go stale."""
         calls, returns = self._calls, self._returns
+        repeats, stale = self._repeats, self._stale
         for absorbed, root in self.env.union_log:
+            for watch in self._watch:
+                stale.update(watch.get(root, ()))
+                moved = watch.pop(absorbed, None)
+                if moved is not None:
+                    stale |= moved
+                    for seq in moved:
+                        repeats[seq] = {(o, root if r == absorbed else r, a)
+                                        for o, r, a in repeats[seq]}
+                    watch.setdefault(root, set()).update(moved)
             arities = set()
             for table in (self._outs, self._ins):
                 moved = table.pop(absorbed, None)
@@ -323,6 +358,8 @@ class Machine:
                    entry)
             if arity in self._ins.get(r, ()):
                 self._takers.add((r, arity))
+            if r in self._watch[False]:
+                self._stale |= self._watch[False][r]
             return
         waiting = self._returns[r]
         waiting[arity].remove(entry)
@@ -331,6 +368,8 @@ class Machine:
             self._takers.discard((r, arity))
             if not waiting:
                 del self._returns[r]
+        if r in self._watch[False]:
+            self._stale |= self._watch[False][r]
 
     # -- redex enumeration
 
@@ -348,9 +387,10 @@ class Machine:
         repeat and an input taking a staged return head one redex.  A head
         of more than one redex gets its count as a weight; heads of one
         redex, the common case, need none.  Reads the persistent soup index
-        and host tables, so the cost is O(heads) plus the repeats, the
-        staged returns and one sort of plain ints; idle threads and idle
-        extern endpoints cost nothing."""
+        and host tables, so the cost is O(heads) plus the stale repeats,
+        the staged returns and one sort of plain ints; idle threads, idle
+        extern endpoints and repeats that no change made stale cost
+        nothing."""
         if self.env.union_log:
             self._drain_unions()
         outs, ins = self._outs, self._ins
@@ -363,9 +403,12 @@ class Machine:
                 weights = weights or {}
                 weights.update(dict.fromkeys(senders, n))
         heads += self._fusions
-        if self._repeats:
-            heads += [seq for seq, entry in self._repeats.items()
-                      if self._unfold_wanted(entry)]
+        if self._stale:  # test again only the flags a change may flip
+            self._wanted -= self._stale
+            self._wanted.update(seq for seq in self._stale
+                                if self._unfold_wanted(self._repeats[seq]))
+            self._stale.clear()
+        heads += self._wanted
         for r, endpoint in self._callable.items():
             if endpoint.pending is None:
                 partnered = ins.get(r, ())
@@ -416,15 +459,12 @@ class Machine:
         _, alias, m, _ = self._calls[root]
         return ("host-call", i, alias, m.name)
 
-    def _unfold_wanted(self, entry: list) -> bool:
+    def _unfold_wanted(self, keyed: set) -> bool:
         """Offer an unfold only when the body's top-level actions could take
         part in a comm or host redex afterwards, with the soup or each other.
-        entry is the repeat's _repeats entry, whose keys this resolves."""
-        keyed = entry[1]
-        if keyed is None:
-            root = self.env.representative
-            keyed = entry[1] = {(is_out, root(subject), arity)
-                                for is_out, subject, arity in entry[0]}
+        keyed is the repeat's _repeats entry.  Reads the buckets, call
+        channels and staged returns of the keys' roots alone, so a change
+        elsewhere cannot flip the answer."""
         return any((not is_out, r, arity) in keyed
                    or (r in self._calls or arity in self._ins.get(r, ())
                        if is_out
@@ -433,15 +473,6 @@ class Machine:
                    for is_out, r, arity in keyed)
 
     # -- execution
-
-    def _remove(self, i: int) -> tuple:
-        """Take thread i out of the soup; returns its (code, env) pair."""
-        self._changes += 1
-        if self.env.union_log:
-            self._drain_unions()
-        t, env = self.threads.pop(i), self.envs.pop(i)
-        self._unindex(self._seqs.pop(i), t, env)
-        return t, env
 
     def _ground_args(self, out: Out, env: dict) -> list:
         args = []
@@ -473,18 +504,24 @@ class Machine:
             else:
                 (inp, ienv), (out, oenv) = self._remove(j), self._remove(i)
             subject = oenv.get(out.subject.id, out.subject)
-            objects = tuple(_resolve(v, oenv) for v in out.objects)
-            fused = []
-            for v, n in zip(objects, inp.objects):
+            objects, fused, fenv = [], [], self.env
+            for v, n in zip(out.objects, inp.objects):
                 n = ienv.get(n.id, n)
-                self.env.merge(v, NameRef(n))
-                fused.append(f"{_value_text(v)}~{n.display}")
+                if type(v) is NameRef:  # merge, without the wrappers
+                    v = oenv.get(v.name.id, v.name)
+                    fenv.union(v, n)
+                    fused.append(f"{v.display}~{n.display}")
+                else:
+                    fenv.attach(n, v)
+                    fused.append(f"{v.value!r}~{n.display}")
+                objects.append(v)
             self.add_thread(out.cont, oenv)
             self.add_thread(inp.cont, ienv)
-            details = f"{self.env.class_display(subject)}/{len(objects)}"
+            details = f"{fenv.class_display(subject)}/{len(objects)}"
             if fused:
                 details += " " + ",".join(fused)
-            return TraceEvent(step, "comm", details, data=(subject, objects))
+            return TraceEvent(step, "comm", details,
+                              data=(subject, tuple(objects)))
         if kind == "unfold":
             i = redex[1]
             rep, env = self.threads[i], self.envs[i]
@@ -512,8 +549,8 @@ class Machine:
             self._remove(i)
             if inp.objects:
                 n = inp.objects[0]
-                self.env.merge(HOST_LITERALS[type(value)](value),
-                               NameRef(env.get(n.id, n)))
+                self.env.attach(env.get(n.id, n),
+                                HOST_LITERALS[type(value)](value))
             self.add_thread(inp.cont, env)
             details = f"{alias}.{method} -> {value!r}"
             return TraceEvent(step, "host-return", details,

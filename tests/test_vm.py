@@ -568,6 +568,112 @@ def test_repeat_keys_are_resolved_again_after_a_union(strict):
         _check_against_reference(_machine(MEMO_SOURCE), seed, 10, strict)
 
 
+# ---------------------------------------------------------------------------
+# the repeats' unfold flags, kept from step to step and tested again only
+# after a change on a root that one of their body actions watches
+
+COUNTER = ("extern K -> class Counter {\n"
+           "  int inc() { call inc: void; return R: int; }\n}\n")
+
+
+def _follow(m, script, strict):
+    """Execute each redex of script, a list of (redex or None to stop,
+    whether thread 0, a repeat, is offered an unfold before it); before
+    each, the enumeration equals the reference's."""
+    for redex, offered in script:
+        redexes = list(_enumerate(m, strict))
+        assert redexes == reference_scheduler.enumerate_redexes(m, strict)
+        assert (("unfold", 0) in redexes) is offered, redexes
+        if redex is None:
+            return
+        m.execute(redex)
+        m.step_index += 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_unfold_flag_follows_an_output_bucket_that_empties_and_fills(strict):
+    # s!() is the only output the repeat's input can meet: the comm that
+    # takes it empties its bucket, and the comm on w puts one back
+    src = "repeat s?() | s!() | w!() | w?().s!() | k!() | k?()"
+    _follow(_machine(src), [(("unfold", 0), True), (("comm", 1, 6), True),
+                            (("comm", 1, 2), False), (None, True)], strict)
+    for seed in range(8):
+        _check_against_reference(_machine(src), seed, 12, strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("fusion", ["t = s", "s = t"])
+def test_unfold_flag_follows_a_union_with_the_partners_class(strict, fusion):
+    # on a rank tie the left name's class survives: t = s absorbs the
+    # repeat's root s, s = t keeps it and takes in the bucket of t!()
+    src = f"repeat s?() | t!() | {fusion} | k!() | k?()"
+    _follow(_machine(src), [(("fusion", 2), False), (("unfold", 0), True),
+                            (None, True)], strict)
+    for seed in range(8):
+        _check_against_reference(_machine(src), seed, 10, strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("fusion", ["c = inc", "inc = c"])
+def test_unfold_flag_follows_a_union_with_a_call_channel(strict, fusion):
+    src = COUNTER + f"repeat c!() | {fusion} | k!() | k?()"
+    _follow(_machine(src), [(("fusion", 1), False), (("unfold", 0), True),
+                            (None, True)], strict)
+    for seed in range(8):
+        _check_against_reference(_machine(src), seed, 10, strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_unfold_flag_follows_a_staged_return(strict):
+    # the call stages K's return on R, where the repeat's input waits, and
+    # the host return consumes it; nothing else touches R
+    src = COUNTER + "repeat R?(a) | inc!() | k!() | k?() | j!() | j?()"
+    _follow(_machine(src), [(("host-call", 1, "K", "inc"), False),
+                            (("unfold", 0), True),
+                            (("host-return", 5, "K"), True),
+                            (None, False)], strict)
+    for seed in range(8):
+        _check_against_reference(_machine(src), seed, 12, strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("src", [
+    "repeat (x!() | x?()) | k!() | k?()",
+    "new a in (repeat (a?() | repeat a!()) | b = a | b!() | k!() | k?())",
+    "repeat (a?() | repeat (b!() | repeat a!())) | a = b | b?() | k!()"
+    " | k?()",
+], ids=["body-pairs-with-itself", "nested", "nested-fused"])
+def test_unfold_flags_of_self_pairing_and_nested_repeats(strict, src):
+    for seed in range(8):
+        _check_against_reference(_machine(src), seed, 30, strict)
+
+
+def test_enumeration_tests_only_the_repeats_whose_channels_changed(
+        monkeypatch):
+    # 1,000 repeats that never want an unfold beside a 50-step comm chain:
+    # the first enumeration tests each once, and after it no step touches
+    # a root they watch.  Testing every repeat at every enumeration made
+    # 1,000 calls a step
+    idle = "".join(f"repeat z{k}?() | " for k in range(1000))
+    chain = " | ".join([f"c{k}?().c{k + 1}!()" for k in range(49)]
+                       + ["c0!()", "c49?()"])
+    m = _machine(idle + chain)
+    wanted, calls = Machine._unfold_wanted, []
+
+    def counted(machine, keys):
+        calls.append(keys)
+        return wanted(machine, keys)
+
+    monkeypatch.setattr(Machine, "_unfold_wanted", counted)
+    m.enumerate_redexes()
+    assert len(calls) == 1000
+    calls.clear()
+    rng = Xorshift64Star(0)
+    events = [step(m, rng) for _ in range(50)]
+    assert [ev.kind for ev in events] == ["comm"] * 50
+    assert len(calls) <= 2 * 50
+
+
 @pytest.mark.parametrize("indexed", [False, True])
 def test_copy_has_its_own_index(indexed):
     # the union is made on the env directly; indexed=False executes before
