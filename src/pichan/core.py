@@ -307,7 +307,8 @@ class Program(Record):
 class FusionEnv:
     """Equivalence classes of names, each class optionally pinned to one
     literal value; literals are equal only within one class (Value
-    equality).  Mutates only through merge; confine to one VM."""
+    equality).  Mutates only through merge and its parts on names, union
+    and attach; confine to one VM."""
 
     def __init__(self):
         self._parent: dict[int, int] = {}

@@ -652,8 +652,8 @@ def test_enumeration_tests_only_the_repeats_whose_channels_changed(
         monkeypatch):
     # 1,000 repeats that never want an unfold beside a 50-step comm chain:
     # the first enumeration tests each once, and after it no step touches
-    # a root they watch.  Testing every repeat at every enumeration made
-    # 1,000 calls a step
+    # a root they watch.  Testing every repeat at every enumeration would
+    # make 1,000 calls a step
     idle = "".join(f"repeat z{k}?() | " for k in range(1000))
     chain = " | ".join([f"c{k}?().c{k + 1}!()" for k in range(49)]
                        + ["c0!()", "c49?()"])
