@@ -58,12 +58,12 @@ class NotStuck(Exception):
 
 
 class TraceEvent(Record):
-    _fields = ("step", "kind", "details", "data")
+    _fields = ("step", "kind", "details")
 
-    def __init__(self, step: int, kind: str, details: str, data: tuple = ()):
+    def __init__(self, step: int, kind: str, details: str):
         self.step = step
         self.kind = kind  # comm | fusion-applied | repeat-unfold | host-call | host-return | clash | violation
-        self.details, self.data = details, data
+        self.details = details
 
     def line(self) -> str:
         return f"{self.step}|{self.kind}|{self.details}"
@@ -120,20 +120,18 @@ class Machine:
     the two kinds cannot meet and the machine needs no scan of the program.
 
     The soup index is kept across steps and changes only where the soup
-    does.  Every thread has a sequence number; threads are only appended,
-    so _seqs (parallel to threads) is ascending and a thread's position is
-    the bisection of its sequence number.  Outputs and inputs sit in
-    buckets _outs/_ins[fusion root][arity] -> set of sequence numbers;
+    does.  A new thread's sequence number is above every live one's and
+    threads are only appended, so _seqs (parallel to threads) is ascending
+    and a thread's position is the bisection of its sequence number.
+    Outputs and inputs sit in buckets _outs/_ins[fusion root][arity] ->
+    ascending list of sequence numbers, which an append keeps in order;
     _live holds the (root, arity) keys that have both.
 
     The host tables are kept the same way.  _calls[root] is (rank, alias,
     method, endpoint) of the first declared method whose call channel has
-    that root, and _callable maps each root in both _calls and _outs to that
-    endpoint.
-    _returns[root][arity] lists (rank, alias), in declaration order, of the
-    endpoints whose staged return goes to a receiver on (root, arity); the
-    first of them is the one offered, and _takers holds the (root, arity)
-    keys in both _returns and _ins.
+    that root.  _returns[root][arity] lists (rank, alias), in declaration
+    order, of the endpoints whose staged return goes to a receiver on
+    (root, arity); the first of them is the one offered.
 
     _repeats[seq] is the set of (is output, root, arity) keys of the repeat
     body's top-level actions, and _watch[is output][root] the repeats with
@@ -152,8 +150,8 @@ class Machine:
         self.threads: list[Process] = []
         self.envs: list[dict] = []
         self._seqs: list[int] = []
-        self._outs: dict[int, dict[int, set]] = {}
-        self._ins: dict[int, dict[int, set]] = {}
+        self._outs: dict[int, dict[int, list]] = {}
+        self._ins: dict[int, dict[int, list]] = {}
         self._live: set[tuple[int, int]] = set()
         self._fusions: set[int] = set()
         self._repeats: dict[int, set] = {}  # seq -> keys
@@ -166,9 +164,7 @@ class Machine:
         self.env = FusionEnv()
         self.endpoints: dict[str, Endpoint] = {}
         self._calls: dict[int, tuple] = {}
-        self._callable: dict[int, Endpoint] = {}
         self._returns: dict[int, dict[int, list]] = {}
-        self._takers: set[tuple[int, int]] = set()
         self._ranks: dict[str, int] = {}  # alias -> declaration index
         self._ids = count(-1, -1)  # run-time name ids
         self.registry = registry
@@ -233,18 +229,13 @@ class Machine:
             arity = len(p.objects)
             mine, other = ((self._outs, self._ins) if kind is Out
                            else (self._ins, self._outs))
-            bucket = mine.setdefault(root, {}).setdefault(arity, set())
+            bucket = mine.setdefault(root, {}).setdefault(arity, [])
             # a new bucket: the repeats with keys it can pair go stale
             if not bucket and root in self._watch[kind is In]:
                 self._stale |= self._watch[kind is In][root]
-            bucket.add(seq)
+            bucket.append(seq)
             if arity in other.get(root, ()):
                 self._live.add((root, arity))
-            if kind is In:
-                if arity in self._returns.get(root, ()):
-                    self._takers.add((root, arity))
-            elif root in self._calls:
-                self._callable[root] = self._calls[root][3]
         elif kind is Fusion:
             self._fusions.add(seq)
         elif kind is Repeat:
@@ -273,7 +264,7 @@ class Machine:
         subject = env.get(t.subject.id, t.subject)
         root, arity = self.env.representative(subject), len(t.objects)
         bucket = table[root][arity]
-        bucket.discard(seq)
+        del bucket[bisect_left(bucket, seq)]
         if not bucket:
             del table[root][arity]
             watch = self._watch[table is self._ins]
@@ -281,20 +272,17 @@ class Machine:
                 self._stale |= watch[root]
             if not table[root]:
                 del table[root]
-                if table is self._outs:
-                    self._callable.pop(root, None)
             self._live.discard((root, arity))
-            if table is self._ins:
-                self._takers.discard((root, arity))
         return t, env
 
     def _drain_unions(self) -> None:
         """Move the buckets and host-table entries of every root absorbed
-        since the last drain under its surviving root: the smaller bucket
-        merges into the larger, the first declared call method wins and
-        waiting returns stay in declaration order.  The repeats watching
-        the absorbed root move their keys to the surviving root and watch
-        it; they and the surviving root's watchers go stale."""
+        since the last drain under its surviving root: each number of the
+        smaller bucket is inserted in order into the larger, the first
+        declared call method wins and waiting returns stay in declaration
+        order.  The repeats watching the absorbed root move their keys to
+        the surviving root and watch it; they and the surviving root's
+        watchers go stale."""
         calls, returns = self._calls, self._returns
         repeats, stale = self._repeats, self._stale
         for absorbed, root in self.env.union_log:
@@ -318,29 +306,23 @@ class Machine:
                     small = into.get(arity, ())
                     if len(small) > len(bucket):
                         small, bucket = bucket, small
-                    bucket.update(small)
+                    for seq in small:
+                        insort(bucket, seq)
                     into[arity] = bucket
             call = calls.pop(absorbed, None)
             if call is not None:
                 calls[root] = min(call, calls.get(root, call),
                                   key=itemgetter(0))
-            self._callable.pop(absorbed, None)
-            if root in calls and root in self._outs:
-                self._callable[root] = calls[root][3]
             waiting = returns.pop(absorbed, None)
             if waiting is not None:
                 into = returns.setdefault(root, {})
                 for arity, ranked in waiting.items():
-                    arities.add(arity)
                     into[arity] = sorted(into.get(arity, []) + ranked)
             for arity in arities:
                 self._live.discard((absorbed, arity))
-                self._takers.discard((absorbed, arity))
-                if arity in self._ins.get(root, ()):
-                    if arity in self._outs.get(root, ()):
-                        self._live.add((root, arity))
-                    if arity in returns.get(root, ()):
-                        self._takers.add((root, arity))
+                if (arity in self._ins.get(root, ())
+                        and arity in self._outs.get(root, ())):
+                    self._live.add((root, arity))
         self.env.union_log.clear()
 
     def _stage(self, alias: str, method: str, staged: bool) -> None:
@@ -356,18 +338,13 @@ class Machine:
         if staged:
             insort(self._returns.setdefault(r, {}).setdefault(arity, []),
                    entry)
-            if arity in self._ins.get(r, ()):
-                self._takers.add((r, arity))
-            if r in self._watch[False]:
-                self._stale |= self._watch[False][r]
-            return
-        waiting = self._returns[r]
-        waiting[arity].remove(entry)
-        if not waiting[arity]:
-            del waiting[arity]
-            self._takers.discard((r, arity))
-            if not waiting:
-                del self._returns[r]
+        else:
+            waiting = self._returns[r]
+            waiting[arity].remove(entry)
+            if not waiting[arity]:
+                del waiting[arity]
+                if not waiting:
+                    del self._returns[r]
         if r in self._watch[False]:
             self._stale |= self._watch[False][r]
 
@@ -388,8 +365,8 @@ class Machine:
         of more than one redex gets its count as a weight; heads of one
         redex, the common case, need none.  Reads the persistent soup index
         and host tables, so the cost is O(heads) plus the stale repeats,
-        the staged returns and one sort of plain ints; idle threads, idle
-        extern endpoints and repeats that no change made stale cost
+        the classes with a call channel, the staged returns and one sort of
+        plain ints; idle threads and repeats that no change made stale cost
         nothing."""
         if self.env.union_log:
             self._drain_unions()
@@ -409,8 +386,8 @@ class Machine:
                                 if self._unfold_wanted(self._repeats[seq]))
             self._stale.clear()
         heads += self._wanted
-        for r, endpoint in self._callable.items():
-            if endpoint.pending is None:
+        for r, call in self._calls.items():
+            if r in outs and call[3].pending is None:
                 partnered = ins.get(r, ())
                 for arity, bucket in outs[r].items():
                     if arity in partnered:  # listed with their comms above
@@ -419,8 +396,10 @@ class Machine:
                                         for seq in bucket})
                     else:
                         heads += bucket
-        for r, arity in self._takers:
-            heads += ins[r][arity]
+        for r, waiting in self._returns.items():
+            takers = ins.get(r, {})
+            for arity in waiting:
+                heads += takers.get(arity, ())
         if not heads:
             # a repeat may always unfold when nothing else can move
             heads = list(self._repeats)
@@ -430,11 +409,10 @@ class Machine:
         return Redexes(self, heads,
                        list(accumulate(map(weights.get, heads, repeat(1)))))
 
-    def _redex(self, seq: int, offset: int, ranked: dict) -> tuple:
+    def _redex(self, seq: int, offset: int) -> tuple:
         """The redex headed by thread seq that is offset-th among the ones
-        it heads, in the order enumerate_redexes documents.  ranked keeps
-        the sorted partners of each (root, arity) bucket of several that one
-        enumeration decodes, so a bucket is sorted once, not per decode."""
+        it heads, in the order enumerate_redexes documents; an output's
+        offset-th comm partner is its input bucket's offset-th entry."""
         i = bisect_left(self._seqs, seq)
         t, env = self.threads[i], self.envs[i]
         kind = type(t)
@@ -448,14 +426,7 @@ class Machine:
             return ("host-return", i, self._returns[root][arity][0][1])
         partners = self._ins.get(root, {}).get(arity, ())
         if offset < len(partners):
-            if len(partners) == 1:
-                (j,) = partners
-            else:
-                order = ranked.get((root, arity))
-                if order is None:
-                    order = ranked[root, arity] = sorted(partners)
-                j = order[offset]
-            return ("comm", i, bisect_left(self._seqs, j))
+            return ("comm", i, bisect_left(self._seqs, partners[offset]))
         _, alias, m, _ = self._calls[root]
         return ("host-call", i, alias, m.name)
 
@@ -504,7 +475,7 @@ class Machine:
             else:
                 (inp, ienv), (out, oenv) = self._remove(j), self._remove(i)
             subject = oenv.get(out.subject.id, out.subject)
-            objects, fused, fenv = [], [], self.env
+            fused, fenv = [], self.env
             for v, n in zip(out.objects, inp.objects):
                 n = ienv.get(n.id, n)
                 if type(v) is NameRef:  # merge, without the wrappers
@@ -514,14 +485,12 @@ class Machine:
                 else:
                     fenv.attach(n, v)
                     fused.append(f"{v.value!r}~{n.display}")
-                objects.append(v)
             self.add_thread(out.cont, oenv)
             self.add_thread(inp.cont, ienv)
-            details = f"{fenv.class_display(subject)}/{len(objects)}"
+            details = f"{fenv.class_display(subject)}/{len(out.objects)}"
             if fused:
                 details += " " + ",".join(fused)
-            return TraceEvent(step, "comm", details,
-                              data=(subject, tuple(objects)))
+            return TraceEvent(step, "comm", details)
         if kind == "unfold":
             i = redex[1]
             rep, env = self.threads[i], self.envs[i]
@@ -538,8 +507,7 @@ class Machine:
             self._remove(i)
             self.add_thread(out.cont, env)
             details = f"{alias}.{method}({','.join(map(repr, args))})"
-            return TraceEvent(step, "host-call", details,
-                              data=(alias, method, tuple(args)))
+            return TraceEvent(step, "host-call", details)
         if kind == "host-return":
             i, alias = redex[1], redex[2]
             inp, env = self.threads[i], self.envs[i]
@@ -553,8 +521,7 @@ class Machine:
                                 HOST_LITERALS[type(value)](value))
             self.add_thread(inp.cont, env)
             details = f"{alias}.{method} -> {value!r}"
-            return TraceEvent(step, "host-return", details,
-                              data=(alias, method, value))
+            return TraceEvent(step, "host-return", details)
         raise ValueError(redex)
 
 
@@ -566,17 +533,16 @@ class Redexes(Sequence):
     alone: its head is the first whose running total exceeds k (entry k
     itself when there are no weights), found by bisection, and k minus the
     total before that head is the offset that picks the partner in its
-    bucket, sorted at the first such read.  A negative index counts from
-    the end, as in a list; there are no slices.  A read after the machine
-    has changed raises RuntimeError, so no sorted bucket outlives its
-    soup; a caller that executes between reads takes list() first."""
+    bucket.  A negative index counts from the end, as in a list; there are
+    no slices.  Entries are decoded from the live soup index, so a read
+    after the machine has changed raises RuntimeError; a caller that
+    executes between reads takes list() first."""
 
-    __slots__ = ("_machine", "_heads", "_totals", "_changes", "_ranked")
+    __slots__ = ("_machine", "_heads", "_totals", "_changes")
 
     def __init__(self, machine: Machine, heads: list, totals: list | None):
         self._machine, self._heads, self._totals = machine, heads, totals
         self._changes = machine._changes
-        self._ranked = {}  # (root, arity) -> sorted partners, see _redex
 
     def __len__(self) -> int:
         totals = self._totals
@@ -588,14 +554,13 @@ class Redexes(Sequence):
             raise RuntimeError("redexes read after the machine changed")
         totals = self._totals
         if totals is None:
-            return m._redex(self._heads[k], 0, self._ranked)
+            return m._redex(self._heads[k], 0)
         if k < 0:
             k += totals[-1]
             if k < 0:
                 raise IndexError(k)
         h = bisect_right(totals, k)
-        return m._redex(self._heads[h], k - totals[h - 1] if h else k,
-                        self._ranked)
+        return m._redex(self._heads[h], k - totals[h - 1] if h else k)
 
 
 def _walk_repeat(rep: Repeat, cache: dict) -> tuple:

@@ -61,7 +61,8 @@ def test_criterion_1_account_end_to_end():
         trace = run(program, seed=0)
         assert trace.status == "terminated"
         returns = [ev for ev in trace.events if ev.kind == "host-return"]
-        assert any(ev.data[2] == 1976528 for ev in returns)
+        assert any(ev.details.rpartition(" -> ")[2] == "1976528"
+                   for ev in returns)
         assert ("Console", "print:1976528", trace.events[-2].step) in \
             trace.machine.registry.effect_log or any(
                 e[1] == "print:1976528"
@@ -228,9 +229,10 @@ def test_criterion_9_fusion_semantics():
         assert trace.status == "terminated"
         assert [ev.kind for ev in trace.events] == ["comm", "comm"]
         first, second = trace.events
-        assert first.data[0] == x
-        assert second.data[0] in (a, v)  # the fused a/v class
-        assert second.data[1] == (IntLit(1),)
+        assert first.details.partition("/")[0] == x.display
+        subject, _, rest = second.details.partition("/")
+        assert subject in (a.display, v.display)  # the fused a/v class
+        assert rest == "1 1~w"  # one object, the literal 1, fused with w
         env = trace.machine.env
         assert env.fused_equal(NameRef(a), NameRef(v))
         assert env.attached_literal(w) == IntLit(1)
