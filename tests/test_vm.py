@@ -3,14 +3,15 @@
 import json
 import random
 import time
+from bisect import insort
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (FusionClash, FusionEnv, IntLit, NameRef, New, Nil,
-                         Out, Par, Program, Repeat, SurfaceFormError)
+from pichan.core import (FusionClash, FusionEnv, In, IntLit, NameRef, New,
+                         Nil, Out, Par, Program, Repeat, SurfaceFormError)
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
 from pichan.parser import desugar, parse_program
@@ -451,11 +452,12 @@ def test_flood_lists_each_head_once():
         redexes[n * n]
 
 
-def test_decoding_every_redex_of_a_flood_step_sorts_its_bucket_once():
+def test_decoding_every_redex_of_a_flood_step_reads_its_bucket_in_order():
     # the first step of a flood of 500: 250,000 comms, each output heading
-    # 500 of them over one bucket of 500 inputs.  On a shared 2-vCPU VM,
-    # sorting the bucket per decode took 2.2-2.8 s, and sorting it once per
-    # enumeration takes 0.37-0.44 s; the better of two decodings counts
+    # 500 of them over one bucket of 500 inputs, which is kept in order, so
+    # a decode reads its partner at its offset.  A decode that sorts the
+    # bucket takes 2.2-2.8 s on a shared 2-vCPU VM, well above the bound;
+    # the better of two decodings counts
     m = _machine(golden_traces.flood_source(500))
     seconds = []
     for _ in range(2):
@@ -465,6 +467,32 @@ def test_decoding_every_redex_of_a_flood_step_sorts_its_bucket_once():
         seconds.append(time.perf_counter() - start)
     assert got == reference_scheduler.enumerate_redexes(m, True)
     assert min(seconds) < 0.8, seconds
+
+
+@pytest.mark.parametrize("fusion", ["x = y", "y = x"])
+@pytest.mark.parametrize("polarity,partner", [("!", "?"), ("?", "!")])
+def test_a_union_inserts_the_smaller_bucket_into_the_larger(
+        monkeypatch, fusion, polarity, partner):
+    # a class of 1,000 outputs (or inputs) on x and one of 1 on y, placed
+    # among them; on a rank tie the fusion's left side survives, so "x = y"
+    # absorbs the small bucket and "y = x" the large one.  Either way one
+    # number moves, with one insort, and the merged bucket stays in order
+    half = " | ".join([f"x{polarity}()"] * 500)
+    m = _machine(f"{half} | y{polarity}() | {half} | x{partner}() | {fusion}")
+    calls = []
+
+    def counted(bucket, seq):
+        calls.append(seq)
+        insort(bucket, seq)
+
+    monkeypatch.setattr("pichan.vm.insort", counted)
+    m.execute(("fusion", len(m.threads) - 1))
+    redexes = list(m.enumerate_redexes())
+    assert len(calls) == 1
+    outs = [i for i, t in enumerate(m.threads) if type(t) is Out]
+    ins = [j for j, t in enumerate(m.threads) if type(t) is In]
+    assert redexes == [("comm", i, j) for i in outs for j in ins]
+    assert len(redexes) == 1001
 
 
 def test_redexes_read_after_a_direct_union_raises():
