@@ -3,15 +3,14 @@ declarations and programs, and explicit fusions.
 
 Process terms form a small pi-calculus with explicit fusions: communication
 does not substitute, it fuses argument pairs, and a fusion ``x=y`` is itself
-a process.  Name identity is the integer ``id``; the ``display`` text is for
-humans only and never affects semantics.  The front end (parser,
-typecheck) and the back end (xir, interop, vm) build on this module and on
-diag, never on each other.
+a process.  A value position (an output argument, a fusion side) holds a
+Name or a literal.  Name identity is the integer ``id``; the ``display``
+text is for humans only and never affects semantics.  The front end
+(parser, typecheck) and the back end (xir, interop, vm) build on this
+module and on diag, never on each other.
 """
 
 from __future__ import annotations
-
-from operator import attrgetter
 
 
 class SurfaceFormError(Exception):
@@ -69,7 +68,9 @@ def base_sort(name: str) -> BaseSort | None:
 
 
 class Name:
-    """A name.  Equality and hash use the id alone."""
+    """A name; it is also the value that an output argument or a fusion
+    side holds when that position names a channel.  Equality and hash use
+    the id alone, so a name never equals a literal."""
 
     __slots__ = ("id", "display")
 
@@ -106,28 +107,19 @@ NOT_XML_CHARS = r"\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
 
 
 class Value(Record):
-    """Base of the five value classes.  A value equals only a value of its
-    own class whose field is equal, so IntLit(1) != BoolLit(True); its hash
-    is its field's."""
+    """Base of the four literal classes.  A literal equals only a literal
+    of its own class whose value is equal, so IntLit(1) != BoolLit(True);
+    its hash is its value's."""
 
     __slots__ = ()
-    _key = attrgetter("value")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key(self) == other._key(other)
+            return self.value == other.value
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key(self))
-
-
-class NameRef(Value):
-    __slots__ = _fields = ("name",)
-    _key = attrgetter("name")
-
-    def __init__(self, name: Name):
-        self.name = name
+        return hash(self.value)
 
 
 class IntLit(Value):
@@ -195,7 +187,7 @@ class Out(Record):
     __slots__ = _fields = ("subject", "objects", "cont", "span")
 
     def __init__(self, subject: Name, objects: tuple, cont: Process,
-                 span=None):  # objects: tuple[Value, ...]
+                 span=None):  # objects: tuple[Name | Value, ...]
         self.subject, self.objects, self.cont = subject, objects, cont
         self.span = span
 
@@ -219,7 +211,7 @@ class Repeat(Record):
 class Fusion(Record):
     __slots__ = _fields = ("left", "right", "span")
 
-    def __init__(self, left: Value, right: Value, span=None):
+    def __init__(self, left: Name | Value, right: Name | Value, span=None):
         self.left, self.right, self.span = left, right, span
 
 
@@ -342,28 +334,30 @@ class FusionEnv:
         rep = self._names.get(root, n)
         return rep.display
 
-    def fused_equal(self, a: Value, b: Value) -> bool:
-        if isinstance(a, NameRef) and isinstance(b, NameRef):
-            return self._find(a.name.id) == self._find(b.name.id)
-        if isinstance(a, NameRef):
-            lit = self.attached_literal(a.name)
+    def fused_equal(self, a: Name | Value, b: Name | Value) -> bool:
+        if type(a) is Name and type(b) is Name:
+            return self._find(a.id) == self._find(b.id)
+        if type(a) is Name:
+            lit = self.attached_literal(a)
             return lit is not None and lit == b
-        if isinstance(b, NameRef):
-            lit = self.attached_literal(b.name)
+        if type(b) is Name:
+            lit = self.attached_literal(b)
             return lit is not None and lit == a
         return a == b
 
-    def merge(self, a: Value, b: Value) -> "FusionEnv":
-        """Identify a and b.  Raises FusionClash when that would equate two
-        distinct literals (directly or through class attachments)."""
-        if isinstance(a, NameRef) and isinstance(b, NameRef):
-            self.union(a.name, b.name)
+    def merge(self, a: Name | Value, b: Name | Value) -> "FusionEnv":
+        """Identify a and b, each a Name or a literal: two names by union, a
+        name and a literal by attach.  Raises FusionClash when that would
+        equate two distinct literals (directly or through class
+        attachments)."""
+        if type(a) is Name and type(b) is Name:
+            self.union(a, b)
             return self
-        if isinstance(a, NameRef):
-            self.attach(a.name, b)
+        if type(a) is Name:
+            self.attach(a, b)
             return self
-        if isinstance(b, NameRef):
-            self.attach(b.name, a)
+        if type(b) is Name:
+            self.attach(b, a)
             return self
         if a != b:
             raise FusionClash(f"cannot fuse literals {a} and {b}")

@@ -25,8 +25,8 @@ from __future__ import annotations
 import re
 
 from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
-                   NameRef, NameSupply, New, Nil, NOT_XML_CHARS, Out, Par,
-                   Process, Program, Repeat, StrLit, UnitLit, Value, base_sort)
+                   NameSupply, New, Nil, NOT_XML_CHARS, Out, Par, Process,
+                   Program, Repeat, StrLit, UnitLit, Value, base_sort)
 from .diag import Diagnostic, ParseError, Source
 
 KEYWORDS = {
@@ -304,9 +304,9 @@ class _Parser:
                         return p
                     self.expect(")")
 
-    def _value(self, t: tuple, scope: dict) -> Value:
+    def _value(self, t: tuple, scope: dict) -> Name | Value:
         if t[0] == "ident":
-            return NameRef(self.lookup(t, scope))
+            return self.lookup(t, scope)
         if t[0] == "intlit":
             try:
                 return IntLit(int(t[1]))
@@ -457,10 +457,9 @@ def desugar(program: Program) -> Program:
     return Program(program.externs, built[0])
 
 
-def _rename_value(v: Value, env: dict, ids: list) -> Value:
+def _rename_value(v: Name | Value, env: dict, ids: list) -> Name | Value:
     """v renamed under env; ids gets v's id when v is a name."""
-    if type(v) is NameRef:
-        ids.append(v.name.id)
-        if env.get(v.name.id):
-            return NameRef(env[v.name.id])
+    if type(v) is Name:
+        ids.append(v.id)
+        return env.get(v.id) or v
     return v

@@ -12,7 +12,7 @@ but is rejected here, so no later stage sees a protocol.
 
 from __future__ import annotations
 
-from .core import Fusion, In, NameRef, New, Out, Par, Repeat, nodes
+from .core import Fusion, In, Name, New, Out, Par, Repeat, nodes
 from .diag import Diagnostic
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def check_sorts(program) -> list:
     find, sort = uni.find, uni.sort
 
     def term(v):
-        return v.name.id if type(v) is NameRef else v.sort
+        return v.id if type(v) is Name else v.sort
 
     for p in nodes(program.main):  # pre-order: the order of the diagnostics
         kind = type(p)
@@ -246,8 +246,8 @@ def check_extern_usage(program) -> list:
             if info is not None and info[0] not in sets[-1]:
                 sets[-1] = sets[-1] | {info[0]}
         elif kind is Fusion:
-            sets.append(frozenset(table[v.name.id][0] for v in (p.left, p.right)
-                                  if isinstance(v, NameRef) and v.name.id in table))
+            sets.append(frozenset(table[v.id][0] for v in (p.left, p.right)
+                                  if type(v) is Name and v.id in table))
         elif kind is not New and kind is not Repeat:  # nil
             sets.append(frozenset())
 
@@ -288,8 +288,8 @@ def check_extern_usage(program) -> list:
                     pending = {**pending, alias: method}
             stack.append((p.cont, pending, frozenset()))
         elif kind is Fusion:
-            sides = [v.name.id for v in (p.left, p.right)
-                     if isinstance(v, NameRef) and v.name.id in table]
+            sides = [v.id for v in (p.left, p.right)
+                     if type(v) is Name and v.id in table]
             if len(sides) == 2:
                 diags.append(Diagnostic(
                     "error", "E-USE",

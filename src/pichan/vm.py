@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .core import (HOST_LITERALS, Fusion, FusionClash, FusionEnv, In, Name,
-                   NameRef, New, Nil, Out, Par, Process, Record, Repeat,
+                   New, Nil, Out, Par, Process, Record, Repeat,
                    SurfaceFormError, Value)
 from .interop import (Endpoint, HostFault, HostRegistry, ProtocolViolation,
                       UngroundArgument, build_std_registry, complete_return,
@@ -111,8 +111,10 @@ class Machine:
 
     A thread is a code node of the program, never rewritten, and an
     environment (envs, parallel to threads) from the ids of the binders
-    around it to their run-time names; a name not in it is free.  Subjects
-    and objects are resolved through it when a thread is indexed or run.
+    around it to their run-time names; a name not in it is free.  Every
+    Name a thread holds, as a subject, an argument or a fusion side, is
+    resolved through it with one lookup when the thread is indexed or run;
+    a literal stands for itself.
     The threads of one | share their environment, and an unfolded repeat
     body gets the part of its repeat's environment that the body names.
     Run-time names take the ids -1, -2, ... in the order the news are
@@ -448,11 +450,11 @@ class Machine:
     def _ground_args(self, out: Out, env: dict) -> list:
         args = []
         for v in out.objects:
-            if isinstance(v, NameRef):
-                lit = self.env.attached_literal(env.get(v.name.id, v.name))
+            if type(v) is Name:
+                lit = self.env.attached_literal(env.get(v.id, v))
                 if lit is None:
                     raise UngroundArgument(
-                        f"argument {v.name.display} has no attached literal")
+                        f"argument {v.display} has no attached literal")
                 v = lit
             args.append(v.value)
         return args
@@ -478,8 +480,8 @@ class Machine:
             fused, fenv = [], self.env
             for v, n in zip(out.objects, inp.objects):
                 n = ienv.get(n.id, n)
-                if type(v) is NameRef:  # merge, without the wrappers
-                    v = oenv.get(v.name.id, v.name)
+                if type(v) is Name:  # merge's two cases, inline
+                    v = oenv.get(v.id, v)
                     fenv.union(v, n)
                     fused.append(f"{v.display}~{n.display}")
                 else:
@@ -588,14 +590,12 @@ def _walk_repeat(rep: Repeat, cache: dict) -> tuple:
             repeats.append(inner)
             stack.append((p.body, inner[1], inner[2], True))
         elif kind is Fusion:
-            named.update(v.name.id for v in (p.left, p.right)
-                         if type(v) is NameRef)
+            named.update(v.id for v in (p.left, p.right) if type(v) is Name)
         elif kind is Out or kind is In:
             if top:
                 acts.append((kind is Out, p.subject, len(p.objects)))
             named.add(p.subject.id)
-            named.update([n.id for n in p.objects] if kind is In else
-                         [v.name.id for v in p.objects if type(v) is NameRef])
+            named.update([v.id for v in p.objects if type(v) is Name])
             stack.append((p.cont, acts, named, False))
     for p, acts, named, outer in reversed(repeats):  # inner ones first
         cache[id(p)] = (p, tuple(acts), frozenset(named))
@@ -604,14 +604,12 @@ def _walk_repeat(rep: Repeat, cache: dict) -> tuple:
     return cache[id(rep)]
 
 
-def _resolve(v: Value, env: dict) -> Value:
-    if type(v) is NameRef and v.name.id in env:
-        return NameRef(env[v.name.id])
-    return v
+def _resolve(v: Name | Value, env: dict) -> Name | Value:
+    return env.get(v.id, v) if type(v) is Name else v
 
 
-def _value_text(v: Value) -> str:
-    return v.name.display if type(v) is NameRef else repr(v.value)
+def _value_text(v: Name | Value) -> str:
+    return v.display if type(v) is Name else repr(v.value)
 
 
 def _has_pending(m: Machine) -> bool:

@@ -39,7 +39,7 @@ import xml.etree.ElementTree as ET
 from operator import itemgetter
 
 from .core import (BoolLit, ExternDecl, Fusion, In, IntLit, MethodDecl, Name,
-                   NameRef, New, NIL, Nil, Out, Par, Process, Program, Repeat,
+                   New, NIL, Nil, Out, Par, Process, Program, Repeat,
                    NOT_XML_CHARS, StrLit, SurfaceFormError, UnitLit, Value,
                    base_sort)
 
@@ -105,11 +105,11 @@ def _list_item(n: Name, what: str) -> str:
     return _name_text(n)
 
 
-def _value_text(v: Value, use) -> str:
+def _value_text(v: Name | Value, use) -> str:
     """v in the kind:value grammar of arguments and fusion sides; use(n)
     is the text of a name n."""
-    if isinstance(v, NameRef):
-        return "name:" + use(v.name)
+    if type(v) is Name:
+        return "name:" + use(v)
     if isinstance(v, IntLit):
         return f"int:{v.value}"
     if isinstance(v, StrLit):
@@ -198,9 +198,7 @@ def _write_proc(lines: list, p: Process, displays: dict,
                 cont = p.cont
                 line += f' subject="{use(p.subject)}"'
                 for i, v in enumerate(p.objects):
-                    text = (_value_text(v, use) if kind is Out
-                            else "name:" + use(v))
-                    line += f" a{i}={_quoted(text)}"
+                    line += f" a{i}={_quoted(_value_text(v, use))}"
             if type(cont) is Nil:
                 lines.append(line + "/>")
             else:
@@ -301,8 +299,10 @@ def _undeclared(text: str, what: str, outside: dict) -> SchemaError:
     return SchemaError(f"undeclared name {text!r} in {what}")
 
 
-def _split_value(text: str, what: str, decls: dict, outside: dict) -> Value:
-    """A value in the kind:value grammar of arguments and fusion sides."""
+def _split_value(text: str, what: str, decls: dict,
+                 outside: dict) -> Name | Value:
+    """A value in the kind:value grammar of arguments and fusion sides: a
+    name is the declared Name itself."""
     kind, sep, val = text.partition(":")
     if not sep and kind != "unit":
         raise SchemaError(f"bad {what} value {text!r}")
@@ -310,7 +310,7 @@ def _split_value(text: str, what: str, decls: dict, outside: dict) -> Value:
         n = decls.get(val)
         if n is None:
             raise _undeclared(val, what, outside)
-        return NameRef(n)
+        return n
     if kind == "int":
         n = _decimal(val)
         if n is None:
@@ -353,8 +353,10 @@ def _read_proc(elem, decls: dict, kinds: dict) -> Process:
     once its element's subtree is read: a new list's id texts end their
     scope, and an in's error that not all its arguments are names raises.
     A use resolves with one lookup in decls, which holds the names in
-    scope.  The VM binds a new's id in a shared environment, sound only if
-    no id is bound twice or occurs outside its new, as this ensures."""
+    scope, to the declared Name itself, whether it is a subject, an
+    argument of an out or an in, or a fusion side.  The VM binds a new's
+    id in a shared environment, sound only if no id is bound twice or
+    occurs outside its new, as this ensures."""
     top = Repeat(NIL)  # its body slot receives the process
     stack = [(elem, top, "body")]
     outside = {}  # id text -> name, of the binders whose new has closed
@@ -389,16 +391,14 @@ def _read_proc(elem, decls: dict, kinds: dict) -> Process:
                     _attrs(elem, ("subject", *(
                         f"a{i}" for i in range(count - 1))), tag)  # raises
                 args = []
-                names = tag == "in"  # an in with only names so far
+                literal = False  # whether an argument is a literal
                 for text in texts:
                     if text[:5] != "name:":
                         v = values.get(text) or values.setdefault(
                             text, _split_value(text, tag, decls, outside))
-                        names = False
+                        literal = True
                     elif (v := decls.get(text[5:])) is None:
                         raise _undeclared(text[5:], tag, outside)
-                    elif not names:
-                        v = NameRef(v)
                     args.append(v)
                 subj = decls.get(subject)
                 if subj is None:
@@ -409,7 +409,7 @@ def _read_proc(elem, decls: dict, kinds: dict) -> Process:
                     node = inner = Out(subj, tuple(args), NIL)
                 else:
                     node = inner = In(subj, tuple(args), False, NIL)
-                    if not names:
+                    if literal:
                         stack.append("in arguments must be names")
                 if len(elem):
                     child, into = elem[0], "cont"

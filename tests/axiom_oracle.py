@@ -16,7 +16,7 @@ design) keeps apart.
 
 from __future__ import annotations
 
-from pichan.core import (Fusion, In, NameRef, NameSupply, New, Nil, Out, Par,
+from pichan.core import (Fusion, In, Name, NameSupply, New, Nil, Out, Par,
                          Process, Repeat, process_size)
 
 from congruence import value_token
@@ -53,8 +53,6 @@ def alpha_key(p: Process, env=None, depth: int = 0) -> str:
 
 
 def _values_equal(a, b) -> bool:
-    if isinstance(a, NameRef) and isinstance(b, NameRef):
-        return a.name == b.name
     return type(a) is type(b) and a == b
 
 
@@ -91,9 +89,9 @@ def _local_rewrites(p: Process, supply: NameSupply) -> list:
             fus, rest = p.body, NIL
         elif isinstance(p.body, Par) and isinstance(p.body.left, Fusion):
             fus, rest = p.body.left, p.body.right
-        if fus is not None and isinstance(fus.left, NameRef) \
-                and isinstance(fus.right, NameRef):
-            a, b = fus.left.name, fus.right.name
+        if fus is not None and type(fus.left) is Name \
+                and type(fus.right) is Name:
+            a, b = fus.left, fus.right
             if a != b:
                 if a == p.name:
                     out.append(substitute(rest, a, b, supply))

@@ -8,17 +8,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from pichan.core import (BoolLit, Fusion, In, IntLit, Name, NameRef, New, Nil,
-                         Out, Par, Process, Repeat, StrLit, SurfaceFormError,
-                         Value)
+from pichan.core import (BoolLit, Fusion, In, IntLit, Name, New, Nil, Out, Par,
+                         Process, Repeat, StrLit, SurfaceFormError, Value)
 
 
-def value_token(v: Value, env: Optional[dict] = None) -> str:
+def value_token(v: Name | Value, env: Optional[dict] = None) -> str:
     """Stable textual token for a value; bound names render via env."""
-    if isinstance(v, NameRef):
-        if env is not None and v.name.id in env:
-            return env[v.name.id]
-        return f"f{v.name.id}"
+    if isinstance(v, Name):
+        if env is not None and v.id in env:
+            return env[v.id]
+        return f"f{v.id}"
     if isinstance(v, IntLit):
         return f"i{v.value}"
     if isinstance(v, StrLit):
@@ -28,9 +27,9 @@ def value_token(v: Value, env: Optional[dict] = None) -> str:
     return "u"
 
 
-def _subst_value(v: Value, src: Name, dst: Name) -> Value:
-    if isinstance(v, NameRef) and v.name == src:
-        return NameRef(dst)
+def _subst_value(v: Name | Value, src: Name, dst: Name) -> Name | Value:
+    if isinstance(v, Name) and v == src:
+        return dst
     return v
 
 
@@ -95,15 +94,13 @@ def _comp_names(c) -> set:
     """Free name ids of an NF component (binders inside already resolved)."""
     kind = c[0]
     if kind == "fus":
-        return {v.name.id for v in (c[1], c[2]) if isinstance(v, NameRef)}
+        return {v.id for v in (c[1], c[2]) if isinstance(v, Name)}
     if kind == "rep":
         return _scope_names(c[1])
     # out / in
     ids = {c[1].id}
     for v in c[2]:
-        if isinstance(v, NameRef):
-            ids.add(v.name.id)
-        elif isinstance(v, Name):
+        if isinstance(v, Name):
             ids.add(v.id)
     return ids | _scope_names(c[3])
 
@@ -137,9 +134,7 @@ def _subst_scope(scope, src: Name, dst: Name):
     return _fix_scope(list(binders), [_subst_comp(c, src, dst) for c in comps])
 
 
-def _values_equal(a: Value, b: Value) -> bool:
-    if isinstance(a, NameRef) and isinstance(b, NameRef):
-        return a.name == b.name
+def _values_equal(a: Name | Value, b: Name | Value) -> bool:
     return type(a) is type(b) and a == b
 
 
@@ -165,15 +160,15 @@ def _fix_scope(binders: list, comps: list):
             if c[0] != "fus":
                 continue
             a, b = c[1], c[2]
-            if not (isinstance(a, NameRef) and isinstance(b, NameRef)):
+            if not (isinstance(a, Name) and isinstance(b, Name)):
                 continue
-            if a.name == b.name:
+            if a == b:
                 continue
             src = dst = None
-            if a.name.id in bound_ids:
-                src, dst = a.name, b.name
-            elif b.name.id in bound_ids:
-                src, dst = b.name, a.name
+            if a.id in bound_ids:
+                src, dst = a, b
+            elif b.id in bound_ids:
+                src, dst = b, a
             if src is None:
                 continue
             rest = comps[:i] + comps[i + 1:]

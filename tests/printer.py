@@ -5,9 +5,9 @@ alpha-equivalent Program.
 
 from __future__ import annotations
 
-from pichan.core import (BoolLit, ExternDecl, Fusion, In, IntLit, Name,
-                         NameRef, New, Nil, Out, Par, Process, Program, Repeat,
-                         StrLit, Value)
+from pichan.core import (BoolLit, ExternDecl, Fusion, In, IntLit, Name, New,
+                         Nil, Out, Par, Process, Program, Repeat, StrLit,
+                         Value)
 from pichan.parser import KEYWORDS
 
 from terms import name_scan
@@ -86,9 +86,9 @@ def _format_extern(d: ExternDecl, names: dict) -> str:
     return "\n".join(lines)
 
 
-def _value_text(v: Value, names: dict) -> str:
-    if isinstance(v, NameRef):
-        return names[v.name.id]
+def _value_text(v: Name | Value, names: dict) -> str:
+    if isinstance(v, Name):
+        return names[v.id]
     if isinstance(v, IntLit):
         return str(v.value)
     if isinstance(v, StrLit):
@@ -187,8 +187,8 @@ def _alpha(p: Process, q: Process, ep: dict, eq: dict, counter: list) -> bool:
         return a.display == b.display
 
     def value_eq(a, b) -> bool:
-        if isinstance(a, NameRef) and isinstance(b, NameRef):
-            return name_eq(a.name, b.name)
+        if isinstance(a, Name) and isinstance(b, Name):
+            return name_eq(a, b)
         return type(a) is type(b) and a == b
 
     if isinstance(p, Nil):

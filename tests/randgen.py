@@ -6,8 +6,8 @@ import random
 import string
 
 from pichan.core import (BOOL, INT, STR, BoolLit, ExternDecl, Fusion, In,
-                         IntLit, MethodDecl, NameRef, NameSupply, New, Nil,
-                         Out, Par, Program, Repeat, StrLit, UnitLit)
+                         IntLit, MethodDecl, NameSupply, New, Nil, Out, Par,
+                         Program, Repeat, StrLit, UnitLit)
 
 _SORTS = [INT, STR, BOOL]
 
@@ -45,7 +45,7 @@ def gen_extern(rng: random.Random, supply: NameSupply, idx: int) -> ExternDecl:
 def _gen_value(rng: random.Random, scope: list):
     r = rng.random()
     if r < 0.55 and scope:
-        return NameRef(rng.choice(scope))
+        return rng.choice(scope)
     if r < 0.7:
         return IntLit(rng.randint(-9, 99))
     if r < 0.8:

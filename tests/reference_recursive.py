@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from xml.sax.saxutils import quoteattr
 
 from pichan.core import (BOOL, INT, STR, UNIT, BaseSort, BoolLit, Fusion, In,
-                         IntLit, Name, NameRef, New, Nil, Out, Par, Process,
-                         Program, Repeat, StrLit, SurfaceFormError, UnitLit,
-                         nodes)
+                         IntLit, Name, New, Nil, Out, Par, Process, Program,
+                         Repeat, StrLit, SurfaceFormError, UnitLit, nodes)
 from pichan.diag import Diagnostic, Source
 from pichan.parser import _Parser, tokenize
 from pichan.typecheck import SHOW_LIMIT, extern_channel_table
@@ -250,8 +249,8 @@ def check_sorts(program) -> list:
             uni.binding[("n", nid)] = sort
 
     def value_term(v):
-        if isinstance(v, NameRef):
-            return uni.name_var(v.name)
+        if isinstance(v, Name):
+            return uni.name_var(v)
         return literal_sort(v)
 
     def walk(p) -> None:
@@ -310,8 +309,8 @@ def check_extern_usage(program) -> list:
                 if p.subject.id in table:
                     got = got | {table[p.subject.id][0]}
             elif isinstance(p, Fusion):
-                got = frozenset(table[v.name.id][0] for v in (p.left, p.right)
-                                if isinstance(v, NameRef) and v.name.id in table)
+                got = frozenset(table[v.id][0] for v in (p.left, p.right)
+                                if isinstance(v, Name) and v.id in table)
             else:
                 got = frozenset()
             memo[id(p)] = got
@@ -361,8 +360,8 @@ def check_extern_usage(program) -> list:
                                   f"input on {p.subject.display}")
             walk(p.cont, pending)
         elif isinstance(p, Fusion):
-            sides = [v.name.id for v in (p.left, p.right)
-                     if isinstance(v, NameRef) and v.name.id in table]
+            sides = [v.id for v in (p.left, p.right)
+                     if isinstance(v, Name) and v.id in table]
             if len(sides) == 2:
                 diags.append(Diagnostic(
                     "error", "E-USE",
@@ -515,7 +514,7 @@ class _Decls:
 
     def value(self, text: str, what: str, scope: frozenset):
         if text.startswith("name:"):
-            return NameRef(self.name(text[5:], what, scope))
+            return self.name(text[5:], what, scope)
         return _split_value(text, what, self.table, {})
 
 
@@ -577,9 +576,9 @@ def _read_bare(elem, decls: _Decls, scope: frozenset) -> Process:
             return Out(subj, tuple(args), cont)
         objects = []
         for v in args:
-            if not isinstance(v, NameRef):
+            if not isinstance(v, Name):
                 raise SchemaError("in arguments must be names")
-            objects.append(v.name)
+            objects.append(v)
         return In(subj, tuple(objects), False, cont)
     if tag == "repeat":
         _attrs(elem, (), "repeat")

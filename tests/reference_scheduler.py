@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from pichan.core import Fusion, In, NameRef, New, Out, Par, Repeat
+from pichan.core import Fusion, In, New, Out, Par, Repeat
 from pichan.vm import Machine
 
 from substitution import soup
@@ -18,7 +18,7 @@ def _endpoint_for_call(m: Machine, subject) -> Optional[tuple]:
     for alias in m.endpoints:
         ep = m.endpoints[alias]
         for meth in ep.decl.methods:
-            if m.env.fused_equal(NameRef(subject), NameRef(meth.call_channel)):
+            if m.env.fused_equal(subject, meth.call_channel):
                 return alias, meth
     return None
 
@@ -29,8 +29,7 @@ def _pending_return_match(m: Machine, thread: In) -> Optional[str]:
         if ep.pending is None:
             continue
         meth = ep.method(ep.pending[0])
-        if (m.env.fused_equal(NameRef(thread.subject),
-                              NameRef(meth.return_channel))
+        if (m.env.fused_equal(thread.subject, meth.return_channel)
                 and len(thread.objects) == len(meth.return_payload)):
             return alias
     return None
@@ -63,8 +62,7 @@ def _unfold_wanted(m: Machine, threads: list, body) -> bool:
             if a is b or isinstance(a, type(b)):
                 continue
             if (len(a.objects) == len(b.objects)
-                    and m.env.fused_equal(NameRef(a.subject),
-                                          NameRef(b.subject))):
+                    and m.env.fused_equal(a.subject, b.subject)):
                 return True
     return False
 
@@ -102,8 +100,7 @@ def enumerate_redexes(m: Machine, strict: bool = True) -> list:
                 continue
             if isinstance(a, Out) and isinstance(b, In):
                 if (len(a.objects) == len(b.objects)
-                        and m.env.fused_equal(NameRef(a.subject),
-                                              NameRef(b.subject))):
+                        and m.env.fused_equal(a.subject, b.subject)):
                     redexes.append(("comm", i, j))
     for i in repeats:
         if _unfold_wanted(m, threads, threads[i].body):

@@ -10,8 +10,7 @@ inspect payloads, so this loses no coverage.
 
 from __future__ import annotations
 
-from pichan.core import (Fusion, In, NameRef, NameSupply, New, Nil, Out,
-                         Par, Repeat)
+from pichan.core import Fusion, In, NameSupply, New, Nil, Out, Par, Repeat
 
 
 def enumerate_terms(free: list, max_size: int) -> list:
@@ -31,7 +30,7 @@ def _terms(size: int, scope: tuple, supply: NameSupply) -> list:
     if size == 3:
         for a in scope:
             for b in scope:
-                results.append(Fusion(NameRef(a), NameRef(b)))
+                results.append(Fusion(a, b))
     if size >= 3:  # nullary prefixes: 2 + |cont|
         for cont in _terms(size - 2, scope, supply):
             for s in scope:

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from pichan.core import (NIL, ExternDecl, Fusion, In, MethodDecl, Name,
-                         NameRef, New, Nil, Out, Par, Process, Program, Record,
-                         Repeat, Value, nodes)
+from pichan.core import (NIL, ExternDecl, Fusion, In, MethodDecl, Name, New,
+                         Nil, Out, Par, Process, Program, Record, Repeat,
+                         Value, nodes)
 from pichan.diag import Diagnostic
 from pichan.xir import SchemaError, from_xml
 
@@ -27,8 +27,8 @@ def free_names(p: Process) -> set:
     if isinstance(p, Out):
         names = {p.subject}
         for v in p.objects:
-            if isinstance(v, NameRef):
-                names.add(v.name)
+            if isinstance(v, Name):
+                names.add(v)
         return names | free_names(p.cont)
     if isinstance(p, In):
         inner = free_names(p.cont)
@@ -42,8 +42,8 @@ def free_names(p: Process) -> set:
     if isinstance(p, Fusion):
         names = set()
         for v in (p.left, p.right):
-            if isinstance(v, NameRef):
-                names.add(v.name)
+            if isinstance(v, Name):
+                names.add(v)
         return names
     raise TypeError(p)
 
@@ -59,8 +59,8 @@ def name_scan(p: Process, names: dict | None = None) -> tuple[int, bool]:
         if kind is Out:
             names[p.subject.id] = p.subject
             for v in p.objects:
-                if type(v) is NameRef:
-                    names[v.name.id] = v.name
+                if type(v) is Name:
+                    names[v.id] = v
         elif kind is In:
             names[p.subject.id] = p.subject
             for n in p.objects:
@@ -70,8 +70,8 @@ def name_scan(p: Process, names: dict | None = None) -> tuple[int, bool]:
             names[p.name.id] = p.name
         elif kind is Fusion:
             for v in (p.left, p.right):
-                if type(v) is NameRef:
-                    names[v.name.id] = v.name
+                if type(v) is Name:
+                    names[v.id] = v
     return max([-1, *names]), core
 
 
@@ -90,7 +90,7 @@ def renumbered(program: Program, new_id: dict) -> Program:
         return Name(new_id[n.id], n.display)
 
     def value(v):
-        return NameRef(name(v.name)) if isinstance(v, NameRef) else v
+        return name(v) if isinstance(v, Name) else v
 
     def proc(p: Process) -> Process:
         if isinstance(p, Par):

@@ -8,7 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from pichan.core import In, IntLit, NameRef, NameSupply, Out, Par, Program
+from pichan.core import In, IntLit, NameSupply, Out, Par, Program
 from pichan.interop import build_std_registry, resolve_externs
 from pichan.parser import desugar, parse_program
 from pichan.typecheck import (check_extern_usage, check_protocol_schema,
@@ -222,7 +222,7 @@ def test_criterion_9_fusion_semantics():
         supply = NameSupply()
         x, a, v, w = (supply.fresh(c) for c in "xavw")
         program = Program((), Par(
-            Out(x, (NameRef(a),), Nil()),
+            Out(x, (a,), Nil()),
             Par(In(x, (v,), False, Out(v, (IntLit(1),), Nil())),
                 In(a, (w,), False, Nil()))))
         trace = run(program, seed=0)
@@ -234,5 +234,5 @@ def test_criterion_9_fusion_semantics():
         assert subject in (a.display, v.display)  # the fused a/v class
         assert rest == "1 1~w"  # one object, the literal 1, fused with w
         env = trace.machine.env
-        assert env.fused_equal(NameRef(a), NameRef(v))
+        assert env.fused_equal(a, v)
         assert env.attached_literal(w) == IntLit(1)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (BOOL, HOST_LITERALS, INT, STR, UNIT, BoolLit, Fusion,
-                         FusionClash, FusionEnv, In, IntLit, Name, NameRef,
-                         NameSupply, New, Nil, Out, Par, Repeat, StrLit,
-                         SurfaceFormError, UnitLit, process_size)
+                         FusionClash, FusionEnv, In, IntLit, Name, NameSupply,
+                         New, Nil, Out, Par, Repeat, StrLit, SurfaceFormError,
+                         UnitLit, process_size)
 
 from congruence import canonical_key, congruent
 from randgen import gen_process
@@ -32,7 +32,7 @@ def test_free_names_nil():
 
 def test_free_names_new_binds():
     x, y = _names("x", "y")
-    p = New(x, Out(x, (NameRef(y),), Nil()))
+    p = New(x, Out(x, (y,), Nil()))
     assert free_names(p) == {y}
 
 
@@ -43,7 +43,7 @@ def test_free_names_fusion_and_inner_binder():
     x = supply.fresh("x")
     y = supply.fresh("y")
     inner_y = supply.fresh("y")
-    p = Par(Fusion(NameRef(x), NameRef(y)),
+    p = Par(Fusion(x, y),
             New(inner_y, Out(inner_y, (), Nil())))
     assert free_names(p) == {x, y}
     # independent oracle: directly recurse the binding structure
@@ -58,7 +58,7 @@ def _free_oracle(p):
     if isinstance(p, New):
         return _free_oracle(p.body) - {p.name}
     if isinstance(p, Out):
-        refs = {v.name for v in p.objects if isinstance(v, NameRef)}
+        refs = {v for v in p.objects if isinstance(v, Name)}
         return {p.subject} | refs | _free_oracle(p.cont)
     if isinstance(p, In):
         inner = _free_oracle(p.cont)
@@ -67,7 +67,7 @@ def _free_oracle(p):
         return {p.subject} | set(p.objects) | inner
     if isinstance(p, Repeat):
         return _free_oracle(p.body)
-    refs = {v.name for v in (p.left, p.right) if isinstance(v, NameRef)}
+    refs = {v for v in (p.left, p.right) if isinstance(v, Name)}
     return refs
 
 
@@ -83,26 +83,26 @@ def test_free_names_binding_input():
 
 def test_substitute_subject_and_object():
     x, y = _names("x", "y")
-    p = Out(x, (NameRef(x),), Nil())
+    p = Out(x, (x,), Nil())
     q = substitute(p, x, y)
-    assert same_program(q, Out(y, (NameRef(y),), Nil()))
+    assert same_program(q, Out(y, (y,), Nil()))
 
 
 def test_substitute_shadowed_by_binder():
     x, y, z = _names("x", "y", "z")
-    p = New(x, Out(x, (NameRef(z),), Nil()))
+    p = New(x, Out(x, (z,), Nil()))
     assert substitute(p, x, y) == p
 
 
 def test_substitute_capture_avoided():
     # substituting y for x under a binder that *is* y must rename the binder
     x, y = _names("x", "y")
-    p = New(y, Out(x, (NameRef(y),), Nil()))
+    p = New(y, Out(x, (y,), Nil()))
     q = substitute(p, x, y)
     assert isinstance(q, New)
     assert q.name != y
     assert q.body.subject == y
-    assert q.body.objects == (NameRef(q.name),)
+    assert q.body.objects == (q.name,)
     assert free_names(q) == {y}
 
 
@@ -110,10 +110,10 @@ def test_substitute_binding_input_parameter_shadow():
     x, y = _names("x", "y")
     supply = NameSupply(max(x.id, y.id) + 1)
     v = supply.fresh("v")
-    p = In(x, (v,), True, Out(v, (NameRef(x),), Nil()))
+    p = In(x, (v,), True, Out(v, (x,), Nil()))
     q = substitute(p, x, y)
     assert q.subject == y
-    assert q.cont.objects == (NameRef(y),)
+    assert q.cont.objects == (y,)
 
 
 def _gen(seed, surface=False, max_nodes=14):
@@ -141,56 +141,56 @@ def test_substitute_free_name_law(seed):
 def test_fused_equal_after_merge():
     x, y = _names("x", "y")
     env = FusionEnv()
-    env.merge(NameRef(x), NameRef(y))
-    assert env.fused_equal(NameRef(x), NameRef(y))
+    env.merge(x, y)
+    assert env.fused_equal(x, y)
 
 
 def test_fused_equal_distinct_names_empty_env():
     x, y = _names("x", "y")
     env = FusionEnv()
-    assert not env.fused_equal(NameRef(x), NameRef(y))
+    assert not env.fused_equal(x, y)
 
 
 def test_fused_equal_transitive():
     x, y, z = _names("x", "y", "z")
     env = FusionEnv()
-    env.merge(NameRef(x), NameRef(y))
-    env.merge(NameRef(y), NameRef(z))
-    assert env.fused_equal(NameRef(x), NameRef(z))
+    env.merge(x, y)
+    env.merge(y, z)
+    assert env.fused_equal(x, z)
 
 
 def test_merge_reflexive_noop():
     x = _names("x")[0]
     env = FusionEnv()
-    env.merge(NameRef(x), NameRef(x))
-    assert env.fused_equal(NameRef(x), NameRef(x))
+    env.merge(x, x)
+    assert env.fused_equal(x, x)
     assert env.attached_literal(x) is None
 
 
 def test_merge_literal_attachment_idempotent():
     x = _names("x")[0]
     env = FusionEnv()
-    env.merge(NameRef(x), IntLit(5))
-    env.merge(NameRef(x), IntLit(5))
+    env.merge(x, IntLit(5))
+    env.merge(x, IntLit(5))
     assert env.attached_literal(x) == IntLit(5)
-    assert env.fused_equal(NameRef(x), IntLit(5))
+    assert env.fused_equal(x, IntLit(5))
 
 
 def test_merge_literal_clash():
     x = _names("x")[0]
     env = FusionEnv()
-    env.merge(NameRef(x), IntLit(5))
+    env.merge(x, IntLit(5))
     with pytest.raises(FusionClash):
-        env.merge(NameRef(x), IntLit(6))
+        env.merge(x, IntLit(6))
 
 
 def test_merge_clash_through_classes():
     x, y = _names("x", "y")
     env = FusionEnv()
-    env.merge(NameRef(x), IntLit(5))
-    env.merge(NameRef(y), IntLit(6))
+    env.merge(x, IntLit(5))
+    env.merge(y, IntLit(6))
     with pytest.raises(FusionClash):
-        env.merge(NameRef(x), NameRef(y))
+        env.merge(x, y)
 
 
 def test_merge_literal_literal():
@@ -204,19 +204,19 @@ def test_bool_and_int_literals_never_fuse():
     # bool is not int even where the host language thinks 1 == True
     x = _names("x")[0]
     env = FusionEnv()
-    env.merge(NameRef(x), IntLit(1))
+    env.merge(x, IntLit(1))
     with pytest.raises(FusionClash):
-        env.merge(NameRef(x), BoolLit(True))
+        env.merge(x, BoolLit(True))
 
 
 def test_literals_of_different_kinds_are_unequal():
     # Value equality compares within one class only
     assert IntLit(1) != BoolLit(True) and IntLit(0) != BoolLit(False)
     x = _names("x")[0]
-    env = FusionEnv().merge(NameRef(x), IntLit(1))
-    assert env.fused_equal(NameRef(x), IntLit(1))
-    assert not env.fused_equal(NameRef(x), BoolLit(True))
-    assert not env.fused_equal(BoolLit(True), NameRef(x))
+    env = FusionEnv().merge(x, IntLit(1))
+    assert env.fused_equal(x, IntLit(1))
+    assert not env.fused_equal(x, BoolLit(True))
+    assert not env.fused_equal(BoolLit(True), x)
     assert not env.fused_equal(IntLit(1), BoolLit(True))
     with pytest.raises(FusionClash):
         env.merge(IntLit(1), BoolLit(True))
@@ -259,13 +259,12 @@ def test_merge_order_independence(seed):
     rng.shuffle(perm)
     env1, env2 = FusionEnv(), FusionEnv()
     for a, b in pairs:
-        env1.merge(NameRef(a), NameRef(b))
+        env1.merge(a, b)
     for a, b in perm:
-        env2.merge(NameRef(a), NameRef(b))
+        env2.merge(a, b)
     for a in names:
         for b in names:
-            assert (env1.fused_equal(NameRef(a), NameRef(b))
-                    == env2.fused_equal(NameRef(a), NameRef(b)))
+            assert env1.fused_equal(a, b) == env2.fused_equal(a, b)
 
 
 @given(st.integers(0, 10**6))
@@ -275,13 +274,12 @@ def test_fused_equal_is_equivalence(seed):
     names = _names(*"abcde")
     env = FusionEnv()
     for _ in range(5):
-        env.merge(NameRef(rng.choice(names)), NameRef(rng.choice(names)))
-    refs = [NameRef(n) for n in names]
-    for a in refs:
+        env.merge(rng.choice(names), rng.choice(names))
+    for a in names:
         assert env.fused_equal(a, a)
-        for b in refs:
+        for b in names:
             assert env.fused_equal(a, b) == env.fused_equal(b, a)
-            for c in refs:
+            for c in names:
                 if env.fused_equal(a, b) and env.fused_equal(b, c):
                     assert env.fused_equal(a, c)
 
@@ -294,8 +292,8 @@ def test_fused_equal_is_equivalence(seed):
 
 def test_congruent_new_swap():
     x, y, z = _names("x", "y", "z")
-    body1 = Par(Out(x, (), Nil()), Out(y, (NameRef(z),), Nil()))
-    body2 = Par(Out(x, (), Nil()), Out(y, (NameRef(z),), Nil()))
+    body1 = Par(Out(x, (), Nil()), Out(y, (z,), Nil()))
+    body2 = Par(Out(x, (), Nil()), Out(y, (z,), Nil()))
     assert congruent(New(x, New(y, body1)), New(y, New(x, body2)))
 
 
@@ -326,21 +324,20 @@ def test_congruent_unused_binder():
 def test_congruent_scope_extrusion():
     x, y, z = _names("x", "y", "z")
     left = Out(y, (), Nil())
-    right = Out(x, (NameRef(z),), Nil())
+    right = Out(x, (z,), Nil())
     assert congruent(New(x, Par(left, right)), Par(left, New(x, right)))
 
 
 def test_congruent_fusion_symmetry_reflexivity():
     x, y = _names("x", "y")
-    assert congruent(Fusion(NameRef(x), NameRef(y)),
-                     Fusion(NameRef(y), NameRef(x)))
-    assert congruent(Fusion(NameRef(x), NameRef(x)), Nil())
+    assert congruent(Fusion(x, y), Fusion(y, x))
+    assert congruent(Fusion(x, x), Nil())
 
 
 def test_congruent_fusion_elimination():
     # (new x)(x=y | x!()) == y!()
     x, y = _names("x", "y")
-    p = New(x, Par(Fusion(NameRef(x), NameRef(y)), Out(x, (), Nil())))
+    p = New(x, Par(Fusion(x, y), Out(x, (), Nil())))
     assert congruent(p, Out(y, (), Nil()))
 
 
@@ -355,8 +352,8 @@ def test_congruent_alpha():
     x1 = supply.fresh("x")
     x2 = supply.fresh("q")
     y = supply.fresh("y")
-    p = New(x1, Out(x1, (NameRef(y),), Nil()))
-    q = New(x2, Out(x2, (NameRef(y),), Nil()))
+    p = New(x1, Out(x1, (y,), Nil()))
+    q = New(x2, Out(x2, (y,), Nil()))
     assert congruent(p, q)
 
 
@@ -423,7 +420,7 @@ def _ring_edges(lengths):
     succ = []
     for k in lengths:
         succ += [len(succ) + (j + 1) % k for j in range(k)]
-    return lambda a, i: Out(a[i], (NameRef(a[succ[i]]),), Nil())
+    return lambda a, i: Out(a[i], (a[succ[i]],), Nil())
 
 
 @pytest.mark.parametrize("lengths", [(8,), (12,), (3, 6)],
@@ -437,7 +434,7 @@ def test_canonical_key_rings_one_key_for_every_order(lengths):
     assert len({canonical_key(p) for p in terms}) == 1
     # reversing one edge gives a term that is not congruent
     flipped = _shuffled_scopes(n, lambda a, i: (
-        Out(a[1], (NameRef(a[0]),), Nil()) if i == 0 else edge(a, i)), 0)
+        Out(a[1], (a[0],), Nil()) if i == 0 else edge(a, i)), 0)
     assert not congruent(flipped[0], terms[0])
 
 
@@ -461,7 +458,7 @@ def test_canonical_key_interchangeable_binders_one_key(n):
 def test_canonical_key_scope_listing_one_binder_twice():
     # both threads bind the one id x, so the hoisted scope lists it twice
     x, y, z = _names("x", "y", "z")
-    p = New(x, Out(x, (NameRef(y),), Nil()))
+    p = New(x, Out(x, (y,), Nil()))
     q = New(x, In(x, (z,), False, Nil()))
     assert congruent(Par(p, q), Par(q, p))
     assert canonical_key(Par(p, q)).startswith("n2{")
@@ -482,8 +479,8 @@ def test_is_core():
 def test_process_size_counts_occurrences():
     x, y = _names("x", "y")
     assert process_size(Nil()) == 1
-    assert process_size(Fusion(NameRef(x), NameRef(y))) == 3
-    assert process_size(Out(x, (NameRef(y),), Nil())) == 4
+    assert process_size(Fusion(x, y)) == 3
+    assert process_size(Out(x, (y,), Nil())) == 4
     assert process_size(New(x, Nil())) == 3
 
 
@@ -504,15 +501,16 @@ def test_name_equality_and_hash_use_the_id_alone():
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert Name(7, "x") != Name(8, "x")
-    assert Name(7, "x") != 7 and Name(7, "x") != NameRef(Name(7, "x"))
+    assert Name(7, "x") != 7 and Name(7, "x") != IntLit(7)
+    assert len({Name(7, "x"), IntLit(7)}) == 2
 
 
 def _one_of_each_node(span):
     x, y = _names("x", "y")
     return [Nil(span=span), Par(Nil(), Nil(), span=span),
-            New(x, Nil(), span=span), Out(x, (NameRef(y),), Nil(), span=span),
+            New(x, Nil(), span=span), Out(x, (y,), Nil(), span=span),
             In(x, (y,), True, Nil(), span=span), Repeat(Nil(), span=span),
-            Fusion(NameRef(x), IntLit(1), span=span)]
+            Fusion(x, IntLit(1), span=span)]
 
 
 def test_nodes_compare_by_identity_and_same_program_ignores_the_span():
@@ -524,28 +522,28 @@ def test_nodes_compare_by_identity_and_same_program_ignores_the_span():
     assert not same_program(Out(x, (), Nil()), Out(y, (), Nil()))
     assert not same_program(In(x, (y,), True, Nil()),
                             In(x, (y,), False, Nil()))
-    assert not same_program(Fusion(NameRef(x), IntLit(1)),
-                            Fusion(NameRef(x), BoolLit(True)))
+    assert not same_program(Fusion(x, IntLit(1)),
+                            Fusion(x, BoolLit(True)))
     assert not same_program(Par(Nil(), Nil()), New(x, Nil()))
 
 
 def test_values_and_nodes_repr_every_field():
     # a clash trace line shows the literals this way
     x, y = Name(0, "x"), Name(1, "y")
-    assert [repr(v) for v in (NameRef(x), IntLit(1), StrLit("s"),
+    assert [repr(v) for v in (x, IntLit(1), StrLit("s"),
                               BoolLit(True), UnitLit())] == [
-        "NameRef(name=x#0)", "IntLit(value=1)", "StrLit(value='s')",
+        "x#0", "IntLit(value=1)", "StrLit(value='s')",
         "BoolLit(value=True)", "UnitLit()"]
     assert [repr(p) for p in _one_of_each_node(None)] == [
         "Nil(span=None)",
         "Par(left=Nil(span=None), right=Nil(span=None), span=None)",
         "New(name=x#0, body=Nil(span=None), span=None)",
-        "Out(subject=x#0, objects=(NameRef(name=y#1),), "
+        "Out(subject=x#0, objects=(y#1,), "
         "cont=Nil(span=None), span=None)",
         "In(subject=x#0, objects=(y#1,), binding=True, cont=Nil(span=None), "
         "span=None)",
         "Repeat(body=Nil(span=None), span=None)",
-        "Fusion(left=NameRef(name=x#0), right=IntLit(value=1), span=None)"]
+        "Fusion(left=x#0, right=IntLit(value=1), span=None)"]
     assert repr(Nil(span=("f.pi", 3))) == "Nil(span=('f.pi', 3))"
     assert str(IntLit(-2)) == "IntLit(value=-2)"
 
@@ -559,6 +557,6 @@ def test_values_equal_only_their_own_class():
 
 def test_names_values_and_nodes_have_no_dict():
     x, = _names("x")
-    for obj in [x, NameRef(x), IntLit(1), StrLit("s"), BoolLit(True),
+    for obj in [x, IntLit(1), StrLit("s"), BoolLit(True),
                 UnitLit(), *_one_of_each_node(None)]:
         assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (INT, ExternDecl, Fusion, In, IntLit, MethodDecl,
-                         NameRef, NameSupply, New, Nil, Out, Par, Program,
-                         Repeat, StrLit)
+                         NameSupply, New, Nil, Out, Par, Program, Repeat,
+                         StrLit)
 from pichan.diag import ParseError, Source
 from pichan.parser import _TOKEN_RE, desugar, parse_program, tokenize
 from pichan.typecheck import check_sorts
@@ -83,7 +83,7 @@ def test_parse_output_input_fusion():
     assert isinstance(inp, In) and inp.binding
     fus = inp.cont
     assert isinstance(fus, Fusion)
-    assert fus.left == NameRef(inp.objects[0])
+    assert fus.left == inp.objects[0]
 
 
 def test_parse_free_input_and_new_chain():
@@ -240,7 +240,7 @@ def test_desugar_nested_no_capture():
     assert isinstance(inp_x.cont, New)
     inp_y = inp_x.cont.body
     assert inp_y.cont.subject == core.name
-    assert inp_y.cont.objects == (NameRef(inp_x.cont.name),)
+    assert inp_y.cont.objects == (inp_x.cont.name,)
     assert free_names(core) == free_names(program.main)
 
 
@@ -258,7 +258,7 @@ def test_desugar_5000_deep_binding_chain():
     supply = NameSupply()
     x = supply.fresh("x")
     params = [supply.fresh("v") for _ in range(5000)]
-    p = Out(x, (NameRef(params[-1]),), Nil())
+    p = Out(x, (params[-1],), Nil())
     for v in reversed(params):
         p = In(x, (v,), True, p)
     core = desugar(Program((), p)).main
@@ -267,7 +267,7 @@ def test_desugar_5000_deep_binding_chain():
         assert core.body.objects == (core.name,)
         core, depth = core.body.cont, depth + 1
     assert depth == 5000
-    assert core.subject == x and core.objects[0].name.display == "v"
+    assert core.subject == x and core.objects[0].display == "v"
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +366,13 @@ def test_desugar_matches_reference_on_corpus():
 def test_desugar_matches_reference_on_hand_built_terms():
     supply = NameSupply()
     x, v, w = (supply.fresh(d) for d in "xvw")
-    use = Out(v, (NameRef(v), NameRef(w)), Nil())
+    use = Out(v, (v, w), Nil())
     shared = In(x, (v,), True, use)
     for p in [In(x, (v, v), True, use),  # a repeated parameter
               In(x, (v,), True, New(v, use)),  # a New shadows v
               In(x, (v,), True, In(v, (v,), True, use)),  # so does an input
               Par(shared, Repeat(shared)),  # one node in two places
-              In(x, (v, w), True, In(w, (v,), False, Fusion(NameRef(v),
-                                                            NameRef(w))))]:
+              In(x, (v, w), True, In(w, (v,), False, Fusion(v, w)))]:
         _same_core(Program((), p))
     # the largest id is an extern channel's: fresh ids must start above it
     call, ret = supply.fresh("inc"), supply.fresh("Ret1")

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pichan.core import (FusionClash, FusionEnv, In, IntLit, NameRef, New,
-                         Nil, Out, Par, Program, Repeat, SurfaceFormError)
+from pichan.core import (FusionClash, FusionEnv, In, IntLit, New, Nil, Out,
+                         Par, Program, Repeat, SurfaceFormError)
 from pichan.interop import (HostFault, ProtocolViolation, UngroundArgument,
                             build_std_registry)
 from pichan.parser import desugar, parse_program
@@ -74,7 +74,7 @@ def test_enumerate_comm_through_fusion():
     m = _machine("x!(a) | y?<v>")
     x = m.threads[0].subject
     y = m.threads[1].subject
-    m.env.merge(NameRef(x), NameRef(y))
+    m.env.merge(x, y)
     assert list(m.enumerate_redexes()) == [("comm", 0, 1)]
 
 
@@ -499,12 +499,11 @@ def test_redexes_read_after_a_direct_union_raises():
     m = _machine("x!(a) | y?<v> | y?<w>")
     r = m.enumerate_redexes()
     assert list(r) == []
-    m.env.merge(NameRef(m.threads[0].subject), NameRef(m.threads[1].subject))
+    m.env.merge(m.threads[0].subject, m.threads[1].subject)
     assert len(r) == 0  # the count is the enumeration's
     r = m.enumerate_redexes()
     assert list(r) == [("comm", 0, 1), ("comm", 0, 2)]
-    m.env.merge(NameRef(m.threads[0].objects[0].name),
-                NameRef(m.threads[1].objects[0]))
+    m.env.merge(m.threads[0].objects[0], m.threads[1].objects[0])
     with pytest.raises(RuntimeError):
         r[0]
 
@@ -707,7 +706,7 @@ def test_copy_has_its_own_index(indexed):
     # the union is made on the env directly; indexed=False executes before
     # any enumeration has moved the buckets
     m = _machine("x!(a) | y?<v>")
-    m.env.merge(NameRef(m.threads[0].subject), NameRef(m.threads[1].subject))
+    m.env.merge(m.threads[0].subject, m.threads[1].subject)
     if indexed:
         assert list(m.enumerate_redexes()) == [("comm", 0, 1)]
     m.execute(("comm", 0, 1))
@@ -778,12 +777,12 @@ def test_env_golden_trace(name, program, seed, max_steps):
 
 def test_comm_fuses_instead_of_substituting():
     m = _machine("x!(a) | x?<b>")
-    a = m.threads[0].objects[0].name
+    a = m.threads[0].objects[0]
     b = m.threads[1].objects[0]
     ev = m.execute(("comm", 0, 1))
     assert ev.kind == "comm"
     assert m.threads == []
-    assert m.env.fused_equal(NameRef(a), NameRef(b))
+    assert m.env.fused_equal(a, b)
 
 
 def test_comm_literal_attaches():
@@ -845,7 +844,7 @@ def test_thread_is_code_node_plus_environment():
     assert m.envs[2][out.subject.id] == a
     b = m.envs[2][code.right.body.name.id]
     assert b.display == "b" and b.id == -2  # run-time ids count down
-    assert same_program(soup(m)[2], Out(a, (NameRef(b),), Nil()))
+    assert same_program(soup(m)[2], Out(a, (b,), Nil()))
 
 
 def test_fresh_names_apart_from_extern_channel_ids():

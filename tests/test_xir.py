@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pichan.core import (NOT_XML_CHARS, ExternDecl, Fusion, In, IntLit,
-                         MethodDecl, Name, NameRef, New, Nil, Out, Par, Program,
-                         Repeat, StrLit, SurfaceFormError, nodes)
+                         MethodDecl, Name, New, Nil, Out, Par, Program, Repeat,
+                         StrLit, SurfaceFormError, nodes)
 from pichan.diag import ParseError
 from pichan.parser import desugar, parse_program
 from pichan.xir import (SchemaError, VersionError, XIR_VERSION, _quoted,
@@ -219,7 +219,7 @@ def test_host_workers_declare_each_channel_once():
 
 def test_free_names_are_one_list_on_process_in_id_order():
     x, y, z = Name(7, "x"), Name(2, "y"), Name(4, "z")
-    program = Program((), Par(Out(x, (NameRef(y),), Nil()),
+    program = Program((), Par(Out(x, (y,), Nil()),
                               In(z, (x,), False, Nil())))
     text = to_xml(program)
     assert text.splitlines()[2] == '<process free="y#2 z#4 x#7">'
@@ -240,7 +240,7 @@ def test_free_names_are_one_list_on_process_in_id_order():
      "free name display 'a b' holds white space"),
     (Program((), Out(Name(0, "x"), (StrLit("a\x01b"),), Nil())),
      "'str:a\\x01b' holds '\\x01', which XML 1.0 cannot carry"),
-    (Program((), Fusion(NameRef(Name(0, "x")), StrLit("\ufffe"))),
+    (Program((), Fusion(Name(0, "x"), StrLit("\ufffe"))),
      "'str:\\ufffe' holds '\\ufffe', which XML 1.0 cannot carry"),
 ], ids=["two-displays", "binder-two-displays", "channel-twice",
         "free-white-space", "control-character", "non-character"])
@@ -285,7 +285,7 @@ def test_a_chain_of_news_is_one_list_on_the_element_it_scopes():
              '<in new="a#0 b#1" subject="2" a0="name:0">'),
             (Repeat(out), '<repeat new="a#0 b#1">'),
             (Par(out, Par(out, New(y, Par(out, out)))), '<par new="a#0 b#1">'),
-            (Fusion(NameRef(a), NameRef(b)),
+            (Fusion(a, b),
              '<fusion new="a#0 b#1" left="name:0" right="name:1"/>')]:
         program = Program((), New(a, New(b, body)))
         text = to_xml(program)
@@ -372,6 +372,24 @@ def test_names_shared_within_a_document():
                        '<process free="a#0"><par>'
                        + _out("0") + _out("0") + "</par></process></pic>")
     assert program.main.left.subject is program.main.right.subject
+    # every use of a declared id is the declared Name itself: a subject, an
+    # <out> or <in> argument and a fusion side alike
+    program = from_xml(f'<pic version="{XIR_VERSION}"><externs/>'
+                       '<process free="a#0"><par new="b#1">' + _out("0")
+                       + '<out subject="1" a0="name:0" a1="int:2" '
+                       'a2="name:1"/>'
+                       '<in subject="0" a0="name:1" a1="name:0"/>'
+                       '<fusion left="name:1" right="name:0"/>'
+                       '</par></process></pic>')
+    b = program.main.name
+    first, rest = program.main.body.left, program.main.body.right
+    out, inp, fus = rest.left, rest.right.left, rest.right.right
+    a = first.subject
+    uses = [out.subject, out.objects[0], out.objects[2], inp.subject,
+            *inp.objects, fus.left, fus.right]
+    declared = {id(a): "a", id(b): "b"}
+    assert [declared.get(id(u)) for u in uses] == ["b", "a", "b", "a",
+                                                   "b", "a", "b", "a"]
 
 
 def test_bytes_grow_linearly_in_echo_clients():
@@ -522,7 +540,7 @@ def test_string_literals_round_trip(texts, fused):
     # each string is one attribute value, which XML quoting covers
     x = Name(0, "x")
     program = Program((), Out(x, tuple(map(StrLit, texts)),
-                              Fusion(NameRef(x), StrLit(fused))))
+                              Fusion(x, StrLit(fused))))
     text = to_xml(program)
     assert same_program(from_xml(text), program)
     assert to_xml(from_xml(text)) == text
