@@ -1,8 +1,9 @@
 """Command-line pipeline: compile, check, run, gen-iface.
 
 Exit codes: 0 ok, 1 syntax/manifest/usage error, 2 type/protocol/schema
-error, 3 I/O or UTF-8 error (a stdout pipe closed by its reader included),
-4 stuck, 5 clash or protocol violation, 6 step limit.
+error, 3 I/O or UTF-8 error (an input or output file, or a stdout that is
+full, closed by its reader or cannot encode the output), 4 stuck, 5 clash
+or protocol violation, 6 step limit.
 
 A command imports only what it runs: xir for compile and run, vm for run,
 ifgen for gen-iface.  Parser and checkers stay at module level, where the
@@ -46,12 +47,7 @@ def _check_pipeline(path):
     """Parse + desugar + all static checks.  Returns (program, exit_code);
     program is None on failure.  Diagnostics are printed either way."""
     try:
-        text = _read_file(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    try:
-        program = parse_program(text, filename=str(path))
+        program = parse_program(_read_file(path), filename=str(path))
     except ParseError as exc:
         for d in exc.diagnostics:
             print(d)
@@ -74,12 +70,8 @@ def cmd_compile(args) -> int:
     program, code = _check_pipeline(args.input)
     if program is None:
         return code
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(xir.to_xml(program))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(xir.to_xml(program))
     return EXIT_OK
 
 
@@ -92,12 +84,7 @@ def cmd_run(args) -> int:
     from . import vm, xir
 
     try:
-        text = _read_file(args.input)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        program = xir.from_xml(text)
+        program = xir.from_xml(_read_file(args.input))
     except xir.SchemaError as exc:
         print(f"error: {exc.code} {exc}", file=sys.stderr)
         return EXIT_TYPE
@@ -140,12 +127,8 @@ def cmd_geniface(args) -> int:
         return EXIT_SYNTAX
     # append an empty main so the file is a complete, checkable program
     source += "nil\n"
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(source)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(source)
     return EXIT_OK
 
 
@@ -205,10 +188,18 @@ def main(argv=None) -> int:
         try:
             code = args.fn(args)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader has gone (`pichan run x.xir | head -1`); point stdout
-            # at devnull so that the flush at exit cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, UnicodeError) as exc:
+            # only I/O raises these here: an input or output file, or
+            # stdout's write or encoding.  Host code's errors become
+            # HostFault, manifest I/O ManifestParseError (exit 1), and the
+            # tokenizer refuses surrogates, so XIR always encodes.
+            try:
+                sys.stdout.flush()  # diagnostics printed before a file error
+            except OSError:  # stdout is full or closed too: point it at
+                # devnull so that the flush at exit cannot fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):  # `| head -1` is no error
+                print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
         return code
     finally:

@@ -110,8 +110,8 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> tuple:
-        return self.tokens[self.pos + ahead]  # never past the eof token
+    def peek(self) -> tuple:
+        return self.tokens[self.pos]  # never past the eof token
 
     def next(self) -> tuple:
         t = self.tokens[self.pos]

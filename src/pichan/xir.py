@@ -360,7 +360,6 @@ def _read_proc(elem, decls: dict, kinds: dict) -> Process:
     top = Repeat(NIL)  # its body slot receives the process
     stack = [(elem, top, "body")]
     outside = {}  # id text -> name, of the binders whose new has closed
-    values = {}  # literal argument text -> Value, read once
     getters = {}  # out/in attribute count -> getter of subject, a0, ...
     while stack:
         entry = stack.pop()
@@ -394,8 +393,7 @@ def _read_proc(elem, decls: dict, kinds: dict) -> Process:
                 literal = False  # whether an argument is a literal
                 for text in texts:
                     if text[:5] != "name:":
-                        v = values.get(text) or values.setdefault(
-                            text, _split_value(text, tag, decls, outside))
+                        v = _split_value(text, tag, decls, outside)
                         literal = True
                     elif (v := decls.get(text[5:])) is None:
                         raise _undeclared(text[5:], tag, outside)

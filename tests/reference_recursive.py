@@ -90,7 +90,7 @@ class _RecursiveParser(_Parser):
         if t[0] == "repeat":
             self.next()
             return Repeat(self.parse_term(scope), span=self.at(t))
-        if t[0] == "ident" and self.peek(1)[0] in ("!", "?"):
+        if t[0] == "ident" and self.tokens[self.pos + 1][0] in ("!", "?"):
             self.next()
             subj = self.lookup(t, scope)
             if self.next()[0] == "!":

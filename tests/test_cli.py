@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline and its exit codes."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -753,6 +754,61 @@ def test_run_into_closed_pipe_exits_3_without_traceback(tmp_path):
     assert err == ""
 
 
+class _FullStdout(io.StringIO):
+    """A stdout whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _stdout_cases(tmp_path):
+    """(argv, the error on stderr) for each way stdout can fail."""
+    src = tmp_path / "cafe.pi"
+    src.write_text('x!("caf\u00e9") | x?(y).nil\n', encoding="utf-8")
+    cafe = str(_compile(src, tmp_path))
+    account = str(_compile(SAMPLES_DIR / "account.pi", tmp_path))
+    full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    ascii_ = ("'ascii' codec can't encode character '\\xe9' in position 15: "
+              "ordinal not in range(128)")
+    return {"full-check": (["check", str(SAMPLES_DIR / "account.pi")], full),
+            "full-run": (["run", account], full),
+            "ascii-run": (["run", cafe], ascii_)}
+
+
+@pytest.mark.parametrize("case", ["full-check", "full-run", "ascii-run"])
+def test_stdout_that_fails_exits_3_with_one_error_line(case, tmp_path):
+    argv, error = _stdout_cases(tmp_path)[case]
+    out = (_FullStdout() if case.startswith("full")
+           else io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (EXIT_IO, f"error: {error}\n")
+    if case == "ascii-run":
+        out.flush()
+        assert out.buffer.getvalue() == b""
+
+
+@pytest.mark.parametrize("case", ["full-check", "full-run", "ascii-run"])
+def test_stdout_that_fails_exits_3_in_a_process(case, tmp_path):
+    argv, error = _stdout_cases(tmp_path)[case]
+    if case.startswith("full") and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    # ASCII-only: of these outputs, only the cafe trace cannot encode
+    env = dict(os.environ, PYTHONIOENCODING="ascii",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    # a buffered stdout keeps what it could not write, so the flush at exit
+    # fails again unless main has pointed it at devnull
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full" if case.startswith("full") else os.devnull,
+              "w") as out:
+        proc = subprocess.run([sys.executable, "-m", "pichan.cli", *argv],
+                              stdout=out, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (EXIT_IO,
+                                                       f"error: {error}\n")
+
+
 # modules that no command needs; importing xml.sax.saxutils loads the next
 # four, and pichan writes its annotations without typing
 _HEAVY_MODULES = ("xml.sax", "urllib.request", "http.client", "ssl", "email",
@@ -924,7 +980,8 @@ def test_command_runs_with_the_collector_paused_and_gives_its_state_back(
 
     monkeypatch.setattr(cli, "_check_pipeline", pipeline)
     try:
-        # the broken-pipe path points stdout's descriptor at devnull
+        # a real file, whose descriptor main's I/O handler would point at
+        # devnull if its flush failed
         with open(tmp_path / "out", "w") as out:
             monkeypatch.setattr(sys, "stdout", out)
             (gc.enable if enabled else gc.disable)()

@@ -1,7 +1,9 @@
-"""Unreadable and oversized input: every case ends in its documented exit
-code and diagnostic, never a traceback."""
+"""Unreadable and oversized input, and output files that cannot be
+written: every case ends in its documented exit code and diagnostic, never
+a traceback."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,10 @@ from pichan.parser import desugar, parse_program
 from pichan.xir import XIR_VERSION, SchemaError, from_xml, to_xml
 
 from terms import validate
+from test_ifgen import ACCOUNT_MANIFEST
 from test_parser import ACCOUNT_EXTERN
+
+SAMPLES_DIR = Path(__file__).resolve().parent.parent / "samples"
 
 # more digits than int() converts from text under the default limit
 LONG = "1" * 5000
@@ -66,6 +71,43 @@ def test_manifest_nested_100000_deep_exits_1(tmp_path, capsys):
         load_manifest(path)
     assert main(["gen-iface", str(path), "--alias", "A",
                  "-o", str(tmp_path / "o.pi")]) == EXIT_SYNTAX
+
+
+@pytest.mark.parametrize("raw,alias,error", [
+    ({"class": "A", "methods": [{"params": []}]}, "A",
+     "{path}: method entries need a 'name'"),
+    ({"class": "A", "methods": [{"name": "m"}]}, "Ret1",
+     "alias Ret1 collides with a channel name"),
+], ids=["nameless-method", "alias-Ret1"])
+def test_manifest_refused_exits_1_and_writes_nothing(tmp_path, capsys, raw,
+                                                     alias, error):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o.pi"
+    assert main(["gen-iface", str(path), "--alias", alias,
+                 "-o", str(out)]) == EXIT_SYNTAX
+    assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# output files that cannot be written
+
+
+@pytest.mark.parametrize("command", ["compile", "gen-iface"])
+def test_output_into_a_missing_directory_exits_3(tmp_path, capsys, command):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(ACCOUNT_MANIFEST))
+    out = tmp_path / "missing" / "o"
+    argv = {"compile": ["compile", str(SAMPLES_DIR / "account.pi")],
+            "gen-iface": ["gen-iface", str(manifest), "--alias", "A"]}[command]
+    assert main(argv + ["-o", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [Errno 2] No such file or directory: "
+                            f"{str(out)!r}\n")
+    # compile's diagnostics still go out before the error
+    assert ("warning W-PAR" in captured.out) == (command == "compile")
+    assert not out.parent.exists()
 
 
 # ---------------------------------------------------------------------------
