@@ -23,8 +23,8 @@ Everything is written under one temporary directory, whose path is
 replaced by a fixed token in every output, so that diagnostics that name a
 file compare across checkouts.  stdout is one JSON object: for each input
 and command, the sha256 of its exit code, stdout, stderr and the bytes of
-the file it wrote.  A command that raises is recorded by the exception's type and
-text in place of the exit code.
+the file it wrote.  A command that raises is recorded by the exception's
+type and text in place of the exit code.
 """
 
 from __future__ import annotations
